@@ -12,6 +12,7 @@ from .bounds import (
     classify_upper,
     hyperbolic_corner_points,
     hyperbolic_set_contains,
+    lens_density_floor,
     lower_bound,
     lower_bound_values,
     mixed_partial_density,
@@ -73,6 +74,7 @@ __all__ = [
     "gamma_rank_statistic",
     "hyperbolic_corner_points",
     "hyperbolic_set_contains",
+    "lens_density_floor",
     "i1_closed",
     "i2_closed",
     "lower_bound",

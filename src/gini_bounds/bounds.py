@@ -35,7 +35,7 @@ from .core import (
     point_bound_lower,
 )
 from .errors import DomainError, InternalError
-from .pointgamma import lower_point_bound_gamma
+from .pointgamma import branch_condition, lower_point_bound_gamma
 from .quadrature import gamma_quadrature
 
 # Clamping the final value into [W, M] by more than this is flagged: it
@@ -60,6 +60,14 @@ def _check_t(t: float) -> float:
     if not -1.0 <= t <= 1.0:
         raise DomainError(f"gamma target t={t} outside [-1, 1]")
     return t
+
+
+def _check_points(u, v) -> None:
+    # One vectorized check (NaN fails every comparison); the scalar entry
+    # points keep UnitPoint's cheaper chained comparison.
+    u, v = np.asarray(u), np.asarray(v)
+    if not np.all((0.0 <= u) & (u <= 1.0) & (0.0 <= v) & (v <= 1.0)):
+        raise DomainError("a point (u, v) lies outside the unit square or is NaN")
 
 
 @dataclass(frozen=True)
@@ -131,28 +139,12 @@ def _candidates(x, m, t):
     return thetas, exists
 
 
-def _branch_holds(branch: int, x, m, th, eps: float = ACTIVATION_EPS):
-    half = (1.0 + th) / 2.0
-    shifted = m + th
-    if branch == 1:
-        return 0.5 + th <= x + eps
-    if branch == 2:
-        return (np.maximum(shifted, half) <= x + eps) & (x <= 0.5 + th + eps)
-    if branch == 3:
-        return (shifted <= x + eps) & (x <= half + eps)
-    if branch == 4:
-        return (half <= x + eps) & (x <= shifted + eps)
-    if branch == 5:
-        return x <= np.minimum(shifted, half) + eps
-    raise DomainError(f"region index {branch} not in 1..5")
-
-
 def _active_masks(x, m, t):
     thetas, exists = _candidates(x, m, t)
     active = tuple(
         exists[i]
         & (thetas[i] <= m + ACTIVATION_EPS)
-        & _branch_holds(i + 1, x, m, thetas[i])
+        & branch_condition(i + 1, x, m, thetas[i], ACTIVATION_EPS)
         for i in range(5)
     )
     return thetas, exists, active
@@ -200,6 +192,7 @@ def region_nonempty(i: int, t: float, samples: int = 40000) -> bool:
 def upper_bound_values(u, v, t):
     """Vectorized upper envelope; u, v may be arrays."""
     t = _check_t(t)
+    _check_points(u, v)
     x, m = np.maximum(u, v), np.minimum(u, v)
     thetas, _, active = _active_masks(x, m, t)
     inner = reduce(
@@ -212,6 +205,7 @@ def upper_bound_values(u, v, t):
 def lower_bound_values(u, v, t):
     """Vectorized lower envelope via the reflection identity."""
     t = _check_t(t)
+    _check_points(u, v)
     return v - upper_bound_values(1.0 - np.asarray(u, dtype=float), v, -t)
 
 
@@ -307,10 +301,8 @@ def mixed_partial_density(u: float, v: float, t: float) -> float:
 
     Closed form 3*(t - 12uv + 6u + 6v - 2) / (3*(5u^2+5v^2-6u-6v+2uv+2t+5))^1.5;
     at the corner points this equals t/3, which is negative exactly when
-    the upper envelope is a proper quasi-copula.  t/3 is the minimum over
-    the set only for -2/3 <= t < 0; for -1 < t < -2/3 the minimum is
-    -2 / (9*sqrt(3*(1+t))), attained in the interior at
-    u = v = (1 +- sqrt(7*(1+t)/3)) / 2.
+    the upper envelope is a proper quasi-copula.  Its minimum over the set
+    is lens_density_floor(t), which equals t/3 only for -2/3 <= t < 0.
     """
     UnitPoint(u, v)
     t = _check_t(t)
@@ -328,6 +320,27 @@ def mixed_partial_density(u: float, v: float, t: float) -> float:
             f"density undefined at ({u}, {v}, t={t}): vanishing denominator"
         )
     return float(3.0 * g / (3.0 * h) ** 1.5)
+
+
+def lens_density_floor(t: float) -> tuple[float, tuple[float, float]]:
+    """Minimum D*(t) of mixed_partial_density over the lens, and where it is.
+
+    Defined for -1 < t < 0; returns D*(t) and the u of the two diagonal
+    points (u, u) attaining it.  On u = v, with s = 12u^2 - 12u, the density
+    is 3(t - 2 - s) / (3(s + 2t + 5))^1.5 on the lens -3 <= s <= -2 - 2t.
+    Its only stationary point, a minimum at s = 7t + 4, lies in the lens iff
+    t <= -2/3: there D* = -2 / (9 sqrt(3(1 + t))) at
+    u = (1 +- sqrt(7(1 + t)/3)) / 2.  For -2/3 < t < 0 the density falls
+    towards the lens edge, the corner points, where D* = t/3.
+    """
+    t = _check_t(t)
+    if not -1.0 < t < 0.0:
+        raise DomainError(f"the lens density floor is defined for -1 < t < 0, got t={t}")
+    if t <= -2.0 / 3.0:
+        half = float(np.sqrt(7.0 * (1.0 + t) / 3.0)) / 2.0
+        return -2.0 / (9.0 * float(np.sqrt(3.0 * (1.0 + t)))), (0.5 - half, 0.5 + half)
+    p1, p2 = hyperbolic_corner_points(t)
+    return t / 3.0, (p2.u, p1.u)
 
 
 def witness_copula(u: float, v: float, t: float) -> Callable:

@@ -10,9 +10,7 @@ except for the elapsed_ms timing field of reports.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import os
 import sys
 import time
 
@@ -22,35 +20,23 @@ from . import __version__
 from .bounds import (
     classify_lower,
     classify_upper,
-    hyperbolic_corner_points,
+    lens_density_floor,
     lower_bound_values,
     upper_bound,
     upper_bound_values,
     _active_masks,
+    _check_t,
 )
 from .checkerboard import Checkerboard, gamma_checkerboard_exact
 from .core import PointBoundSpec, frechet_lower, frechet_upper, point_bound_lower, product
 from .errors import DomainError, InternalError
-from .lattice import LatticeFunction, check_properties
+from .lattice import LatticeFunction, check_properties, lattice_nodes, write_node_csv
 from .oracle import lp_extreme
 from .pointgamma import i1_closed, i2_closed, lower_point_bound_gamma
 from .quadrature import gamma_quadrature
 
 _QUAD_PANELS = 4000
 _CHECK_TOL = 1e-10
-
-
-def _thread_cap() -> int | None:
-    raw = os.environ.get("GINI_BOUNDS_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DomainError(f"GINI_BOUNDS_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise DomainError(f"GINI_BOUNDS_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
@@ -60,6 +46,14 @@ def _emit_json(payload: dict, out_path: str | None) -> None:
     else:
         with open(out_path, "w", newline="\n") as fh:
             fh.write(text)
+
+
+def _emit_csv(n: int, columns: dict, out_path: str | None) -> None:
+    if out_path is None:
+        write_node_csv(sys.stdout, n, columns)
+    else:
+        with open(out_path, "w", newline="\n") as fh:
+            write_node_csv(fh, n, columns)
 
 
 def _report(command: str, parameters: dict, results: dict, checks_passed: bool, started: float) -> dict:
@@ -104,11 +98,7 @@ def _side_evaluator(side: str, t: float):
 def cmd_grid(args) -> int:
     lf = LatticeFunction.from_evaluator(_side_evaluator(args.side, args.t), args.n)
     if args.format == "csv":
-        if args.out is None:
-            _write_grid_csv(lf, sys.stdout)
-        else:
-            with open(args.out, "w", newline="\n") as fh:
-                _write_grid_csv(lf, fh)
+        _emit_csv(lf.N, {"value": lf.values}, args.out)
     else:
         payload = {
             "n": lf.N,
@@ -118,16 +108,6 @@ def cmd_grid(args) -> int:
         }
         _emit_json(payload, args.out)
     return 0
-
-
-def _write_grid_csv(lf: LatticeFunction, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["u", "v", "value"])
-    nodes = lf.nodes
-    fmt = "{:.11e}".format
-    for i in range(lf.N + 1):
-        for j in range(lf.N + 1):
-            writer.writerow([fmt(nodes[i]), fmt(nodes[j]), fmt(lf.values[i, j])])
 
 
 def cmd_gamma(args) -> int:
@@ -192,15 +172,16 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _corner_distance(rect, t: float, n: int) -> float:
-    """Distance (in cells) from a cell to the nearest diagonal corner point."""
-    if t > 0.5:
-        return float("inf")
-    p1, p2 = hyperbolic_corner_points(t)
+def _minimiser_distance(rect, t: float, n: int) -> float | None:
+    """Distance (in cells) from a cell to the nearest lens density minimiser.
+
+    None where there is no lens: t >= 0 or t = -1.
+    """
+    if not -1.0 < t < 0.0:
+        return None
+    _, minimisers = lens_density_floor(t)
     i, j = rect[0], rect[1]
-    return min(
-        max(abs(i + 0.5 - p.u * n), abs(j + 0.5 - p.v * n)) for p in (p1, p2)
-    )
+    return min(max(abs(i + 0.5 - p * n), abs(j + 0.5 - p * n)) for p in minimisers)
 
 
 def cmd_check(args) -> int:
@@ -210,7 +191,7 @@ def cmd_check(args) -> int:
     cls_lo = classify_lower(t)
     copula_classes = ("FrechetLower", "ProperCopulaStrict", "FrechetUpper")
 
-    nodes = np.arange(n + 1, dtype=float) / n
+    nodes = lattice_nodes(n)
     uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
     upper_vals = upper_bound_values(uu, vv, t)
     lower_vals = lower_bound_values(uu, vv, t)
@@ -246,7 +227,7 @@ def cmd_check(args) -> int:
         "lower_classification": cls_lo.value,
         "upper_report": _property_report_dict(rep_up),
         "lower_report": _property_report_dict(rep_lo),
-        "upper_min_volume_cell_distance_to_corners": _corner_distance(
+        "upper_min_volume_cell_distance_to_density_minimiser": _minimiser_distance(
             rep_up.min_volume_rect, t, n
         ),
         "reflection_max_err": reflection_err,
@@ -309,27 +290,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    nodes = np.arange(args.n + 1, dtype=float) / args.n
+    nodes = lattice_nodes(args.n)
     uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
     x, m = np.maximum(uu, vv), np.minimum(uu, vv)
-    _, _, active = _active_masks(x, m, args.t)
-
-    def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["u", "v", "r1", "r2", "r3", "r4", "r5"])
-        fmt = "{:.11e}".format
-        for i in range(args.n + 1):
-            for j in range(args.n + 1):
-                writer.writerow(
-                    [fmt(nodes[i]), fmt(nodes[j])]
-                    + [str(int(active[k][i, j])) for k in range(5)]
-                )
-
-    if args.out is None:
-        write(sys.stdout)
-    else:
-        with open(args.out, "w", newline="\n") as fh:
-            write(fh)
+    _, _, active = _active_masks(x, m, _check_t(args.t))
+    _emit_csv(args.n, {f"r{k + 1}": active[k] for k in range(5)}, args.out)
     return 0
 
 
@@ -397,7 +362,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _thread_cap()  # validated; sweeps are vectorized in-process
         return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

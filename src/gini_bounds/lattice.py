@@ -24,6 +24,13 @@ from .errors import DomainError
 _CSV_FORMAT = "{:.11e}"
 
 
+def lattice_nodes(n: int) -> np.ndarray:
+    """Nodes i/n, i = 0..n, of the order-n uniform lattice (n >= 1)."""
+    if n < 1:
+        raise DomainError(f"lattice order must be >= 1, got {n}")
+    return np.arange(n + 1, dtype=float) / n
+
+
 @dataclass(frozen=True)
 class PropertyReport:
     """Outcome of auditing a lattice function against the (quasi-)copula axioms.
@@ -54,8 +61,7 @@ class LatticeFunction:
     values: np.ndarray  # shape (N+1, N+1); values[i][j] = f(i/N, j/N)
 
     def __post_init__(self):
-        if self.N < 1:
-            raise DomainError(f"lattice order must be >= 1, got {self.N}")
+        lattice_nodes(self.N)  # rejects orders below 1
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.N + 1, self.N + 1):
             raise DomainError(
@@ -65,13 +71,13 @@ class LatticeFunction:
 
     @classmethod
     def from_evaluator(cls, f: Evaluator, N: int) -> "LatticeFunction":
-        nodes = np.arange(N + 1, dtype=float) / N
+        nodes = lattice_nodes(N)
         uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
         return cls(N, np.asarray(f(uu, vv), dtype=float))
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.arange(self.N + 1, dtype=float) / self.N
+        return lattice_nodes(self.N)
 
     def cell_volumes(self) -> np.ndarray:
         """Volumes of all N x N single cells of the bilinear interpolant."""
@@ -81,18 +87,7 @@ class LatticeFunction:
     def to_csv(self, path) -> None:
         """Write `u,v,value` rows in row-major node order, 12 significant digits."""
         with open(path, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["u", "v", "value"])
-            nodes = self.nodes
-            for i in range(self.N + 1):
-                for j in range(self.N + 1):
-                    writer.writerow(
-                        [
-                            _CSV_FORMAT.format(nodes[i]),
-                            _CSV_FORMAT.format(nodes[j]),
-                            _CSV_FORMAT.format(self.values[i, j]),
-                        ]
-                    )
+            write_node_csv(fh, self.N, {"value": self.values})
 
     @classmethod
     def from_csv(cls, path) -> "LatticeFunction":
@@ -118,6 +113,27 @@ class LatticeFunction:
                 )
             values[i, j] = val
         return cls(n, values)
+
+
+def write_node_csv(fh, n: int, columns: dict) -> None:
+    """Write node-indexed CSV for the order-n lattice to the text stream fh.
+
+    The header is `u,v` followed by the column names; then one row per
+    node (i/n, j/n) in row-major order.  Each column is an (n+1) x (n+1)
+    array: float columns use _CSV_FORMAT, boolean columns are written 0/1.
+    This is the one definition of the lattice and atlas CSV format.
+    """
+    nodes = [_CSV_FORMAT.format(x) for x in lattice_nodes(n).tolist()]
+    fh.write(",".join(["u", "v", *columns]) + "\n")
+    for i, u in enumerate(nodes):
+        cells = zip(nodes, *(_format_cells(col[i]) for col in columns.values()))
+        fh.write("".join(f"{u},{','.join(row)}\n" for row in cells))
+
+
+def _format_cells(row: np.ndarray) -> list[str]:
+    if row.dtype == bool:
+        return ["1" if x else "0" for x in row.tolist()]
+    return [_CSV_FORMAT.format(x) for x in row.tolist()]
 
 
 def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:

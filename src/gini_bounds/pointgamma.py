@@ -7,12 +7,15 @@ resulting gamma is a five-branch piecewise quadratic in (a, b, theta).
 Branch conditions compare the larger coordinate with theta + 1/2,
 theta + smaller coordinate and (1 + theta)/2; adjacent branches agree on
 shared boundaries, and branch selection takes the first condition that
-holds, in the listed order.
+holds, in the listed order.  branch_condition states the conditions once;
+bounds also evaluates it on arrays to decide which candidate roots bind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import PointBoundSpec
 from .errors import InternalError
@@ -31,33 +34,20 @@ def i1_closed(spec: PointBoundSpec) -> float:
     return spec.theta * (1.0 - spec.a - spec.b + spec.theta)
 
 
-def _i2_cases(x: float, m: float, theta: float) -> tuple[int, float]:
-    # x = larger coordinate, m = smaller; conditions in listed order.
-    if x >= 0.5 + theta:
-        return 1, 0.25
-    if x >= max(m + theta, (1.0 + theta) / 2.0):
-        return 2, 0.25 + (x - theta - 0.5) ** 2
-    if m + theta <= x <= (1.0 + theta) / 2.0:
-        return 3, (1.0 + 2.0 * theta - 4.0 * x * theta + 3.0 * theta**2) / 4.0
-    if (1.0 + theta) / 2.0 <= x <= m + theta:
-        return 4, ((theta + 1.0 - x - m) * (3.0 * theta - 3.0 * x + m + 1.0) + 1.0) / 4.0
-    if x <= min(m + theta, (1.0 + theta) / 2.0):
-        return (
-            5,
-            (1.0 - (x - m) ** 2) / 4.0
-            + (1.0 - x - m) * theta / 2.0
-            + theta**2 / 2.0,
-        )
-    raise InternalError(
-        f"no diagonal-integral case matches (x={x}, m={m}, theta={theta}); "
-        "the case conditions should be exhaustive for admissible theta"
-    )
+# I2 on each branch; x = larger coordinate, m = smaller.
+_I2_BY_BRANCH = {
+    1: lambda x, m, th: 0.25,
+    2: lambda x, m, th: 0.25 + (x - th - 0.5) ** 2,
+    3: lambda x, m, th: (1.0 + 2.0 * th - 4.0 * x * th + 3.0 * th**2) / 4.0,
+    4: lambda x, m, th: ((th + 1.0 - x - m) * (3.0 * th - 3.0 * x + m + 1.0) + 1.0) / 4.0,
+    5: lambda x, m, th: (1.0 - (x - m) ** 2) / 4.0 + (1.0 - x - m) * th / 2.0 + th**2 / 2.0,
+}
 
 
 def i2_closed(spec: PointBoundSpec) -> float:
     """Diagonal integral of the lower point-bound copula (five-case closed form)."""
     x, m = max(spec.a, spec.b), min(spec.a, spec.b)
-    return _i2_cases(x, m, spec.theta)[1]
+    return _I2_BY_BRANCH[_select_branch(x, m, spec.theta)](x, m, spec.theta)
 
 
 def branch_value(branch: int, x: float, m: float, theta: float) -> float:
@@ -85,19 +75,37 @@ def branch_value(branch: int, x: float, m: float, theta: float) -> float:
     raise InternalError(f"branch index {branch} not in 1..5")
 
 
-def branch_condition(branch: int, x: float, m: float, theta: float) -> bool:
-    """Whether the stated condition of ``branch`` holds at (x, m, theta)."""
+def branch_condition(branch: int, x, m, theta, eps: float = 0.0):
+    """Whether the stated condition of ``branch`` holds at (x, m, theta).
+
+    The one statement of the five branch conditions.  Works elementwise on
+    arrays; ``eps`` widens every comparison by that much (the envelope's
+    activation tolerance).
+    """
+    half = (1.0 + theta) / 2.0
+    shifted = m + theta
     if branch == 1:
-        return 0.5 + theta <= x
+        return 0.5 + theta <= x + eps
     if branch == 2:
-        return max(m + theta, (1.0 + theta) / 2.0) <= x <= 0.5 + theta
+        return (np.maximum(shifted, half) <= x + eps) & (x <= 0.5 + theta + eps)
     if branch == 3:
-        return m + theta <= x <= (1.0 + theta) / 2.0
+        return (shifted <= x + eps) & (x <= half + eps)
     if branch == 4:
-        return (1.0 + theta) / 2.0 <= x <= m + theta
+        return (half <= x + eps) & (x <= shifted + eps)
     if branch == 5:
-        return x <= min(m + theta, (1.0 + theta) / 2.0)
+        return x <= np.minimum(shifted, half) + eps
     raise InternalError(f"branch index {branch} not in 1..5")
+
+
+def _select_branch(x: float, m: float, theta: float) -> int:
+    """First branch, in listed order, whose condition holds at (x, m, theta)."""
+    for branch in (1, 2, 3, 4, 5):
+        if branch_condition(branch, x, m, theta):
+            return branch
+    raise InternalError(
+        f"no gamma branch matches (x={x}, m={m}, theta={theta}); "
+        "conditions should be exhaustive for admissible theta"
+    )
 
 
 def lower_point_bound_gamma(spec: PointBoundSpec) -> GammaBranchValue:
@@ -107,11 +115,5 @@ def lower_point_bound_gamma(spec: PointBoundSpec) -> GammaBranchValue:
     boundaries where adjacent expressions agree.
     """
     x, m = max(spec.a, spec.b), min(spec.a, spec.b)
-    theta = spec.theta
-    for branch in (1, 2, 3, 4, 5):
-        if branch_condition(branch, x, m, theta):
-            return GammaBranchValue(branch, branch_value(branch, x, m, theta))
-    raise InternalError(
-        f"no gamma branch matches spec (a={spec.a}, b={spec.b}, theta={theta}); "
-        "conditions should be exhaustive for admissible theta"
-    )
+    branch = _select_branch(x, m, spec.theta)
+    return GammaBranchValue(branch, branch_value(branch, x, m, spec.theta))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -22,10 +23,9 @@ class RankSample:
                 f"rank sample needs at least 2 observations, got {n}"
             )
         for label, seen in (("r", [r for r, _ in self.ranks]), ("s", [s for _, s in self.ranks])):
-            expected = set(range(1, n + 1))
-            got = set(seen)
-            duplicates = sorted({x for x in seen if seen.count(x) > 1})
-            missing = sorted(expected - got)
+            counts = Counter(seen)
+            duplicates = sorted(x for x, c in counts.items() if c > 1)
+            missing = [x for x in range(1, n + 1) if x not in counts]
             if duplicates or missing:
                 raise DomainError(
                     f"{label}-ranks are not a permutation of 1..{n}: "

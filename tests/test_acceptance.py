@@ -20,6 +20,7 @@ from gini_bounds import (
     hyperbolic_set_contains,
     i1_closed,
     i2_closed,
+    lens_density_floor,
     lower_bound_values,
     lower_point_bound_gamma,
     lp_extreme,
@@ -80,25 +81,6 @@ def test_criterion_02_reflection_identity():
              f"first {worst_first:.2e}, second {worst_second:.2e}")
 
 
-def _lens_density_floor(t):
-    """Minimum of mixed_partial_density over the lens at -1 < t < 0.
-
-    Returns the floor D*(t) and the diagonal points (u, u) attaining it.
-    On u = v, with s = 12u^2 - 12u, the density is
-    3(t - 2 - s) / (3(s + 2t + 5))^1.5 and the lens is -3 <= s <= -2 - 2t.
-    Its s-derivative has the sign of s - (7t + 4), so the only stationary
-    point is a minimum at s = 7t + 4, which lies in the lens iff t <= -2/3.
-    There the density is -2 / (9 sqrt(3(1 + t))) at
-    u = (1 +- sqrt(7(1 + t)/3)) / 2.  For -2/3 < t < 0 the density falls
-    across the whole lens towards its edge s = -2 - 2t, the corner points,
-    where it is t/3.  Both forms give -2/9 at the corners when t = -2/3.
-    """
-    if t <= -2.0 / 3.0:
-        half = np.sqrt(7.0 * (1.0 + t) / 3.0) / 2.0
-        return -2.0 / (9.0 * np.sqrt(3.0 * (1.0 + t))), [0.5 - half, 0.5 + half]
-    return t / 3.0, [p.u for p in hyperbolic_corner_points(t)]
-
-
 def test_criterion_03_classification_volumes():
     n = 400
     uu, vv = _grid(n)
@@ -113,7 +95,7 @@ def test_criterion_03_classification_volumes():
         details.append(f"t={t}: copula={rep.is_copula} minvol={rep.min_volume:.1e}")
     scan_nodes = [float(k) / 200 for k in range(201)]
     for t in (-0.9, -0.5, -0.1):
-        floor, argmins = _lens_density_floor(t)
+        floor, argmins = lens_density_floor(t)
         # The floor is exact: attained at its minimisers, undercut nowhere.
         at_min = max(abs(mixed_partial_density(m, m, t) - floor) for m in argmins)
         scan = min(

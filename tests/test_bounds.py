@@ -11,6 +11,7 @@ from gini_bounds import (
     gamma_quadrature,
     hyperbolic_corner_points,
     hyperbolic_set_contains,
+    lens_density_floor,
     lower_bound,
     lower_bound_values,
     mixed_partial_density,
@@ -97,6 +98,21 @@ def test_lower_bound_examples():
     assert lower_bound(0.5, 0.5, 0.0) == pytest.approx(
         0.5 - np.sqrt(6.0) / 6.0, abs=1e-15
     )
+
+
+def test_vector_envelopes_reject_points_outside_square():
+    for envelope in (upper_bound_values, lower_bound_values):
+        with pytest.raises(DomainError):
+            envelope(1.5, 0.5, 0.0)
+        with pytest.raises(DomainError):
+            envelope(np.array([0.2, np.nan]), 0.5, 0.0)
+
+
+def test_lens_density_floor_domain():
+    assert lens_density_floor(-0.5)[0] == pytest.approx(-0.5 / 3.0, abs=1e-15)
+    for t in (-1.0, 0.0, 0.3):
+        with pytest.raises(DomainError):
+            lens_density_floor(t)
 
 
 def test_report_structure_invariants():

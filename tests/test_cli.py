@@ -48,8 +48,17 @@ def test_eval_lower_example(capsys):
 
 
 def test_eval_domain_error_exit_2(capsys):
-    code, out, err = run(capsys, "eval", "--t", "3", "--u", "0.5", "--v", "0.5")
-    assert code == 2 and "domain error" in err
+    for argv in (
+        ["eval", "--t", "3", "--u", "0.5", "--v", "0.5"],
+        ["grid", "--t", "5", "--n", "2"],
+        ["check", "--t", "5", "--grid", "2"],
+        ["regions", "--t", "5", "--n", "2"],
+        ["regions", "--t", "0", "--n", "0"],
+        ["regions", "--t", "0", "--n", "-3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "domain error" in err, argv
+        assert out == "", argv
 
 
 def test_usage_error_exit_2(capsys):
@@ -103,16 +112,18 @@ def test_check_copula_regime(capsys):
     code, payload, _ = run_json(capsys, "check", "--t", "0.25", "--grid", "120")
     assert code == 0 and payload["checks_passed"]
     assert payload["results"]["upper_report"]["is_copula"]
+    assert payload["results"]["upper_min_volume_cell_distance_to_density_minimiser"] is None
 
 
 def test_check_proper_quasi_copula_regime(capsys):
-    code, payload, _ = run_json(capsys, "check", "--t", "-0.5", "--grid", "150")
-    assert code == 0 and payload["checks_passed"]
-    res = payload["results"]
-    assert res["upper_classification"] == "ProperQuasiCopula"
-    assert not res["upper_report"]["is_copula"]
-    assert res["upper_report"]["min_volume"] < 0
-    assert res["upper_min_volume_cell_distance_to_corners"] <= 2.0
+    for t in ("-0.5", "-0.9"):
+        code, payload, _ = run_json(capsys, "check", "--t", t, "--grid", "150")
+        assert code == 0 and payload["checks_passed"]
+        res = payload["results"]
+        assert res["upper_classification"] == "ProperQuasiCopula"
+        assert not res["upper_report"]["is_copula"]
+        assert res["upper_report"]["min_volume"] < 0
+        assert res["upper_min_volume_cell_distance_to_density_minimiser"] <= 2.0
 
 
 def test_check_domain_error(capsys):
@@ -204,12 +215,3 @@ def test_regions_atlas_columns(capsys):
     assert column_any(-1) == [True] * 5
     assert column_any(0.4) == [False, False, False, False, True]
     assert column_any(0.6) == [False] * 5
-
-
-def test_thread_env_var_validation(capsys, monkeypatch):
-    monkeypatch.setenv("GINI_BOUNDS_THREADS", "2")
-    assert main(["classify", "--t", "0.0"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("GINI_BOUNDS_THREADS", "zero")
-    assert main(["classify", "--t", "0.0"]) == 2
-    capsys.readouterr()

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from gini_bounds import (
     frechet_upper,
     product,
 )
+from gini_bounds.lattice import write_node_csv
 
 
 def test_sampled_frechet_upper_is_copula():
@@ -88,6 +92,35 @@ def test_csv_round_trip_bytes_are_stable(tmp_path):
     lf.to_csv(p1)
     LatticeFunction.from_csv(p1).to_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _csv_module_reference(n, columns):
+    # The csv-module loop the shared writer replaced: one row per node.
+    nodes = np.arange(n + 1, dtype=float) / n
+    fmt = "{:.11e}".format
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(["u", "v", *columns])
+    for i in range(n + 1):
+        for j in range(n + 1):
+            writer.writerow([fmt(nodes[i]), fmt(nodes[j])] + [
+                str(int(c[i, j])) if c.dtype == bool else fmt(c[i, j])
+                for c in columns.values()
+            ])
+    return ref.getvalue()
+
+
+def test_node_csv_matches_csv_module_reference(tmp_path):
+    n = 4
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(n + 1, n + 1)) * 10.0 ** rng.integers(-20, 5, (n + 1, n + 1))
+    values[0, 0], values[1, 2] = -0.0, 0.0
+    flags = rng.random((n + 1, n + 1)) < 0.5
+    out = io.StringIO()
+    write_node_csv(out, n, {"value": values, "flag": flags})
+    assert out.getvalue() == _csv_module_reference(n, {"value": values, "flag": flags})
+    LatticeFunction(n, values).to_csv(tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_text() == _csv_module_reference(n, {"value": values})
 
 
 def test_csv_rejects_malformed(tmp_path):
