@@ -17,6 +17,7 @@ from .bounds import (
     lower_bound_values,
     mixed_partial_density,
     region_contains,
+    region_masks,
     region_nonempty,
     theta_candidate,
     upper_bound,
@@ -27,6 +28,7 @@ from .checkerboard import Checkerboard, gamma_checkerboard_exact, gamma_coeffici
 from .core import (
     PointBoundSpec,
     UnitPoint,
+    check_t,
     frechet_lower,
     frechet_upper,
     point_bound_lower,
@@ -63,6 +65,7 @@ __all__ = [
     "ThetaReport",
     "UnitPoint",
     "check_properties",
+    "check_t",
     "classify_lower",
     "classify_upper",
     "frechet_lower",
@@ -88,6 +91,7 @@ __all__ = [
     "rect_volume",
     "reflect_first_coordinate",
     "region_contains",
+    "region_masks",
     "region_nonempty",
     "theta_candidate",
     "upper_bound",

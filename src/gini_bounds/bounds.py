@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     PointBoundSpec,
     UnitPoint,
+    check_t,
     frechet_lower,
     frechet_upper,
     point_bound_lower,
@@ -53,13 +54,6 @@ ACTIVATION_EPS = 1e-13
 
 _WITNESS_GAMMA_TOL = 1e-6
 _WITNESS_VALUE_TOL = 1e-9
-
-
-def _check_t(t: float) -> float:
-    t = float(t)
-    if not -1.0 <= t <= 1.0:
-        raise DomainError(f"gamma target t={t} outside [-1, 1]")
-    return t
 
 
 def _check_points(u, v) -> None:
@@ -155,7 +149,7 @@ def theta_candidate(i: int, u: float, v: float, t: float) -> Optional[float]:
     if i not in (1, 2, 3, 4, 5):
         raise DomainError(f"candidate index {i} not in 1..5")
     UnitPoint(u, v)
-    t = _check_t(t)
+    t = check_t(t)
     x, m = max(u, v), min(u, v)
     thetas, exists = _candidates(x, m, t)
     if not bool(exists[i - 1]):
@@ -168,7 +162,7 @@ def region_contains(i: int, u: float, v: float, t: float) -> bool:
     if i not in (1, 2, 3, 4, 5):
         raise DomainError(f"region index {i} not in 1..5")
     UnitPoint(u, v)
-    t = _check_t(t)
+    t = check_t(t)
     x, m = max(u, v), min(u, v)
     _, _, active = _active_masks(x, m, t)
     return bool(active[i - 1])
@@ -180,19 +174,22 @@ def region_nonempty(i: int, t: float, samples: int = 40000) -> bool:
         raise DomainError(f"region index {i} not in 1..5")
     if samples < 10**4:
         raise DomainError(f"need at least 10^4 samples, got {samples}")
-    t = _check_t(t)
     side = int(np.ceil(np.sqrt(samples)))
     nodes = np.linspace(0.0, 1.0, side)
     uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
-    x, m = np.maximum(uu, vv), np.minimum(uu, vv)
-    _, _, active = _active_masks(x, m, t)
-    return bool(np.any(active[i - 1]))
+    return bool(np.any(region_masks(uu, vv, t)[i - 1]))
 
 
-def upper_bound_values(u, v, t):
-    """Vectorized upper envelope; u, v may be arrays."""
-    t = _check_t(t)
+def region_masks(u, v, t) -> tuple:
+    """Membership masks of regions 1..5 at the points (u, v); u, v may be arrays."""
+    t = check_t(t)
     _check_points(u, v)
+    _, _, active = _active_masks(np.maximum(u, v), np.minimum(u, v), t)
+    return active
+
+
+def _upper_values(u, v, t):
+    """The vectorized upper envelope on points and t already checked."""
     x, m = np.maximum(u, v), np.minimum(u, v)
     thetas, _, active = _active_masks(x, m, t)
     inner = reduce(
@@ -202,17 +199,25 @@ def upper_bound_values(u, v, t):
     return np.minimum(np.maximum(raw, frechet_lower(u, v)), frechet_upper(u, v))
 
 
+def upper_bound_values(u, v, t):
+    """Vectorized upper envelope; u, v may be arrays."""
+    t = check_t(t)
+    _check_points(u, v)
+    return _upper_values(u, v, t)
+
+
 def lower_bound_values(u, v, t):
     """Vectorized lower envelope via the reflection identity."""
-    t = _check_t(t)
+    t = check_t(t)
+    # Checked before reflecting: 1 - u rounds u = -1e-20 into the square.
     _check_points(u, v)
-    return v - upper_bound_values(1.0 - np.asarray(u, dtype=float), v, -t)
+    return v - _upper_values(1.0 - np.asarray(u, dtype=float), v, -t)
 
 
 def upper_bound(u: float, v: float, t: float) -> ThetaReport:
     """Upper envelope at one point, with the full candidate/region record."""
     UnitPoint(u, v)
-    t = _check_t(t)
+    t = check_t(t)
     x, m = max(u, v), min(u, v)
     thetas, exists, active = _active_masks(x, m, t)
     theta_out = tuple(
@@ -245,13 +250,13 @@ def upper_bound(u: float, v: float, t: float) -> ThetaReport:
 def lower_bound(u: float, v: float, t: float) -> float:
     """Lower envelope at one point: v - upper(1-u, v, -t)."""
     UnitPoint(u, v)
-    t = _check_t(t)
+    t = check_t(t)
     return float(v - upper_bound(1.0 - u, v, -t).bound)
 
 
 def classify_upper(t: float) -> BoundClassification:
     """Nature of the upper envelope as a function of t."""
-    t = _check_t(t)
+    t = check_t(t)
     if t == -1.0:
         return BoundClassification.FRECHET_LOWER
     if t < 0.0:
@@ -263,7 +268,7 @@ def classify_upper(t: float) -> BoundClassification:
 
 def classify_lower(t: float) -> BoundClassification:
     """Nature of the lower envelope as a function of t."""
-    t = _check_t(t)
+    t = check_t(t)
     if t == 1.0:
         return BoundClassification.FRECHET_UPPER
     if t > 0.0:
@@ -280,13 +285,13 @@ def hyperbolic_set_contains(u: float, v: float, t: float) -> bool:
     boundary consists of two hyperbolic arcs symmetric about the diagonal.
     """
     UnitPoint(u, v)
-    t = _check_t(t)
+    t = check_t(t)
     return bool((u + v) ** 2 + 2.0 * u * v - 6.0 * min(u, v) <= -1.0 - t)
 
 
 def hyperbolic_corner_points(t: float) -> tuple[UnitPoint, UnitPoint]:
     """Diagonal points where the two hyperbolic arcs meet; defined for t <= 1/2."""
-    t = _check_t(t)
+    t = check_t(t)
     rad = 3.0 - 6.0 * t
     if rad < 0.0:
         raise DomainError(f"corner points undefined for t={t} > 1/2")
@@ -305,7 +310,7 @@ def mixed_partial_density(u: float, v: float, t: float) -> float:
     is lens_density_floor(t), which equals t/3 only for -2/3 <= t < 0.
     """
     UnitPoint(u, v)
-    t = _check_t(t)
+    t = check_t(t)
     # Closure membership with rounding slack: the corner points themselves
     # satisfy the boundary equation only to one ulp in floats.
     excess = (u + v) ** 2 + 2.0 * u * v - 6.0 * min(u, v) + (1.0 + t)
@@ -333,7 +338,7 @@ def lens_density_floor(t: float) -> tuple[float, tuple[float, float]]:
     u = (1 +- sqrt(7(1 + t)/3)) / 2.  For -2/3 < t < 0 the density falls
     towards the lens edge, the corner points, where D* = t/3.
     """
-    t = _check_t(t)
+    t = check_t(t)
     if not -1.0 < t < 0.0:
         raise DomainError(f"the lens density floor is defined for -1 < t < 0, got t={t}")
     if t <= -2.0 / 3.0:
@@ -353,7 +358,7 @@ def witness_copula(u: float, v: float, t: float) -> Callable:
     verified at run time by quadrature.
     """
     UnitPoint(u, v)
-    t = _check_t(t)
+    t = check_t(t)
     report = upper_bound(u, v, t)
     m = min(u, v)
     theta_star = m if report.inner_max is None else min(report.inner_max, m)

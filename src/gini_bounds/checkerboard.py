@@ -21,6 +21,12 @@ from .errors import DomainError
 MARGIN_TOL = 1e-12
 
 
+def cell_ramps(n: int, z):
+    """ramp_i(z) = clip(n*z - i, 0, 1) for i < n, on a new trailing axis."""
+    z = np.asarray(z, dtype=float)
+    return np.clip(n * z[..., None] - np.arange(n, dtype=float), 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class Checkerboard:
     """Order n and mass matrix with uniform 1/n margins (validated)."""
@@ -50,11 +56,7 @@ class Checkerboard:
 
     def cdf(self, u, v):
         """CDF at (u, v); accepts scalars or equal-shape arrays."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        idx = np.arange(self.n, dtype=float)
-        ramp_u = np.clip(self.n * u[..., None] - idx, 0.0, 1.0)
-        ramp_v = np.clip(self.n * v[..., None] - idx, 0.0, 1.0)
+        ramp_u, ramp_v = cell_ramps(self.n, u), cell_ramps(self.n, v)
         out = np.einsum("...i,ij,...j->...", ramp_u, self.mass, ramp_v)
         return float(out) if out.ndim == 0 else out
 

@@ -22,10 +22,9 @@ from .bounds import (
     classify_upper,
     lens_density_floor,
     lower_bound_values,
+    region_masks,
     upper_bound,
     upper_bound_values,
-    _active_masks,
-    _check_t,
 )
 from .checkerboard import Checkerboard, gamma_checkerboard_exact
 from .core import PointBoundSpec, frechet_lower, frechet_upper, point_bound_lower, product
@@ -292,8 +291,7 @@ def cmd_oracle(args) -> int:
 def cmd_regions(args) -> int:
     nodes = lattice_nodes(args.n)
     uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
-    x, m = np.maximum(uu, vv), np.minimum(uu, vv)
-    _, _, active = _active_masks(x, m, _check_t(args.t))
+    active = region_masks(uu, vv, args.t)
     _emit_csv(args.n, {f"r{k + 1}": active[k] for k in range(5)}, args.out)
     return 0
 

@@ -34,6 +34,14 @@ class UnitPoint:
         return (self.u, self.v)
 
 
+def check_t(t: float) -> float:
+    """A Gini's gamma target as a float; DomainError outside [-1, 1] or NaN."""
+    t = float(t)
+    if not -1.0 <= t <= 1.0:
+        raise DomainError(f"gamma target t={t} outside [-1, 1]")
+    return t
+
+
 @dataclass(frozen=True)
 class PointBoundSpec:
     """Prescription "the copula takes value theta at (a, b)".

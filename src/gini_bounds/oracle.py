@@ -1,25 +1,39 @@
 """Linear-programming certification of the closed-form envelopes.
 
-Checkerboard copulas of order n form a polytope (nonnegative mass,
-uniform margins), and both Gini's gamma and the CDF value at a fixed
-point are affine in the mass matrix.  Extremizing C(u, v) subject to
-gamma = t is therefore an exact LP whose optimum is the discrete
-counterpart of the pointwise envelope: a sound inner bound (checkerboards
-are copulas) that converges as n grows.
+Checkerboard copulas of order n are 1/n times the Birkhoff polytope, whose
+vertices are the permutation matrices (Birkhoff-von Neumann), and both
+Gini's gamma and the CDF value at a fixed point are affine in the mass
+matrix.  Extremizing C(u, v) subject to gamma = t is therefore an exact LP,
+and its optimum is the upper concave hull, at t, of the points
+(gamma, C) of the permutation checkerboards: a mix of at most two of them.
+The hull is searched with a maximum-weight assignment solver.  The optimum
+is a sound inner bound (checkerboards are copulas) that converges to the
+envelope as n grows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .checkerboard import Checkerboard, gamma_checkerboard_exact, gamma_coefficients
+from .checkerboard import (
+    Checkerboard,
+    cell_ramps,
+    gamma_checkerboard_exact,
+    gamma_coefficients,
+)
+from .core import UnitPoint, check_t
 from .errors import DomainError, InternalError
-from .simplex import solve_equality_lp
 
 _GAMMA_RESIDUAL_TOL = 1e-9
+
+# Rounding slack on the hull's float coordinates.  A target this close to the
+# gamma range is reached by its end permutation, and a permutation lies above
+# the current hull segment when it beats it by more than this, relative to
+# the weight scale 1 + |slope|.
+_HULL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -30,21 +44,61 @@ class LpOutcome:
     status: str  # "optimal" | "infeasible"
 
 
-def _margin_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Equality rows forcing uniform 1/n row and column sums."""
-    rows = np.zeros((2 * n, n * n))
-    for i in range(n):
-        rows[i, i * n : (i + 1) * n] = 1.0  # row i of the mass matrix
-        rows[n + i, i::n] = 1.0  # column i
-    rhs = np.full(2 * n, 1.0 / n)
-    return rows, rhs
+def max_weight_assignment(weights) -> np.ndarray:
+    """Column of each row in a maximum-weight perfect matching of a square matrix.
+
+    Shortest augmenting paths with row and column potentials (the Hungarian
+    method), O(n^3).  Index 0 of the padded arrays is a virtual column that
+    roots each search; owner[j] is the 1-based row on column j, 0 if none.
+    """
+    n = len(weights)
+    cost = np.zeros((n + 1, n + 1))
+    cost[1:, 1:] = -np.asarray(weights, dtype=float)
+    row_pot, col_pot = np.zeros(n + 1), np.zeros(n + 1)
+    owner = np.zeros(n + 1, dtype=int)
+    for row in range(1, n + 1):
+        owner[0] = row
+        col = 0
+        slack = np.full(n + 1, np.inf)
+        via = np.zeros(n + 1, dtype=int)
+        used = np.zeros(n + 1, dtype=bool)
+        while owner[col]:
+            used[col] = True
+            r = owner[col]
+            reduced = cost[r] - row_pot[r] - col_pot
+            closer = ~used & (reduced < slack)
+            slack[closer] = reduced[closer]
+            via[closer] = col
+            open_slack = np.where(used, np.inf, slack)
+            col = int(np.argmin(open_slack))
+            delta = open_slack[col]
+            row_pot[owner[used]] += delta
+            col_pot[used] -= delta
+            slack[~used] -= delta
+        while col:
+            owner[col] = owner[via[col]]
+            col = via[col]
+    perm = np.empty(n, dtype=int)
+    perm[owner[1:] - 1] = np.arange(n)
+    return perm
 
 
-def _point_coefficients(n: int, u: float, v: float) -> np.ndarray:
-    idx = np.arange(n, dtype=float)
-    ramp_u = np.clip(n * u - idx, 0.0, 1.0)
-    ramp_v = np.clip(n * v - idx, 0.0, 1.0)
-    return np.outer(ramp_u, ramp_v).ravel()
+class _Vertex(NamedTuple):
+    """The checkerboard P / n of a permutation, with its gamma and objective."""
+
+    perm: np.ndarray
+    gamma: float
+    value: float  # sum(c * P) / n
+
+
+def _vertex(perm: np.ndarray, g: np.ndarray, c: np.ndarray) -> _Vertex:
+    rows = np.arange(len(perm))
+    return _Vertex(perm, float(g[rows, perm].mean() - 2.0), float(c[rows, perm].mean()))
+
+
+def _gamma_extremes(g: np.ndarray, c: np.ndarray) -> list[_Vertex]:
+    """The vertices of least and of greatest gamma, by two assignment solves."""
+    return [_vertex(max_weight_assignment(sign * g), g, c) for sign in (-1.0, 1.0)]
 
 
 def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcome:
@@ -57,40 +111,50 @@ def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcom
         raise DomainError(f"oracle order must be >= 2, got {n}")
     if direction not in ("min", "max"):
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
-    if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
-        raise DomainError(f"point ({u}, {v}) is outside the unit square")
-    if not -1.0 <= t <= 1.0:
-        raise DomainError(f"gamma target t={t} outside [-1, 1]")
+    UnitPoint(u, v)
+    t = check_t(t)
 
-    margin_a, margin_b = _margin_rows(n)
-    gamma_row = gamma_coefficients(n).ravel()
-    A = np.vstack([margin_a, gamma_row])
-    b = np.concatenate([margin_b, [t + 2.0]])
-    c = _point_coefficients(n, u, v)
-
-    result = solve_equality_lp(
-        c, A, b, maximize=(direction == "max"), max_iterations=10 * n**4
-    )
-    if result.status == "infeasible":
+    g = gamma_coefficients(n)
+    c = np.outer(cell_ramps(n, u), cell_ramps(n, v))
+    if direction == "min":
+        c = -c
+    # The hull segment's ends bracket t: a.gamma <= t <= b.gamma up to
+    # rounding.  Each solve finds the vertex highest above the segment and
+    # moves the end on its side of t there.
+    a, b = _gamma_extremes(g, c)
+    if not a.gamma - _HULL_TOL <= t <= b.gamma + _HULL_TOL:
         return LpOutcome(direction, None, None, "infeasible")
+    while a.gamma < b.gamma:
+        slope = (b.value - a.value) / (b.gamma - a.gamma)
+        top = _vertex(max_weight_assignment(c - slope * g), g, c)
+        rise = (top.value - slope * top.gamma) - (a.value - slope * a.gamma)
+        if rise <= _HULL_TOL * (1.0 + abs(slope)):
+            break
+        if top.gamma <= t:
+            a = top
+        else:
+            b = top
 
-    board = Checkerboard(n, result.x.reshape(n, n))
+    alpha = 1.0
+    if a.gamma < b.gamma:
+        alpha = min(max((b.gamma - t) / (b.gamma - a.gamma), 0.0), 1.0)
+    rows = np.arange(n)
+    mass = np.zeros((n, n))
+    mass[rows, a.perm] = alpha / n
+    mass[rows, b.perm] += (1.0 - alpha) / n
+    board = Checkerboard(n, mass)
     residual = abs(gamma_checkerboard_exact(board) - t)
     if residual > _GAMMA_RESIDUAL_TOL:
         raise InternalError(
             f"optimal checkerboard misses the gamma target by {residual:.3e}"
         )
-    return LpOutcome(direction, result.objective, board, "optimal")
+    return LpOutcome(direction, board.cdf(u, v), board, "optimal")
 
 
 def gamma_feasible_range(n: int) -> tuple[float, float]:
-    """Attainable gamma range over order-n checkerboards (an exact LP pair)."""
+    """Attainable gamma range over order-n checkerboards (two assignment solves)."""
     if n < 1:
         raise DomainError(f"order must be >= 1, got {n}")
-    margin_a, margin_b = _margin_rows(n)
-    gamma_row = gamma_coefficients(n).ravel()
-    lo = solve_equality_lp(gamma_row, margin_a, margin_b, maximize=False)
-    hi = solve_equality_lp(gamma_row, margin_a, margin_b, maximize=True)
-    if lo.status != "optimal" or hi.status != "optimal":
-        raise InternalError("margin polytope should always be feasible")
-    return lo.objective - 2.0, hi.objective - 2.0
+    g = gamma_coefficients(n)
+    lo, hi = (vertex.gamma for vertex in _gamma_extremes(g, g))
+    return lo, hi

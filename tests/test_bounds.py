@@ -16,6 +16,7 @@ from gini_bounds import (
     lower_bound_values,
     mixed_partial_density,
     region_contains,
+    region_masks,
     region_nonempty,
     theta_candidate,
     upper_bound,
@@ -75,6 +76,19 @@ def test_region_nonempty_examples():
     assert not region_nonempty(3, -4.0 / 13.0 + 0.01)
 
 
+def test_region_masks_agree_with_region_contains_and_validate():
+    uu, vv = _lattice(20)
+    for t in (-0.9, -0.3, 0.2):
+        masks = region_masks(uu, vv, t)
+        for i in range(5):
+            expected = [[region_contains(i + 1, u, v, t) for u, v in zip(ru, rv)]
+                        for ru, rv in zip(uu, vv)]
+            assert np.array_equal(masks[i], expected)
+    for u, t in ((1.5, 0.0), (np.nan, 0.0), (0.5, 1.5)):
+        with pytest.raises(DomainError):
+            region_masks(u, 0.5, t)
+
+
 def test_region_nonempty_requires_enough_samples():
     with pytest.raises(DomainError):
         region_nonempty(1, -0.8, samples=100)
@@ -106,6 +120,9 @@ def test_vector_envelopes_reject_points_outside_square():
             envelope(1.5, 0.5, 0.0)
         with pytest.raises(DomainError):
             envelope(np.array([0.2, np.nan]), 0.5, 0.0)
+        # 1 - u rounds to exactly 1.0, so the reflected point alone looks valid.
+        with pytest.raises(DomainError):
+            envelope(-1e-20, 0.5, 0.0)
 
 
 def test_lens_density_floor_domain():

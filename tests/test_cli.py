@@ -150,6 +150,14 @@ def test_oracle_infeasible_is_reported_not_failed(capsys):
     assert payload["results"]["status"] == "infeasible"
 
 
+def test_oracle_target_just_beyond_the_gamma_range_is_not_a_domain_error(capsys):
+    # 1e-9 above the order-2 maximum 2/3: unreachable, not bad input.
+    code, payload, _ = run_json(
+        capsys, "oracle", "--t", "0.6666666676666696", "--n", "2", "--u", "0.5", "--v", "0.5"
+    )
+    assert code == 0 and payload["results"]["status"] == "infeasible"
+
+
 def test_grid_round_trip_matches_memory(capsys, tmp_path):
     path = tmp_path / "grid.csv"
     code, _, _ = run(
