@@ -52,6 +52,18 @@ CLAMP_ALARM = 1e-12
 # far below the 1e-12 identity tolerances.
 ACTIVATION_EPS = 1e-13
 
+# Region i (the points where candidate i binds) is empty for every t above
+# REGION_EMPTY_ABOVE[i - 1]; acceptance criterion 07 pins these values.
+REGION_EMPTY_ABOVE = (-3.0 / 4.0, -4.0 / 9.0, -4.0 / 13.0, -4.0 / 13.0, 1.0 / 2.0)
+_ALL_CANDIDATES = (0, 1, 2, 3, 4)
+
+# The array envelope skips a candidate when t exceeds its emptiness
+# threshold by more than this.  ACTIVATION_EPS lets a region outlive its
+# threshold, but by about 1e-13 in t (tests/test_bounds.py draws points at
+# the vanishing points to show it), so a skipped candidate could only have
+# added -inf to the max and the envelope is unchanged.
+_PRUNE_MARGIN = 1e-9
+
 _WITNESS_GAMMA_TOL = 1e-6
 _WITNESS_VALUE_TOL = 1e-9
 
@@ -102,46 +114,67 @@ class BoundClassification(enum.Enum):
     FRECHET_UPPER = "FrechetUpper"
 
 
-def _radicands(x, m, t):
+def _candidates(x, m, t, live=_ALL_CANDIDATES):
+    """Values and existence masks of the candidates in ``live``.
+
+    ``live`` lists candidate indices 0..4 in increasing order, and the
+    results follow it; a value is garbage where its candidate is absent.
+    Candidate i is (offset + sqrt(radicand)) / denominator, the largest root
+    of gamma branch i + 1 at (x, m).
+    """
     # The constant-plus-t groups are parenthesized so that they are exact at
     # the distinguished targets (t+1 = 0 at t = -1, and so on); this keeps
     # the candidates bit-exact where the envelope degenerates to W.
     s = x + m
     pr = x * m
-    return (
-        (s - 1.0) ** 2 + (t + 1.0),
-        s**2 + 4.0 * (1.0 - x) * (1.0 - m) + 2.0 * t,
-        16.0 * x**2 + 4.0 * m**2 - 24.0 * x - 12.0 * m + 16.0 * pr + (7.0 * t + 16.0),
-        4.0 * x**2 + 16.0 * m**2 - 12.0 * x - 24.0 * m + 16.0 * pr + (7.0 * t + 16.0),
-        3.0 * (5.0 * x**2 + 5.0 * m**2 - 6.0 * x - 6.0 * m + 2.0 * pr + (2.0 * t + 5.0)),
-    )
+
+    def forms():  # (radicand, offset, denominator), one candidate at a time
+        if 0 in live:
+            yield (s - 1.0) ** 2 + (t + 1.0), s - 1.0, 2.0
+        if 1 in live:
+            yield s**2 + 4.0 * (1.0 - x) * (1.0 - m) + 2.0 * t, 3.0 * x + m - 2.0, 4.0
+        if 2 in live:
+            yield (
+                16.0 * x**2 + 4.0 * m**2 - 24.0 * x - 12.0 * m + 16.0 * pr + (7.0 * t + 16.0),
+                4.0 * x + 2.0 * m - 3.0,
+                7.0,
+            )
+        if 3 in live:
+            yield (
+                4.0 * x**2 + 16.0 * m**2 - 12.0 * x - 24.0 * m + 16.0 * pr + (7.0 * t + 16.0),
+                5.0 * x + 3.0 * m - 4.0,
+                7.0,
+            )
+        if 4 in live:
+            yield (
+                3.0 * (5.0 * x**2 + 5.0 * m**2 - 6.0 * x - 6.0 * m + 2.0 * pr + (2.0 * t + 5.0)),
+                3.0 * (s - 1.0),
+                6.0,
+            )
+
+    thetas, exists = [], []
+    for rad, offset, den in forms():
+        exists.append(rad >= 0.0)
+        thetas.append((offset + np.sqrt(np.maximum(rad, 0.0))) / den)
+    return tuple(thetas), tuple(exists)
 
 
-def _candidates(x, m, t):
-    """Candidate values and existence masks; values are garbage where absent."""
-    rads = _radicands(x, m, t)
-    exists = tuple(r >= 0.0 for r in rads)
-    roots = tuple(np.sqrt(np.maximum(r, 0.0)) for r in rads)
-    s = x + m
-    thetas = (
-        ((s - 1.0) + roots[0]) / 2.0,
-        (3.0 * x + m - 2.0 + roots[1]) / 4.0,
-        (4.0 * x + 2.0 * m - 3.0 + roots[2]) / 7.0,
-        (5.0 * x + 3.0 * m - 4.0 + roots[3]) / 7.0,
-        (3.0 * (s - 1.0) + roots[4]) / 6.0,
-    )
-    return thetas, exists
-
-
-def _active_masks(x, m, t):
-    thetas, exists = _candidates(x, m, t)
+def _active_masks(x, m, t, live=_ALL_CANDIDATES):
+    """Values, existence and activity masks of the candidates in ``live``."""
+    thetas, exists = _candidates(x, m, t, live)
+    ceiling = m + ACTIVATION_EPS
     active = tuple(
-        exists[i]
-        & (thetas[i] <= m + ACTIVATION_EPS)
-        & branch_condition(i + 1, x, m, thetas[i], ACTIVATION_EPS)
-        for i in range(5)
+        ex & (th <= ceiling) & branch_condition(i + 1, x, m, th, ACTIVATION_EPS)
+        for i, th, ex in zip(live, thetas, exists)
     )
     return thetas, exists, active
+
+
+def _live_candidates(t: float) -> tuple[int, ...]:
+    """Indices of the candidates whose region can be non-empty at t."""
+    return tuple(
+        i for i, thr in enumerate(REGION_EMPTY_ABOVE) if t <= thr + _PRUNE_MARGIN
+    )
 
 
 def theta_candidate(i: int, u: float, v: float, t: float) -> Optional[float]:
@@ -151,10 +184,8 @@ def theta_candidate(i: int, u: float, v: float, t: float) -> Optional[float]:
     UnitPoint(u, v)
     t = check_t(t)
     x, m = max(u, v), min(u, v)
-    thetas, exists = _candidates(x, m, t)
-    if not bool(exists[i - 1]):
-        return None
-    return float(thetas[i - 1])
+    (theta,), (exists,) = _candidates(x, m, t, (i - 1,))
+    return float(theta) if bool(exists) else None
 
 
 def region_contains(i: int, u: float, v: float, t: float) -> bool:
@@ -164,8 +195,8 @@ def region_contains(i: int, u: float, v: float, t: float) -> bool:
     UnitPoint(u, v)
     t = check_t(t)
     x, m = max(u, v), min(u, v)
-    _, _, active = _active_masks(x, m, t)
-    return bool(active[i - 1])
+    _, _, (active,) = _active_masks(x, m, t, (i - 1,))
+    return bool(active)
 
 
 def region_nonempty(i: int, t: float, samples: int = 40000) -> bool:
@@ -191,11 +222,15 @@ def region_masks(u, v, t) -> tuple:
 def _upper_values(u, v, t):
     """The vectorized upper envelope on points and t already checked."""
     x, m = np.maximum(u, v), np.minimum(u, v)
-    thetas, _, active = _active_masks(x, m, t)
-    inner = reduce(
-        np.maximum, (np.where(act, th, -np.inf) for th, act in zip(thetas, active))
-    )
-    raw = np.where(inner > -np.inf, np.minimum(m, inner), m)
+    live = _live_candidates(t)
+    if live:
+        thetas, _, active = _active_masks(x, m, t, live)
+        inner = reduce(
+            np.maximum, (np.where(act, th, -np.inf) for th, act in zip(thetas, active))
+        )
+        raw = np.where(inner > -np.inf, np.minimum(m, inner), m)
+    else:
+        raw = m
     return np.minimum(np.maximum(raw, frechet_lower(u, v)), frechet_upper(u, v))
 
 

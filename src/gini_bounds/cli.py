@@ -183,6 +183,20 @@ def _minimiser_distance(rect, t: float, n: int) -> float | None:
     return min(max(abs(i + 0.5 - p * n), abs(j + 0.5 - p * n)) for p in minimisers)
 
 
+def _symmetric_upper_lattice(nodes: np.ndarray, t: float) -> np.ndarray:
+    """upper_bound_values on the lattice of nodes, evaluated on one triangle.
+
+    The envelope depends on (u, v) only through (max, min), so its lattice
+    is exactly symmetric: the nodes with i <= j are evaluated and mirrored.
+    """
+    rows, cols = np.triu_indices(len(nodes))
+    values = np.empty((len(nodes), len(nodes)))
+    triangle = upper_bound_values(nodes[rows], nodes[cols], t)
+    values[rows, cols] = triangle
+    values[cols, rows] = triangle
+    return values
+
+
 def cmd_check(args) -> int:
     started = time.monotonic()
     t, n = args.t, args.grid
@@ -192,7 +206,7 @@ def cmd_check(args) -> int:
 
     nodes = lattice_nodes(n)
     uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
-    upper_vals = upper_bound_values(uu, vv, t)
+    upper_vals = _symmetric_upper_lattice(nodes, t)
     lower_vals = lower_bound_values(uu, vv, t)
 
     rep_up = check_properties(LatticeFunction(n, upper_vals), tol=_CHECK_TOL)

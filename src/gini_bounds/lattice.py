@@ -12,7 +12,7 @@ rectangle volume of the bilinear interpolant is a sum of cell volumes.
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,28 +91,43 @@ class LatticeFunction:
 
     @classmethod
     def from_csv(cls, path) -> "LatticeFunction":
+        """Read a lattice CSV written by to_csv; malformed input is a DomainError."""
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            line = fh.readline()
+            header = line.rstrip("\r\n").split(",") if line else None
             if header != ["u", "v", "value"]:
                 raise DomainError(f"unexpected lattice CSV header: {header}")
-            rows = [(float(r[0]), float(r[1]), float(r[2])) for r in reader]
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                raise DomainError(f"malformed lattice CSV: {exc}") from None
+        if len(rows) and rows.shape[1] != 3:
+            raise DomainError(f"lattice CSV rows have {rows.shape[1]} columns, not 3")
         side = round(len(rows) ** 0.5)
         if side * side != len(rows) or side < 2:
             raise DomainError(
                 f"lattice CSV has {len(rows)} rows, not a square node count"
             )
         n = side - 1
-        values = np.empty((side, side))
-        for k, (u, v, val) in enumerate(rows):
+        nodes = lattice_nodes(n)
+        u, v, values = (rows[:, k].reshape(side, side) for k in range(3))
+        # Negated so that a NaN node fails too.
+        off = ~(
+            (np.abs(u - nodes[:, None]) <= 1e-9) & (np.abs(v - nodes[None, :]) <= 1e-9)
+        )
+        if off.any():
+            k = int(np.argmax(off))
             i, j = divmod(k, side)
-            if abs(u - i / n) > 1e-9 or abs(v - j / n) > 1e-9:
-                raise DomainError(
-                    f"row {k}: node ({u}, {v}) does not match row-major "
-                    f"position ({i / n}, {j / n})"
-                )
-            values[i, j] = val
-        return cls(n, values)
+            raise DomainError(
+                f"row {k}: node ({float(u[i, j])}, {float(v[i, j])}) does not "
+                f"match row-major position ({i / n}, {j / n})"
+            )
+        if not np.all(np.isfinite(values)):
+            k = int(np.argmin(np.isfinite(values)))
+            raise DomainError(f"row {k}: value {float(values.flat[k])} is not finite")
+        return cls(n, np.ascontiguousarray(values))
 
 
 def write_node_csv(fh, n: int, columns: dict) -> None:

@@ -13,6 +13,7 @@ envelope as n grows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -96,9 +97,23 @@ def _vertex(perm: np.ndarray, g: np.ndarray, c: np.ndarray) -> _Vertex:
     return _Vertex(perm, float(g[rows, perm].mean() - 2.0), float(c[rows, perm].mean()))
 
 
+@functools.lru_cache(maxsize=64)
+def _extreme_gamma_perms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Permutations of least and of greatest gamma at order n, read-only.
+
+    They depend on n alone, and the tie-heavy gamma matrix makes them the
+    slowest assignment solves of an LP, so each order solves them once.
+    """
+    g = gamma_coefficients(n)
+    perms = tuple(max_weight_assignment(sign * g) for sign in (-1.0, 1.0))
+    for perm in perms:
+        perm.setflags(write=False)
+    return perms
+
+
 def _gamma_extremes(g: np.ndarray, c: np.ndarray) -> list[_Vertex]:
-    """The vertices of least and of greatest gamma, by two assignment solves."""
-    return [_vertex(max_weight_assignment(sign * g), g, c) for sign in (-1.0, 1.0)]
+    """The vertices of least and of greatest gamma."""
+    return [_vertex(perm, g, c) for perm in _extreme_gamma_perms(len(g))]
 
 
 def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcome:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gini_bounds import (
     BoundClassification,
@@ -23,6 +24,7 @@ from gini_bounds import (
     upper_bound_values,
     witness_copula,
 )
+from gini_bounds.bounds import REGION_EMPTY_ABOVE, _active_masks, _live_candidates
 
 
 def _lattice(n):
@@ -92,6 +94,139 @@ def test_region_masks_agree_with_region_contains_and_validate():
 def test_region_nonempty_requires_enough_samples():
     with pytest.raises(DomainError):
         region_nonempty(1, -0.8, samples=100)
+
+
+# --- candidate pruning --------------------------------------------------
+
+# The point (max, min) at which region i shrinks to nothing as t rises to
+# its emptiness threshold REGION_EMPTY_ABOVE[i].
+VANISHING_POINTS = (
+    (3 / 4, 1 / 4), (2 / 3, 1 / 3), (6 / 13, 3 / 13), (10 / 13, 7 / 13), (1 / 2, 1 / 2)
+)
+PATCH = 2e-6
+
+
+def _ulp_neighbours(t):
+    return [s for s in (np.nextafter(t, -2.0), t, np.nextafter(t, 2.0)) if -1.0 <= s <= 1.0]
+
+
+def _patch(px, pm, side=801):
+    """The nodes (x, m), x >= m, of a side x side grid on the square of
+    half-width PATCH about (px, pm)."""
+    offsets = np.linspace(-PATCH, PATCH, side)
+    x, m = np.meshgrid(px + offsets, pm + offsets, indexing="ij")
+    keep = m <= x
+    return x[keep], m[keep]
+
+
+def _five_candidate_upper(u, v, t):
+    # The envelope reduced over all five candidates, none pruned.
+    x, m = np.maximum(u, v), np.minimum(u, v)
+    thetas, _, active = _active_masks(x, m, t)
+    inner = np.max([np.where(act, th, -np.inf) for th, act in zip(thetas, active)], axis=0)
+    raw = np.where(inner > -np.inf, np.minimum(m, inner), m)
+    return np.minimum(np.maximum(raw, frechet_lower(u, v)), frechet_upper(u, v))
+
+
+def test_activation_tolerance_outlives_each_threshold_by_less_than_1e_12():
+    # ACTIVATION_EPS keeps a sliver of each region alive just above its
+    # threshold; the pruning margin of 1e-9 must cover that sliver.
+    for i, (thr, (px, pm)) in enumerate(zip(REGION_EMPTY_ABOVE, VANISHING_POINTS)):
+        x, m = _patch(px, pm)
+        assert np.any(_active_masks(x, m, thr + 1e-13)[2][i]), i + 1
+        assert not np.any(_active_masks(x, m, thr + 1e-12)[2][i]), i + 1
+
+
+# (x, m) drawn at a vanishing point, or anywhere in the square.
+_NEAR_VANISHING = st.builds(
+    lambda p, dx, dm: (p[0] + dx, p[1] + dm),
+    st.sampled_from(VANISHING_POINTS),
+    st.floats(min_value=-PATCH, max_value=PATCH),
+    st.floats(min_value=-PATCH, max_value=PATCH),
+)
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+_ANYWHERE = st.tuples(_UNIT, _UNIT)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    point=st.one_of(_NEAR_VANISHING, _NEAR_VANISHING, _ANYWHERE),
+    thr=st.sampled_from(REGION_EMPTY_ABOVE),
+    above=st.one_of(
+        st.floats(min_value=1e-9, max_value=1e-6, exclude_min=True),
+        st.floats(min_value=1e-6, max_value=2.0),
+    ),
+)
+def test_pruned_candidates_are_inactive(point, thr, above):
+    t = thr + above
+    assume(t <= 1.0)
+    live = _live_candidates(t)
+    assume(len(live) < 5)
+    x, m = max(point), min(point)
+    _, _, active = _active_masks(x, m, t)
+    for i in range(5):
+        if i not in live:
+            assert not active[i], (i + 1, x, m, t)
+
+
+@pytest.mark.parametrize("thr", sorted(set(REGION_EMPTY_ABOVE)))
+def test_pruned_kernel_is_bit_identical_at_thresholds(thr):
+    uu, vv = _lattice(120)
+    patches = [_patch(px, pm, side=41) for px, pm in VANISHING_POINTS]
+    pu = np.concatenate([x for x, _ in patches])
+    pv = np.concatenate([m for _, m in patches])
+    offsets = (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9)
+    ts = [thr + d for d in offsets] + [np.nextafter(thr, -2.0), np.nextafter(thr, 2.0)]
+    for t in ts:
+        for u, v in ((uu, vv), (pu, pv), (pv, pu)):
+            assert np.array_equal(upper_bound_values(u, v, t), _five_candidate_upper(u, v, t)), t
+            # The lower envelope prunes at -t, on the reflected points.
+            assert np.array_equal(
+                lower_bound_values(u, v, -t), v - _five_candidate_upper(1.0 - u, v, t)
+            ), t
+
+
+# Within about 2.5e-4 of (1/2, 1/2), at t = -1 and a few ulps above, every
+# candidate misses its activation check by more than ACTIVATION_EPS (their
+# radicands nearly vanish there, so sqrt magnifies rounding), and the upper
+# envelope falls back to min(u, v) where it should be W.  The lower envelope
+# at t = 1 and 1 - 1 ulp reflects those values.
+_CENTRE_FALLBACK = "upper envelope is min(u, v) instead of W near (1/2, 1/2) at t = -1"
+
+
+@pytest.mark.xfail(strict=True, reason=_CENTRE_FALLBACK)
+def test_upper_envelope_is_w_near_the_centre_at_minus_one():
+    x, m = _patch(0.5, 0.5, side=21)
+    for t in _ulp_neighbours(-1.0):
+        assert np.max(np.abs(upper_bound_values(x, m, t) - frechet_lower(x, m))) <= 1e-9, t
+
+
+@pytest.mark.parametrize("t0", [
+    -1.0, -0.75, -4.0 / 9.0, -0.5, -4.0 / 13.0, 0.0, 0.5,
+    pytest.param(1.0, marks=pytest.mark.xfail(strict=True, reason=_CENTRE_FALLBACK)),
+])
+def test_identities_at_distinguished_t_and_their_neighbours(t0):
+    uu, vv = _lattice(48)
+    patches = [_patch(px, pm, side=21) for px, pm in VANISHING_POINTS]
+    x = np.concatenate([uu.ravel()] + [p[0] for p in patches])
+    m = np.concatenate([vv.ravel()] + [p[1] for p in patches])
+    # Both orders, and the reflections the lower envelope evaluates.
+    u = np.concatenate([x, m, 1.0 - x, m])
+    v = np.concatenate([m, x, m, 1.0 - x])
+    w, top = frechet_lower(u, v), frechet_upper(u, v)
+    prev = None
+    for t in _ulp_neighbours(t0):
+        up = upper_bound_values(u, v, t)
+        lo = lower_bound_values(u, v, t)
+        assert np.array_equal(lo, v - upper_bound_values(1.0 - u, v, -t))
+        assert np.max(np.abs(lo - (u - upper_bound_values(u, 1.0 - v, -t)))) <= 1e-12
+        assert np.min(lo - w) >= -1e-12
+        assert np.min(up - lo) >= -1e-12
+        assert np.min(top - up) >= -1e-12
+        if prev is not None:
+            assert np.min(up - prev[0]) >= -1e-12
+            assert np.min(lo - prev[1]) >= -1e-12
+        prev = up, lo
 
 
 # --- upper/lower envelopes ----------------------------------------------

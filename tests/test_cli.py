@@ -3,9 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from gini_bounds import LatticeFunction, check_properties, frechet_lower, frechet_upper
+from gini_bounds import (
+    LatticeFunction,
+    check_properties,
+    frechet_lower,
+    frechet_upper,
+    upper_bound_values,
+)
 from gini_bounds.checkerboard import Checkerboard
-from gini_bounds.cli import main
+from gini_bounds.cli import _property_report_dict, _symmetric_upper_lattice, main
+from gini_bounds.lattice import lattice_nodes
 
 
 def run(capsys, *argv):
@@ -223,3 +230,16 @@ def test_regions_atlas_columns(capsys):
     assert column_any(-1) == [True] * 5
     assert column_any(0.4) == [False, False, False, False, True]
     assert column_any(0.6) == [False] * 5
+
+
+def test_check_upper_triangle_matches_full_square_audit(capsys):
+    n = 60
+    nodes = lattice_nodes(n)
+    uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
+    for t in (-1.0, -0.9, -0.75, -0.5, -4.0 / 13.0, -0.1, 0.0, 0.2, 0.5, 0.7, 1.0):
+        full = upper_bound_values(uu, vv, t)
+        assert np.array_equal(_symmetric_upper_lattice(nodes, t), full), t
+        code, payload, _ = run_json(capsys, "check", "--t", repr(t), "--grid", str(n))
+        assert code == 0
+        audit = check_properties(LatticeFunction(n, full), tol=1e-10)
+        assert payload["results"]["upper_report"] == _property_report_dict(audit), t

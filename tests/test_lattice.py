@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gini_bounds import (
     frechet_lower,
     frechet_upper,
     product,
+    upper_bound_values,
 )
 from gini_bounds.lattice import write_node_csv
 
@@ -128,3 +130,51 @@ def test_csv_rejects_malformed(tmp_path):
     path.write_text("u,v,value\n0.0,0.0,0.0\n0.0,1.0,0.0\n1.0,0.0,0.0\n")
     with pytest.raises(DomainError):
         LatticeFunction.from_csv(path)
+
+
+_GOOD_ROWS = ["0,0,0", "0,1,0", "1,0,0", "1,1,1"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("u,v,val\n" + "\n".join(_GOOD_ROWS) + "\n", "header"),
+        ("", "header"),
+        ("u,v,value\n", "0 rows"),
+        ("u,v,value\n0,0,0\n0,1\n1,0,0\n1,1,1\n", "malformed"),  # short row
+        ("u,v,value\n0,0,0\n0,1,0,7\n1,0,0\n1,1,1\n", "malformed"),  # extra column
+        ("u,v,value\n0,0,0,7\n0,1,0,7\n1,0,0,7\n1,1,1,7\n", "4 columns"),
+        ("u,v,value\n0,0,0\n0,1,x\n1,0,0\n1,1,1\n", "malformed"),  # not a number
+        ("u,v,value\n0,0,0\n0,1,nan\n1,0,0\n1,1,1\n", "row 1: value nan"),
+        ("u,v,value\n0,0,0\n0,1,0\n1,0,inf\n1,1,1\n", "row 2: value inf"),
+        ("u,v,value\n0,0,0\n0,1,0\n1,1,0\n1,0,1\n", "row 2: node (1.0, 1.0)"),
+        ("u,v,value\n0,0,0\nnan,1,0\n1,0,0\n1,1,1\n", "row 1: node (nan, 1.0)"),
+    ],
+)
+def test_csv_rejects_each_malformed_case(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        LatticeFunction.from_csv(path)
+
+
+def _csv_loop_reader(path):
+    # The row-by-row reader that np.loadtxt replaced.
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["u", "v", "value"]
+        rows = [(float(r[0]), float(r[1]), float(r[2])) for r in reader]
+    side = round(len(rows) ** 0.5)
+    values = np.empty((side, side))
+    for k, (_, _, val) in enumerate(rows):
+        values[divmod(k, side)] = val
+    return values
+
+
+def test_csv_reader_matches_row_loop_reference(tmp_path):
+    path = tmp_path / "m.csv"
+    for t in (-0.9, 0.2):
+        LatticeFunction.from_evaluator(lambda u, v: upper_bound_values(u, v, t), 60).to_csv(path)
+        back = LatticeFunction.from_csv(path)
+        assert back.N == 60
+        assert np.array_equal(back.values, _csv_loop_reader(path))

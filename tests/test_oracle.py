@@ -12,6 +12,8 @@ from gini_bounds import (
     lp_extreme,
     upper_bound_values,
 )
+from gini_bounds.checkerboard import gamma_coefficients
+from gini_bounds.oracle import _extreme_gamma_perms, max_weight_assignment
 
 
 def test_order2_forced_diagonal():
@@ -89,3 +91,15 @@ def test_argument_is_a_valid_checkerboard_copula():
         LatticeFunction.from_evaluator(board.as_evaluator(), 80), tol=1e-9
     )
     assert rep.is_copula
+
+
+def test_extreme_gamma_permutations_are_cached_read_only():
+    for n in (2, 3, 5, 8, 16):
+        perms = _extreme_gamma_perms(n)
+        assert _extreme_gamma_perms(n) is perms
+        g = gamma_coefficients(n)
+        for perm, sign in zip(perms, (-1.0, 1.0)):
+            assert np.array_equal(perm, max_weight_assignment(sign * g))
+            assert not perm.flags.writeable
+            with pytest.raises(ValueError):
+                perm[0] = perm[-1]
