@@ -21,7 +21,7 @@ The lower envelope is the reflection v - upper(1-u, v, -t).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 from typing import Callable, Optional
 
@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     PointBoundSpec,
     UnitPoint,
+    _check_points,
     check_t,
     frechet_lower,
     frechet_upper,
@@ -68,14 +69,6 @@ _WITNESS_GAMMA_TOL = 1e-6
 _WITNESS_VALUE_TOL = 1e-9
 
 
-def _check_points(u, v) -> None:
-    # One vectorized check (NaN fails every comparison); the scalar entry
-    # points keep UnitPoint's cheaper chained comparison.
-    u, v = np.asarray(u), np.asarray(v)
-    if not np.all((0.0 <= u) & (u <= 1.0) & (0.0 <= v) & (v <= 1.0)):
-        raise DomainError("a point (u, v) lies outside the unit square or is NaN")
-
-
 @dataclass(frozen=True)
 class ThetaReport:
     """Per-point record of the upper-envelope computation.
@@ -95,16 +88,7 @@ class ThetaReport:
     clamped: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "u": self.u,
-            "v": self.v,
-            "t": self.t,
-            "theta": list(self.theta),
-            "active": list(self.active),
-            "inner_max": self.inner_max,
-            "bound": self.bound,
-            "clamped": self.clamped,
-        }
+        return asdict(self)
 
 
 class BoundClassification(enum.Enum):
@@ -177,32 +161,26 @@ def _live_candidates(t: float) -> tuple[int, ...]:
     )
 
 
+def _check_index(i: int, kind: str) -> None:
+    if i not in (1, 2, 3, 4, 5):
+        raise DomainError(f"{kind} index {i} not in 1..5")
+
+
 def theta_candidate(i: int, u: float, v: float, t: float) -> Optional[float]:
     """Candidate theta_i at (u, v); None when its radicand is negative."""
-    if i not in (1, 2, 3, 4, 5):
-        raise DomainError(f"candidate index {i} not in 1..5")
-    UnitPoint(u, v)
-    t = check_t(t)
-    x, m = max(u, v), min(u, v)
-    (theta,), (exists,) = _candidates(x, m, t, (i - 1,))
-    return float(theta) if bool(exists) else None
+    _check_index(i, "candidate")
+    return upper_bound(u, v, t).theta[i - 1]
 
 
 def region_contains(i: int, u: float, v: float, t: float) -> bool:
     """Whether candidate i binds at (u, v): exists, <= min(u,v), condition holds."""
-    if i not in (1, 2, 3, 4, 5):
-        raise DomainError(f"region index {i} not in 1..5")
-    UnitPoint(u, v)
-    t = check_t(t)
-    x, m = max(u, v), min(u, v)
-    _, _, (active,) = _active_masks(x, m, t, (i - 1,))
-    return bool(active)
+    _check_index(i, "region")
+    return upper_bound(u, v, t).active[i - 1]
 
 
 def region_nonempty(i: int, t: float, samples: int = 40000) -> bool:
     """Dense-grid search for any point of region i; samples >= 10^4 required."""
-    if i not in (1, 2, 3, 4, 5):
-        raise DomainError(f"region index {i} not in 1..5")
+    _check_index(i, "region")
     if samples < 10**4:
         raise DomainError(f"need at least 10^4 samples, got {samples}")
     side = int(np.ceil(np.sqrt(samples)))
@@ -214,7 +192,7 @@ def region_nonempty(i: int, t: float, samples: int = 40000) -> bool:
 def region_masks(u, v, t) -> tuple:
     """Membership masks of regions 1..5 at the points (u, v); u, v may be arrays."""
     t = check_t(t)
-    _check_points(u, v)
+    u, v = _check_points(u, v)
     _, _, active = _active_masks(np.maximum(u, v), np.minimum(u, v), t)
     return active
 
@@ -237,16 +215,15 @@ def _upper_values(u, v, t):
 def upper_bound_values(u, v, t):
     """Vectorized upper envelope; u, v may be arrays."""
     t = check_t(t)
-    _check_points(u, v)
-    return _upper_values(u, v, t)
+    return _upper_values(*_check_points(u, v), t)
 
 
 def lower_bound_values(u, v, t):
     """Vectorized lower envelope via the reflection identity."""
     t = check_t(t)
     # Checked before reflecting: 1 - u rounds u = -1e-20 into the square.
-    _check_points(u, v)
-    return v - _upper_values(1.0 - np.asarray(u, dtype=float), v, -t)
+    u, v = _check_points(u, v)
+    return v - _upper_values(1.0 - u, v, -t)
 
 
 def upper_bound(u: float, v: float, t: float) -> ThetaReport:
@@ -392,17 +369,13 @@ def witness_copula(u: float, v: float, t: float) -> Callable:
     mixtures, so the blend weight is solved exactly).  Post-conditions are
     verified at run time by quadrature.
     """
-    UnitPoint(u, v)
-    t = check_t(t)
     report = upper_bound(u, v, t)
-    m = min(u, v)
-    theta_star = m if report.inner_max is None else min(report.inner_max, m)
-    theta_star = max(theta_star, float(frechet_lower(u, v)))
-    pinned = PointBoundSpec(u, v, theta_star)
+    t = report.t
+    pinned = PointBoundSpec(u, v, report.bound)
     if abs(lower_point_bound_gamma(pinned).value - t) <= 1e-9:
         witness = point_bound_lower(pinned)
     else:
-        base_spec = PointBoundSpec(u, v, m)
+        base_spec = PointBoundSpec(u, v, min(u, v))
         gamma0 = lower_point_bound_gamma(base_spec).value
         alpha = min(max((t - gamma0) / (1.0 - gamma0), 0.0), 1.0)
         base = point_bound_lower(base_spec)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_points
 from .errors import DomainError
 
 MARGIN_TOL = 1e-12
@@ -56,6 +57,7 @@ class Checkerboard:
 
     def cdf(self, u, v):
         """CDF at (u, v); accepts scalars or equal-shape arrays."""
+        u, v = _check_points(u, v)
         ramp_u, ramp_v = cell_ramps(self.n, u), cell_ramps(self.n, v)
         out = np.einsum("...i,ij,...j->...", ramp_u, self.mass, ramp_v)
         return float(out) if out.ndim == 0 else out

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .bounds import (
     classify_lower,
     classify_upper,
     lens_density_floor,
+    lower_bound,
     lower_bound_values,
     region_masks,
     upper_bound,
@@ -67,15 +69,14 @@ def _report(command: str, parameters: dict, results: dict, checks_passed: bool, 
 
 def _eval_report_dict(u: float, v: float, t: float, side: str) -> dict:
     if side == "upper":
-        rep = upper_bound(u, v, t)
-        payload = rep.to_json_dict()
+        payload = upper_bound(u, v, t).to_json_dict()
     else:
         # Candidate bookkeeping describes the reflected upper evaluation at
         # (1-u, v, -t); the bound field is the final lower value at (u, v).
-        rep = upper_bound(1.0 - u, v, -t)
-        payload = rep.to_json_dict()
+        bound = lower_bound(u, v, t)
+        payload = upper_bound(1.0 - u, v, -t).to_json_dict()
         payload.update(
-            {"u": u, "v": v, "t": t, "bound": v - rep.bound,
+            {"u": u, "v": v, "t": t, "bound": bound,
              "reflected_u": 1.0 - u, "reflected_v": v}
         )
     payload["side"] = side
@@ -88,14 +89,25 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _side_evaluator(side: str, t: float):
-    if side == "upper":
-        return lambda uu, vv: upper_bound_values(uu, vv, t)
-    return lambda uu, vv: lower_bound_values(uu, vv, t)
+def _envelope_lattice(side: str, t: float, n: int) -> LatticeFunction:
+    """One side's envelope on the order-n lattice.
+
+    The upper envelope depends on (u, v) only through (max, min), so its
+    lattice is exactly symmetric: the nodes with i <= j are evaluated and
+    mirrored.
+    """
+    nodes = lattice_nodes(n)
+    if side == "lower":
+        uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
+        return LatticeFunction(n, lower_bound_values(uu, vv, t))
+    rows, cols = np.triu_indices(n + 1)
+    values = np.empty((n + 1, n + 1))
+    values[rows, cols] = values[cols, rows] = upper_bound_values(nodes[rows], nodes[cols], t)
+    return LatticeFunction(n, values)
 
 
 def cmd_grid(args) -> int:
-    lf = LatticeFunction.from_evaluator(_side_evaluator(args.side, args.t), args.n)
+    lf = _envelope_lattice(args.side, args.t, args.n)
     if args.format == "csv":
         _emit_csv(lf.N, {"value": lf.values}, args.out)
     else:
@@ -183,20 +195,6 @@ def _minimiser_distance(rect, t: float, n: int) -> float | None:
     return min(max(abs(i + 0.5 - p * n), abs(j + 0.5 - p * n)) for p in minimisers)
 
 
-def _symmetric_upper_lattice(nodes: np.ndarray, t: float) -> np.ndarray:
-    """upper_bound_values on the lattice of nodes, evaluated on one triangle.
-
-    The envelope depends on (u, v) only through (max, min), so its lattice
-    is exactly symmetric: the nodes with i <= j are evaluated and mirrored.
-    """
-    rows, cols = np.triu_indices(len(nodes))
-    values = np.empty((len(nodes), len(nodes)))
-    triangle = upper_bound_values(nodes[rows], nodes[cols], t)
-    values[rows, cols] = triangle
-    values[cols, rows] = triangle
-    return values
-
-
 def cmd_check(args) -> int:
     started = time.monotonic()
     t, n = args.t, args.grid
@@ -204,13 +202,11 @@ def cmd_check(args) -> int:
     cls_lo = classify_lower(t)
     copula_classes = ("FrechetLower", "ProperCopulaStrict", "FrechetUpper")
 
-    nodes = lattice_nodes(n)
-    uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
-    upper_vals = _symmetric_upper_lattice(nodes, t)
-    lower_vals = lower_bound_values(uu, vv, t)
-
-    rep_up = check_properties(LatticeFunction(n, upper_vals), tol=_CHECK_TOL)
-    rep_lo = check_properties(LatticeFunction(n, lower_vals), tol=_CHECK_TOL)
+    upper, lower = (_envelope_lattice(side, t, n) for side in ("upper", "lower"))
+    rep_up = check_properties(upper, tol=_CHECK_TOL)
+    rep_lo = check_properties(lower, tol=_CHECK_TOL)
+    upper_vals, lower_vals = upper.values, lower.values
+    uu, vv = np.meshgrid(upper.nodes, upper.nodes, indexing="ij")
 
     reflection_err = float(
         np.max(np.abs(lower_vals - (uu - upper_bound_values(uu, 1.0 - vv, -t))))
@@ -238,8 +234,8 @@ def cmd_check(args) -> int:
     results = {
         "upper_classification": cls_up.value,
         "lower_classification": cls_lo.value,
-        "upper_report": _property_report_dict(rep_up),
-        "lower_report": _property_report_dict(rep_lo),
+        "upper_report": asdict(rep_up),
+        "lower_report": asdict(rep_lo),
         "upper_min_volume_cell_distance_to_density_minimiser": _minimiser_distance(
             rep_up.min_volume_rect, t, n
         ),
@@ -252,23 +248,11 @@ def cmd_check(args) -> int:
     return 0 if passed else 1
 
 
-def _property_report_dict(rep) -> dict:
-    return {
-        "boundary_max_err": rep.boundary_max_err,
-        "monotonicity_min_step": rep.monotonicity_min_step,
-        "lipschitz_max_excess": rep.lipschitz_max_excess,
-        "min_volume": rep.min_volume,
-        "min_volume_rect": list(rep.min_volume_rect),
-        "is_quasicopula": rep.is_quasicopula,
-        "is_copula": rep.is_copula,
-    }
-
-
 def cmd_oracle(args) -> int:
     started = time.monotonic()
     t, n, u, v = args.t, args.n, args.u, args.v
     upper_val = upper_bound(u, v, t).bound
-    lower_val = float(lower_bound_values(u, v, t))
+    lower_val = lower_bound(u, v, t)
     outcome_max = lp_extreme(n, u, v, t, "max")
     outcome_min = lp_extreme(n, u, v, t, "min")
 

@@ -30,8 +30,17 @@ class UnitPoint:
                 f"point ({self.u}, {self.v}) is outside the unit square"
             )
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.u, self.v)
+
+def _check_points(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """The points (u, v) as float arrays; DomainError outside the unit square.
+
+    One vectorized check (NaN fails every comparison) for the array entry
+    points; the scalar ones keep UnitPoint's cheaper chained comparison.
+    """
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if not np.all((0.0 <= u) & (u <= 1.0) & (0.0 <= v) & (v <= 1.0)):
+        raise DomainError("a point (u, v) lies outside the unit square or is NaN")
+    return u, v
 
 
 def check_t(t: float) -> float:

@@ -111,11 +111,6 @@ def _extreme_gamma_perms(n: int) -> tuple[np.ndarray, np.ndarray]:
     return perms
 
 
-def _gamma_extremes(g: np.ndarray, c: np.ndarray) -> list[_Vertex]:
-    """The vertices of least and of greatest gamma."""
-    return [_vertex(perm, g, c) for perm in _extreme_gamma_perms(len(g))]
-
-
 def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcome:
     """Extreme value of C(u, v) over order-n checkerboards with gamma = t.
 
@@ -136,7 +131,7 @@ def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcom
     # The hull segment's ends bracket t: a.gamma <= t <= b.gamma up to
     # rounding.  Each solve finds the vertex highest above the segment and
     # moves the end on its side of t there.
-    a, b = _gamma_extremes(g, c)
+    a, b = (_vertex(perm, g, c) for perm in _extreme_gamma_perms(n))
     if not a.gamma - _HULL_TOL <= t <= b.gamma + _HULL_TOL:
         return LpOutcome(direction, None, None, "infeasible")
     while a.gamma < b.gamma:
@@ -168,8 +163,6 @@ def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcom
 
 def gamma_feasible_range(n: int) -> tuple[float, float]:
     """Attainable gamma range over order-n checkerboards (two assignment solves)."""
-    if n < 1:
-        raise DomainError(f"order must be >= 1, got {n}")
     g = gamma_coefficients(n)
-    lo, hi = (vertex.gamma for vertex in _gamma_extremes(g, g))
+    lo, hi = (_vertex(perm, g, g).gamma for perm in _extreme_gamma_perms(n))
     return lo, hi

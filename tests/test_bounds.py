@@ -260,6 +260,20 @@ def test_vector_envelopes_reject_points_outside_square():
             envelope(-1e-20, 0.5, 0.0)
 
 
+def test_array_entry_points_accept_lists_and_tuples():
+    u, v = [0.5, 0.0, 1.0, 0.25, 0.9], [0.3, 0.7, 1.0, 0.75, 0.1]
+    for t in (-1.0, -0.6, 0.0, 0.4):
+        for f in (upper_bound_values, lower_bound_values, region_masks):
+            want = f(np.array(u), np.array(v), t)
+            for seq in (list, tuple):
+                got = f(seq(u), seq(v), t)
+                assert np.array_equal(got, want), (f.__name__, seq, t)
+    for f in (upper_bound_values, lower_bound_values, region_masks):
+        for bad in ([0.2, 1.5], (0.2, float("nan"))):
+            with pytest.raises(DomainError):
+                f(bad, [0.5, 0.5], 0.0)
+
+
 def test_lens_density_floor_domain():
     assert lens_density_floor(-0.5)[0] == pytest.approx(-0.5 / 3.0, abs=1e-15)
     for t in (-1.0, 0.0, 0.3):

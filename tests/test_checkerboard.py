@@ -34,6 +34,18 @@ def test_cdf_examples():
     assert _diag2().cdf(0.25, 0.75) == pytest.approx(0.25, abs=1e-15)
 
 
+def test_cdf_rejects_points_outside_the_square():
+    board = _diag2()
+    for u, v in ((1.5, 0.5), (np.nan, 0.5), (0.5, -1e-20)):
+        with pytest.raises(DomainError):
+            board.cdf(u, v)
+    with pytest.raises(DomainError):
+        board.cdf(np.array([0.2, 1.5]), np.array([0.5, 0.5]))
+    with pytest.raises(DomainError):
+        board.cdf(np.array([0.2, 0.4]), np.array([np.nan, 0.5]))
+    assert np.array_equal(board.cdf([0.25, 1.0], (0.75, 1.0)), [0.25, 1.0])
+
+
 def test_cdf_against_dense_mass_accumulation():
     board = _sinkhorn_board(4, seed=2)
     # oracle: accumulate cell mass over a fine subgrid of each cell

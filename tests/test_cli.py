@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ from gini_bounds import (
     upper_bound_values,
 )
 from gini_bounds.checkerboard import Checkerboard
-from gini_bounds.cli import _property_report_dict, _symmetric_upper_lattice, main
+from gini_bounds.cli import _envelope_lattice, main
 from gini_bounds.lattice import lattice_nodes
 
 
@@ -57,6 +58,7 @@ def test_eval_lower_example(capsys):
 def test_eval_domain_error_exit_2(capsys):
     for argv in (
         ["eval", "--t", "3", "--u", "0.5", "--v", "0.5"],
+        ["eval", "--side", "lower", "--t", "0", "--u=-1e-20", "--v", "0.5"],
         ["grid", "--t", "5", "--n", "2"],
         ["check", "--t", "5", "--grid", "2"],
         ["regions", "--t", "5", "--n", "2"],
@@ -238,8 +240,21 @@ def test_check_upper_triangle_matches_full_square_audit(capsys):
     uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
     for t in (-1.0, -0.9, -0.75, -0.5, -4.0 / 13.0, -0.1, 0.0, 0.2, 0.5, 0.7, 1.0):
         full = upper_bound_values(uu, vv, t)
-        assert np.array_equal(_symmetric_upper_lattice(nodes, t), full), t
+        assert np.array_equal(_envelope_lattice("upper", t, n).values, full), t
         code, payload, _ = run_json(capsys, "check", "--t", repr(t), "--grid", str(n))
         assert code == 0
         audit = check_properties(LatticeFunction(n, full), tol=1e-10)
-        assert payload["results"]["upper_report"] == _property_report_dict(audit), t
+        want = json.loads(json.dumps(dataclasses.asdict(audit)))
+        assert payload["results"]["upper_report"] == want, t
+
+
+def test_grid_upper_triangle_matches_full_square(capsys):
+    n = 37
+    nodes = lattice_nodes(n)
+    uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
+    for t in (-1.0, -0.6, -4.0 / 13.0, 0.0, 0.45, 1.0):
+        full = upper_bound_values(uu, vv, t).ravel().tolist()
+        code, payload, _ = run_json(
+            capsys, "grid", "--t", repr(t), "--n", str(n), "--format", "json"
+        )
+        assert code == 0 and payload["values"] == full, t
