@@ -206,11 +206,12 @@ def cmd_check(args) -> int:
     rep_up = check_properties(upper, tol=_CHECK_TOL)
     rep_lo = check_properties(lower, tol=_CHECK_TOL)
     upper_vals, lower_vals = upper.values, lower.values
-    uu, vv = np.meshgrid(upper.nodes, upper.nodes, indexing="ij")
+    uu, vv = upper.nodes[:, None], upper.nodes[None, :]
 
-    reflection_err = float(
-        np.max(np.abs(lower_vals - (uu - upper_bound_values(uu, 1.0 - vv, -t))))
-    )
+    # The second reflection form u - K(u, 1 - v, -t) at node (i, j) is
+    # bit-for-bit lower[j, i] = nodes[i] - K(1 - nodes[j], nodes[i], -t),
+    # because K is exactly symmetric: it uses only max(u, v), min(u, v), u + v.
+    reflection_err = float(np.max(np.abs(lower_vals - lower_vals.T)))
     w_vals = frechet_lower(uu, vv)
     m_vals = frechet_upper(uu, vv)
     sandwich_err = float(

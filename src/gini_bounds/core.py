@@ -85,8 +85,11 @@ class PointBoundSpec:
 
 
 def frechet_lower(u, v):
-    """Lower Frechet-Hoeffding bound W(u,v) = max(0, u+v-1)."""
-    return np.maximum(0.0, u + v - 1.0)
+    """Lower Frechet-Hoeffding bound W(u,v) = max(0, u+v-1).
+
+    Clamped by M = min(u, v): with u = 1, u+v-1 can round one ulp above v.
+    """
+    return np.minimum(np.maximum(0.0, u + v - 1.0), np.minimum(u, v))
 
 
 def frechet_upper(u, v):

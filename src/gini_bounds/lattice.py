@@ -171,10 +171,12 @@ def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:
 
     du = v[1:, :] - v[:-1, :]
     dv = v[:, 1:] - v[:, :-1]
-    mono = min(float(du.min()), float(dv.min()))
+    du_min, dv_min = float(du.min()), float(dv.min())
+    mono = min(du_min, dv_min)
 
     step = 1.0 / n
-    lip = max(float(np.abs(du).max()), float(np.abs(dv).max())) - step
+    # max|d| = max(d.max(), -d.min()) exactly, without an abs temporary.
+    lip = max(float(du.max()), -du_min, float(dv.max()), -dv_min) - step
 
     vols = g.cell_volumes()
     flat = int(np.argmin(vols))

@@ -24,7 +24,7 @@ from gini_bounds import (
     upper_bound_values,
     witness_copula,
 )
-from gini_bounds.bounds import REGION_EMPTY_ABOVE, _active_masks, _live_candidates
+from gini_bounds.bounds import _BLOCK, REGION_EMPTY_ABOVE, _active_masks, _live_candidates
 
 
 def _lattice(n):
@@ -186,6 +186,42 @@ def test_pruned_kernel_is_bit_identical_at_thresholds(thr):
             ), t
 
 
+def _assert_blocked_matches_whole_array(u, v, t):
+    got_up = upper_bound_values(u, v, t)
+    got_lo = lower_bound_values(u, v, t)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    want_up = _five_candidate_upper(u, v, t)
+    want_lo = v - _five_candidate_upper(1.0 - u, v, -t)
+    for got, want in ((got_up, want_up), (got_lo, want_lo)):
+        assert type(got) is type(want) and got.dtype == want.dtype, (type(got), t)
+        assert np.array_equal(got, want), (np.shape(got), t)
+
+
+# t = -4/13 sits on two emptiness thresholds; at t = -0.9 every region is live.
+@pytest.mark.parametrize("t", [-4.0 / 13.0, -0.9])
+def test_blocked_kernel_matches_whole_array_reference(t):
+    rng = np.random.default_rng(8)
+    for size in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+        _assert_blocked_matches_whole_array(rng.random(size), rng.random(size), t)
+    # 0-d scalars come back as numpy.float64.
+    assert type(upper_bound_values(0.3, 0.6, t)) is np.float64
+    assert type(lower_bound_values(0.3, 0.6, t)) is np.float64
+    _assert_blocked_matches_whole_array(0.3, 0.6, t)
+    _assert_blocked_matches_whole_array(np.float64(0.8), np.array(0.1), t)
+    # N-d, broadcast, transposed and strided inputs, and lists.
+    u2, v2 = rng.random((130, 129)), rng.random((130, 129))
+    _assert_blocked_matches_whole_array(u2, v2, t)
+    _assert_blocked_matches_whole_array(u2.T, v2.T, t)
+    u3, v3 = rng.random((400, 300)), rng.random((400, 300))
+    _assert_blocked_matches_whole_array(u3[::2, ::3], v3[1::2, 1::3], t)
+    _assert_blocked_matches_whole_array(0.35, rng.random(_BLOCK + 5), t)
+    _assert_blocked_matches_whole_array(rng.random((150, 1)), rng.random((1, 120)), t)
+    _assert_blocked_matches_whole_array(rng.random((2, 0)), rng.random((2, 0)), t)
+    _assert_blocked_matches_whole_array(
+        rng.random(_BLOCK + 3).tolist(), rng.random(_BLOCK + 3).tolist(), t
+    )
+
+
 # Within about 2.5e-4 of (1/2, 1/2), at t = -1 and a few ulps above, every
 # candidate misses its activation check by more than ACTIVATION_EPS (their
 # radicands nearly vanish there, so sqrt magnifies rounding), and the upper
@@ -335,6 +371,17 @@ def test_sandwich():
         assert np.min(lo - frechet_lower(uu, vv)) >= -1e-12
         assert np.min(up - lo) >= -1e-12
         assert np.min(frechet_upper(uu, vv) - up) >= -1e-12
+
+
+def test_envelopes_never_exceed_m_where_a_coordinate_is_one():
+    # There u + v - 1 can round one ulp above v, so W must be clamped by M.
+    v = np.random.default_rng(21).random(300)
+    for t in (-1.0, -0.9, -0.5, 0.0, 0.7):
+        for a, b in ((np.ones_like(v), v), (v, np.ones_like(v))):
+            assert np.all(upper_bound_values(a, b, t) <= v), t
+            assert np.all(lower_bound_values(a, b, t) <= v), t
+            for x, y in zip(a.tolist(), b.tolist()):
+                assert upper_bound(x, y, t).bound <= min(x, y), (x, y, t)
 
 
 def test_monotone_in_t_small_sweep():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from gini_bounds import (
     check_properties,
     frechet_lower,
     frechet_upper,
+    lower_bound_values,
     upper_bound_values,
 )
 from gini_bounds.checkerboard import Checkerboard
@@ -235,17 +237,24 @@ def test_regions_atlas_columns(capsys):
 
 
 def test_check_upper_triangle_matches_full_square_audit(capsys):
-    n = 60
-    nodes = lattice_nodes(n)
-    uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
-    for t in (-1.0, -0.9, -0.75, -0.5, -4.0 / 13.0, -0.1, 0.0, 0.2, 0.5, 0.7, 1.0):
+    ts = (-1.0, -0.9, -0.75, -0.5, -4.0 / 9.0, -4.0 / 13.0, -0.1, 0.0, 0.2, 0.5, 0.7, 1.0)
+    for n, t in itertools.product((37, 60), ts):
+        nodes = lattice_nodes(n)
+        uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
         full = upper_bound_values(uu, vv, t)
-        assert np.array_equal(_envelope_lattice("upper", t, n).values, full), t
-        code, payload, _ = run_json(capsys, "check", "--t", repr(t), "--grid", str(n))
-        assert code == 0
+        assert np.array_equal(_envelope_lattice("upper", t, n).values, full), (n, t)
+        code, payload, _ = run_json(capsys, "check", f"--t={t!r}", "--grid", str(n))
+        # The order-37 lattice is too coarse to see the upper envelope's
+        # negative mass at t = -0.1, so its copula verdict misses there.
+        assert code == int((n, t) == (37, -0.1)), (n, t)
         audit = check_properties(LatticeFunction(n, full), tol=1e-10)
         want = json.loads(json.dumps(dataclasses.asdict(audit)))
-        assert payload["results"]["upper_report"] == want, t
+        assert payload["results"]["upper_report"] == want, (n, t)
+        # The second reflection form evaluated directly, by two kernel calls.
+        lower = lower_bound_values(uu, vv, t)
+        second_form = uu - upper_bound_values(uu, 1.0 - vv, -t)
+        two_call_err = float(np.max(np.abs(lower - second_form)))
+        assert payload["results"]["reflection_max_err"] == two_call_err, (n, t)
 
 
 def test_grid_upper_triangle_matches_full_square(capsys):

@@ -31,6 +31,19 @@ def test_frechet_boundary_conditions(v):
     assert frechet_upper(v, 1.0) == pytest.approx(v, abs=1e-15)
 
 
+def test_frechet_lower_never_exceeds_frechet_upper():
+    # With u = 1, u + v - 1 rounds one ulp above v for about half of all v.
+    assert frechet_lower(1.0, 0.3) == 0.3
+    assert frechet_lower(0.3, 1.0) == 0.3
+    rng = np.random.default_rng(17)
+    v = rng.random(10_000)
+    ones = np.ones_like(v)
+    for u, w in ((ones, v), (v, ones)):
+        assert np.all(frechet_lower(u, w) <= frechet_upper(u, w))
+        for a, b in zip(u[:200].tolist(), w[:200].tolist()):
+            assert frechet_lower(a, b) <= frechet_upper(a, b), (a, b)
+
+
 def test_unit_point_validation():
     UnitPoint(0.0, 1.0)
     with pytest.raises(DomainError):

@@ -52,6 +52,18 @@ def test_violations_are_detected():
     assert rep.boundary_max_err >= 0.01
 
 
+def test_lipschitz_excess_counts_the_steepest_decrease():
+    # Rising slowly in u and falling steeply in v: the largest step in size
+    # is the most negative one, which a monotone envelope lattice never has.
+    n = 20
+    vals = np.fromfunction(lambda i, j: 0.5 * i / n - 3.0 * (j / n) ** 2, (n + 1, n + 1))
+    rep = check_properties(LatticeFunction(n, vals))
+    du, dv = np.diff(vals, axis=0), np.diff(vals, axis=1)
+    want = max(float(np.abs(du).max()), float(np.abs(dv).max())) - 1.0 / n
+    assert rep.lipschitz_max_excess == want
+    assert want > 0.0 and not rep.is_quasicopula
+
+
 def test_point_bound_copulas_pass_copula_audit_at_n200():
     from gini_bounds import PointBoundSpec, point_bound_lower, point_bound_upper
 
