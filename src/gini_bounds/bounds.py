@@ -21,7 +21,7 @@ The lower envelope is the reflection v - upper(1-u, v, -t).
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Optional
 
@@ -91,15 +91,23 @@ class ThetaReport:
     bound: float
     clamped: bool
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 class BoundClassification(enum.Enum):
     FRECHET_LOWER = "FrechetLower"
     PROPER_QUASI_COPULA = "ProperQuasiCopula"
     PROPER_COPULA_STRICT = "ProperCopulaStrict"
     FRECHET_UPPER = "FrechetUpper"
+
+
+_REFLECTED_CLASS = {
+    BoundClassification.FRECHET_LOWER: BoundClassification.FRECHET_UPPER,
+    BoundClassification.FRECHET_UPPER: BoundClassification.FRECHET_LOWER,
+}
+
+
+def _lens_radicand(x, m, t):
+    """The fifth candidate's radicand; mixed_partial_density's denominator is its 3/2 power."""
+    return 3.0 * (5.0 * x**2 + 5.0 * m**2 - 6.0 * x - 6.0 * m + 2.0 * (x * m) + (2.0 * t + 5.0))
 
 
 def _candidates(x, m, t, live=_ALL_CANDIDATES):
@@ -134,11 +142,7 @@ def _candidates(x, m, t, live=_ALL_CANDIDATES):
                 7.0,
             )
         if 4 in live:
-            yield (
-                3.0 * (5.0 * x**2 + 5.0 * m**2 - 6.0 * x - 6.0 * m + 2.0 * pr + (2.0 * t + 5.0)),
-                3.0 * (s - 1.0),
-                6.0,
-            )
+            yield _lens_radicand(x, m, t), 3.0 * (s - 1.0), 6.0
 
     thetas, exists = [], []
     for rad, offset, den in forms():
@@ -299,15 +303,18 @@ def classify_upper(t: float) -> BoundClassification:
 
 
 def classify_lower(t: float) -> BoundClassification:
-    """Nature of the lower envelope as a function of t."""
-    t = check_t(t)
-    if t == 1.0:
-        return BoundClassification.FRECHET_UPPER
-    if t > 0.0:
-        return BoundClassification.PROPER_QUASI_COPULA
-    if t > -0.5:
-        return BoundClassification.PROPER_COPULA_STRICT
-    return BoundClassification.FRECHET_LOWER
+    """Nature of the lower envelope as a function of t.
+
+    The lower envelope is the reflection v - upper(1-u, v, -t), which
+    negates gamma, maps M to W and W to M, and keeps (quasi-)copulas.
+    """
+    cls = classify_upper(-check_t(t))
+    return _REFLECTED_CLASS.get(cls, cls)
+
+
+def _hyperbolic_excess(u: float, v: float, t: float) -> float:
+    """(u+v)^2 + 2uv - 6 min(u, v) + (1 + t): the hyperbolic set is where it is <= 0."""
+    return (u + v) ** 2 + 2.0 * u * v - 6.0 * min(u, v) + (1.0 + t)
 
 
 def hyperbolic_set_contains(u: float, v: float, t: float) -> bool:
@@ -318,7 +325,7 @@ def hyperbolic_set_contains(u: float, v: float, t: float) -> bool:
     """
     UnitPoint(u, v)
     t = check_t(t)
-    return bool((u + v) ** 2 + 2.0 * u * v - 6.0 * min(u, v) <= -1.0 - t)
+    return bool(_hyperbolic_excess(u, v, t) <= 0.0)
 
 
 def hyperbolic_corner_points(t: float) -> tuple[UnitPoint, UnitPoint]:
@@ -345,18 +352,17 @@ def mixed_partial_density(u: float, v: float, t: float) -> float:
     t = check_t(t)
     # Closure membership with rounding slack: the corner points themselves
     # satisfy the boundary equation only to one ulp in floats.
-    excess = (u + v) ** 2 + 2.0 * u * v - 6.0 * min(u, v) + (1.0 + t)
-    if excess > 1e-12:
+    if _hyperbolic_excess(u, v, t) > 1e-12:
         raise DomainError(
             f"({u}, {v}) lies outside the closure of the hyperbolic set at t={t}"
         )
     g = t - 12.0 * u * v + 6.0 * u + 6.0 * v - 2.0
-    h = 5.0 * u**2 + 5.0 * v**2 - 6.0 * u - 6.0 * v + 2.0 * u * v + 2.0 * t + 5.0
-    if h <= 0.0:
+    rad = _lens_radicand(max(u, v), min(u, v), t)
+    if rad <= 0.0:
         raise DomainError(
             f"density undefined at ({u}, {v}, t={t}): vanishing denominator"
         )
-    return float(3.0 * g / (3.0 * h) ** 1.5)
+    return float(3.0 * g / rad**1.5)
 
 
 def lens_density_floor(t: float) -> tuple[float, tuple[float, float]]:

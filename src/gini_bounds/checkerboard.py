@@ -43,12 +43,13 @@ class Checkerboard:
             raise DomainError(
                 f"mass shape {mass.shape} does not match order n={self.n}"
             )
-        if np.any(mass < -MARGIN_TOL):
-            raise DomainError(f"mass has negative entries (min {mass.min()})")
+        # The checks are negated so that a NaN mass fails them.
+        if not np.all(mass >= -MARGIN_TOL):
+            raise DomainError(f"mass has negative or NaN entries (min {mass.min()})")
         target = 1.0 / self.n
         row_err = float(np.abs(mass.sum(axis=1) - target).max())
         col_err = float(np.abs(mass.sum(axis=0) - target).max())
-        if row_err > MARGIN_TOL or col_err > MARGIN_TOL:
+        if not (row_err <= MARGIN_TOL and col_err <= MARGIN_TOL):
             raise DomainError(
                 f"margins are not uniform: row error {row_err:.3e}, "
                 f"column error {col_err:.3e} (tolerance {MARGIN_TOL})"
@@ -62,9 +63,6 @@ class Checkerboard:
         out = np.einsum("...i,ij,...j->...", ramp_u, self.mass, ramp_v)
         return float(out) if out.ndim == 0 else out
 
-    def as_evaluator(self):
-        return lambda u, v: self.cdf(u, v)
-
     def to_json(self, path) -> None:
         payload = {"n": self.n, "mass": [float(x) for x in self.mass.ravel()]}
         with open(path, "w", newline="\n") as fh:
@@ -73,18 +71,23 @@ class Checkerboard:
 
     @classmethod
     def from_json(cls, path) -> "Checkerboard":
+        """Read a board written by to_json; malformed input is a DomainError."""
         with open(path) as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:
+                raise DomainError(f"malformed checkerboard JSON: {exc}") from None
         try:
             n = int(payload["n"])
-            flat = payload["mass"]
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"checkerboard JSON must have fields n, mass: {exc}")
+            flat = [float(x) for x in payload["mass"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"checkerboard JSON must have fields n, mass: {exc}") from None
         if len(flat) != n * n:
             raise DomainError(
                 f"mass array has {len(flat)} entries, expected n^2 = {n * n}"
             )
-        return cls(n, np.asarray(flat, dtype=float).reshape(n, n))
+        # An order below 1 cannot be reshaped; the constructor rejects it.
+        return cls(n, np.reshape(flat, (n, n)) if n >= 1 else flat)
 
 
 def _ramp_products(n: int) -> np.ndarray:

@@ -10,6 +10,8 @@ except for the elapsed_ms timing field of reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 import time
@@ -29,7 +31,15 @@ from .bounds import (
     upper_bound_values,
 )
 from .checkerboard import Checkerboard, gamma_checkerboard_exact
-from .core import PointBoundSpec, frechet_lower, frechet_upper, point_bound_lower, product
+from .core import (
+    PointBoundSpec,
+    UnitPoint,
+    check_t,
+    frechet_lower,
+    frechet_upper,
+    point_bound_lower,
+    product,
+)
 from .errors import DomainError, InternalError
 from .lattice import LatticeFunction, check_properties, lattice_nodes, write_node_csv
 from .oracle import lp_extreme
@@ -38,54 +48,53 @@ from .quadrature import gamma_quadrature
 
 _QUAD_PANELS = 4000
 _CHECK_TOL = 1e-10
+# Copula specs without arguments: evaluator and closed-form gamma.
+_BUILTIN_COPULAS = {"pi": (product, 0.0), "w": (frechet_lower, -1.0), "m": (frechet_upper, 1.0)}
 
 
-def _emit_json(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _open_out(out_path: str | None):
+    """The stream a command writes to: stdout, or the file at out_path."""
     if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", newline="\n") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(out_path, "w", newline="\n")
 
 
-def _emit_csv(n: int, columns: dict, out_path: str | None) -> None:
-    if out_path is None:
-        write_node_csv(sys.stdout, n, columns)
-    else:
-        with open(out_path, "w", newline="\n") as fh:
-            write_node_csv(fh, n, columns)
+def _emit_json(payload: dict, out_path: str | None = None) -> None:
+    with _open_out(out_path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _report(command: str, parameters: dict, results: dict, checks_passed: bool, started: float) -> dict:
-    return {
+def _emit_report(command: str, parameters: dict, results: dict, checks_passed: bool,
+                 started: float) -> int:
+    """Write a command's JSON report to stdout; return its exit code."""
+    _emit_json({
         "command": command,
         "parameters": parameters,
         "results": results,
         "checks_passed": checks_passed,
         "elapsed_ms": int((time.monotonic() - started) * 1000),
-    }
-
-
-def _eval_report_dict(u: float, v: float, t: float, side: str) -> dict:
-    if side == "upper":
-        payload = upper_bound(u, v, t).to_json_dict()
-    else:
-        # Candidate bookkeeping describes the reflected upper evaluation at
-        # (1-u, v, -t); the bound field is the final lower value at (u, v).
-        bound = lower_bound(u, v, t)
-        payload = upper_bound(1.0 - u, v, -t).to_json_dict()
-        payload.update(
-            {"u": u, "v": v, "t": t, "bound": bound,
-             "reflected_u": 1.0 - u, "reflected_v": v}
-        )
-    payload["side"] = side
-    return payload
+    })
+    return 0 if checks_passed else 1
 
 
 def cmd_eval(args) -> int:
-    payload = _eval_report_dict(args.u, args.v, args.t, args.side)
-    _emit_json(payload, None)
+    u, v, t = args.u, args.v, args.t
+    if args.side == "upper":
+        payload = asdict(upper_bound(u, v, t))
+    else:
+        # Checked before reflecting: 1 - u rounds u = -1e-20 into the square.
+        UnitPoint(u, v)
+        check_t(t)
+        # Candidate bookkeeping describes the reflected upper evaluation at
+        # (1-u, v, -t); the bound field is the lower value v - upper at (u, v).
+        report = upper_bound(1.0 - u, v, -t)
+        payload = asdict(report)
+        payload.update(
+            {"u": u, "v": v, "t": t, "bound": v - report.bound,
+             "reflected_u": 1.0 - u, "reflected_v": v}
+        )
+    payload["side"] = args.side
+    _emit_json(payload)
     return 0
 
 
@@ -96,10 +105,9 @@ def _envelope_lattice(side: str, t: float, n: int) -> LatticeFunction:
     lattice is exactly symmetric: the nodes with i <= j are evaluated and
     mirrored.
     """
-    nodes = lattice_nodes(n)
     if side == "lower":
-        uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
-        return LatticeFunction(n, lower_bound_values(uu, vv, t))
+        return LatticeFunction.from_evaluator(lambda u, v: lower_bound_values(u, v, t), n)
+    nodes = lattice_nodes(n)
     rows, cols = np.triu_indices(n + 1)
     values = np.empty((n + 1, n + 1))
     values[rows, cols] = values[cols, rows] = upper_bound_values(nodes[rows], nodes[cols], t)
@@ -109,7 +117,8 @@ def _envelope_lattice(side: str, t: float, n: int) -> LatticeFunction:
 def cmd_grid(args) -> int:
     lf = _envelope_lattice(args.side, args.t, args.n)
     if args.format == "csv":
-        _emit_csv(lf.N, {"value": lf.values}, args.out)
+        with _open_out(args.out) as fh:
+            write_node_csv(fh, lf.N, {"value": lf.values})
     else:
         payload = {
             "n": lf.N,
@@ -121,24 +130,23 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def cmd_gamma(args) -> int:
-    started = time.monotonic()
-    kind = args.copula[0]
-    if kind in ("pi", "w", "m"):
-        if len(args.copula) != 1:
+def _gamma_spec(spec: list[str]):
+    """Evaluator, expected gamma and report fields of a --copula spec."""
+    kind, rest = spec[0], spec[1:]
+    if kind in _BUILTIN_COPULAS:
+        if rest:
             raise DomainError(f"copula {kind!r} takes no extra arguments")
-        evaluator = {"pi": product, "w": frechet_lower, "m": frechet_upper}[kind]
-        closed = {"pi": 0.0, "w": -1.0, "m": 1.0}[kind]
-        quad = gamma_quadrature(evaluator, _QUAD_PANELS)
-        results = {"copula": kind, "closed": closed, "quadrature": quad}
-        passed = abs(closed - quad) <= 1e-6
-    elif kind == "pointbound":
-        if len(args.copula) != 4:
+        evaluator, closed = _BUILTIN_COPULAS[kind]
+        return evaluator, closed, {"copula": kind, "closed": closed}
+    if kind == "pointbound":
+        if len(rest) != 3:
             raise DomainError("usage: --copula pointbound A B THETA")
-        a, b, theta = (float(x) for x in args.copula[1:])
-        spec = PointBoundSpec(a, b, theta)
-        branch = lower_point_bound_gamma(spec)
-        quad = gamma_quadrature(point_bound_lower(spec), _QUAD_PANELS)
+        try:
+            a, b, theta = (float(x) for x in rest)
+        except ValueError:
+            raise DomainError(f"pointbound A B THETA must be numbers, got {rest}") from None
+        pinned = PointBoundSpec(a, b, theta)
+        branch = lower_point_bound_gamma(pinned)
         results = {
             "copula": "pointbound",
             "a": a,
@@ -146,31 +154,31 @@ def cmd_gamma(args) -> int:
             "theta": theta,
             "branch": branch.branch,
             "closed": branch.value,
-            "i1": i1_closed(spec),
-            "i2": i2_closed(spec),
-            "quadrature": quad,
+            "i1": i1_closed(pinned),
+            "i2": i2_closed(pinned),
         }
-        passed = abs(branch.value - quad) <= 1e-6
-    elif kind == "checkerboard":
-        if len(args.copula) != 2:
+        return point_bound_lower(pinned), branch.value, results
+    if kind == "checkerboard":
+        if len(rest) != 1:
             raise DomainError("usage: --copula checkerboard FILE")
-        board = Checkerboard.from_json(args.copula[1])
+        board = Checkerboard.from_json(rest[0])
         exact = gamma_checkerboard_exact(board)
-        quad = gamma_quadrature(board.as_evaluator(), _QUAD_PANELS)
         results = {
             "copula": "checkerboard",
-            "file": args.copula[1],
+            "file": rest[0],
             "n": board.n,
             "exact": exact,
-            "quadrature": quad,
         }
-        passed = abs(exact - quad) <= 1e-6
-    else:
-        raise DomainError(
-            f"unknown copula spec {kind!r}; expected pi|w|m|pointbound|checkerboard"
-        )
-    _emit_json(_report("gamma", {"copula": args.copula}, results, passed, started), None)
-    return 0 if passed else 1
+        return board.cdf, exact, results
+    raise DomainError(f"unknown copula spec {kind!r}; expected pi|w|m|pointbound|checkerboard")
+
+
+def cmd_gamma(args) -> int:
+    started = time.monotonic()
+    evaluator, expected, results = _gamma_spec(args.copula)
+    results["quadrature"] = gamma_quadrature(evaluator, _QUAD_PANELS)
+    passed = abs(expected - results["quadrature"]) <= 1e-6
+    return _emit_report("gamma", {"copula": args.copula}, results, passed, started)
 
 
 def cmd_classify(args) -> int:
@@ -179,8 +187,7 @@ def cmd_classify(args) -> int:
         "upper": classify_upper(args.t).value,
         "lower": classify_lower(args.t).value,
     }
-    _emit_json(_report("classify", {"t": args.t}, results, True, started), None)
-    return 0
+    return _emit_report("classify", {"t": args.t}, results, True, started)
 
 
 def _minimiser_distance(rect, t: float, n: int) -> float | None:
@@ -244,9 +251,7 @@ def cmd_check(args) -> int:
         "sandwich_max_violation": sandwich_err,
         "checks": checks,
     }
-    passed = all(checks.values())
-    _emit_json(_report("check", {"t": t, "grid": n}, results, passed, started), None)
-    return 0 if passed else 1
+    return _emit_report("check", {"t": t, "grid": n}, results, all(checks.values()), started)
 
 
 def cmd_oracle(args) -> int:
@@ -279,22 +284,20 @@ def cmd_oracle(args) -> int:
         # Unreachable gamma at this order is a legitimate outcome.
         checks = {"statuses_consistent": outcome_min.status == "infeasible"}
     results["checks"] = checks
-    passed = all(checks.values())
-    _emit_json(
-        _report("oracle", {"t": t, "n": n, "u": u, "v": v}, results, passed, started),
-        None,
-    )
-    return 0 if passed else 1
+    parameters = {"t": t, "n": n, "u": u, "v": v}
+    return _emit_report("oracle", parameters, results, all(checks.values()), started)
 
 
 def cmd_regions(args) -> int:
     nodes = lattice_nodes(args.n)
     uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
     active = region_masks(uu, vv, args.t)
-    _emit_csv(args.n, {f"r{k + 1}": active[k] for k in range(5)}, args.out)
+    with _open_out(args.out) as fh:
+        write_node_csv(fh, args.n, {f"r{k + 1}": active[k] for k in range(5)})
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gini-bounds",
@@ -308,7 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
     p.add_argument("--side", choices=["upper", "lower"], default="upper")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grid", help="emit a bound on a uniform lattice")
     p.add_argument("--t", type=float, required=True)
@@ -316,7 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=["upper", "lower"], default="upper")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("gamma", help="Gini's gamma of a copula spec")
     p.add_argument(
@@ -325,41 +326,36 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="pi | w | m | pointbound A B THETA | checkerboard FILE",
     )
-    p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("classify", help="classify both envelopes at t")
     p.add_argument("--t", type=float, required=True)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("check", help="run the invariant suite for one t")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--grid", type=int, default=400)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("oracle", help="LP certification at a point")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("regions", help="emit the region-membership atlas")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_regions)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # Looked up at call time, so that a replaced cmd_* handler runs.
+        return globals()[f"cmd_{args.command}"](args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2

@@ -44,12 +44,16 @@ class RankSample:
 
     @classmethod
     def from_csv(cls, path) -> "RankSample":
+        """Read a sample written by to_csv; malformed input is a DomainError."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["r", "s"]:
                 raise DomainError(f"unexpected rank CSV header: {header}")
-            pairs = [(int(row[0]), int(row[1])) for row in reader]
+            try:
+                pairs = [(int(r), int(s)) for r, s in reader]
+            except ValueError as exc:
+                raise DomainError(f"rank CSV line {reader.line_num}: {exc}") from None
         return cls(tuple(pairs))
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -328,7 +331,7 @@ def test_report_structure_invariants():
         actives = [th for th, a in zip(rep.theta, rep.active) if a]
         assert rep.inner_max == max(actives)
     assert not rep.clamped
-    payload = rep.to_json_dict()
+    payload = dataclasses.asdict(rep)
     assert set(payload) == {
         "u", "v", "t", "theta", "active", "inner_max", "bound", "clamped",
     }
@@ -417,6 +420,16 @@ def test_domain_validation():
         (0.25, BoundClassification.PROPER_COPULA_STRICT),
         (0.5, BoundClassification.FRECHET_UPPER),
         (1.0, BoundClassification.FRECHET_UPPER),
+        # One ulp either side of each threshold, and of 0.
+        (math.nextafter(-1.0, 0.0), BoundClassification.PROPER_QUASI_COPULA),
+        (math.nextafter(-0.5, -1.0), BoundClassification.PROPER_QUASI_COPULA),
+        (math.nextafter(-0.5, 0.0), BoundClassification.PROPER_QUASI_COPULA),
+        (-5e-324, BoundClassification.PROPER_QUASI_COPULA),
+        (-0.0, BoundClassification.PROPER_COPULA_STRICT),
+        (5e-324, BoundClassification.PROPER_COPULA_STRICT),
+        (math.nextafter(0.5, 0.0), BoundClassification.PROPER_COPULA_STRICT),
+        (math.nextafter(0.5, 1.0), BoundClassification.FRECHET_UPPER),
+        (math.nextafter(1.0, 0.0), BoundClassification.FRECHET_UPPER),
     ],
 )
 def test_classify_upper(t, expected):
@@ -433,6 +446,16 @@ def test_classify_upper(t, expected):
         (-0.5, BoundClassification.FRECHET_LOWER),
         (-0.6, BoundClassification.FRECHET_LOWER),
         (-1.0, BoundClassification.FRECHET_LOWER),
+        # One ulp either side of each threshold, and of 0.
+        (math.nextafter(1.0, 0.0), BoundClassification.PROPER_QUASI_COPULA),
+        (math.nextafter(0.5, 1.0), BoundClassification.PROPER_QUASI_COPULA),
+        (math.nextafter(0.5, 0.0), BoundClassification.PROPER_QUASI_COPULA),
+        (5e-324, BoundClassification.PROPER_QUASI_COPULA),
+        (-0.0, BoundClassification.PROPER_COPULA_STRICT),
+        (-5e-324, BoundClassification.PROPER_COPULA_STRICT),
+        (math.nextafter(-0.5, 0.0), BoundClassification.PROPER_COPULA_STRICT),
+        (math.nextafter(-0.5, -1.0), BoundClassification.FRECHET_LOWER),
+        (math.nextafter(-1.0, 0.0), BoundClassification.FRECHET_LOWER),
     ],
 )
 def test_classify_lower(t, expected):
@@ -452,6 +475,9 @@ def test_classify_domain_error():
 def test_hyperbolic_set_examples():
     assert hyperbolic_set_contains(0.5, 0.5, 0.0)
     assert not hyperbolic_set_contains(0.1, 0.1, 0.0)
+    # The set is closed: at t = 1/2 it is the single point (1/2, 1/2), on
+    # the boundary exactly in floats.
+    assert hyperbolic_set_contains(0.5, 0.5, 0.5)
     p1, _ = hyperbolic_corner_points(-0.5)
     # the corner point satisfies the arc equation to rounding accuracy
     residual = (p1.u + p1.v) ** 2 + 2 * p1.u * p1.v - 6 * min(p1.u, p1.v) + 0.5

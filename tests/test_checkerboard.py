@@ -67,6 +67,8 @@ def test_margin_validation():
         Checkerboard(2, np.array([[0.6, 0.0], [0.0, 0.4]]))
     with pytest.raises(DomainError, match="negative"):
         Checkerboard(2, np.array([[0.6, -0.1], [-0.1, 0.6]]))
+    with pytest.raises(DomainError, match="NaN"):
+        Checkerboard(2, np.array([[np.nan, 0.5], [0.5, np.nan]]))
     with pytest.raises(DomainError, match="shape"):
         Checkerboard(3, np.zeros((2, 2)))
 
@@ -82,7 +84,7 @@ def test_gamma_coefficient_examples():
 def test_exact_gamma_matches_quadrature(n, seed):
     board = _sinkhorn_board(n, seed)
     exact = gamma_checkerboard_exact(board)
-    quad = gamma_quadrature(board.as_evaluator(), 4000)
+    quad = gamma_quadrature(board.cdf, 4000)
     assert exact == pytest.approx(quad, abs=1e-8)
 
 
@@ -95,7 +97,7 @@ def test_coefficients_shape_and_symmetry():
 
 def test_checkerboard_cdf_is_a_copula():
     board = _sinkhorn_board(6, seed=9)
-    rep = check_properties(LatticeFunction.from_evaluator(board.as_evaluator(), 120))
+    rep = check_properties(LatticeFunction.from_evaluator(board.cdf, 120))
     assert rep.is_copula
 
 
@@ -116,3 +118,12 @@ def test_json_validation(tmp_path):
     path.write_text(json.dumps({"n": 2, "mass": [0.6, 0.0, 0.0, 0.4]}))
     with pytest.raises(DomainError, match="margins"):
         Checkerboard.from_json(path)
+    for text, message in (
+        ('{"n": 2, "mass": [NaN, 0.0, 0.0, 0.5]}', "NaN"),
+        ('{"n": 2, "mass": [0.5, 0.0,', "malformed"),
+        ('{"n": 2, "mass": 5}', "fields n, mass"),
+        ('{"n": -1, "mass": [1.0]}', "order"),
+    ):
+        path.write_text(text)
+        with pytest.raises(DomainError, match=message):
+            Checkerboard.from_json(path)

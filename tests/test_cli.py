@@ -13,6 +13,7 @@ from gini_bounds import (
     lower_bound_values,
     upper_bound_values,
 )
+from gini_bounds import cli
 from gini_bounds.checkerboard import Checkerboard
 from gini_bounds.cli import _envelope_lattice, main
 from gini_bounds.lattice import lattice_nodes
@@ -66,10 +67,20 @@ def test_eval_domain_error_exit_2(capsys):
         ["regions", "--t", "5", "--n", "2"],
         ["regions", "--t", "0", "--n", "0"],
         ["regions", "--t", "0", "--n", "-3"],
+        ["gamma", "--copula", "pointbound", "0.5", "x", "0.2"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and "domain error" in err, argv
         assert out == "", argv
+
+
+def test_main_finds_the_handler_at_call_time(monkeypatch):
+    # A handler bound into the cached parser would miss a replaced cmd_*.
+    seen = []
+    monkeypatch.setattr(cli, "cmd_classify", lambda args: seen.append(args.t) or 0)
+    assert cli.main(["classify", "--t", "0.1"]) == 0
+    assert cli.main(["classify", "--t", "-0.2"]) == 0
+    assert seen == [0.1, -0.2]
 
 
 def test_usage_error_exit_2(capsys):
@@ -114,9 +125,16 @@ def test_gamma_checkerboard(capsys, tmp_path):
 
 def test_gamma_checkerboard_validates_margins(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"n": 2, "mass": [0.6, 0.0, 0.0, 0.4]}))
-    code, out, err = run(capsys, "gamma", "--copula", "checkerboard", str(path))
-    assert code == 2 and "margins" in err
+    for text, message in (
+        (json.dumps({"n": 2, "mass": [0.6, 0.0, 0.0, 0.4]}), "margins"),
+        ('{"n": 2, "mass": [NaN, 0.0, 0.0, 0.5]}', "NaN"),
+        ('{"n": 2, "mass": [0.5, 0.0,', "malformed"),
+        ('{"n": 2, "mass": 5}', "fields n, mass"),
+    ):
+        path.write_text(text)
+        code, out, err = run(capsys, "gamma", "--copula", "checkerboard", str(path))
+        assert code == 2 and "domain error" in err and message in err, text
+        assert out == "", text
 
 
 def test_check_copula_regime(capsys):

@@ -88,7 +88,7 @@ def test_argument_is_a_valid_checkerboard_copula():
     assert isinstance(board, Checkerboard)  # construction re-validates margins
     assert abs(gamma_checkerboard_exact(board) - (-0.25)) <= 1e-9
     rep = check_properties(
-        LatticeFunction.from_evaluator(board.as_evaluator(), 80), tol=1e-9
+        LatticeFunction.from_evaluator(board.cdf, 80), tol=1e-9
     )
     assert rep.is_copula
 

@@ -48,6 +48,17 @@ def test_statistic_in_range(s_ranks):
     assert -1.0 <= gamma_rank_statistic(sample) <= 1.0
 
 
+def test_csv_malformed_rows_name_the_line(tmp_path):
+    path = tmp_path / "ranks.csv"
+    for text, message in (
+        ("r,s\n1,2\n2\n", "line 3: not enough values"),
+        ("r,s\n1,x\n2,1\n", "line 2: invalid literal"),
+    ):
+        path.write_text(text)
+        with pytest.raises(DomainError, match=message):
+            RankSample.from_csv(path)
+
+
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "ranks.csv"
     sample = RankSample(((2, 1), (1, 3), (3, 2)))
