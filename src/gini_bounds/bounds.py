@@ -21,6 +21,7 @@ The lower envelope is the reflection v - upper(1-u, v, -t).
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Optional
@@ -170,8 +171,8 @@ def _live_candidates(t: float) -> tuple[int, ...]:
 
 
 def _check_index(i: int, kind: str) -> None:
-    if i not in (1, 2, 3, 4, 5):
-        raise DomainError(f"{kind} index {i} not in 1..5")
+    if not (isinstance(i, numbers.Integral) and 1 <= i <= 5):
+        raise DomainError(f"{kind} index {i} is not an integer in 1..5")
 
 
 def theta_candidate(i: int, u: float, v: float, t: float) -> Optional[float]:
@@ -260,14 +261,8 @@ def upper_bound(u: float, v: float, t: float) -> ThetaReport:
         float(th) if bool(ex) else None for th, ex in zip(thetas, exists)
     )
     active_out = tuple(bool(a) for a in active)
-    if any(active_out):
-        inner: Optional[float] = max(
-            float(th) for th, act in zip(thetas, active_out) if act
-        )
-        raw = min(u, v, inner)
-    else:
-        inner = None
-        raw = min(u, v)
+    inner = max((float(th) for th, act in zip(thetas, active_out) if act), default=None)
+    raw = min(u, v) if inner is None else min(u, v, inner)
     # The clamp into [W, M] = [max(0, u + v - 1), m] in builtins: numpy's
     # evaluators cost about 1 us a call on scalars, several times this.
     bound = min(max(raw, 0.0, u + v - 1.0), m)
@@ -283,11 +278,16 @@ def upper_bound(u: float, v: float, t: float) -> ThetaReport:
     )
 
 
+def _reflected_upper_bound(u: float, v: float, t: float) -> ThetaReport:
+    """upper_bound's record at (1-u, v, -t); v minus its bound is the lower envelope."""
+    # Checked before reflecting: 1 - u rounds u = -1e-20 into the square.
+    UnitPoint(u, v)
+    return upper_bound(1.0 - u, v, -check_t(t))
+
+
 def lower_bound(u: float, v: float, t: float) -> float:
     """Lower envelope at one point: v - upper(1-u, v, -t)."""
-    UnitPoint(u, v)
-    t = check_t(t)
-    return float(v - upper_bound(1.0 - u, v, -t).bound)
+    return float(v - _reflected_upper_bound(u, v, t).bound)
 
 
 def classify_upper(t: float) -> BoundClassification:
@@ -389,25 +389,22 @@ def lens_density_floor(t: float) -> tuple[float, tuple[float, float]]:
 def witness_copula(u: float, v: float, t: float) -> Callable:
     """A copula attaining the upper envelope at (u, v) with gamma equal to t.
 
-    Returns the lower point-bound copula pinned at the envelope value when
-    that already has gamma t; otherwise blends the upper Frechet bound with
-    the point-bound copula pinned at min(u, v) (gamma is affine under
-    mixtures, so the blend weight is solved exactly).  Post-conditions are
-    verified at run time by quadrature.
+    Blends the upper Frechet bound into the lower point-bound copula pinned
+    at the envelope value; gamma is affine under mixtures, so the weight is
+    solved exactly.  Where a candidate binds, the pinned copula has gamma t
+    and the weight is 0 up to rounding; where none binds, the pin is
+    min(u, v), which the blend keeps.  Post-conditions are verified at run
+    time by quadrature.
     """
     report = upper_bound(u, v, t)
     t = report.t
     pinned = PointBoundSpec(u, v, report.bound)
-    if abs(lower_point_bound_gamma(pinned).value - t) <= 1e-9:
-        witness = point_bound_lower(pinned)
-    else:
-        base_spec = PointBoundSpec(u, v, min(u, v))
-        gamma0 = lower_point_bound_gamma(base_spec).value
-        alpha = min(max((t - gamma0) / (1.0 - gamma0), 0.0), 1.0)
-        base = point_bound_lower(base_spec)
+    gamma0 = lower_point_bound_gamma(pinned).value
+    alpha = min(max((t - gamma0) / (1.0 - gamma0), 0.0), 1.0)
+    base = point_bound_lower(pinned)
 
-        def witness(uu, vv, _alpha=alpha, _base=base):
-            return _alpha * frechet_upper(uu, vv) + (1.0 - _alpha) * _base(uu, vv)
+    def witness(uu, vv):
+        return alpha * frechet_upper(uu, vv) + (1.0 - alpha) * base(uu, vv)
 
     gamma_hat = gamma_quadrature(witness, 4000)
     value = float(witness(u, v))

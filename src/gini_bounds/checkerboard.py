@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_points
+from .core import _check_order, _check_points
 from .errors import DomainError
 
 MARGIN_TOL = 1e-12
@@ -36,8 +36,7 @@ class Checkerboard:
     mass: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"checkerboard order must be >= 1, got {self.n}")
+        _check_order(self.n, "checkerboard order")
         mass = np.asarray(self.mass, dtype=float)
         if mass.shape != (self.n, self.n):
             raise DomainError(
@@ -78,16 +77,16 @@ class Checkerboard:
             except ValueError as exc:
                 raise DomainError(f"malformed checkerboard JSON: {exc}") from None
         try:
-            n = int(payload["n"])
+            n = payload["n"]
             flat = [float(x) for x in payload["mass"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"checkerboard JSON must have fields n, mass: {exc}") from None
+        _check_order(n, "checkerboard order")
         if len(flat) != n * n:
             raise DomainError(
                 f"mass array has {len(flat)} entries, expected n^2 = {n * n}"
             )
-        # An order below 1 cannot be reshaped; the constructor rejects it.
-        return cls(n, np.reshape(flat, (n, n)) if n >= 1 else flat)
+        return cls(n, np.reshape(flat, (n, n)))
 
 
 def _ramp_products(n: int) -> np.ndarray:
@@ -111,8 +110,7 @@ def gamma_coefficients(n: int) -> np.ndarray:
     ramp_j(1-u) = 1 - ramp_{n-1-j}(u), both reduce to the same exact
     per-cell integrals.
     """
-    if n < 1:
-        raise DomainError(f"order must be >= 1, got {n}")
+    _check_order(n, "order")
     d = _ramp_products(n)
     idx = np.arange(n, dtype=float)
     ramp_mean = 1.0 - (2.0 * idx + 1.0) / (2.0 * n)  # integral of ramp_i

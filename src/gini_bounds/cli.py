@@ -21,6 +21,8 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    BoundClassification,
+    _reflected_upper_bound,
     classify_lower,
     classify_upper,
     lens_density_floor,
@@ -31,15 +33,7 @@ from .bounds import (
     upper_bound_values,
 )
 from .checkerboard import Checkerboard, gamma_checkerboard_exact
-from .core import (
-    PointBoundSpec,
-    UnitPoint,
-    check_t,
-    frechet_lower,
-    frechet_upper,
-    point_bound_lower,
-    product,
-)
+from .core import PointBoundSpec, frechet_lower, frechet_upper, point_bound_lower, product
 from .errors import DomainError, InternalError
 from .lattice import LatticeFunction, check_properties, lattice_nodes, write_node_csv
 from .oracle import lp_extreme
@@ -82,12 +76,9 @@ def cmd_eval(args) -> int:
     if args.side == "upper":
         payload = asdict(upper_bound(u, v, t))
     else:
-        # Checked before reflecting: 1 - u rounds u = -1e-20 into the square.
-        UnitPoint(u, v)
-        check_t(t)
         # Candidate bookkeeping describes the reflected upper evaluation at
         # (1-u, v, -t); the bound field is the lower value v - upper at (u, v).
-        report = upper_bound(1.0 - u, v, -t)
+        report = _reflected_upper_bound(u, v, t)
         payload = asdict(report)
         payload.update(
             {"u": u, "v": v, "t": t, "bound": v - report.bound,
@@ -207,7 +198,6 @@ def cmd_check(args) -> int:
     t, n = args.t, args.grid
     cls_up = classify_upper(t)
     cls_lo = classify_lower(t)
-    copula_classes = ("FrechetLower", "ProperCopulaStrict", "FrechetUpper")
 
     upper, lower = (_envelope_lattice(side, t, n) for side in ("upper", "lower"))
     rep_up = check_properties(upper, tol=_CHECK_TOL)
@@ -233,9 +223,9 @@ def cmd_check(args) -> int:
         "upper_quasicopula": rep_up.is_quasicopula,
         "lower_quasicopula": rep_lo.is_quasicopula,
         "upper_copula_matches_classification": rep_up.is_copula
-        == (cls_up.value in copula_classes),
+        == (cls_up is not BoundClassification.PROPER_QUASI_COPULA),
         "lower_copula_matches_classification": rep_lo.is_copula
-        == (cls_lo.value in copula_classes),
+        == (cls_lo is not BoundClassification.PROPER_QUASI_COPULA),
         "reflection_identity": reflection_err <= 1e-12,
         "sandwich": sandwich_err <= 1e-12,
     }
@@ -305,15 +295,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # The gamma target, shared by every subcommand but gamma.
+    with_t = argparse.ArgumentParser(add_help=False)
+    with_t.add_argument("--t", type=float, required=True)
 
-    p = sub.add_parser("eval", help="evaluate one bound at a point")
-    p.add_argument("--t", type=float, required=True)
+    p = sub.add_parser("eval", parents=[with_t], help="evaluate one bound at a point")
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
     p.add_argument("--side", choices=["upper", "lower"], default="upper")
 
-    p = sub.add_parser("grid", help="emit a bound on a uniform lattice")
-    p.add_argument("--t", type=float, required=True)
+    p = sub.add_parser("grid", parents=[with_t], help="emit a bound on a uniform lattice")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--side", choices=["upper", "lower"], default="upper")
     p.add_argument("--out", default=None)
@@ -327,21 +318,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pi | w | m | pointbound A B THETA | checkerboard FILE",
     )
 
-    p = sub.add_parser("classify", help="classify both envelopes at t")
-    p.add_argument("--t", type=float, required=True)
+    sub.add_parser("classify", parents=[with_t], help="classify both envelopes at t")
 
-    p = sub.add_parser("check", help="run the invariant suite for one t")
-    p.add_argument("--t", type=float, required=True)
+    p = sub.add_parser("check", parents=[with_t], help="run the invariant suite for one t")
     p.add_argument("--grid", type=int, default=400)
 
-    p = sub.add_parser("oracle", help="LP certification at a point")
-    p.add_argument("--t", type=float, required=True)
+    p = sub.add_parser("oracle", parents=[with_t], help="LP certification at a point")
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
 
-    p = sub.add_parser("regions", help="emit the region-membership atlas")
-    p.add_argument("--t", type=float, required=True)
+    p = sub.add_parser("regions", parents=[with_t], help="emit the region-membership atlas")
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--out", default=None)
 

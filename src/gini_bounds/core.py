@@ -7,6 +7,7 @@ and are safe for concurrent use.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,6 +52,14 @@ def check_t(t: float) -> float:
     return t
 
 
+def _check_order(n: int, kind: str, least: int = 1) -> None:
+    """DomainError unless the order n is an integer (Python or numpy) >= least."""
+    if not isinstance(n, numbers.Integral):
+        raise DomainError(f"{kind} must be an integer, got {n}")
+    if n < least:
+        raise DomainError(f"{kind} must be >= {least}, got {n}")
+
+
 @dataclass(frozen=True)
 class PointBoundSpec:
     """Prescription "the copula takes value theta at (a, b)".
@@ -72,12 +81,13 @@ class PointBoundSpec:
         UnitPoint(self.a, self.b)
         lo = max(0.0, self.a + self.b - 1.0)
         hi = min(self.a, self.b)
-        if self.theta < lo - self._ROUNDING:
+        # Negated so that a NaN theta fails them.
+        if not self.theta >= lo - self._ROUNDING:
             raise DomainError(
                 f"theta={self.theta} violates the lower Frechet inequality "
                 f"theta >= max(0, a+b-1) = {lo} at (a, b)=({self.a}, {self.b})"
             )
-        if self.theta > hi + self._ROUNDING:
+        if not self.theta <= hi + self._ROUNDING:
             raise DomainError(
                 f"theta={self.theta} violates the upper Frechet inequality "
                 f"theta <= min(a, b) = {hi} at (a, b)=({self.a}, {self.b})"

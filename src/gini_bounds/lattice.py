@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Evaluator
+from .core import Evaluator, _check_order
 from .errors import DomainError
 
 # 12 significant digits: below verdict tolerances, above float noise.
@@ -26,8 +26,7 @@ _CSV_FORMAT = "{:.11e}"
 
 def lattice_nodes(n: int) -> np.ndarray:
     """Nodes i/n, i = 0..n, of the order-n uniform lattice (n >= 1)."""
-    if n < 1:
-        raise DomainError(f"lattice order must be >= 1, got {n}")
+    _check_order(n, "lattice order")
     return np.arange(n + 1, dtype=float) / n
 
 

@@ -25,7 +25,7 @@ from .checkerboard import (
     gamma_checkerboard_exact,
     gamma_coefficients,
 )
-from .core import UnitPoint, check_t
+from .core import UnitPoint, _check_order, check_t
 from .errors import DomainError, InternalError
 
 _GAMMA_RESIDUAL_TOL = 1e-9
@@ -117,8 +117,7 @@ def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcom
     Infeasibility (t unreachable at order n) is a legitimate outcome and is
     reported through ``status``; small orders cannot reach gamma near +-1.
     """
-    if n < 2:
-        raise DomainError(f"oracle order must be >= 2, got {n}")
+    _check_order(n, "oracle order", least=2)
     if direction not in ("min", "max"):
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
     UnitPoint(u, v)

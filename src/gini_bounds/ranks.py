@@ -16,7 +16,11 @@ class RankSample:
     ranks: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple((int(r), int(s)) for r, s in self.ranks))
+        ranks = tuple((int(r), int(s)) for r, s in self.ranks)
+        fractional = [tuple(p) for p, whole in zip(self.ranks, ranks) if tuple(p) != whole]
+        if fractional:
+            raise DomainError(f"ranks must be integers, got {fractional[0]}")
+        object.__setattr__(self, "ranks", ranks)
         n = len(self.ranks)
         if n < 2:
             raise DomainError(

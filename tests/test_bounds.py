@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from gini_bounds import (
     BoundClassification,
     DomainError,
+    InternalError,
     classify_lower,
     classify_upper,
     frechet_lower,
@@ -62,6 +63,10 @@ def test_theta_index_validation():
         theta_candidate(0, 0.5, 0.5, 0.0)
     with pytest.raises(DomainError):
         theta_candidate(6, 0.5, 0.5, 0.0)
+    with pytest.raises(DomainError, match="integer"):
+        theta_candidate(2.0, 0.5, 0.5, 0.0)
+    with pytest.raises(DomainError, match="integer"):
+        region_contains(2.5, 0.5, 0.5, 0.0)
 
 
 # --- regions ------------------------------------------------------------
@@ -97,6 +102,8 @@ def test_region_masks_agree_with_region_contains_and_validate():
 def test_region_nonempty_requires_enough_samples():
     with pytest.raises(DomainError):
         region_nonempty(1, -0.8, samples=100)
+    with pytest.raises(DomainError, match="integer"):
+        region_nonempty(2.0, -0.8)
 
 
 # --- candidate pruning --------------------------------------------------
@@ -537,11 +544,29 @@ def test_witness_examples():
     assert gamma_quadrature(w, 4000) == pytest.approx(0.0, abs=1e-6)
 
 
+# One point inside each of regions 1..5, where only that candidate binds.
+REGION_POINTS = (
+    (0.1, 0.6, -0.9), (0.1, 0.55, -0.9), (0.05, 0.1, -0.9), (0.45, 0.6, -0.9), (0.05, 0.05, -0.9)
+)
+# Coordinates 0 and 1, and t at -1, 1 and 1/2 +- 1 ulp.
+WITNESS_EDGE_POINTS = [
+    (u, v, t)
+    for u, v in ((0.0, 0.3), (0.3, 0.0), (1.0, 0.3), (0.3, 1.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5))
+    for t in (-1.0, 1.0, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0))
+]
+
+
 def test_witness_random_points():
+    for i, (u, v, t) in enumerate(REGION_POINTS, start=1):
+        assert upper_bound(u, v, t).active == tuple(k == i for k in range(1, 6))
     rng = np.random.default_rng(23)
-    for _ in range(20):
-        u, v = rng.random(2)
-        t = rng.uniform(-1.0, 1.0)
+    points = [(*rng.random(2), rng.uniform(-1.0, 1.0)) for _ in range(20)]
+    for u, v, t in points + list(REGION_POINTS) + WITNESS_EDGE_POINTS:
         w = witness_copula(u, v, t)
-        assert abs(gamma_quadrature(w, 4000) - t) <= 1e-6
-        assert abs(float(w(u, v)) - upper_bound(u, v, t).bound) <= 1e-9
+        assert abs(gamma_quadrature(w, 4000) - t) <= 1e-6, (u, v, t)
+        assert abs(float(w(u, v)) - upper_bound(u, v, t).bound) <= 1e-9, (u, v, t)
+
+
+@pytest.mark.xfail(strict=True, raises=InternalError, reason=_CENTRE_FALLBACK)
+def test_witness_near_the_centre_at_minus_one():
+    witness_copula(0.5000006, 0.5000006, -1.0)

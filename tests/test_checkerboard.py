@@ -71,6 +71,10 @@ def test_margin_validation():
         Checkerboard(2, np.array([[np.nan, 0.5], [0.5, np.nan]]))
     with pytest.raises(DomainError, match="shape"):
         Checkerboard(3, np.zeros((2, 2)))
+    with pytest.raises(DomainError, match="integer"):
+        Checkerboard(2.0, np.full((2, 2), 0.25))
+    with pytest.raises(DomainError, match="integer"):
+        gamma_coefficients(2.5)
 
 
 def test_gamma_coefficient_examples():
@@ -123,6 +127,7 @@ def test_json_validation(tmp_path):
         ('{"n": 2, "mass": [0.5, 0.0,', "malformed"),
         ('{"n": 2, "mass": 5}', "fields n, mass"),
         ('{"n": -1, "mass": [1.0]}', "order"),
+        ('{"n": 2.5, "mass": [0.5, 0.0, 0.0, 0.5]}', "integer"),
     ):
         path.write_text(text)
         with pytest.raises(DomainError, match=message):

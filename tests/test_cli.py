@@ -68,6 +68,7 @@ def test_eval_domain_error_exit_2(capsys):
         ["regions", "--t", "0", "--n", "0"],
         ["regions", "--t", "0", "--n", "-3"],
         ["gamma", "--copula", "pointbound", "0.5", "x", "0.2"],
+        ["gamma", "--copula", "pointbound", "0.3", "0.3", "nan"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and "domain error" in err, argv

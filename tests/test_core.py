@@ -58,6 +58,8 @@ def test_point_bound_spec_rejects_inadmissible_theta():
         PointBoundSpec(0.7, 0.8, 0.3)  # below W(0.7, 0.8) = 0.5
     with pytest.raises(DomainError, match="upper Frechet"):
         PointBoundSpec(0.3, 0.3, 0.4)  # above M = 0.3
+    with pytest.raises(DomainError, match="theta=nan"):
+        PointBoundSpec(0.3, 0.3, float("nan"))
 
 
 def test_point_bound_lower_examples():

@@ -14,7 +14,7 @@ from gini_bounds import (
     product,
     upper_bound_values,
 )
-from gini_bounds.lattice import write_node_csv
+from gini_bounds.lattice import lattice_nodes, write_node_csv
 
 
 def test_sampled_frechet_upper_is_copula():
@@ -84,6 +84,8 @@ def test_lattice_shape_validation():
         LatticeFunction(4, np.zeros((4, 4)))
     with pytest.raises(DomainError):
         LatticeFunction(0, np.zeros((1, 1)))
+    with pytest.raises(DomainError, match="integer"):
+        lattice_nodes(2.5)
 
 
 def test_csv_round_trip_preserves_verdicts(tmp_path):

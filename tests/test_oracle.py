@@ -50,6 +50,10 @@ def test_input_validation():
         lp_extreme(4, 1.5, 0.5, 0.0, "max")
     with pytest.raises(DomainError):
         lp_extreme(4, 0.5, 0.5, 3.0, "max")
+    with pytest.raises(DomainError, match="integer"):
+        lp_extreme(2.5, 0.5, 0.5, 0.0, "max")
+    with pytest.raises(DomainError, match="integer"):
+        gamma_feasible_range(2.5)
 
 
 def test_soundness_against_closed_form():

@@ -30,6 +30,8 @@ def test_malformed_ranks_reported():
         RankSample(((1, 2), (2, 2)))
     with pytest.raises(DomainError, match="at least 2"):
         RankSample(((1, 1),))
+    with pytest.raises(DomainError, match="integers"):
+        RankSample(((1.5, 1), (2, 2)))
 
 
 @given(st.permutations(list(range(1, 13))), st.permutations(list(range(12))))
