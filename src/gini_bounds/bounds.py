@@ -21,6 +21,7 @@ The lower envelope is the reflection v - upper(1-u, v, -t).
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from dataclasses import dataclass
 from functools import reduce
@@ -108,59 +109,67 @@ _REFLECTED_CLASS = {
 
 def _lens_radicand(x, m, t):
     """The fifth candidate's radicand; mixed_partial_density's denominator is its 3/2 power."""
-    return 3.0 * (5.0 * x**2 + 5.0 * m**2 - 6.0 * x - 6.0 * m + 2.0 * (x * m) + (2.0 * t + 5.0))
+    return 3.0 * (
+        5.0 * (x * x) + 5.0 * (m * m) - 6.0 * x - 6.0 * m + 2.0 * (x * m) + (2.0 * t + 5.0)
+    )
 
 
-def _candidates(x, m, t, live=_ALL_CANDIDATES):
-    """Values and existence masks of the candidates in ``live``.
+def _form(i, x, m, s, t):
+    """(radicand, offset, denominator) of candidate i + 1 at (x, m), s = x + m.
 
-    ``live`` lists candidate indices 0..4 in increasing order, and the
-    results follow it; a value is garbage where its candidate is absent.
-    Candidate i is (offset + sqrt(radicand)) / denominator, the largest root
-    of gamma branch i + 1 at (x, m).
+    The one table of the candidates: candidate i + 1 is
+    (offset + sqrt(radicand)) / denominator, the largest root of gamma
+    branch i + 1, and exists where the radicand is nonnegative.  Works on
+    floats and elementwise on arrays.
     """
     # The constant-plus-t groups are parenthesized so that they are exact at
     # the distinguished targets (t+1 = 0 at t = -1, and so on); this keeps
-    # the candidates bit-exact where the envelope degenerates to W.
-    s = x + m
-    pr = x * m
-
-    def forms():  # (radicand, offset, denominator), one candidate at a time
-        if 0 in live:
-            yield (s - 1.0) ** 2 + (t + 1.0), s - 1.0, 2.0
-        if 1 in live:
-            yield s**2 + 4.0 * (1.0 - x) * (1.0 - m) + 2.0 * t, 3.0 * x + m - 2.0, 4.0
-        if 2 in live:
-            yield (
-                16.0 * x**2 + 4.0 * m**2 - 24.0 * x - 12.0 * m + 16.0 * pr + (7.0 * t + 16.0),
-                4.0 * x + 2.0 * m - 3.0,
-                7.0,
-            )
-        if 3 in live:
-            yield (
-                4.0 * x**2 + 16.0 * m**2 - 12.0 * x - 24.0 * m + 16.0 * pr + (7.0 * t + 16.0),
-                5.0 * x + 3.0 * m - 4.0,
-                7.0,
-            )
-        if 4 in live:
-            yield _lens_radicand(x, m, t), 3.0 * (s - 1.0), 6.0
-
-    thetas, exists = [], []
-    for rad, offset, den in forms():
-        exists.append(rad >= 0.0)
-        thetas.append((offset + np.sqrt(np.maximum(rad, 0.0))) / den)
-    return tuple(thetas), tuple(exists)
+    # the candidates bit-exact where the envelope degenerates to W.  Squares
+    # are products: on a float, ** calls libm pow, which can round an ulp away
+    # from x * x (numpy's square on arrays), and the scalar record would then
+    # differ from the array kernel.
+    if i == 0:
+        return (s - 1.0) * (s - 1.0) + (t + 1.0), s - 1.0, 2.0
+    if i == 1:
+        return s * s + 4.0 * (1.0 - x) * (1.0 - m) + 2.0 * t, 3.0 * x + m - 2.0, 4.0
+    if i == 2:
+        return (
+            16.0 * (x * x) + 4.0 * (m * m) - 24.0 * x - 12.0 * m + 16.0 * (x * m)
+            + (7.0 * t + 16.0),
+            4.0 * x + 2.0 * m - 3.0,
+            7.0,
+        )
+    if i == 3:
+        return (
+            4.0 * (x * x) + 16.0 * (m * m) - 12.0 * x - 24.0 * m + 16.0 * (x * m)
+            + (7.0 * t + 16.0),
+            5.0 * x + 3.0 * m - 4.0,
+            7.0,
+        )
+    return _lens_radicand(x, m, t), 3.0 * (s - 1.0), 6.0
 
 
 def _active_masks(x, m, t, live=_ALL_CANDIDATES):
-    """Values, existence and activity masks of the candidates in ``live``."""
-    thetas, exists = _candidates(x, m, t, live)
+    """Values and activity masks of the candidates in ``live``, on arrays.
+
+    ``live`` lists candidate indices 0..4 in increasing order, and the
+    results follow it; a value is garbage where its candidate is absent.
+    """
+    s = x + m
     ceiling = m + ACTIVATION_EPS
-    active = tuple(
-        ex & (th <= ceiling) & branch_condition(i + 1, x, m, th, ACTIVATION_EPS)
-        for i, th, ex in zip(live, thetas, exists)
-    )
-    return thetas, exists, active
+    thetas, active = [], []
+    for i in live:
+        rad, offset, den = _form(i, x, m, s, t)
+        exists = rad >= 0.0
+        th = (offset + np.sqrt(np.maximum(rad, 0.0))) / den
+        # Freed before the masks: numpy then reuses their memory, and a 401^2
+        # region_masks call ran about 20% slower with them alive.
+        del rad, offset
+        thetas.append(th)
+        active.append(
+            exists & (th <= ceiling) & branch_condition(i + 1, x, m, th, ACTIVATION_EPS)
+        )
+    return thetas, active
 
 
 def _live_candidates(t: float) -> tuple[int, ...]:
@@ -202,8 +211,7 @@ def region_masks(u, v, t) -> tuple:
     """Membership masks of regions 1..5 at the points (u, v); u, v may be arrays."""
     t = check_t(t)
     u, v = _check_points(u, v)
-    _, _, active = _active_masks(np.maximum(u, v), np.minimum(u, v), t)
-    return active
+    return tuple(_active_masks(np.maximum(u, v), np.minimum(u, v), t)[1])
 
 
 def _upper_values(u, v, t):
@@ -226,7 +234,7 @@ def _upper_block(u, v, t, live):
     """The upper envelope on one block of 1-D points, over the candidates in live."""
     x, m = np.maximum(u, v), np.minimum(u, v)
     if live:
-        thetas, _, active = _active_masks(x, m, t, live)
+        thetas, active = _active_masks(x, m, t, live)
         inner = reduce(
             np.maximum, (np.where(act, th, -np.inf) for th, act in zip(thetas, active))
         )
@@ -252,26 +260,41 @@ def lower_bound_values(u, v, t):
 
 
 def upper_bound(u: float, v: float, t: float) -> ThetaReport:
-    """Upper envelope at one point, with the full candidate/region record."""
+    """Upper envelope at one point, with the full candidate/region record.
+
+    A plain-float walk over the candidate table: numpy's functions cost
+    about 1 us a call on scalars, several times the arithmetic here.
+    """
     UnitPoint(u, v)
+    # Coerced once: int, bool or numpy inputs leave only builtin floats and
+    # bools in the record.
+    u, v = float(u), float(v)
     t = check_t(t)
     x, m = max(u, v), min(u, v)
-    thetas, exists, active = _active_masks(x, m, t)
-    theta_out = tuple(
-        float(th) if bool(ex) else None for th, ex in zip(thetas, exists)
-    )
-    active_out = tuple(bool(a) for a in active)
-    inner = max((float(th) for th, act in zip(thetas, active_out) if act), default=None)
-    raw = min(u, v) if inner is None else min(u, v, inner)
-    # The clamp into [W, M] = [max(0, u + v - 1), m] in builtins: numpy's
-    # evaluators cost about 1 us a call on scalars, several times this.
+    s = x + m
+    ceiling = m + ACTIVATION_EPS
+    thetas, active = [], []
+    inner = None
+    for i in _ALL_CANDIDATES:
+        rad, offset, den = _form(i, x, m, s, t)
+        if rad >= 0.0:
+            th = (offset + math.sqrt(rad)) / den
+            act = th <= ceiling and branch_condition(i + 1, x, m, th, ACTIVATION_EPS)
+            if act and (inner is None or th > inner):
+                inner = th
+        else:
+            th, act = None, False
+        thetas.append(th)
+        active.append(act)
+    raw = m if inner is None else min(m, inner)
+    # The clamp into [W, M] = [max(0, u + v - 1), m].
     bound = min(max(raw, 0.0, u + v - 1.0), m)
     return ThetaReport(
-        u=float(u),
-        v=float(v),
+        u=u,
+        v=v,
         t=t,
-        theta=theta_out,
-        active=active_out,
+        theta=tuple(thetas),
+        active=tuple(active),
         inner_max=inner,
         bound=bound,
         clamped=abs(bound - raw) > CLAMP_ALARM,

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import PointBoundSpec
 from .errors import InternalError
 
@@ -78,22 +76,24 @@ def branch_value(branch: int, x: float, m: float, theta: float) -> float:
 def branch_condition(branch: int, x, m, theta, eps: float = 0.0):
     """Whether the stated condition of ``branch`` holds at (x, m, theta).
 
-    The one statement of the five branch conditions.  Works elementwise on
-    arrays; ``eps`` widens every comparison by that much (the envelope's
-    activation tolerance).
+    The one statement of the five branch conditions.  Each is a conjunction
+    of plain comparisons (max(a, b) <= c as a <= c and b <= c, and likewise
+    for min), so it works on floats, giving a bool without a numpy call, and
+    elementwise on arrays, giving a mask.  ``eps`` widens every comparison
+    by that much (the envelope's activation tolerance).
     """
     half = (1.0 + theta) / 2.0
     shifted = m + theta
     if branch == 1:
         return 0.5 + theta <= x + eps
     if branch == 2:
-        return (np.maximum(shifted, half) <= x + eps) & (x <= 0.5 + theta + eps)
+        return (shifted <= x + eps) & (half <= x + eps) & (x <= 0.5 + theta + eps)
     if branch == 3:
         return (shifted <= x + eps) & (x <= half + eps)
     if branch == 4:
         return (half <= x + eps) & (x <= shifted + eps)
     if branch == 5:
-        return x <= np.minimum(shifted, half) + eps
+        return (x <= shifted + eps) & (x <= half + eps)
     raise InternalError(f"branch index {branch} not in 1..5")
 
 

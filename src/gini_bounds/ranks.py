@@ -16,7 +16,10 @@ class RankSample:
     ranks: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        ranks = tuple((int(r), int(s)) for r, s in self.ranks)
+        try:
+            ranks = tuple((int(r), int(s)) for r, s in self.ranks)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"ranks must be pairs of integers: {exc}") from None
         fractional = [tuple(p) for p, whole in zip(self.ranks, ranks) if tuple(p) != whole]
         if fractional:
             raise DomainError(f"ranks must be integers, got {fractional[0]}")

@@ -132,7 +132,7 @@ def _patch(px, pm, side=801):
 def _five_candidate_upper(u, v, t):
     # The envelope reduced over all five candidates, none pruned.
     x, m = np.maximum(u, v), np.minimum(u, v)
-    thetas, _, active = _active_masks(x, m, t)
+    thetas, active = _active_masks(x, m, t)
     inner = np.max([np.where(act, th, -np.inf) for th, act in zip(thetas, active)], axis=0)
     raw = np.where(inner > -np.inf, np.minimum(m, inner), m)
     return np.minimum(np.maximum(raw, frechet_lower(u, v)), frechet_upper(u, v))
@@ -143,8 +143,8 @@ def test_activation_tolerance_outlives_each_threshold_by_less_than_1e_12():
     # threshold; the pruning margin of 1e-9 must cover that sliver.
     for i, (thr, (px, pm)) in enumerate(zip(REGION_EMPTY_ABOVE, VANISHING_POINTS)):
         x, m = _patch(px, pm)
-        assert np.any(_active_masks(x, m, thr + 1e-13)[2][i]), i + 1
-        assert not np.any(_active_masks(x, m, thr + 1e-12)[2][i]), i + 1
+        assert np.any(_active_masks(x, m, thr + 1e-13)[1][i]), i + 1
+        assert not np.any(_active_masks(x, m, thr + 1e-12)[1][i]), i + 1
 
 
 # (x, m) drawn at a vanishing point, or anywhere in the square.
@@ -173,7 +173,7 @@ def test_pruned_candidates_are_inactive(point, thr, above):
     live = _live_candidates(t)
     assume(len(live) < 5)
     x, m = max(point), min(point)
-    _, _, active = _active_masks(x, m, t)
+    _, active = _active_masks(x, m, t)
     for i in range(5):
         if i not in live:
             assert not active[i], (i + 1, x, m, t)
@@ -343,6 +343,61 @@ def test_report_structure_invariants():
         "u", "v", "t", "theta", "active", "inner_max", "bound", "clamped",
     }
     assert len(payload["theta"]) == 5 and len(payload["active"]) == 5
+
+
+@pytest.mark.parametrize("u, v, t", [
+    (1, 0, 0.2), (1, 1, 1), (0, 1, -1), (0.3, 0.6, -0.5), (True, False, 0),
+    (np.float64(0.3), np.float64(0.6), np.float64(-0.5)),
+    (np.float64(0.5), np.int64(1), np.float64(0.0)), (np.float64(0.5), 0.5, -0.9),
+])
+def test_report_fields_are_builtin_types(u, v, t):
+    rep = upper_bound(u, v, t)
+    assert rep == upper_bound(float(u), float(v), float(t))
+    for value in (rep.u, rep.v, rep.t, rep.bound):
+        assert type(value) is float
+    assert rep.inner_max is None or type(rep.inner_max) is float
+    assert all(th is None or type(th) is float for th in rep.theta)
+    assert all(type(a) is bool for a in rep.active) and type(rep.clamped) is bool
+    assert type(lower_bound(u, v, t)) is float
+
+
+# Points where the float ** (libm pow) once made the scalar record differ
+# from the array kernel (numpy square) by an ulp.
+_POW_SEAMS = (
+    (0.36639841635049675, 0.6216910509238025, -0.9203030449981966),
+    (0.4433618484227769, 0.6668284346316591, 0.44868337602395125),
+)
+
+
+def _bits(values):
+    # The float64 bit patterns, so that 0.0 and -0.0 differ.
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _assert_scalar_records_bit_equal_arrays(points, t):
+    u, v = np.array(points).T
+    reports = [upper_bound(a, b, t) for a, b in points]
+    upper = [r.bound for r in reports]
+    assert np.array_equal(_bits(upper), _bits(upper_bound_values(u, v, t))), t
+    lower = [lower_bound(a, b, t) for a, b in points]
+    assert np.array_equal(_bits(lower), _bits(lower_bound_values(u, v, t))), t
+    masks = np.array(region_masks(u, v, t)).T
+    assert np.array_equal(np.array([r.active for r in reports]), masks), t
+
+
+@pytest.mark.parametrize("t0", [-1.0, -0.75, -4.0 / 9.0, -0.5, -4.0 / 13.0, 0.0, 0.5, 1.0])
+def test_scalar_record_bit_equals_the_array_kernel(t0):
+    rng = np.random.default_rng(11)
+    edges = (0.0, 1e-12, 0.25, 1 / 3, 0.5, 0.5 + 6e-7, 2 / 3, 0.75, 1.0 - 1e-12, 1.0)
+    points = [(a, b) for a in edges for b in edges] + list(VANISHING_POINTS)
+    points += [tuple(p) for p in rng.random((150, 2)).tolist()]
+    for t in _ulp_neighbours(t0) + ([-0.0] if t0 == 0.0 else []):
+        _assert_scalar_records_bit_equal_arrays(points, t)
+
+
+def test_scalar_record_bit_equals_the_array_kernel_where_pow_differed():
+    for u, v, t in _POW_SEAMS:
+        _assert_scalar_records_bit_equal_arrays([(u, v)], t)
 
 
 def test_endpoint_identities_small_lattice():

@@ -32,6 +32,10 @@ def test_malformed_ranks_reported():
         RankSample(((1, 1),))
     with pytest.raises(DomainError, match="integers"):
         RankSample(((1.5, 1), (2, 2)))
+    with pytest.raises(DomainError, match="pairs of integers"):
+        RankSample(((float("nan"), 1), (2, 2)))
+    with pytest.raises(DomainError, match="pairs of integers"):
+        RankSample(((1, 1, 1), (2, 2)))
 
 
 @given(st.permutations(list(range(1, 13))), st.permutations(list(range(12))))
