@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Evaluator
+from .core import Evaluator, _check_order
 from .errors import DomainError
 
 
@@ -22,8 +22,9 @@ def gamma_quadrature(f: Evaluator, panels: int) -> float:
 
     ``panels`` must be even and at least 2.  f must accept numpy arrays.
     """
-    if panels < 2 or panels % 2 != 0:
-        raise DomainError(f"panels must be an even integer >= 2, got {panels}")
+    _check_order(panels, "panels", least=2)
+    if panels % 2 != 0:
+        raise DomainError(f"panels must be even, got {panels}")
     u = np.arange(panels + 1, dtype=float) / panels
     weights = np.ones(panels + 1)
     weights[1:-1:2] = 4.0

@@ -1,7 +1,7 @@
 """The assignment solver and the LP oracle built on it, against references
 computed apart from them: brute force over all permutations, scipy's
 linear_sum_assignment and linprog (skipped when scipy is absent), and the
-closed-form gamma range of even orders."""
+closed-form gamma range of every order."""
 
 import itertools
 
@@ -97,16 +97,21 @@ def test_lp_matches_linprog_on_the_equality_form():
 
 def test_gamma_range_matches_brute_force():
     for n in range(1, 7):
-        gammas = [gamma for gamma, _ in _permutation_points(n, np.zeros((n, n)))]
+        gammas = sorted(gamma for gamma, _ in _permutation_points(n, np.zeros((n, n))))
         lo, hi = gamma_feasible_range(n)
-        assert lo == pytest.approx(min(gammas), abs=1e-12)
-        assert hi == pytest.approx(max(gammas), abs=1e-12)
+        assert lo == pytest.approx(gammas[0], abs=1e-12)
+        assert hi == pytest.approx(gammas[-1], abs=1e-12)
+        if n > 1:
+            # The identity and the reversal are the unique extremes, by a
+            # margin of at least 8/(3n^2) (oracle._extreme_gamma_perms).
+            margin = 8.0 / (3.0 * n * n) - 1e-12
+            assert gammas[-2] <= hi - margin and gammas[1] >= lo + margin
 
 
-@pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 3, 5, 7, 9, 33])
 def test_gamma_range_of_even_orders(n):
-    # Odd orders fall short of this: 20/27 at n = 3, 64/75 at n = 5.
-    edge = 1.0 - 2.0 / (3.0 * n)
+    # Odd orders fall short of 1 - 2/(3n): 20/27 at n = 3, 64/75 at n = 5.
+    edge = 1.0 - 2.0 / (3.0 * n) - (n % 2) / (3.0 * n * n)
     lo, hi = gamma_feasible_range(n)
     assert lo == pytest.approx(-edge, abs=1e-12)
     assert hi == pytest.approx(edge, abs=1e-12)

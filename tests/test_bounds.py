@@ -102,6 +102,9 @@ def test_region_masks_agree_with_region_contains_and_validate():
 def test_region_nonempty_requires_enough_samples():
     with pytest.raises(DomainError):
         region_nonempty(1, -0.8, samples=100)
+    for bad in (float("nan"), float("inf"), 40000.0):
+        with pytest.raises(DomainError, match="integer"):
+            region_nonempty(1, -0.8, samples=bad)
     with pytest.raises(DomainError, match="integer"):
         region_nonempty(2.0, -0.8)
 
@@ -199,10 +202,13 @@ def test_pruned_kernel_is_bit_identical_at_thresholds(thr):
 def _assert_blocked_matches_whole_array(u, v, t):
     got_up = upper_bound_values(u, v, t)
     got_lo = lower_bound_values(u, v, t)
+    got_masks = region_masks(u, v, t)
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     want_up = _five_candidate_upper(u, v, t)
     want_lo = v - _five_candidate_upper(1.0 - u, v, -t)
-    for got, want in ((got_up, want_up), (got_lo, want_lo)):
+    want_masks = _active_masks(np.maximum(u, v), np.minimum(u, v), t)[1]
+    assert len(got_masks) == len(want_masks) == 5
+    for got, want in ((got_up, want_up), (got_lo, want_lo), *zip(got_masks, want_masks)):
         assert type(got) is type(want) and got.dtype == want.dtype, (type(got), t)
         assert np.array_equal(got, want), (np.shape(got), t)
 

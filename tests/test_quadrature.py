@@ -21,7 +21,7 @@ def test_quadrature_fixtures():
 
 
 def test_quadrature_rejects_bad_panel_counts():
-    for bad in (0, 1, 3, -2, 7):
+    for bad in (0, 1, 3, -2, 7, 4000.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             gamma_quadrature(product, bad)
 
