@@ -108,46 +108,34 @@ _REFLECTED_CLASS = {
 }
 
 
-def _lens_radicand(x, m, t):
-    """The fifth candidate's radicand; mixed_partial_density's denominator is its 3/2 power."""
-    return 3.0 * (
-        5.0 * (x * x) + 5.0 * (m * m) - 6.0 * x - 6.0 * m + 2.0 * (x * m) + (2.0 * t + 5.0)
-    )
-
-
 def _form(i, x, m, s, t):
-    """(radicand, offset, denominator) of candidate i + 1 at (x, m), s = x + m.
+    """(radicand, gap, offset, denominator) of candidate i + 1 at (x, m), s = x + m.
 
-    The one table of the candidates: candidate i + 1 is
-    (offset + sqrt(radicand)) / denominator, the largest root of gamma
-    branch i + 1, and exists where the radicand is nonnegative.  Works on
-    floats and elementwise on arrays.
+    The one table of the candidates: candidate i + 1 is the largest root
+    (offset + sqrt(radicand)) / denominator of gamma branch i + 1, and
+    exists where the radicand, offset**2 + denominator * gap, is
+    nonnegative.  Works on floats and elementwise on arrays.
     """
-    # The constant-plus-t groups are parenthesized so that they are exact at
-    # the distinguished targets (t+1 = 0 at t = -1, and so on); this keeps
-    # the candidates bit-exact where the envelope degenerates to W.  Squares
-    # are products: on a float, ** calls libm pow, which can round an ulp away
-    # from x * x (numpy's square on arrays), and the scalar record would then
-    # differ from the array kernel.
+    # Each gap is the radicand less offset**2, over the denominator, and has
+    # one to three terms.  (t + 1) stays parenthesized, so that it is exact
+    # at t = -1, where the envelope degenerates to W.  Squares are products:
+    # on a float, ** calls libm pow, which can round an ulp away from x * x
+    # (numpy's square on arrays), and the scalar record would then differ
+    # from the array kernel.
     if i == 0:
-        return (s - 1.0) * (s - 1.0) + (t + 1.0), s - 1.0, 2.0
-    if i == 1:
-        return s * s + 4.0 * (1.0 - x) * (1.0 - m) + 2.0 * t, 3.0 * x + m - 2.0, 4.0
-    if i == 2:
-        return (
-            16.0 * (x * x) + 4.0 * (m * m) - 24.0 * x - 12.0 * m + 16.0 * (x * m)
-            + (7.0 * t + 16.0),
-            4.0 * x + 2.0 * m - 3.0,
-            7.0,
-        )
-    if i == 3:
-        return (
-            4.0 * (x * x) + 16.0 * (m * m) - 12.0 * x - 24.0 * m + 16.0 * (x * m)
-            + (7.0 * t + 16.0),
-            5.0 * x + 3.0 * m - 4.0,
-            7.0,
-        )
-    return _lens_radicand(x, m, t), 3.0 * (s - 1.0), 6.0
+        gap, offset, den = (t + 1.0) / 2.0, s - 1.0, 2.0
+    elif i == 1:
+        d = 2.0 * x - 1.0
+        gap, offset, den = ((t + 1.0) - d * d) / 2.0, 3.0 * x + m - 2.0, 4.0
+    elif i == 2:
+        gap, offset, den = t + 1.0, 4.0 * x + 2.0 * m - 3.0, 7.0
+    elif i == 3:
+        a, b = x - 0.5, m - 0.5
+        gap, offset, den = (t + 1.0) - (3.0 * a - b) * (a + b), 5.0 * x + 3.0 * m - 4.0, 7.0
+    else:
+        d = x - m
+        gap, offset, den = d * d + (t + 1.0), 3.0 * (s - 1.0), 6.0
+    return offset * offset + den * gap, gap, offset, den
 
 
 def _active_masks(x, m, t, live=_ALL_CANDIDATES):
@@ -155,18 +143,24 @@ def _active_masks(x, m, t, live=_ALL_CANDIDATES):
 
     ``live`` lists candidate indices 0..4 in increasing order, and the
     results follow it; a value is garbage where its candidate is absent.
+    A root is (offset + sqrt) / den where offset >= 0, and the equal
+    gap / (sqrt - offset) elsewhere, so that neither form cancels.
     """
     s = x + m
     ceiling = m + ACTIVATION_EPS
     thetas, active = [], []
     for i in live:
-        rad, offset, den = _form(i, x, m, s, t)
+        rad, gap, offset, den = _form(i, x, m, s, t)
         exists = rad >= 0.0
-        th = (offset + np.sqrt(np.maximum(rad, 0.0))) / den
+        sq = np.sqrt(np.maximum(rad, 0.0))
+        del rad
+        th = np.asarray((offset + sq) / den)
+        # One divide per point: where offset >= 0, sq - offset may be 0.
+        np.divide(gap, sq - offset, out=th, where=offset < 0.0)
         # Freed before the masks, so numpy reuses their still-cached memory:
-        # with them alive, a 401^2 region_masks call ran 15-22 ms, not 13-15
-        # ms (2 vCPUs).
-        del rad, offset
+        # with them alive, the upper and lower 401^2 lattices at six t took
+        # 83-97 ms, not 81-94 ms (fastest of 15 rounds, 2 vCPUs).
+        del gap, offset, sq
         thetas.append(th)
         active.append(
             exists & (th <= ceiling) & branch_condition(i + 1, x, m, th, ACTIVATION_EPS)
@@ -289,9 +283,10 @@ def upper_bound(u: float, v: float, t: float) -> ThetaReport:
     thetas, active = [], []
     inner = None
     for i in _ALL_CANDIDATES:
-        rad, offset, den = _form(i, x, m, s, t)
+        rad, gap, offset, den = _form(i, x, m, s, t)
         if rad >= 0.0:
-            th = (offset + math.sqrt(rad)) / den
+            sq = math.sqrt(rad)
+            th = (offset + sq) / den if offset >= 0.0 else gap / (sq - offset)
             act = th <= ceiling and branch_condition(i + 1, x, m, th, ACTIVATION_EPS)
             if act and (inner is None or th > inner):
                 inner = th
@@ -379,7 +374,8 @@ def hyperbolic_corner_points(t: float) -> tuple[UnitPoint, UnitPoint]:
 def mixed_partial_density(u: float, v: float, t: float) -> float:
     """Second mixed derivative of the fifth-candidate surface inside the set.
 
-    Closed form 3*(t - 12uv + 6u + 6v - 2) / (3*(5u^2+5v^2-6u-6v+2uv+2t+5))^1.5;
+    Closed form 3*((t + 1) - 3(2u - 1)(2v - 1)) / rad^1.5, rad being the fifth
+    candidate's radicand 9(u + v - 1)^2 + 6((u - v)^2 + (t + 1));
     at the corner points this equals t/3, which is negative exactly when
     the upper envelope is a proper quasi-copula.  Its minimum over the set
     is lens_density_floor(t), which equals t/3 only for -2/3 <= t < 0.
@@ -392,8 +388,8 @@ def mixed_partial_density(u: float, v: float, t: float) -> float:
         raise DomainError(
             f"({u}, {v}) lies outside the closure of the hyperbolic set at t={t}"
         )
-    g = t - 12.0 * u * v + 6.0 * u + 6.0 * v - 2.0
-    rad = _lens_radicand(max(u, v), min(u, v), t)
+    g = (t + 1.0) - 3.0 * (2.0 * u - 1.0) * (2.0 * v - 1.0)
+    rad = _form(4, max(u, v), min(u, v), u + v, t)[0]
     if rad <= 0.0:
         raise DomainError(
             f"density undefined at ({u}, {v}, t={t}): vanishing denominator"

@@ -193,6 +193,14 @@ def _minimiser_distance(rect, t: float, n: int) -> float | None:
     return min(max(abs(i + 0.5 - p * n), abs(j + 0.5 - p * n)) for p in minimisers)
 
 
+def _floor_cell_volume(t: float, n: int) -> float | None:
+    """D*(t) / n^2, the least volume an order-n lattice cell can have in the lens.
+
+    None where there is no lens: t >= 0 or t = -1.
+    """
+    return lens_density_floor(t)[0] / (n * n) if -1.0 < t < 0.0 else None
+
+
 def cmd_check(args) -> int:
     started = time.monotonic()
     t, n = args.t, args.grid
@@ -237,6 +245,9 @@ def cmd_check(args) -> int:
         "upper_min_volume_cell_distance_to_density_minimiser": _minimiser_distance(
             rep_up.min_volume_rect, t, n
         ),
+        # The lower envelope reflects the upper one at -t, density and all.
+        "upper_lens_floor_cell_volume": _floor_cell_volume(t, n),
+        "lower_lens_floor_cell_volume": _floor_cell_volume(-t, n),
         "reflection_max_err": reflection_err,
         "sandwich_max_violation": sandwich_err,
         "checks": checks,

@@ -1,5 +1,7 @@
 import dataclasses
+import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from gini_bounds import (
     BoundClassification,
     DomainError,
-    InternalError,
     classify_lower,
     classify_upper,
     frechet_lower,
@@ -123,10 +124,10 @@ def _ulp_neighbours(t):
     return [s for s in (np.nextafter(t, -2.0), t, np.nextafter(t, 2.0)) if -1.0 <= s <= 1.0]
 
 
-def _patch(px, pm, side=801):
+def _patch(px, pm, side=801, half=PATCH):
     """The nodes (x, m), x >= m, of a side x side grid on the square of
-    half-width PATCH about (px, pm)."""
-    offsets = np.linspace(-PATCH, PATCH, side)
+    half-width ``half`` about (px, pm)."""
+    offsets = np.linspace(-half, half, side)
     x, m = np.meshgrid(px + offsets, pm + offsets, indexing="ij")
     keep = m <= x
     return x[keep], m[keep]
@@ -238,25 +239,107 @@ def test_blocked_kernel_matches_whole_array_reference(t):
     )
 
 
-# Within about 2.5e-4 of (1/2, 1/2), at t = -1 and a few ulps above, every
-# candidate misses its activation check by more than ACTIVATION_EPS (their
-# radicands nearly vanish there, so sqrt magnifies rounding), and the upper
-# envelope falls back to min(u, v) where it should be W.  The lower envelope
-# at t = 1 and 1 - 1 ulp reflects those values.
-_CENTRE_FALLBACK = "upper envelope is min(u, v) instead of W near (1/2, 1/2) at t = -1"
+# --- exact activation reference -----------------------------------------
+
+# Candidate i + 1's (radicand, offset, denominator) in exact arithmetic, with
+# each radicand the expanded polynomial, independent of bounds._form's gaps.
+_EXACT_FORMS = (
+    lambda x, m, t: ((x + m - 1) ** 2 + (t + 1), x + m - 1, 2),
+    lambda x, m, t: ((x + m) ** 2 + 4 * (1 - x) * (1 - m) + 2 * t, 3 * x + m - 2, 4),
+    lambda x, m, t: (
+        16 * x * x + 4 * m * m - 24 * x - 12 * m + 16 * x * m + 7 * t + 16, 4 * x + 2 * m - 3, 7
+    ),
+    lambda x, m, t: (
+        4 * x * x + 16 * m * m - 12 * x - 24 * m + 16 * x * m + 7 * t + 16, 5 * x + 3 * m - 4, 7
+    ),
+    lambda x, m, t: (
+        15 * x * x + 15 * m * m - 18 * x - 18 * m + 6 * x * m + 6 * t + 15, 3 * (x + m - 1), 6
+    ),
+)
+_HALF = Fraction(1, 2)
+# Gamma branch i + 1's condition at (x, m) as (upper, lower) bounds on theta.
+_THETA_BOUNDS = (
+    lambda x, m: ((x - _HALF,), ()),
+    lambda x, m: ((x - m, 2 * x - 1), (x - _HALF,)),
+    lambda x, m: ((x - m,), (2 * x - 1,)),
+    lambda x, m: ((2 * x - 1,), (x - m,)),
+    lambda x, m: ((), (x - m, 2 * x - 1)),
+)
 
 
-@pytest.mark.xfail(strict=True, reason=_CENTRE_FALLBACK)
+def _exact_active(i, x, m, t):
+    """Whether candidate i + 1 binds at (x, m, t), decided exactly.
+
+    Floats are dyadic rationals, so Fraction holds the inputs exactly, and
+    no square root is taken: with theta = (offset + sqrt(rad)) / den,
+    theta <= L iff den*L - offset >= 0 and rad <= (den*L - offset)**2, and
+    theta >= L iff den*L - offset <= 0 or rad >= (den*L - offset)**2.
+    """
+    x, m, t = Fraction(x), Fraction(m), Fraction(t)
+    rad, offset, den = _EXACT_FORMS[i](x, m, t)
+    if rad < 0:
+        return False
+    at_most, at_least = _THETA_BOUNDS[i](x, m)
+    caps = [den * bound - offset for bound in at_most + (m,)]
+    floors = [den * bound - offset for bound in at_least]
+    return all(c >= 0 and rad <= c * c for c in caps) and all(
+        c <= 0 or rad >= c * c for c in floors
+    )
+
+
+def _exact_upper(u, v, t):
+    """The upper envelope at (u, v, t) from the exact activations, to 40 digits."""
+    x, m = max(u, v), min(u, v)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        thetas = []
+        for i in range(5):
+            if _exact_active(i, x, m, t):
+                rad, offset, den = _EXACT_FORMS[i](Fraction(x), Fraction(m), Fraction(t))
+                root = (decimal.Decimal(rad.numerator) / rad.denominator).sqrt()
+                thetas.append((decimal.Decimal(offset.numerator) / offset.denominator + root) / den)
+        # An active theta is at most m, exactly.
+        raw = max(thetas) if thetas else decimal.Decimal(m)
+        return float(max(raw, decimal.Decimal(u) + decimal.Decimal(v) - 1, decimal.Decimal(0)))
+
+
+def _float_misses(x, m, t):
+    """(candidate, x, m) where the exact test admits a candidate that the
+    float kernel rejects."""
+    return [
+        (i + 1, a, b)
+        for i, mask in enumerate(region_masks(x, m, t))
+        for a, b, got in zip(x.tolist(), m.tolist(), mask.tolist())
+        if not got and _exact_active(i, a, b, t)
+    ]
+
+
+@pytest.mark.parametrize("t", [-1.0, -1.0 + 2.0**-53, -1.0 + 2.0**-52])
+def test_float_kernel_admits_every_exactly_active_candidate_near_the_centre(t):
+    # Every radicand nearly vanishes here, so a root taken by cancelling
+    # subtraction misses its branch condition.
+    x, m = _patch(0.5, 0.5, side=41, half=2.5e-4)
+    assert _float_misses(x, m, t) == [], t
+
+
+@pytest.mark.parametrize("i", range(5))
+def test_float_kernel_admits_every_exactly_active_candidate_at_vanishing_points(i):
+    x, m = _patch(*VANISHING_POINTS[i], side=41)
+    for t in _ulp_neighbours(REGION_EMPTY_ABOVE[i]):
+        assert _float_misses(x, m, t) == [], t
+
+
 def test_upper_envelope_is_w_near_the_centre_at_minus_one():
     x, m = _patch(0.5, 0.5, side=21)
-    for t in _ulp_neighbours(-1.0):
-        assert np.max(np.abs(upper_bound_values(x, m, t) - frechet_lower(x, m))) <= 1e-9, t
+    assert np.max(np.abs(upper_bound_values(x, m, -1.0) - frechet_lower(x, m))) <= 1e-9
+    # One ulp above, the envelope is not W: candidate 1 binds at
+    # sqrt(2**-53) / 2 = 5.3e-9 at (0.5000002, 0.4999998).
+    t = -1.0 + 2.0**-53
+    want = [_exact_upper(a, b, t) for a, b in zip(x.tolist(), m.tolist())]
+    assert np.max(np.abs(upper_bound_values(x, m, t) - want)) <= 1e-15
 
 
-@pytest.mark.parametrize("t0", [
-    -1.0, -0.75, -4.0 / 9.0, -0.5, -4.0 / 13.0, 0.0, 0.5,
-    pytest.param(1.0, marks=pytest.mark.xfail(strict=True, reason=_CENTRE_FALLBACK)),
-])
+@pytest.mark.parametrize("t0", [-1.0, -0.75, -4.0 / 9.0, -0.5, -4.0 / 13.0, 0.0, 0.5, 1.0])
 def test_identities_at_distinguished_t_and_their_neighbours(t0):
     uu, vv = _lattice(48)
     patches = [_patch(px, pm, side=21) for px, pm in VANISHING_POINTS]
@@ -583,6 +666,21 @@ def test_mixed_partial_matches_finite_differences():
     assert abs(fd - closed) / abs(closed) <= 0.01
 
 
+def test_mixed_partial_attains_the_floor_near_minus_one():
+    # The radicand is 27(t + 1) at these minimisers, 2.7e-14 at k = 15;
+    # computed as a sum of O(1) terms it would lose most of its digits.
+    for k in range(1, 16):
+        t = -1.0 + 10.0**-k
+        floor, minimisers = lens_density_floor(t)
+        for u in minimisers:
+            assert mixed_partial_density(u, u, t) == pytest.approx(floor, rel=1e-13), (k, u)
+    # One ulp above -1; the closed form's value to 20 digits, from 60.
+    u = 0.5000000080475469
+    assert mixed_partial_density(u, u, -1.0 + 2.0**-53) == pytest.approx(
+        -12176479.556876390946, rel=1e-12
+    )
+
+
 def test_mixed_partial_outside_set_raises():
     with pytest.raises(DomainError):
         mixed_partial_density(0.1, 0.1, 0.0)
@@ -628,6 +726,7 @@ def test_witness_random_points():
         assert abs(float(w(u, v)) - upper_bound(u, v, t).bound) <= 1e-9, (u, v, t)
 
 
-@pytest.mark.xfail(strict=True, raises=InternalError, reason=_CENTRE_FALLBACK)
 def test_witness_near_the_centre_at_minus_one():
-    witness_copula(0.5000006, 0.5000006, -1.0)
+    # witness_copula checks the witness's gamma and value by quadrature.
+    w = witness_copula(0.5000006, 0.5000006, -1.0)
+    assert abs(float(w(0.5000006, 0.5000006)) - frechet_lower(0.5000006, 0.5000006)) <= 1e-9

@@ -10,6 +10,7 @@ from gini_bounds import (
     check_properties,
     frechet_lower,
     frechet_upper,
+    lens_density_floor,
     lower_bound_values,
     upper_bound_values,
 )
@@ -264,8 +265,19 @@ def test_check_upper_triangle_matches_full_square_audit(capsys):
         assert np.array_equal(_envelope_lattice("upper", t, n).values, full), (n, t)
         code, payload, _ = run_json(capsys, "check", f"--t={t!r}", "--grid", str(n))
         # The order-37 lattice is too coarse to see the upper envelope's
-        # negative mass at t = -0.1, so its copula verdict misses there.
+        # negative mass at t = -0.1, so its copula verdict misses there; the
+        # report shows the cell volume the lens can reach.
         assert code == int((n, t) == (37, -0.1)), (n, t)
+        results = payload["results"]
+        for side, lens_t in (("upper", t), ("lower", -t)):
+            floor = results[f"{side}_lens_floor_cell_volume"]
+            if -1.0 < lens_t < 0.0:
+                assert floor == lens_density_floor(lens_t)[0] / n**2, (side, n, t)
+            else:
+                assert floor is None, (side, n, t)
+        if (n, t) == (37, -0.1):
+            assert results["upper_report"]["min_volume"] == 0.0
+            assert results["upper_lens_floor_cell_volume"] == pytest.approx(-2.435e-5, rel=1e-3)
         audit = check_properties(LatticeFunction(n, full), tol=1e-10)
         want = json.loads(json.dumps(dataclasses.asdict(audit)))
         assert payload["results"]["upper_report"] == want, (n, t)
