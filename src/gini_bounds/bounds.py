@@ -40,7 +40,7 @@ from .core import (
     point_bound_lower,
 )
 from .errors import DomainError, InternalError
-from .pointgamma import branch_condition, lower_point_bound_gamma
+from .pointgamma import branch_condition, branch_form, branch_value, lower_point_bound_gamma
 from .quadrature import gamma_quadrature
 
 # Clamping the final value into [W, M] by more than this is flagged: it
@@ -108,36 +108,6 @@ _REFLECTED_CLASS = {
 }
 
 
-def _form(i, x, m, s, t):
-    """(radicand, gap, offset, denominator) of candidate i + 1 at (x, m), s = x + m.
-
-    The one table of the candidates: candidate i + 1 is the largest root
-    (offset + sqrt(radicand)) / denominator of gamma branch i + 1, and
-    exists where the radicand, offset**2 + denominator * gap, is
-    nonnegative.  Works on floats and elementwise on arrays.
-    """
-    # Each gap is the radicand less offset**2, over the denominator, and has
-    # one to three terms.  (t + 1) stays parenthesized, so that it is exact
-    # at t = -1, where the envelope degenerates to W.  Squares are products:
-    # on a float, ** calls libm pow, which can round an ulp away from x * x
-    # (numpy's square on arrays), and the scalar record would then differ
-    # from the array kernel.
-    if i == 0:
-        gap, offset, den = (t + 1.0) / 2.0, s - 1.0, 2.0
-    elif i == 1:
-        d = 2.0 * x - 1.0
-        gap, offset, den = ((t + 1.0) - d * d) / 2.0, 3.0 * x + m - 2.0, 4.0
-    elif i == 2:
-        gap, offset, den = t + 1.0, 4.0 * x + 2.0 * m - 3.0, 7.0
-    elif i == 3:
-        a, b = x - 0.5, m - 0.5
-        gap, offset, den = (t + 1.0) - (3.0 * a - b) * (a + b), 5.0 * x + 3.0 * m - 4.0, 7.0
-    else:
-        d = x - m
-        gap, offset, den = d * d + (t + 1.0), 3.0 * (s - 1.0), 6.0
-    return offset * offset + den * gap, gap, offset, den
-
-
 def _active_masks(x, m, t, live=_ALL_CANDIDATES):
     """Values and activity masks of the candidates in ``live``, on arrays.
 
@@ -146,11 +116,10 @@ def _active_masks(x, m, t, live=_ALL_CANDIDATES):
     A root is (offset + sqrt) / den where offset >= 0, and the equal
     gap / (sqrt - offset) elsewhere, so that neither form cancels.
     """
-    s = x + m
     ceiling = m + ACTIVATION_EPS
     thetas, active = [], []
     for i in live:
-        rad, gap, offset, den = _form(i, x, m, s, t)
+        rad, gap, offset, den = branch_form(i + 1, x, m, t)
         exists = rad >= 0.0
         sq = np.sqrt(np.maximum(rad, 0.0))
         del rad
@@ -269,8 +238,9 @@ def lower_bound_values(u, v, t):
 def upper_bound(u: float, v: float, t: float) -> ThetaReport:
     """Upper envelope at one point, with the full candidate/region record.
 
-    A plain-float walk over the candidate table: numpy's functions cost
-    about 1 us a call on scalars, several times the arithmetic here.
+    A plain-float walk over the branch table (pointgamma.branch_form):
+    numpy's functions cost about 1 us a call on scalars, several times the
+    arithmetic here.
     """
     UnitPoint(u, v)
     # Coerced once: int, bool or numpy inputs leave only builtin floats and
@@ -278,12 +248,11 @@ def upper_bound(u: float, v: float, t: float) -> ThetaReport:
     u, v = float(u), float(v)
     t = check_t(t)
     x, m = max(u, v), min(u, v)
-    s = x + m
     ceiling = m + ACTIVATION_EPS
     thetas, active = [], []
     inner = None
     for i in _ALL_CANDIDATES:
-        rad, gap, offset, den = _form(i, x, m, s, t)
+        rad, gap, offset, den = branch_form(i + 1, x, m, t)
         if rad >= 0.0:
             sq = math.sqrt(rad)
             th = (offset + sq) / den if offset >= 0.0 else gap / (sq - offset)
@@ -344,8 +313,15 @@ def classify_lower(t: float) -> BoundClassification:
 
 
 def _hyperbolic_excess(u: float, v: float, t: float) -> float:
-    """(u+v)^2 + 2uv - 6 min(u, v) + (1 + t): the hyperbolic set is where it is <= 0."""
-    return (u + v) ** 2 + 2.0 * u * v - 6.0 * min(u, v) + (1.0 + t)
+    """t - gamma_5(min(u, v)), equal to (u+v)^2 + 2uv - 6 min(u, v) + (1 + t).
+
+    The hyperbolic set is where it is <= 0, that is where the fifth candidate
+    is at most m = min(u, v): branch 5 is convex in theta with its vertex at
+    (x + m - 1)/2 <= m, and its radicand is never negative, so its largest
+    root is <= m exactly when gamma_5(m) >= t.
+    """
+    x, m = max(u, v), min(u, v)
+    return t - branch_value(5, x, m, m)
 
 
 def hyperbolic_set_contains(u: float, v: float, t: float) -> bool:
@@ -389,7 +365,7 @@ def mixed_partial_density(u: float, v: float, t: float) -> float:
             f"({u}, {v}) lies outside the closure of the hyperbolic set at t={t}"
         )
     g = (t + 1.0) - 3.0 * (2.0 * u - 1.0) * (2.0 * v - 1.0)
-    rad = _form(4, max(u, v), min(u, v), u + v, t)[0]
+    rad = branch_form(5, max(u, v), min(u, v), t)[0]
     if rad <= 0.0:
         raise DomainError(
             f"density undefined at ({u}, {v}, t={t}): vanishing denominator"

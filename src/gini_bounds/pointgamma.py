@@ -1,9 +1,10 @@
 """Closed-form Gini's gamma of the lower point-bound copula.
 
-The gamma of the copula max(0, u+v-1, theta - (a-u)^+ - (b-v)^+) splits
-into an anti-diagonal integral I1 (a single expression) and a diagonal
-integral I2 (five cases, after reducing to b <= a by symmetry); the
-resulting gamma is a five-branch piecewise quadratic in (a, b, theta).
+The gamma of the copula max(0, u+v-1, theta - (a-u)^+ - (b-v)^+) is
+4*(I1 + I2) - 2, with I1 the anti-diagonal integral (a single expression)
+and I2 the diagonal one; after reducing to b <= a by symmetry, gamma is a
+five-branch piecewise quadratic in (a, b, theta).  branch_form is the one
+table of the five quadratics, and I2 is read off gamma.
 Branch conditions compare the larger coordinate with theta + 1/2,
 theta + smaller coordinate and (1 + theta)/2; adjacent branches agree on
 shared boundaries, and branch selection takes the first condition that
@@ -32,20 +33,42 @@ def i1_closed(spec: PointBoundSpec) -> float:
     return spec.theta * (1.0 - spec.a - spec.b + spec.theta)
 
 
-# I2 on each branch; x = larger coordinate, m = smaller.
-_I2_BY_BRANCH = {
-    1: lambda x, m, th: 0.25,
-    2: lambda x, m, th: 0.25 + (x - th - 0.5) ** 2,
-    3: lambda x, m, th: (1.0 + 2.0 * th - 4.0 * x * th + 3.0 * th**2) / 4.0,
-    4: lambda x, m, th: ((th + 1.0 - x - m) * (3.0 * th - 3.0 * x + m + 1.0) + 1.0) / 4.0,
-    5: lambda x, m, th: (1.0 - (x - m) ** 2) / 4.0 + (1.0 - x - m) * th / 2.0 + th**2 / 2.0,
-}
-
-
 def i2_closed(spec: PointBoundSpec) -> float:
-    """Diagonal integral of the lower point-bound copula (five-case closed form)."""
-    x, m = max(spec.a, spec.b), min(spec.a, spec.b)
-    return _I2_BY_BRANCH[_select_branch(x, m, spec.theta)](x, m, spec.theta)
+    """Diagonal integral of the lower point-bound copula: (gamma + 2)/4 - I1."""
+    return (lower_point_bound_gamma(spec).value + 2.0) / 4.0 - i1_closed(spec)
+
+
+def branch_form(branch: int, x, m, t):
+    """(radicand, gap, offset, den) of gamma branch ``branch`` at level t.
+
+    The one table of the five branches: x and m are the larger and smaller
+    of (a, b), and gamma_branch(theta) - t = den*theta**2 - 2*offset*theta - gap.
+    The largest root in theta, a candidate of the upper envelope (bounds),
+    is (offset + sqrt(radicand)) / den, and exists where the radicand,
+    offset**2 + den*gap, is nonnegative.  Works on floats and elementwise
+    on arrays.
+    """
+    # Each gap is (t + 1) plus the branch's constant term, kept
+    # parenthesized, so that it is exact at t = -1, where the envelope
+    # degenerates to W.  Squares are products: on a float, ** calls libm pow,
+    # which can round an ulp away from x * x (numpy's square on arrays), and
+    # the scalar record would then differ from the array kernel.
+    if branch == 1:
+        gap, offset, den = t + 1.0, 2.0 * (x + m - 1.0), 4.0
+    elif branch == 2:
+        d = 2.0 * x - 1.0
+        gap, offset, den = (t + 1.0) - d * d, 2.0 * (3.0 * x + m - 2.0), 8.0
+    elif branch == 3:
+        gap, offset, den = t + 1.0, 4.0 * x + 2.0 * m - 3.0, 7.0
+    elif branch == 4:
+        a, b = x - 0.5, m - 0.5
+        gap, offset, den = (t + 1.0) - (3.0 * a - b) * (a + b), 5.0 * x + 3.0 * m - 4.0, 7.0
+    elif branch == 5:
+        d = x - m
+        gap, offset, den = d * d + (t + 1.0), 3.0 * (x + m - 1.0), 6.0
+    else:
+        raise InternalError(f"branch index {branch} not in 1..5")
+    return offset * offset + den * gap, gap, offset, den
 
 
 def branch_value(branch: int, x: float, m: float, theta: float) -> float:
@@ -53,24 +76,9 @@ def branch_value(branch: int, x: float, m: float, theta: float) -> float:
 
     x and m are the larger and smaller of (a, b).
     """
-    s = x + m
-    base = 4.0 * theta**2 + 4.0 * theta * (1.0 - s) - 1.0
-    if branch == 1:
-        return base
-    if branch == 2:
-        return (2.0 * x - 2.0 * theta - 1.0) ** 2 + base
-    if branch == 3:
-        return 2.0 * theta - 4.0 * x * theta + 7.0 * theta**2 + 4.0 * theta * (1.0 - s) - 1.0
-    if branch == 4:
-        return (
-            (s - 1.0 - 4.0 * theta) ** 2
-            + 2.0 * (s - 1.0 - theta) * (x - m)
-            - 9.0 * theta**2
-            - 1.0
-        )
-    if branch == 5:
-        return 6.0 * theta**2 + 6.0 * theta * (1.0 - s) - (x - m) ** 2 - 1.0
-    raise InternalError(f"branch index {branch} not in 1..5")
+    # At t = -1 the gap is the branch's constant term, since t + 1 == 0.
+    _, gap, offset, den = branch_form(branch, x, m, -1.0)
+    return theta * (den * theta - 2.0 * offset) - gap - 1.0
 
 
 def branch_condition(branch: int, x, m, theta, eps: float = 0.0):
@@ -111,8 +119,8 @@ def _select_branch(x: float, m: float, theta: float) -> int:
 def lower_point_bound_gamma(spec: PointBoundSpec) -> GammaBranchValue:
     """Gini's gamma of the lower point-bound copula, with the selected branch.
 
-    Equals 4*(i1_closed + i2_closed) - 2; branch conditions overlap only on
-    boundaries where adjacent expressions agree.
+    Branch conditions overlap only on boundaries where adjacent expressions
+    agree.
     """
     x, m = max(spec.a, spec.b), min(spec.a, spec.b)
     branch = _select_branch(x, m, spec.theta)

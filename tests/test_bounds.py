@@ -29,7 +29,13 @@ from gini_bounds import (
     upper_bound_values,
     witness_copula,
 )
-from gini_bounds.bounds import _BLOCK, REGION_EMPTY_ABOVE, _active_masks, _live_candidates
+from gini_bounds.bounds import (
+    _BLOCK,
+    REGION_EMPTY_ABOVE,
+    _active_masks,
+    _hyperbolic_excess,
+    _live_candidates,
+)
 
 
 def _lattice(n):
@@ -242,7 +248,8 @@ def test_blocked_kernel_matches_whole_array_reference(t):
 # --- exact activation reference -----------------------------------------
 
 # Candidate i + 1's (radicand, offset, denominator) in exact arithmetic, with
-# each radicand the expanded polynomial, independent of bounds._form's gaps.
+# each radicand the expanded polynomial, independent of the gaps of
+# pointgamma.branch_form (whose rows 1 and 2 are these scaled by 2).
 _EXACT_FORMS = (
     lambda x, m, t: ((x + m - 1) ** 2 + (t + 1), x + m - 1, 2),
     lambda x, m, t: ((x + m) ** 2 + 4 * (1 - x) * (1 - m) + 2 * t, 3 * x + m - 2, 4),
@@ -633,6 +640,22 @@ def test_hyperbolic_set_examples():
     # the corner point satisfies the arc equation to rounding accuracy
     residual = (p1.u + p1.v) ** 2 + 2 * p1.u * p1.v - 6 * min(p1.u, p1.v) + 0.5
     assert abs(residual) <= 1e-12
+
+
+def test_hyperbolic_set_is_where_the_fifth_candidate_is_at_most_min_uv():
+    rng = np.random.default_rng(31)
+    mismatches, outcomes = [], []
+    for u, v, t in zip(rng.random(4000), rng.random(4000), rng.uniform(-1.0, 0.5, 4000)):
+        u, v, t = float(u), float(v), float(t)
+        if abs(_hyperbolic_excess(u, v, t)) <= 1e-12:
+            continue
+        contains = hyperbolic_set_contains(u, v, t)
+        # The fifth radicand is never negative, so the candidate exists.
+        if contains != (upper_bound(u, v, t).theta[4] <= min(u, v)):
+            mismatches.append((u, v, t))
+        outcomes.append(contains)
+    assert mismatches == []
+    assert min(outcomes.count(True), outcomes.count(False)) > 500
 
 
 def test_corner_points():

@@ -1,0 +1,85 @@
+"""Bit-level regression pins of both envelopes.
+
+Each test hashes outputs that every correctly rounded IEEE-754 build computes
+alike: the envelopes use only +, -, *, / and sqrt.  A change that moves any
+bit fails here; such a change updates the hash and records the move, with
+its size, in CHANGES.md.
+"""
+
+import hashlib
+import random
+
+import numpy as np
+
+from gini_bounds import (
+    lower_bound,
+    lower_bound_values,
+    region_masks,
+    upper_bound,
+    upper_bound_values,
+)
+
+# The distinguished t and the region thresholds, with their float neighbours.
+SEAM_T = (
+    -1.0, -1.0 + 2.0**-53, -1.0 + 2.0**-52, -0.9999, -0.9, -3.0 / 4.0,
+    -3.0 / 4.0 + 1e-13, -1.0 / 2.0, -4.0 / 9.0, -4.0 / 13.0, -0.3, -0.1, 0.0,
+    0.1, 1.0 / 4.0, 1.0 / 2.0, 1.0 / 2.0 + 2.0**-53, 3.0 / 4.0, 1.0,
+)
+
+# sha256 pins; see the module docstring before changing one.
+UPPER_LATTICES = "f5557ade89b4761539bff83c18f25a78623371d5815087eef45b9e45d703dc7a"
+LOWER_LATTICES = "34516eb58e20630ad1089b5caf549edb1765f803ca9bf598f75be7b5e3348b57"
+REGION_MASKS = "73e047278e654399ef22181b0a80f6060fe287ed0bd6c62d9d29471f8778d513"
+UPPER_RECORDS = "615d87d4f8937273444f24ee4010035270e7c49e15680811dd8dd6a56d158b93"
+LOWER_VALUES = "201a7a8f3977ff18beb28e503232c7cfac17767330ad6b538d202c3990576cff"
+
+# A 401^2 lattice; k / 400 is one correctly rounded division per node.
+_NODES = np.arange(401) / 400.0
+_UU, _VV = np.meshgrid(_NODES, _NODES, indexing="ij")
+
+
+def _points(count=20000, seed=14):
+    """Seeded (u, v, t); half the t uniform on [-1, 1], half from SEAM_T.
+
+    random.Random.random is reproducible across Python versions for one seed.
+    """
+    rng = random.Random(seed)
+    points = []
+    for k in range(count):
+        t = rng.uniform(-1.0, 1.0) if k % 2 else SEAM_T[rng.randrange(len(SEAM_T))]
+        points.append((rng.random(), rng.random(), t))
+    return points
+
+
+def _lattice_digest(evaluate):
+    """sha256 of evaluate on the lattice at every seam t, as little-endian float64."""
+    h = hashlib.sha256()
+    for t in SEAM_T:
+        h.update(np.asarray(evaluate(_UU, _VV, t), dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _text_digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_upper_lattices_at_the_seams():
+    assert _lattice_digest(upper_bound_values) == UPPER_LATTICES
+
+
+def test_lower_lattices_at_the_seams():
+    assert _lattice_digest(lower_bound_values) == LOWER_LATTICES
+
+
+def test_region_masks_at_the_seams():
+    assert _lattice_digest(lambda u, v, t: np.stack(region_masks(u, v, t))) == REGION_MASKS
+
+
+def test_scalar_upper_records():
+    # repr covers every ThetaReport field: values, types and None candidates.
+    assert _text_digest([repr(upper_bound(*p)) for p in _points()]) == UPPER_RECORDS
+
+
+def test_scalar_lower_values():
+    assert _text_digest([repr(lower_bound(*p)) for p in _points()]) == LOWER_VALUES
+

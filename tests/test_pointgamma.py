@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +13,7 @@ from gini_bounds import (
     lower_point_bound_gamma,
     point_bound_lower,
 )
-from gini_bounds.pointgamma import branch_condition, branch_value
+from gini_bounds.pointgamma import branch_condition, branch_form, branch_value
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -47,19 +50,53 @@ def test_i1_closed_vs_quadrature(spec, expected):
     assert i1_closed(spec) == pytest.approx(anti, abs=1e-7)
 
 
+# I2 on each branch, x = larger coordinate, m = smaller: the diagonal
+# integral in its own closed form, independent of gamma and of i2_closed.
+_I2_BY_BRANCH = {
+    1: lambda x, m, th: 0.25,
+    2: lambda x, m, th: 0.25 + (x - th - 0.5) ** 2,
+    3: lambda x, m, th: (1.0 + 2.0 * th - 4.0 * x * th + 3.0 * th**2) / 4.0,
+    4: lambda x, m, th: ((th + 1.0 - x - m) * (3.0 * th - 3.0 * x + m + 1.0) + 1.0) / 4.0,
+    5: lambda x, m, th: (1.0 - (x - m) ** 2) / 4.0 + (1.0 - x - m) * th / 2.0 + th**2 / 2.0,
+}
+
+
+def _i2_on_every_branch(per_branch=4, seed=29):
+    """Seeded specs, per_branch of them on each gamma branch, with their I2."""
+    rng = np.random.default_rng(seed)
+    found = {branch: [] for branch in _I2_BY_BRANCH}
+    while any(len(specs) < per_branch for specs in found.values()):
+        spec = _spec(*rng.random(2), rng.random())
+        branch = lower_point_bound_gamma(spec).branch
+        if len(found[branch]) < per_branch:
+            found[branch].append(spec)
+    return [
+        pytest.param(
+            spec,
+            _I2_BY_BRANCH[branch](max(spec.a, spec.b), min(spec.a, spec.b), spec.theta),
+            id=f"branch{branch}-{k}",
+        )
+        for branch, specs in found.items()
+        for k, spec in enumerate(specs)
+    ]
+
+
 @pytest.mark.parametrize(
     "spec,expected",
     [
         (PointBoundSpec(0.9, 0.2, 0.1), 0.25),
         (PointBoundSpec(0.5, 0.5, 0.5), 0.375),
         (PointBoundSpec(0.5, 0.5, 0.0), 0.25),
-    ],
+    ]
+    + _i2_on_every_branch(),
 )
 def test_i2_closed_vs_quadrature(spec, expected):
+    # i2_closed is read off gamma, so the identity 4*(I1 + I2) - 2 == gamma
+    # holds by construction; this check of I2 is independent of it.
     assert i2_closed(spec) == pytest.approx(expected, abs=1e-15)
     u = np.arange(4001) / 4000
     diag = _simpson(point_bound_lower(spec)(u, u))
-    assert i2_closed(spec) == pytest.approx(diag, abs=1e-7)
+    assert expected == pytest.approx(diag, abs=1e-7)
 
 
 def test_gamma_branch_examples():
@@ -116,3 +153,40 @@ def test_comonotone_and_countermonotone_pins():
         gamma_quadrature(point_bound_lower(PointBoundSpec(0.3, 0.3, 0.3)), 4000),
         abs=1e-6,
     )
+
+
+# Each gamma branch in exact arithmetic, as its expanded polynomial in
+# (x, m, theta), x the larger and m the smaller of (a, b).
+_EXACT_GAMMA = {
+    1: lambda x, m, th: 4 * th * th + 4 * th * (1 - x - m) - 1,
+    2: lambda x, m, th: (2 * x - 2 * th - 1) ** 2 + 4 * th * th + 4 * th * (1 - x - m) - 1,
+    3: lambda x, m, th: 2 * th - 4 * x * th + 7 * th * th + 4 * th * (1 - x - m) - 1,
+    4: lambda x, m, th: (
+        (x + m - 1 - 4 * th) ** 2 + 2 * (x + m - 1 - th) * (x - m) - 9 * th * th - 1
+    ),
+    5: lambda x, m, th: 6 * th * th + 6 * th * (1 - x - m) - (x - m) ** 2 - 1,
+}
+_EIGHTHS = [k / 8.0 for k in range(9)]
+
+
+def test_branch_table_is_exact_on_a_dyadic_grid():
+    # On the grid k/8 every float operation in branch_form and branch_value is
+    # exact, so both equal the Fraction polynomials exactly.  Polynomials of
+    # degree <= 2 in each variable that agree on a tensor grid with at least
+    # 3 points per variable are identical, so the table is the five branches,
+    # everywhere; the grid is the full square, m > x included.
+    mismatches = []
+    for branch, gamma in _EXACT_GAMMA.items():
+        for x, m, th in itertools.product(_EIGHTHS, repeat=3):
+            theta = Fraction(th)
+            exact = gamma(Fraction(x), Fraction(m), theta)
+            if Fraction(branch_value(branch, x, m, th)) != exact:
+                mismatches.append((branch, x, m, th, None))
+            for t in (-1.0, -0.625, 0.0, 0.375, 1.0):
+                rad, gap, offset, den = map(Fraction, branch_form(branch, x, m, t))
+                if (
+                    exact - Fraction(t) != den * theta * theta - 2 * offset * theta - gap
+                    or rad != offset * offset + den * gap
+                ):
+                    mismatches.append((branch, x, m, th, t))
+    assert mismatches == []
