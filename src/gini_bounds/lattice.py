@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain, groupby, product
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .core import Evaluator, _check_order
 from .errors import DomainError
 
 # 12 significant digits: below verdict tolerances, above float noise.
-_CSV_FORMAT = "{:.11e}"
+_CSV_FORMAT = "%.11e"
 
 
 def lattice_nodes(n: int) -> np.ndarray:
@@ -136,18 +137,55 @@ def write_node_csv(fh, n: int, columns: dict) -> None:
     node (i/n, j/n) in row-major order.  Each column is an (n+1) x (n+1)
     array: float columns use _CSV_FORMAT, boolean columns are written 0/1.
     This is the one definition of the lattice and atlas CSV format.
+
+    Each lattice row is one printf template, `u,v,<fields>` for every v,
+    filled by one `%` call.  A run of k adjacent boolean columns fills one
+    `%s` field per node from a table of its 2**k texts, indexed by the
+    node's k flags read as a binary number.  Nothing the size of the
+    lattice is built, and a mis-shaped column is rejected before any byte
+    is written.
     """
-    nodes = [_CSV_FORMAT.format(x) for x in lattice_nodes(n).tolist()]
+    nodes = lattice_nodes(n)
+    arrays = [np.asarray(col) for col in columns.values()]
+    side = (n + 1, n + 1)
+    for name, col in zip(columns, arrays):
+        if col.shape != side:
+            raise DomainError(f"column {name!r} has shape {col.shape}, not {side}")
+    groups = _column_groups(arrays)
+    fields = "".join("," + (_CSV_FORMAT if table is None else "%s") for _, table in groups)
+    node_text = [_CSV_FORMAT % x for x in nodes.tolist()]
+    cells = [f",{v}{fields}\n" for v in node_text]
     fh.write(",".join(["u", "v", *columns]) + "\n")
-    for i, u in enumerate(nodes):
-        cells = zip(nodes, *(_format_cells(col[i]) for col in columns.values()))
-        fh.write("".join(f"{u},{','.join(row)}\n" for row in cells))
+    for i, u in enumerate(node_text):
+        rows = [_group_row(cols, table, i) for cols, table in groups]
+        args = rows[0] if len(rows) == 1 else chain.from_iterable(zip(*rows))
+        fh.write((u + u.join(cells)) % tuple(args))
 
 
-def _format_cells(row: np.ndarray) -> list[str]:
-    if row.dtype == bool:
-        return ["1" if x else "0" for x in row.tolist()]
-    return [_CSV_FORMAT.format(x) for x in row.tolist()]
+def _column_groups(arrays: list) -> list:
+    """(columns, table) per CSV field: a float column alone, with table None,
+    or a run of adjacent boolean columns, with its texts in bit order (the
+    first column is the most significant bit)."""
+    groups = []
+    for is_flag, run in groupby(arrays, key=lambda col: col.dtype == bool):
+        if is_flag:
+            run = list(run)
+            table = [",".join(bits) for bits in product("01", repeat=len(run))]
+            groups.append((run, table))
+        else:
+            groups.extend(([col], None) for col in run)
+    return groups
+
+
+def _group_row(cols: list, table, i: int) -> list:
+    """Row i of a group: floats for a float column, texts for a flag run."""
+    if table is None:
+        return cols[0][i].tolist()
+    code = cols[0][i].astype(np.intp)
+    for col in cols[1:]:
+        code <<= 1
+        code |= col[i]
+    return list(map(table.__getitem__, code.tolist()))
 
 
 def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:

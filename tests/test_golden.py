@@ -1,8 +1,9 @@
-"""Bit-level regression pins of both envelopes.
+"""Bit-level regression pins of both envelopes and of their CSV bytes.
 
 Each test hashes outputs that every correctly rounded IEEE-754 build computes
-alike: the envelopes use only +, -, *, / and sqrt.  A change that moves any
-bit fails here; such a change updates the hash and records the move, with
+alike: the envelopes use only +, -, *, / and sqrt, and the CSV writer prints
+each double correctly rounded to 12 significant digits.  A change that moves
+any bit fails here; such a change updates the hash and records the move, with
 its size, in CHANGES.md.
 """
 
@@ -10,14 +11,17 @@ import hashlib
 import random
 
 import numpy as np
+import pytest
 
 from gini_bounds import (
+    LatticeFunction,
     lower_bound,
     lower_bound_values,
     region_masks,
     upper_bound,
     upper_bound_values,
 )
+from gini_bounds.cli import main
 
 # The distinguished t and the region thresholds, with their float neighbours.
 SEAM_T = (
@@ -32,6 +36,13 @@ LOWER_LATTICES = "34516eb58e20630ad1089b5caf549edb1765f803ca9bf598f75be7b5e3348b
 REGION_MASKS = "73e047278e654399ef22181b0a80f6060fe287ed0bd6c62d9d29471f8778d513"
 UPPER_RECORDS = "615d87d4f8937273444f24ee4010035270e7c49e15680811dd8dd6a56d158b93"
 LOWER_VALUES = "201a7a8f3977ff18beb28e503232c7cfac17767330ad6b538d202c3990576cff"
+# CSV bytes of the order-60 lattice at every seam t.
+GRID_CSV = {
+    "upper": "0a44b51b747f0a41750cc08a39df39d059346887e5cff951f69037c1774a5795",
+    "lower": "ee089481341b006df9e3e85c4e01c0ed4c1cabb35337553458dde03b21bd67d7",
+}
+REGIONS_CSV = "716747fe218deb421106d7f38be0e947c95a47ff05069440d9f6dcb47cf81227"
+TO_CSV = "f1da4c0097cf7fcf458d834495a4b7598327cca616f1e75e6b78a506bfe5d913"
 
 # A 401^2 lattice; k / 400 is one correctly rounded division per node.
 _NODES = np.arange(401) / 400.0
@@ -83,3 +94,57 @@ def test_scalar_upper_records():
 def test_scalar_lower_values():
     assert _text_digest([repr(lower_bound(*p)) for p in _points()]) == LOWER_VALUES
 
+
+
+def _csv_digest(write):
+    """sha256 of the CSV bytes write(t) returns at every seam t, in order."""
+    h = hashlib.sha256()
+    for t in SEAM_T:
+        h.update(write(t))
+    return h.hexdigest()
+
+
+def _cli_stdout(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out.encode()
+
+
+def _cli_file(path, *argv):
+    assert main([*argv, "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_grid_csv_through_stdout(capsys, side):
+    def write(t):
+        return _cli_stdout(capsys, "grid", f"--t={t!r}", "--side", side, "--n", "60")
+
+    assert _csv_digest(write) == GRID_CSV[side]
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_grid_csv_through_out(tmp_path, side):
+    def write(t):
+        return _cli_file(tmp_path / "g.csv", "grid", f"--t={t!r}", "--side", side, "--n", "60")
+
+    assert _csv_digest(write) == GRID_CSV[side]
+
+
+def test_regions_csv(capsys):
+    def write(t):
+        return _cli_stdout(capsys, "regions", f"--t={t!r}", "--n", "60")
+
+    assert _csv_digest(write) == REGIONS_CSV
+
+
+def test_lattice_to_csv(tmp_path):
+    path = tmp_path / "l.csv"
+
+    def write(t):
+        out = b""
+        for evaluate in (upper_bound_values, lower_bound_values):
+            LatticeFunction.from_evaluator(lambda u, v: evaluate(u, v, t), 60).to_csv(path)
+            out += path.read_bytes()
+        return out
+
+    assert _csv_digest(write) == TO_CSV

@@ -1,9 +1,14 @@
 import csv
 import io
+import math
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gini_bounds import (
     DomainError,
@@ -12,6 +17,7 @@ from gini_bounds import (
     frechet_lower,
     frechet_upper,
     product,
+    region_masks,
     upper_bound_values,
 )
 from gini_bounds.lattice import lattice_nodes, write_node_csv
@@ -137,6 +143,65 @@ def test_node_csv_matches_csv_module_reference(tmp_path):
     assert out.getvalue() == _csv_module_reference(n, {"value": values, "flag": flags})
     LatticeFunction(n, values).to_csv(tmp_path / "m.csv")
     assert (tmp_path / "m.csv").read_text() == _csv_module_reference(n, {"value": values})
+
+
+# Doubles the format must print alike: signed zeros, infinities, nan, the
+# subnormal and normal extremes, and three-digit exponents of both signs.
+_EDGE_DOUBLES = st.sampled_from([
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320,
+    2.2250738585072014e-308, -1.0e-100, 9.999999999995e-100, 1.0e100,
+    -1.7976931348623157e308, 1.7976931348623157e308,
+])
+_NAMED_LAYOUTS = [
+    ("float", "bool"), ("bool", "float", "bool"), ("bool",) * 5, ("float", "float"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.sampled_from(_NAMED_LAYOUTS) | st.lists(st.sampled_from(["float", "bool"]), max_size=7),
+    st.data(),
+)
+def test_node_csv_matches_csv_module_reference_on_any_doubles(n, layout, data):
+    columns = {}
+    for k, kind in enumerate(layout):
+        if kind == "float":
+            column = arrays(np.float64, (n + 1, n + 1), elements=st.floats() | _EDGE_DOUBLES)
+        else:
+            column = arrays(bool, (n + 1, n + 1))
+        columns[f"{kind}{k}"] = data.draw(column)
+    out = io.StringIO()
+    write_node_csv(out, n, columns)
+    assert out.getvalue() == _csv_module_reference(n, columns)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (5, 5), (3, 4)])
+def test_node_csv_rejects_a_misshaped_column_before_writing(shape):
+    # Before, with n = 3: (4, 3) wrote 12 three-field rows, (5, 5) its 4 x 4
+    # corner, and (3, 4) 12 rows and then an IndexError.
+    out = io.StringIO()
+    columns = {"value": np.zeros((4, 4)), "flag": np.zeros(shape, dtype=bool)}
+    with pytest.raises(DomainError, match=re.escape(f"'flag' has shape {shape}, not (4, 4)")):
+        write_node_csv(out, 3, columns)
+    assert out.getvalue() == ""
+
+
+def test_node_csv_streams_without_lattice_sized_buffers():
+    # The order-200 grid and atlas: one float64 column alone is 323 KB and
+    # the grid's text 2.2 MB, so a 256 KB peak leaves room for rows only.
+    n, t = 200, -0.9
+    uu, vv = np.meshgrid(lattice_nodes(n), lattice_nodes(n), indexing="ij")
+    values, masks = upper_bound_values(uu, vv, t), region_masks(uu, vv, t)
+    for columns in ({"value": values}, {f"r{k + 1}": m for k, m in enumerate(masks)}):
+        with open(os.devnull, "w") as sink:
+            tracemalloc.start()
+            try:
+                write_node_csv(sink, n, columns)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 def test_csv_rejects_malformed(tmp_path):
