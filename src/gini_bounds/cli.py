@@ -27,13 +27,14 @@ from .bounds import (
     classify_upper,
     lens_density_floor,
     lower_bound,
-    lower_bound_values,
     region_masks,
     upper_bound,
     upper_bound_values,
 )
 from .checkerboard import Checkerboard, gamma_checkerboard_exact
-from .core import PointBoundSpec, frechet_lower, frechet_upper, point_bound_lower, product
+from .core import (
+    PointBoundSpec, check_t, frechet_lower, frechet_upper, point_bound_lower, product,
+)
 from .errors import DomainError, InternalError
 from .lattice import LatticeFunction, check_properties, lattice_nodes, write_node_csv
 from .oracle import lp_extreme
@@ -89,20 +90,39 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _envelope_lattice(side: str, t: float, n: int) -> LatticeFunction:
-    """One side's envelope on the order-n lattice.
+def _triangle_lattice(f, n: int, t: float) -> np.ndarray:
+    """f(u, v, t) on the order-n lattice, for an f exactly symmetric in (u, v).
 
-    The upper envelope depends on (u, v) only through (max, min), so its
-    lattice is exactly symmetric: the nodes with i <= j are evaluated and
-    mirrored.
+    f is evaluated once, on the nodes with i <= j, and mirrored.  It may
+    return a leading stack axis, as region_masks does with its five masks;
+    the lattice axes come last.
     """
-    if side == "lower":
-        return LatticeFunction.from_evaluator(lambda u, v: lower_bound_values(u, v, t), n)
     nodes = lattice_nodes(n)
     rows, cols = np.triu_indices(n + 1)
-    values = np.empty((n + 1, n + 1))
-    values[rows, cols] = values[cols, rows] = upper_bound_values(nodes[rows], nodes[cols], t)
-    return LatticeFunction(n, values)
+    tri = np.asarray(f(nodes[rows], nodes[cols], t))
+    out = np.empty(tri.shape[:-1] + (n + 1, n + 1), dtype=tri.dtype)
+    out[..., rows, cols] = out[..., cols, rows] = tri
+    return out
+
+
+def _envelope_lattice(side: str, t: float, n: int) -> LatticeFunction:
+    """One side's envelope on the order-n lattice, from one upper lattice.
+
+    The upper envelope K depends on (u, v) only through max and min, so its
+    lattice is exactly symmetric and _triangle_lattice builds it.  The lower
+    envelope is the reflection v - K(1 - u, v, -t): entry (i, j) is
+    v_j - K((n - i)/n, v_j, -t), read off the upper lattice at -t, row n - i,
+    at the exact node (n - i)/n rather than the rounded 1 - i/n; the
+    subtraction overwrites that lattice in place.  Entry (j, i) is then the
+    other reflection form u_i - K(u_i, (n - j)/n, -t), a different entry of
+    the same -t lattice off the diagonal, which check compares with (i, j).
+    """
+    nodes = lattice_nodes(n)
+    t = check_t(t)  # before the lower side negates it, so that an error names the t given
+    if side == "upper":
+        return LatticeFunction(n, _triangle_lattice(upper_bound_values, n, t))
+    reflected = _triangle_lattice(upper_bound_values, n, -t)[::-1]
+    return LatticeFunction(n, np.subtract(nodes, reflected, out=reflected))
 
 
 def cmd_grid(args) -> int:
@@ -213,9 +233,9 @@ def cmd_check(args) -> int:
     upper_vals, lower_vals = upper.values, lower.values
     uu, vv = upper.nodes[:, None], upper.nodes[None, :]
 
-    # The second reflection form u - K(u, 1 - v, -t) at node (i, j) is
-    # bit-for-bit lower[j, i] = nodes[i] - K(1 - nodes[j], nodes[i], -t),
-    # because K is exactly symmetric: it uses only max(u, v), min(u, v), u + v.
+    # The two reflection forms, v_j - K((n - i)/n, v_j, -t) at lower[i, j]
+    # and u_i - K(u_i, (n - j)/n, -t) at lower[j, i]: two entries of the -t
+    # upper lattice (see _envelope_lattice).
     reflection_err = float(np.max(np.abs(lower_vals - lower_vals.T)))
     w_vals = frechet_lower(uu, vv)
     m_vals = frechet_upper(uu, vv)
@@ -290,9 +310,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    nodes = lattice_nodes(args.n)
-    uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
-    active = region_masks(uu, vv, args.t)
+    active = _triangle_lattice(region_masks, args.n, args.t)
     with _open_out(args.out) as fh:
         write_node_csv(fh, args.n, {f"r{k + 1}": active[k] for k in range(5)})
     return 0

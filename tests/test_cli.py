@@ -12,12 +12,14 @@ from gini_bounds import (
     frechet_upper,
     lens_density_floor,
     lower_bound_values,
+    region_masks,
     upper_bound_values,
 )
 from gini_bounds import cli
 from gini_bounds.checkerboard import Checkerboard
-from gini_bounds.cli import _envelope_lattice, main
+from gini_bounds.cli import _envelope_lattice, _triangle_lattice, main
 from gini_bounds.lattice import lattice_nodes
+from test_golden import SEAM_T
 
 
 def run(capsys, *argv):
@@ -64,6 +66,7 @@ def test_eval_domain_error_exit_2(capsys):
         ["eval", "--t", "3", "--u", "0.5", "--v", "0.5"],
         ["eval", "--side", "lower", "--t", "0", "--u=-1e-20", "--v", "0.5"],
         ["grid", "--t", "5", "--n", "2"],
+        ["grid", "--side", "lower", "--t", "5", "--n", "2"],
         ["check", "--t", "5", "--grid", "2"],
         ["regions", "--t", "5", "--n", "2"],
         ["regions", "--t", "0", "--n", "0"],
@@ -74,6 +77,9 @@ def test_eval_domain_error_exit_2(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and "domain error" in err, argv
         assert out == "", argv
+        if "5" in argv:
+            # The lower side reflects to -t; the error still names the t given.
+            assert "t=5.0 outside" in err, argv
 
 
 def test_main_finds_the_handler_at_call_time(monkeypatch):
@@ -281,11 +287,16 @@ def test_check_upper_triangle_matches_full_square_audit(capsys):
         audit = check_properties(LatticeFunction(n, full), tol=1e-10)
         want = json.loads(json.dumps(dataclasses.asdict(audit)))
         assert payload["results"]["upper_report"] == want, (n, t)
-        # The second reflection form evaluated directly, by two kernel calls.
-        lower = lower_bound_values(uu, vv, t)
-        second_form = uu - upper_bound_values(uu, 1.0 - vv, -t)
+        # Both reflection forms evaluated directly, by two kernel calls at the
+        # exact reflected nodes (n - k)/n.
+        reflected = nodes[::-1]
+        lower = vv - upper_bound_values(reflected[:, None], vv, -t)
+        second_form = uu - upper_bound_values(uu, reflected[None, :], -t)
         two_call_err = float(np.max(np.abs(lower - second_form)))
         assert payload["results"]["reflection_max_err"] == two_call_err, (n, t)
+        audit = check_properties(LatticeFunction(n, lower), tol=1e-10)
+        want = json.loads(json.dumps(dataclasses.asdict(audit)))
+        assert payload["results"]["lower_report"] == want, (n, t)
 
 
 def test_grid_upper_triangle_matches_full_square(capsys):
@@ -298,3 +309,25 @@ def test_grid_upper_triangle_matches_full_square(capsys):
             capsys, "grid", "--t", repr(t), "--n", str(n), "--format", "json"
         )
         assert code == 0 and payload["values"] == full, t
+        code, payload, _ = run_json(
+            capsys, "grid", "--t", repr(t), "--n", str(n), "--side", "lower", "--format", "json"
+        )
+        lower = np.reshape(payload["values"], (n + 1, n + 1))
+        assert code == 0 and np.max(np.abs(lower - lower_bound_values(uu, vv, t))) <= 1e-15, t
+
+
+@pytest.mark.parametrize("n", (1, 2, 37, 60, 64, 256, 400))
+def test_lower_lattice_and_atlas_match_full_square(n):
+    nodes = lattice_nodes(n)
+    uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
+    for t in SEAM_T:
+        lower = _envelope_lattice("lower", t, n).values
+        full = lower_bound_values(uu, vv, t)
+        assert np.max(np.abs(lower - full)) <= 1e-15, (n, t)
+        # 1 - i/n, which lower_bound_values reflects to, is the exact node
+        # (n - i)/n when n is a power of two.
+        if n & (n - 1) == 0:
+            assert np.array_equal(lower, full), (n, t)
+        if n in (1, 37):
+            atlas = _triangle_lattice(region_masks, n, t)
+            assert np.array_equal(atlas, np.stack(region_masks(uu, vv, t))), (n, t)

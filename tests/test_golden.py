@@ -39,7 +39,7 @@ LOWER_VALUES = "201a7a8f3977ff18beb28e503232c7cfac17767330ad6b538d202c3990576cff
 # CSV bytes of the order-60 lattice at every seam t.
 GRID_CSV = {
     "upper": "0a44b51b747f0a41750cc08a39df39d059346887e5cff951f69037c1774a5795",
-    "lower": "ee089481341b006df9e3e85c4e01c0ed4c1cabb35337553458dde03b21bd67d7",
+    "lower": "d2d6697a802a8a5711edee4964febe0325bfb4265bbbc545c49262d9d57d4eaf",
 }
 REGIONS_CSV = "716747fe218deb421106d7f38be0e947c95a47ff05069440d9f6dcb47cf81227"
 TO_CSV = "f1da4c0097cf7fcf458d834495a4b7598327cca616f1e75e6b78a506bfe5d913"
