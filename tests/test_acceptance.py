@@ -26,6 +26,7 @@ from gini_bounds import (
     lp_extreme,
     mixed_partial_density,
     point_bound_lower,
+    region_masks,
     region_nonempty,
     theta_candidate,
     upper_bound,
@@ -211,13 +212,22 @@ def test_criterion_06_theta_root_property():
              f"max |branch(theta)-t| {worst:.2e} over {found} points")
 
 
+def _region_on_grid(i, t, side=200):
+    """Whether a side x side grid on the closed unit square holds a point of
+    region i; it reads region_masks only, not the thresholds table."""
+    nodes = np.linspace(0.0, 1.0, side)
+    uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
+    return bool(np.any(region_masks(uu, vv, t)[i - 1]))
+
+
 def test_criterion_07_region_thresholds():
     thresholds = {1: -0.75, 2: -4.0 / 9.0, 3: -4.0 / 13.0, 4: -4.0 / 13.0, 5: 0.5}
     ok = True
     details = []
     for i, thr in thresholds.items():
-        below = region_nonempty(i, thr - 0.02, samples=40000)
-        above = region_nonempty(i, thr + 0.02, samples=40000)
+        # Non-empty below and empty above, by the grid search and the table.
+        below = _region_on_grid(i, thr - 0.02) and region_nonempty(i, thr - 0.02)
+        above = _region_on_grid(i, thr + 0.02) or region_nonempty(i, thr + 0.02)
         ok &= below and not above
         details.append(f"R{i}@{thr:+.3f}: {below}/{above}")
     _verdict(7, "region existence thresholds +-0.02", ok, "; ".join(details))

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gini_bounds import (
     BoundClassification,
+    Checkerboard,
     DomainError,
     classify_lower,
     classify_upper,
@@ -91,6 +92,13 @@ def test_region_nonempty_examples():
     assert region_nonempty(5, 0.49)
     assert not region_nonempty(5, 0.51)
     assert not region_nonempty(3, -4.0 / 13.0 + 0.01)
+    # Regions that a 200 x 200 grid search missed: a lattice finds their points.
+    for i, t in ((2, -1.0), (2, -0.45), (1, -0.751), (3, -4.0 / 13.0 - 1e-6), (5, 0.5 - 1e-6)):
+        assert region_nonempty(i, t), (i, t)
+    # Each threshold is the last t of its region, exactly.
+    for i, thr in enumerate(REGION_EMPTY_ABOVE, start=1):
+        assert region_nonempty(i, thr), i
+        assert not region_nonempty(i, np.nextafter(thr, 2.0)), i
 
 
 def test_region_masks_agree_with_region_contains_and_validate():
@@ -106,14 +114,12 @@ def test_region_masks_agree_with_region_contains_and_validate():
             region_masks(u, 0.5, t)
 
 
-def test_region_nonempty_requires_enough_samples():
-    with pytest.raises(DomainError):
-        region_nonempty(1, -0.8, samples=100)
-    for bad in (float("nan"), float("inf"), 40000.0):
-        with pytest.raises(DomainError, match="integer"):
-            region_nonempty(1, -0.8, samples=bad)
+def test_region_nonempty_validates_index_and_t():
     with pytest.raises(DomainError, match="integer"):
         region_nonempty(2.0, -0.8)
+    for t in (float("nan"), 1.5, -1.0 - 1e-12):
+        with pytest.raises(DomainError, match="outside"):
+            region_nonempty(2, t)
 
 
 # --- candidate pruning --------------------------------------------------
@@ -155,6 +161,28 @@ def test_activation_tolerance_outlives_each_threshold_by_less_than_1e_12():
         x, m = _patch(px, pm)
         assert np.any(_active_masks(x, m, thr + 1e-13)[1][i]), i + 1
         assert not np.any(_active_masks(x, m, thr + 1e-12)[1][i]), i + 1
+
+
+def test_region_nonempty_matches_a_point_search():
+    """region_nonempty(i, t) holds exactly where region_masks marks a point
+    of region i, searched on a 201^2 lattice and on a 201^2 patch of
+    half-width 1e-3 about each vanishing point.
+
+    t runs over -1, -0.95, ..., 1 and, about each threshold thr, over
+    thr - 1e-6, thr - 1e-3, thr + 1e-9 and thr + 1e-3.  A t in
+    (thr, thr + 1e-12] is skipped for region i: there ACTIVATION_EPS can
+    still mark a sliver of it (see the test above).
+    """
+    uu, vv = _lattice(200)
+    patches = [_patch(px, pm, side=201, half=1e-3) for px, pm in VANISHING_POINTS]
+    u = np.concatenate([uu.ravel()] + [x for x, _ in patches])
+    v = np.concatenate([vv.ravel()] + [m for _, m in patches])
+    near = [thr + d for thr in REGION_EMPTY_ABOVE for d in (-1e-6, -1e-3, 1e-9, 1e-3)]
+    for t in [*np.linspace(-1.0, 1.0, 41), *near]:
+        found = [bool(np.any(mask)) for mask in region_masks(u, v, t)]
+        for i, thr in enumerate(REGION_EMPTY_ABOVE, start=1):
+            if not thr < t <= thr + 1e-12:
+                assert region_nonempty(i, t) == found[i - 1], (i, t)
 
 
 # (x, m) drawn at a vanishing point, or anywhere in the square.
@@ -414,6 +442,20 @@ def test_array_entry_points_accept_lists_and_tuples():
         for bad in ([0.2, 1.5], (0.2, float("nan"))):
             with pytest.raises(DomainError):
                 f(bad, [0.5, 0.5], 0.0)
+
+
+@pytest.mark.parametrize("f", [
+    upper_bound_values,
+    lower_bound_values,
+    region_masks,
+    lambda u, v, t: Checkerboard(2, np.full((2, 2), 0.25)).cdf(u, v),
+], ids=["upper_bound_values", "lower_bound_values", "region_masks", "Checkerboard.cdf"])
+def test_array_entry_points_reject_shapes_that_do_not_broadcast(f):
+    with pytest.raises(DomainError, match=r"shapes \(3,\) and \(2,\)"):
+        f(np.full(3, 0.5), np.full(2, 0.5), 0.0)
+    # Shapes that do broadcast give what the broadcast arrays give.
+    u, v = np.linspace(0.0, 1.0, 3)[:, None], np.linspace(0.0, 1.0, 4)
+    assert np.array_equal(f(u, v, -0.5), f(*np.broadcast_arrays(u, v), -0.5))
 
 
 def test_lens_density_floor_domain():

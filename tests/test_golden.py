@@ -1,10 +1,13 @@
-"""Bit-level regression pins of both envelopes and of their CSV bytes.
+"""Bit-level regression pins of both envelopes, of their CSV bytes and of
+the `check` report.
 
 Each test hashes outputs that every correctly rounded IEEE-754 build computes
-alike: the envelopes use only +, -, *, / and sqrt, and the CSV writer prints
-each double correctly rounded to 12 significant digits.  A change that moves
-any bit fails here; such a change updates the hash and records the move, with
-its size, in CHANGES.md.
+alike: the envelopes use only +, -, *, / and sqrt, the CSV writer prints
+each double correctly rounded to 12 significant digits, and the `check`
+report adds only differences, extrema and the lens floor's closed form,
+printed as shortest round-trip reprs.  A change that moves any bit fails
+here; such a change updates the hash and records the move, with its size,
+in CHANGES.md.
 """
 
 import hashlib
@@ -43,6 +46,19 @@ GRID_CSV = {
 }
 REGIONS_CSV = "716747fe218deb421106d7f38be0e947c95a47ff05069440d9f6dcb47cf81227"
 TO_CSV = "f1da4c0097cf7fcf458d834495a4b7598327cca616f1e75e6b78a506bfe5d913"
+# The `check --t T --grid 400` JSON report without its elapsed_ms line, at
+# each t of the envelope-audit benchmark and at -1, 0 and 1.
+CHECK_REPORTS = {
+    "-1": "52c539b6ceb9cf4b2fb0b706c52ece8c801779f8f759267e24219012c8ecdc1e",
+    "-0.9": "3ddf89dafbf7f6e7028f61de2b25dc7825f1106d2c98624b42d89427a44f7eb8",
+    "-0.5": "e7e0717c36860c9f0d8f4fc1fcc046fc03159688ebda7e2781722bcdb02e8c09",
+    "-0.1": "1965afc1c8af1e38650675b9447c8be3d0e656e3491bf28e77f1dfce703471ff",
+    "0": "6ef649009de67782a9ad9f2d38030ede8aecc3e82e0447c09c64d6f2e25049e4",
+    "0.2": "5fadc460cca74129b32dda3358576b4282482c713ff1f2438e1d2e87ae361568",
+    "0.45": "31cad120807118fda6381bc261a821a9b1af34d02254b75831a6eec1a9533778",
+    "0.7": "3b98fd2859754e87d7e0a1b96410d46832262ca05c03ac5fbf9ca7e64d463f81",
+    "1": "1d218be7dfbe0f904a18f90a85c49e735855b5449a276503c90d2208cf338bec",
+}
 
 # A 401^2 lattice; k / 400 is one correctly rounded division per node.
 _NODES = np.arange(401) / 400.0
@@ -148,3 +164,10 @@ def test_lattice_to_csv(tmp_path):
         return out
 
     assert _csv_digest(write) == TO_CSV
+
+
+@pytest.mark.parametrize("t", list(CHECK_REPORTS))
+def test_check_report(capsys, t):
+    lines = _cli_stdout(capsys, "check", "--t", t, "--grid", "400").decode().splitlines(True)
+    report = "".join(line for line in lines if not line.startswith('  "elapsed_ms": '))
+    assert _text_digest([report]) == CHECK_REPORTS[t]
