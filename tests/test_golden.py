@@ -1,11 +1,12 @@
 """Bit-level regression pins of both envelopes, of their CSV bytes and of
-the `check` report.
+the `check` and `oracle` reports.
 
 Each test hashes outputs that every correctly rounded IEEE-754 build computes
 alike: the envelopes use only +, -, *, / and sqrt, the CSV writer prints
 each double correctly rounded to 12 significant digits, and the `check`
 report adds only differences, extrema and the lens floor's closed form,
-printed as shortest round-trip reprs.  A change that moves any bit fails
+printed as shortest round-trip reprs.  The `oracle` report also reads
+numpy reductions, whose summation order is fixed for one numpy build.  A change that moves any bit fails
 here; such a change updates the hash and records the move, with its size,
 in CHANGES.md.
 """
@@ -58,6 +59,20 @@ CHECK_REPORTS = {
     "0.45": "31cad120807118fda6381bc261a821a9b1af34d02254b75831a6eec1a9533778",
     "0.7": "3b98fd2859754e87d7e0a1b96410d46832262ca05c03ac5fbf9ca7e64d463f81",
     "1": "1d218be7dfbe0f904a18f90a85c49e735855b5449a276503c90d2208cf338bec",
+}
+# The `oracle` JSON report without its elapsed_ms line, keyed "u v t n": the
+# four lp-certify points at orders 8 and 16, and the centre at 4 and 32.
+ORACLE_REPORTS = {
+    "0.5 0.5 0.0 8": "75123b509e63b566c8d3360291c258488530b0f712d291e359eede7a18b8f190",
+    "0.5 0.5 0.0 16": "dc2f7ef38c59df0452e4b387f85eceb610df7ccd2ea97cdfa4ef1a249942d80f",
+    "0.3 0.7 -0.4 8": "9838ec0084e62c0cf859b89ce37fc65b39458945f9fb114ae17550884da5d3dd",
+    "0.3 0.7 -0.4 16": "66309cb7c2907c54489cd45f3b8d512017869a5319ff2a8c08816dda3bf86c64",
+    "0.6 0.35 0.3 8": "096a948bce53f8211676db63788730ddde962170574e2114db547bee671496ea",
+    "0.6 0.35 0.3 16": "1cae34142813f8a81b95b641facfb11283bfbaa06d322c121b30c1ec35babb12",
+    "0.7 0.4 -0.7 8": "e038d9b232f46589df835f194a9b03e127e14ed534c093b31316828e29dd3e04",
+    "0.7 0.4 -0.7 16": "c4b974d7e213ad5af876210eba124b84acc1b50f385b94175929c0a1c9122976",
+    "0.5 0.5 0.0 4": "3959a8c9a64992e977f2867fa362f1e2b0599b0cef019ade56726b77071efdff",
+    "0.5 0.5 0.0 32": "99171bbdb04e017ffee3c9f982d16bafabb956a9246ca68e7dd7858f405151ec",
 }
 
 # A 401^2 lattice; k / 400 is one correctly rounded division per node.
@@ -171,3 +186,13 @@ def test_check_report(capsys, t):
     lines = _cli_stdout(capsys, "check", "--t", t, "--grid", "400").decode().splitlines(True)
     report = "".join(line for line in lines if not line.startswith('  "elapsed_ms": '))
     assert _text_digest([report]) == CHECK_REPORTS[t]
+
+
+@pytest.mark.parametrize("key", list(ORACLE_REPORTS))
+def test_oracle_report(capsys, key):
+    u, v, t, n = key.split()
+    lines = _cli_stdout(capsys, "oracle", "--t", t, "--n", n, "--u", u, "--v", v).decode()
+    report = "".join(
+        line for line in lines.splitlines(True) if not line.startswith('  "elapsed_ms": ')
+    )
+    assert _text_digest([report]) == ORACLE_REPORTS[key]
