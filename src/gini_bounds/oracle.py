@@ -6,35 +6,29 @@ Gini's gamma and the CDF value at a fixed point are affine in the mass
 matrix.  Extremizing C(u, v) subject to gamma = t is therefore an exact LP,
 and its optimum is the upper concave hull, at t, of the points
 (gamma, C) of the permutation checkerboards: a mix of at most two of them.
-The hull's ends are the reversal and the identity (proved at
-_extreme_gamma_perms), and between them it is searched with a maximum-weight
-assignment solver.  The optimum is a sound inner bound (checkerboards are
+
+The objective is constant on a 3 x 3 grid of row and column blocks, so a
+permutation's C depends only on its block-count matrix, and there are O(n)
+such classes.  Each class spans a gamma interval whose ends are two explicit
+permutations (proved at _class_gamma_ranges), and the hull is taken over
+those 2k points.  The optimum is a sound inner bound (checkerboards are
 copulas) that converges to the envelope as n grows.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .checkerboard import (
-    Checkerboard,
-    cell_ramps,
-    gamma_checkerboard_exact,
-    gamma_coefficients,
-)
+from .checkerboard import Checkerboard, gamma_checkerboard_exact
 from .core import UnitPoint, _check_order, check_t
 from .errors import DomainError, InternalError
 
 _GAMMA_RESIDUAL_TOL = 1e-9
-
-# Rounding slack on the hull's float coordinates.  A target this close to the
-# gamma range is reached by its end permutation, and a permutation lies above
-# the current hull segment when it beats it by more than this, relative to
-# the weight scale 1 + |slope|.
-_HULL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,68 +39,17 @@ class LpOutcome:
     status: str  # "optimal" | "infeasible"
 
 
-def max_weight_assignment(weights) -> np.ndarray:
-    """Column of each row in a maximum-weight perfect matching of a square matrix.
-
-    Shortest augmenting paths with row and column potentials (the Hungarian
-    method), O(n^3).  Index 0 of the padded arrays is a virtual column that
-    roots each search; owner[j] is the 1-based row on column j, 0 if none.
-    """
-    n = len(weights)
-    cost = np.zeros((n + 1, n + 1))
-    cost[1:, 1:] = -np.asarray(weights, dtype=float)
-    row_pot, col_pot = np.zeros(n + 1), np.zeros(n + 1)
-    owner = np.zeros(n + 1, dtype=int)
-    for row in range(1, n + 1):
-        owner[0] = row
-        col = 0
-        slack = np.full(n + 1, np.inf)
-        via = np.zeros(n + 1, dtype=int)
-        used = np.zeros(n + 1, dtype=bool)
-        while owner[col]:
-            used[col] = True
-            r = owner[col]
-            reduced = cost[r] - row_pot[r] - col_pot
-            closer = ~used & (reduced < slack)
-            slack[closer] = reduced[closer]
-            via[closer] = col
-            open_slack = np.where(used, np.inf, slack)
-            col = int(np.argmin(open_slack))
-            delta = open_slack[col]
-            row_pot[owner[used]] += delta
-            col_pot[used] -= delta
-            slack[~used] -= delta
-        while col:
-            owner[col] = owner[via[col]]
-            col = via[col]
-    perm = np.empty(n, dtype=int)
-    perm[owner[1:] - 1] = np.arange(n)
-    return perm
-
-
-class _Vertex(NamedTuple):
-    """The checkerboard P / n of a permutation, with its gamma and objective."""
-
-    perm: np.ndarray
-    gamma: float
-    value: float  # sum(c * P) / n
-
-
-def _vertex(perm: np.ndarray, g: np.ndarray, c: np.ndarray) -> _Vertex:
-    rows = np.arange(len(perm))
-    return _Vertex(perm, float(g[rows, perm].mean() - 2.0), float(c[rows, perm].mean()))
-
-
 def _extreme_gamma_perms(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Permutations of least and of greatest gamma at order n: reversal, identity.
 
     Write a_i = i - (n-1)/2, so a_{n-1-j} = -a_j and the a_i are spaced by 1.
     gamma_coefficients' closed form gives, for the board of a permutation pi,
 
-        gamma(pi) = c_n + (4/n^2) * sum_i f(a_i, a_pi(i)),
+        gamma(pi) = (4/n^2) * sum_i f(a_i, a_pi(i)),
         f(a, b) = sgn(ab) min(|a|, |b|) + ([a = -b] - [a = b]) / 6,
 
-    with c_n depending on n alone.  Against the bound (|a| + |b|) / 2, whose
+    with no constant term (the identity's sum, below, gives
+    gamma_feasible_range's edge).  Against the bound (|a| + |b|) / 2, whose
     sum over any permutation is sum_i |a_i|, a fixed point other than the
     centre loses exactly 1/6, and the centre (odd n) loses nothing.  A moved
     point loses at least 1/2: if |a| != |b| then ||a| - |b|| >= 1, and if
@@ -117,11 +60,186 @@ def _extreme_gamma_perms(n: int) -> tuple[np.ndarray, np.ndarray]:
     at n = 4..7 meets this margin with equality.  Reflecting the first
     coordinate negates gamma (core.reflect_first_coordinate) and maps the
     board of pi to the board of pi o reversal, so the reversal is the unique
-    minimiser.  The margin is far above the rounding of the float matrix g,
-    and max_weight_assignment(-g), max_weight_assignment(g) return these two.
+    minimiser.
     """
     ident = np.arange(n)
     return ident[::-1], ident
+
+
+def gamma_feasible_range(n: int) -> tuple[float, float]:
+    """Attainable gamma range over order-n checkerboards: the reversal's to the identity's.
+
+    The identity's 6 * sum_i f(a_i, a_i) (_extreme_gamma_perms) is
+    6 * sum_i |a_i| less one per fixed point off the centre,
+    (3n^2 - 2n - (n mod 2)) / 2, so its gamma is
+    1 - 2/(3n) - (n mod 2)/(3n^2), rounded once here; the reversal's is the
+    negative.
+    """
+    _check_order(n, "order")
+    hi = (3 * n * n - 2 * n - n % 2) / (3 * n * n)
+    return -hi, hi
+
+
+def _ramp_blocks(n: int, z: float) -> tuple[tuple[int, int, int], float]:
+    """Sizes of the blocks where ramp_i(z) is 1, in (0, 1) and 0, and the middle ramp.
+
+    ramp_i(z) = clip(n*z - i, 0, 1) (checkerboard.cell_ramps) is 1 for
+    i < p = floor(n*z) and 0 for i > p.  n*z - p is exact (p = 0, or
+    p <= n*z < 2p), so it equals the ramp cell_ramps computes at row p,
+    which is a block of its own when it is not 0.
+    """
+    nz = n * z
+    p = min(math.floor(nz), n)
+    ramp = nz - p
+    mid = int(ramp > 0.0)
+    return (p, mid, n - p - mid), ramp
+
+
+def _block_classes(rows, cols) -> np.ndarray:
+    """Every 3 x 3 block-count matrix with row sums `rows` and column sums `cols`.
+
+    The middle blocks hold at most one row and one column.  Once their units
+    are placed, the four corner counts have one degree of freedom, N[0, 0],
+    over an interval, so there are at most 5 (n + 1) classes.
+    """
+    row_units = [[(1, 0)], [(1, 2)]] if rows[1] else [[]]
+    col_units = [[(0, 1)], [(2, 1)]] if cols[1] else [[]]
+    layouts = [r + c for r in row_units for c in col_units]
+    if rows[1] and cols[1]:
+        layouts.append([(1, 1)])
+    classes = []
+    for cells in layouts:
+        base = np.zeros((3, 3), dtype=np.int64)
+        for cell in cells:
+            base[cell] = 1
+        ra, rc = rows[0] - base[0].sum(), rows[2] - base[2].sum()
+        ca, cc = cols[0] - base[:, 0].sum(), cols[2] - base[:, 2].sum()
+        # Empty whenever one of the four residual margins is negative.
+        corner = np.arange(max(0, ra - cc), min(ra, ca) + 1)
+        block = np.repeat(base[None], len(corner), axis=0)
+        block[:, 0, 0] = corner
+        block[:, 0, 2] = ra - corner
+        block[:, 2, 0] = ca - corner
+        block[:, 2, 2] = rc - ca + corner
+        classes.append(block)
+    return np.concatenate(classes)
+
+
+def _abs_run(x0, m):
+    """sum_{k < m} |x0 + 2k|, elementwise over integer arrays."""
+    neg = np.clip((1 - x0) // 2, 0, m)  # the terms below 0
+    return (m - 2 * neg) * x0 + m * (m - 1) - 2 * neg * (neg - 1)
+
+
+def _zero_in_run(x0, m):
+    """[x0 + 2k = 0 for some 0 <= k < m], elementwise over integer arrays."""
+    return (x0 <= 0) & (x0 % 2 == 0) & (-x0 < 2 * m)
+
+
+def _block_starts(sizes) -> np.ndarray:
+    return np.array([0, sizes[0], sizes[0] + sizes[1]], dtype=np.int64)
+
+
+def _class_gamma_ranges(classes, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """The least and greatest S = 3n^2/2 * gamma over the permutations of each class.
+
+    In row and column indices, 6 f(a_i, a_j) of _extreme_gamma_perms is
+
+        F(i, j) = 3 |i + j - (n-1)| - 3 |i - j| + [i + j = n-1] - [i = j],
+
+    using sgn(ab) min(|a|, |b|) = (|a + b| - |a - b|) / 2, and a
+    permutation's gamma is 2 S / (3n^2) with the integer S = sum_i F(i, pi(i)).
+
+    Lemma: over the permutations with block counts N, S is greatest at the
+    sorted permutation, where the rows of each row block, in increasing
+    order, go to the column blocks in increasing order and each column block
+    is filled from its low end, and least at the mirror, where they go to
+    the column blocks in decreasing order and each is filled from its high
+    end.
+
+    Proof.  F is supermodular: on each unit square the second difference
+    F(i, j) + F(i+1, j+1) - F(i, j+1) - F(i+1, j) is >= 0.  Its first term
+    adds 6 where i + j + 1 = n - 1 and 0 elsewhere (|x| is convex with a
+    kink of 2 at 0); its second adds 6 where i = j and 0 elsewhere.  The
+    diagonal terms are not supermodular alone: [i + j = n-1] adds -2 exactly
+    where i + j + 1 = n - 1, and -[i = j] adds -2 exactly where i = j;
+    otherwise each adds 0 or 1.  So each -2 falls on a square that the
+    matching first- or second-term 6 already holds up, and every unit
+    square's difference is at least 0 (at least 4 on those squares).
+    Summing unit squares, F(i, j') + F(i', j) >= F(i, j) + F(i', j') for
+    i < i', j' < j.  Take pi with N and two rows i < i' with
+    pi(i) > pi(i'), the rows in one row block or the images in one column
+    block: exchanging their images keeps N, does not lower S and lowers
+    the number of inversions.  Repeating ends, with S no lower, at a
+    permutation increasing on every row block and with increasing inverse
+    on every column block; given N that is exactly the sorted one.
+    Reversing the columns negates S, as F(i, n-1-j) = -F(i, j)
+    (f(a, -b) = -f(a, b)), so the sorted permutation of the reversed column
+    blocks, read back, is the mirror and has the least S.
+
+    Under either construction each (row block, column block) pair is one run
+    i -> c + (i - r) or i -> c - (i - r), on which i + j or i - j is
+    constant and the other moves in steps of 2; each run's S is summed in
+    closed form here.  The LP result does not rest on the lemma for its
+    soundness: every hull point is the gamma and value of a real
+    permutation, and the argument board is re-validated; the lemma makes it
+    optimal.
+    """
+    n = sum(rows)
+    row0, col0 = _block_starts(rows), _block_starts(cols)
+    col_end = col0 + np.asarray(cols, dtype=np.int64) - 1
+    cum_right = np.cumsum(classes, axis=2)
+    cum_down = np.cumsum(classes, axis=1) - classes  # earlier row blocks
+    m = classes
+
+    r = row0[:, None] + cum_right - m  # sorted: earlier column blocks first
+    c = col0[None, :] + cum_down
+    diag = r + c - (n - 1)
+    greatest = (
+        3 * (_abs_run(diag, m) - m * np.abs(r - c))
+        + _zero_in_run(diag, m) - m * (r == c)
+    )
+    r = row0[:, None] + cum_right[:, :, 2:] - cum_right  # mirror: later blocks first
+    c = col_end[None, :] - cum_down
+    diag = r + c - (n - 1)
+    least = (
+        3 * (m * np.abs(diag) - _abs_run(r - c, m))
+        + m * (diag == 0) - _zero_in_run(r - c, m)
+    )
+    return least.sum(axis=(1, 2)), greatest.sum(axis=(1, 2))
+
+
+def _class_permutation(counts, rows, cols, mirror: bool) -> np.ndarray:
+    """The sorted (or, with mirror, the mirror) permutation of one class."""
+    perm = np.empty(sum(rows), dtype=np.int64)
+    row0, col0 = _block_starts(rows), _block_starts(cols)
+    filled = [0, 0, 0]
+    for i in range(3):
+        r = int(row0[i])
+        for j in (2, 1, 0) if mirror else (0, 1, 2):
+            m = int(counts[i, j])
+            if mirror:
+                top = int(col0[j]) + cols[j] - 1 - filled[j]
+                perm[r:r + m] = np.arange(top, top - m, -1)
+            else:
+                low = int(col0[j]) + filled[j]
+                perm[r:r + m] = np.arange(low, low + m)
+            filled[j] += m
+            r += m
+    return perm
+
+
+def _upper_hull(s: list, value: list) -> list:
+    """Indices of the upper concave hull of points sorted by s, distinct s."""
+    hull: list = []
+    for p in range(len(s)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (s[b] - s[a]) * (value[p] - value[a]) < (value[b] - value[a]) * (s[p] - s[a]):
+                break
+            hull.pop()
+        hull.append(p)
+    return hull
 
 
 def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcome:
@@ -135,35 +253,50 @@ def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcom
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
     UnitPoint(u, v)
     t = check_t(t)
-
-    g = gamma_coefficients(n)
-    c = np.outer(cell_ramps(n, u), cell_ramps(n, v))
-    if direction == "min":
-        c = -c
-    # The hull segment's ends bracket t: a.gamma <= t <= b.gamma up to
-    # rounding.  Each solve finds the vertex highest above the segment and
-    # moves the end on its side of t there.
-    a, b = (_vertex(perm, g, c) for perm in _extreme_gamma_perms(n))
-    if not a.gamma - _HULL_TOL <= t <= b.gamma + _HULL_TOL:
+    lo, hi = gamma_feasible_range(n)
+    if not lo <= t <= hi:
         return LpOutcome(direction, None, None, "infeasible")
-    while a.gamma < b.gamma:
-        slope = (b.value - a.value) / (b.gamma - a.gamma)
-        top = _vertex(max_weight_assignment(c - slope * g), g, c)
-        rise = (top.value - slope * top.gamma) - (a.value - slope * a.gamma)
-        if rise <= _HULL_TOL * (1.0 + abs(slope)):
-            break
-        if top.gamma <= t:
-            a = top
-        else:
-            b = top
+
+    rows, ramp_u = _ramp_blocks(n, u)
+    cols, ramp_v = _ramp_blocks(n, v)
+    classes = _block_classes(rows, cols)
+    # C of each class: the A-A count plus the middle blocks' partial cells, over n.
+    value = (
+        classes[:, 0, 0] + ramp_v * classes[:, 0, 1]
+        + ramp_u * (classes[:, 1, 0] + ramp_v * classes[:, 1, 1])
+    ) / n
+    if direction == "min":
+        value = -value
+    least, greatest = _class_gamma_ranges(classes, rows, cols)
+    s = np.concatenate([least, greatest])
+    value = np.concatenate([value, value])
+    # Per distinct s, keep the point of greatest value.
+    order = np.lexsort((value, s))
+    s, value = s[order], value[order]
+    last = np.append(s[1:] != s[:-1], True)
+    order, s, value = order[last], s[last].tolist(), value[last].tolist()
+    hull = _upper_hull(s, value)
+    # The hull segment a..b whose ends bracket S = 3n^2/2 * t; a = b when a
+    # hull point sits at S, or, by rounding, past the range's edge.
+    hull_s = [s[h] for h in hull]
+    target = 1.5 * n * n * t
+    k = bisect.bisect_left(hull_s, target)
+    b = hull[min(k, len(hull) - 1)]
+    a = hull[k - 1] if 0 < k < len(hull) and hull_s[k] != target else b
 
     alpha = 1.0
-    if a.gamma < b.gamma:
-        alpha = min(max((b.gamma - t) / (b.gamma - a.gamma), 0.0), 1.0)
-    rows = np.arange(n)
+    if s[a] < s[b]:
+        alpha = min(max((s[b] - target) / (s[b] - s[a]), 0.0), 1.0)
+    perms = []
+    for end in (a, b):
+        point = int(order[end])
+        perms.append(_class_permutation(
+            classes[point % len(classes)], rows, cols, mirror=point < len(classes)
+        ))
+    index = np.arange(n)
     mass = np.zeros((n, n))
-    mass[rows, a.perm] = alpha / n
-    mass[rows, b.perm] += (1.0 - alpha) / n
+    mass[index, perms[0]] = alpha / n
+    mass[index, perms[1]] += (1.0 - alpha) / n
     board = Checkerboard(n, mass)
     residual = abs(gamma_checkerboard_exact(board) - t)
     if residual > _GAMMA_RESIDUAL_TOL:
@@ -171,10 +304,3 @@ def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcom
             f"optimal checkerboard misses the gamma target by {residual:.3e}"
         )
     return LpOutcome(direction, board.cdf(u, v), board, "optimal")
-
-
-def gamma_feasible_range(n: int) -> tuple[float, float]:
-    """Attainable gamma range over order-n checkerboards: the reversal's to the identity's."""
-    g = gamma_coefficients(n)
-    lo, hi = (_vertex(perm, g, g).gamma for perm in _extreme_gamma_perms(n))
-    return lo, hi

@@ -1,18 +1,25 @@
-"""The assignment solver and the LP oracle built on it, against references
-computed apart from them: brute force over all permutations, scipy's
-linear_sum_assignment and linprog (skipped when scipy is absent), and the
-closed-form gamma range of every order."""
+"""The LP oracle and the reference assignment solver of the tests, against
+references computed apart from them: brute force over all permutations,
+scipy's linear_sum_assignment and linprog (skipped when scipy is absent),
+the Hungarian slope search, and the closed-form gamma range of every order."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from _hungarian import max_weight_assignment, slope_search
 from gini_bounds import gamma_checkerboard_exact, gamma_coefficients, gamma_feasible_range, lp_extreme
-from gini_bounds.oracle import max_weight_assignment
 
 # The fixed points of the benchmark's lp-certify workload.
 CERTIFY_POINTS = ((0.5, 0.5, 0.0), (0.3, 0.7, -0.4), (0.6, 0.35, 0.3), (0.7, 0.4, -0.7))
+# The soundness grid of acceptance criterion 09.
+CRITERION_09_GRID = tuple(
+    (u, v, t)
+    for t in (-0.5, 0.0, 0.25)
+    for u in (0.2, 0.35, 0.5, 0.65, 0.8)
+    for v in (0.2, 0.35, 0.5, 0.65, 0.8)
+)
 
 
 def _total(w, perm):
@@ -93,6 +100,19 @@ def test_lp_matches_linprog_on_the_equality_form():
                 assert ref.status == 0
                 out = lp_extreme(n, u, v, t, direction)
                 assert out.optimum == pytest.approx(sign * ref.fun, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "n, points",
+    [(8, CRITERION_09_GRID), *((n, CERTIFY_POINTS) for n in (8, 16, 32, 64))],
+    ids=["criterion-09-n8", "certify-n8", "certify-n16", "certify-n32", "certify-n64"],
+)
+def test_lp_matches_the_hungarian_slope_search(n, points):
+    for u, v, t in points:
+        for direction in ("max", "min"):
+            out = lp_extreme(n, u, v, t, direction)
+            assert out.status == "optimal"
+            assert abs(out.optimum - slope_search(n, u, v, t, direction)) <= 1e-12
 
 
 def test_gamma_range_matches_brute_force():

@@ -64,15 +64,15 @@ CHECK_REPORTS = {
 # four lp-certify points at orders 8 and 16, and the centre at 4 and 32.
 ORACLE_REPORTS = {
     "0.5 0.5 0.0 8": "75123b509e63b566c8d3360291c258488530b0f712d291e359eede7a18b8f190",
-    "0.5 0.5 0.0 16": "dc2f7ef38c59df0452e4b387f85eceb610df7ccd2ea97cdfa4ef1a249942d80f",
-    "0.3 0.7 -0.4 8": "9838ec0084e62c0cf859b89ce37fc65b39458945f9fb114ae17550884da5d3dd",
+    "0.5 0.5 0.0 16": "083727965d08671ce2cd877ab3c496dbc813203f364b0aef78fd504a5ecb1a62",
+    "0.3 0.7 -0.4 8": "858555dacf2826227f220de9496616e54fe82eec855bc883687f6f5b5143407b",
     "0.3 0.7 -0.4 16": "66309cb7c2907c54489cd45f3b8d512017869a5319ff2a8c08816dda3bf86c64",
-    "0.6 0.35 0.3 8": "096a948bce53f8211676db63788730ddde962170574e2114db547bee671496ea",
-    "0.6 0.35 0.3 16": "1cae34142813f8a81b95b641facfb11283bfbaa06d322c121b30c1ec35babb12",
-    "0.7 0.4 -0.7 8": "e038d9b232f46589df835f194a9b03e127e14ed534c093b31316828e29dd3e04",
+    "0.6 0.35 0.3 8": "a28eb5787afdc38b141714a3f94ae4d176a1964b56b65539e9561e8c36b6ca38",
+    "0.6 0.35 0.3 16": "a8f67bbf2dae46a60776f9b865ae8bc11da24d6967af2932d3240904195d9f95",
+    "0.7 0.4 -0.7 8": "a0056a6b0bbd4407be4a4621eb51b01d1e93cc3987715e60bff25c910b50bd21",
     "0.7 0.4 -0.7 16": "c4b974d7e213ad5af876210eba124b84acc1b50f385b94175929c0a1c9122976",
     "0.5 0.5 0.0 4": "3959a8c9a64992e977f2867fa362f1e2b0599b0cef019ade56726b77071efdff",
-    "0.5 0.5 0.0 32": "99171bbdb04e017ffee3c9f982d16bafabb956a9246ca68e7dd7858f405151ec",
+    "0.5 0.5 0.0 32": "cf7f10a9d56f739fec49b96dc0eae5ea620e717045764e343652276c202f4e76",
 }
 
 # A 401^2 lattice; k / 400 is one correctly rounded division per node.

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from _hungarian import max_weight_assignment
 from gini_bounds import (
     Checkerboard,
     DomainError,
@@ -10,10 +13,12 @@ from gini_bounds import (
     gamma_feasible_range,
     lower_bound_values,
     lp_extreme,
+    upper_bound,
     upper_bound_values,
 )
+from gini_bounds import oracle
 from gini_bounds.checkerboard import gamma_coefficients
-from gini_bounds.oracle import _extreme_gamma_perms, max_weight_assignment
+from gini_bounds.oracle import _extreme_gamma_perms
 
 
 def test_order2_forced_diagonal():
@@ -104,3 +109,72 @@ def test_extreme_gamma_permutations_are_the_reversal_and_the_identity():
         lo, hi = _extreme_gamma_perms(n)
         assert np.array_equal(lo, max_weight_assignment(-g)), n
         assert np.array_equal(hi, max_weight_assignment(g)), n
+
+
+def _block_layouts(n):
+    """(sizes, ramp) of every block layout one axis can take at order n.
+
+    Node-aligned z = k/n (0 and 1 among them) and z inside each cell give
+    every layout; the lp-certify coordinates are added by name.
+    """
+    zs = [k / n for k in range(n + 1)] + [(k + 0.5) / n for k in range(n)]
+    zs += [0.3, 0.35, 0.4, 0.5, 0.6, 0.7]
+    return {oracle._ramp_blocks(n, z)[0] for z in zs}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sorted_and_mirror_permutations_attain_every_class_extreme(n):
+    # Brute force over all n! permutations: group them by block counts, and
+    # compare each class's least and greatest gamma (from the dense
+    # gamma_coefficients) with the closed form and with the two constructions.
+    perms = np.array(list(itertools.permutations(range(n))))
+    rows = np.arange(n)
+    g = gamma_coefficients(n)
+    gammas = g[rows, perms].mean(axis=1) - 2.0
+    by_gamma = np.argsort(gammas, kind="stable")
+    perms, gammas = perms[by_gamma], gammas[by_gamma]
+    scale = 2.0 / (3.0 * n * n)
+    # A class's key is sum_k N_k base^k over the flattened counts N, or
+    # sum_i base^(3 I(i)) base^(J(perm(i))) with I, J the blocks of row i and
+    # of its image: a float matrix product, exact below 2^53.
+    base = float(n + 1)
+    weights = base ** np.arange(9)
+
+    def blocks(sizes, index):
+        return np.searchsorted(np.cumsum(sizes), index, side="right")
+
+    layouts = _block_layouts(n)
+    for col_sizes in layouts:
+        col_code = base ** blocks(col_sizes, perms)
+        for row_sizes in layouts:
+            row_code = base ** (3 * blocks(row_sizes, rows))
+            keys = col_code @ row_code
+            seen, first = np.unique(keys, return_index=True)
+            _, last = np.unique(keys[::-1], return_index=True)
+            least, greatest = gammas[first], gammas[::-1][last]
+
+            classes = oracle._block_classes(row_sizes, col_sizes)
+            class_keys = classes.reshape(len(classes), 9) @ weights
+            assert sorted(class_keys) == list(seen), (row_sizes, col_sizes)
+            at = np.searchsorted(seen, class_keys)
+            s_least, s_greatest = oracle._class_gamma_ranges(classes, row_sizes, col_sizes)
+            for mirror, s_closed, want in ((True, s_least, least[at]), (False, s_greatest, greatest[at])):
+                assert np.abs(s_closed * scale - want).max() <= 1e-12
+                made = np.array([
+                    oracle._class_permutation(counts, row_sizes, col_sizes, mirror)
+                    for counts in classes
+                ])
+                assert (np.sort(made, axis=1) == rows).all()
+                assert np.array_equal((base ** blocks(col_sizes, made)) @ row_code, class_keys)
+                assert np.abs(g[rows, made].mean(axis=1) - 2.0 - want).max() <= 1e-12
+
+def test_convergence_at_the_centre_at_high_orders():
+    # Beyond criterion 09's n = 32: the gap keeps shrinking, like 1/n.
+    target = upper_bound(0.5, 0.5, 0.0).bound
+    gaps = []
+    for n in (64, 256, 1024):
+        out = lp_extreme(n, 0.5, 0.5, 0.0, "max")
+        assert out.status == "optimal"
+        gaps.append(target - out.optimum)
+        assert 0.0 <= n * gaps[-1] <= 0.03, (n, gaps[-1])
+    assert gaps[0] >= gaps[1] >= gaps[2]
