@@ -260,7 +260,8 @@ def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcom
     rows, ramp_u = _ramp_blocks(n, u)
     cols, ramp_v = _ramp_blocks(n, v)
     classes = _block_classes(rows, cols)
-    # C of each class: the A-A count plus the middle blocks' partial cells, over n.
+    # C of each class: the count in the all-ones corner block plus the middle
+    # blocks' partial cells, over n.
     value = (
         classes[:, 0, 0] + ramp_v * classes[:, 0, 1]
         + ramp_u * (classes[:, 1, 0] + ramp_v * classes[:, 1, 1])
@@ -276,17 +277,14 @@ def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcom
     last = np.append(s[1:] != s[:-1], True)
     order, s, value = order[last], s[last].tolist(), value[last].tolist()
     hull = _upper_hull(s, value)
-    # The hull segment a..b whose ends bracket S = 3n^2/2 * t; a = b when a
-    # hull point sits at S, or, by rounding, past the range's edge.
+    # The hull segment a..b with s[a] < S < s[b], S = 3n^2/2 * t; a = b when
+    # a hull point sits at S, or, by rounding, past the range's edge.
     hull_s = [s[h] for h in hull]
     target = 1.5 * n * n * t
     k = bisect.bisect_left(hull_s, target)
     b = hull[min(k, len(hull) - 1)]
     a = hull[k - 1] if 0 < k < len(hull) and hull_s[k] != target else b
-
-    alpha = 1.0
-    if s[a] < s[b]:
-        alpha = min(max((s[b] - target) / (s[b] - s[a]), 0.0), 1.0)
+    alpha = 1.0 if a == b else (s[b] - target) / (s[b] - s[a])
     perms = []
     for end in (a, b):
         point = int(order[end])

@@ -6,9 +6,9 @@ alike: the envelopes use only +, -, *, / and sqrt, the CSV writer prints
 each double correctly rounded to 12 significant digits, and the `check`
 report adds only differences, extrema and the lens floor's closed form,
 printed as shortest round-trip reprs.  The `oracle` report also reads
-numpy reductions, whose summation order is fixed for one numpy build.  A
-change that moves any bit fails here; such a change updates the hash and
-records the move, with its size, in CHANGES.md.
+numpy reductions (the board's CDF), whose summation order is fixed for one
+numpy build and CPU.  A change that moves any bit fails here; such a change
+updates the hash and records the move, with its size, in CHANGES.md.
 """
 
 import hashlib

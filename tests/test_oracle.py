@@ -112,7 +112,7 @@ def test_extreme_gamma_permutations_are_the_reversal_and_the_identity():
 
 
 def _block_layouts(n):
-    """(sizes, ramp) of every block layout one axis can take at order n.
+    """The block sizes of every layout one axis can take at order n.
 
     Node-aligned z = k/n (0 and 1 among them) and z inside each cell give
     every layout; the lp-certify coordinates are added by name.
@@ -158,7 +158,8 @@ def test_sorted_and_mirror_permutations_attain_every_class_extreme(n):
             assert sorted(class_keys) == list(seen), (row_sizes, col_sizes)
             at = np.searchsorted(seen, class_keys)
             s_least, s_greatest = oracle._class_gamma_ranges(classes, row_sizes, col_sizes)
-            for mirror, s_closed, want in ((True, s_least, least[at]), (False, s_greatest, greatest[at])):
+            ends = ((True, s_least, least[at]), (False, s_greatest, greatest[at]))
+            for mirror, s_closed, want in ends:
                 assert np.abs(s_closed * scale - want).max() <= 1e-12
                 made = np.array([
                     oracle._class_permutation(counts, row_sizes, col_sizes, mirror)
@@ -167,6 +168,7 @@ def test_sorted_and_mirror_permutations_attain_every_class_extreme(n):
                 assert (np.sort(made, axis=1) == rows).all()
                 assert np.array_equal((base ** blocks(col_sizes, made)) @ row_code, class_keys)
                 assert np.abs(g[rows, made].mean(axis=1) - 2.0 - want).max() <= 1e-12
+
 
 def test_convergence_at_the_centre_at_high_orders():
     # Beyond criterion 09's n = 32: the gap keeps shrinking, like 1/n.
