@@ -77,10 +77,14 @@ class Checkerboard:
             except ValueError as exc:
                 raise DomainError(f"malformed checkerboard JSON: {exc}") from None
         try:
-            n = payload["n"]
-            flat = [float(x) for x in payload["mass"]]
+            n, mass = payload["n"], payload["mass"]
+            flat = [float(x) for x in mass]
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"checkerboard JSON must have fields n, mass: {exc}") from None
+        if not isinstance(mass, list):
+            raise DomainError(
+                f"checkerboard JSON mass must be an array, got {type(mass).__name__}"
+            )
         _check_order(n, "checkerboard order")
         if len(flat) != n * n:
             raise DomainError(

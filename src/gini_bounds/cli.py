@@ -39,9 +39,8 @@ from .errors import DomainError, InternalError
 from .lattice import LatticeFunction, check_properties, lattice_nodes, write_node_csv
 from .oracle import lp_extreme
 from .pointgamma import i1_closed, i2_closed, lower_point_bound_gamma
-from .quadrature import gamma_quadrature
+from .quadrature import _CERTIFY_PANELS, _CERTIFY_TOL, gamma_quadrature
 
-_QUAD_PANELS = 4000
 _CHECK_TOL = 1e-10
 # Copula specs without arguments: evaluator and closed-form gamma.
 _BUILTIN_COPULAS = {"pi": (product, 0.0), "w": (frechet_lower, -1.0), "m": (frechet_upper, 1.0)}
@@ -187,8 +186,8 @@ def _gamma_spec(spec: list[str]):
 def cmd_gamma(args) -> int:
     started = time.monotonic()
     evaluator, expected, results = _gamma_spec(args.copula)
-    results["quadrature"] = gamma_quadrature(evaluator, _QUAD_PANELS)
-    passed = abs(expected - results["quadrature"]) <= 1e-6
+    results["quadrature"] = gamma_quadrature(evaluator, _CERTIFY_PANELS)
+    passed = abs(expected - results["quadrature"]) <= _CERTIFY_TOL
     return _emit_report("gamma", {"copula": args.copula}, results, passed, started)
 
 

@@ -58,8 +58,8 @@ def check_t(t: float) -> float:
 
 
 def _check_order(n: int, kind: str, least: int = 1) -> None:
-    """DomainError unless the order n is an integer (Python or numpy) >= least."""
-    if not isinstance(n, numbers.Integral):
+    """DomainError unless the order n is an integer (Python or numpy, not bool) >= least."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise DomainError(f"{kind} must be an integer, got {n}")
     if n < least:
         raise DomainError(f"{kind} must be >= {least}, got {n}")

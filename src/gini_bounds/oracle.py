@@ -9,10 +9,11 @@ and its optimum is the upper concave hull, at t, of the points
 
 The objective is constant on a 3 x 3 grid of row and column blocks, so a
 permutation's C depends only on its block-count matrix, and there are O(n)
-such classes.  Each class spans a gamma interval whose ends are two explicit
-permutations (proved at _class_gamma_ranges), and the hull is taken over
-those 2k points.  The optimum is a sound inner bound (checkerboards are
-copulas) that converges to the envelope as n grows.
+such classes.  Each class spans a gamma interval whose ends are its sorted
+and mirror permutations (proved at _class_gamma), both made of one run per
+pair of blocks (_runs), and the hull is taken over those 2k points.  The
+optimum is a sound inner bound (checkerboards are copulas) that converges to
+the envelope as n grows.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class LpOutcome:
     status: str  # "optimal" | "infeasible"
 
 
-def _extreme_gamma_perms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Permutations of least and of greatest gamma at order n: reversal, identity.
+def gamma_feasible_range(n: int) -> tuple[float, float]:
+    """Attainable gamma range over order-n checkerboards: the reversal's to the identity's.
 
     Write a_i = i - (n-1)/2, so a_{n-1-j} = -a_j and the a_i are spaced by 1.
     gamma_coefficients' closed form gives, for the board of a permutation pi,
@@ -48,9 +49,8 @@ def _extreme_gamma_perms(n: int) -> tuple[np.ndarray, np.ndarray]:
         gamma(pi) = (4/n^2) * sum_i f(a_i, a_pi(i)),
         f(a, b) = sgn(ab) min(|a|, |b|) + ([a = -b] - [a = b]) / 6,
 
-    with no constant term (the identity's sum, below, gives
-    gamma_feasible_range's edge).  Against the bound (|a| + |b|) / 2, whose
-    sum over any permutation is sum_i |a_i|, a fixed point other than the
+    with no constant term.  Against the bound (|a| + |b|) / 2, whose sum
+    over any permutation is sum_i |a_i|, a fixed point other than the
     centre loses exactly 1/6, and the centre (odd n) loses nothing.  A moved
     point loses at least 1/2: if |a| != |b| then ||a| - |b|| >= 1, and if
     a = -b != 0 then f = 1/6 - |a| with |a| >= 1/2.  A permutation other
@@ -61,17 +61,9 @@ def _extreme_gamma_perms(n: int) -> tuple[np.ndarray, np.ndarray]:
     coordinate negates gamma (core.reflect_first_coordinate) and maps the
     board of pi to the board of pi o reversal, so the reversal is the unique
     minimiser.
-    """
-    ident = np.arange(n)
-    return ident[::-1], ident
 
-
-def gamma_feasible_range(n: int) -> tuple[float, float]:
-    """Attainable gamma range over order-n checkerboards: the reversal's to the identity's.
-
-    The identity's 6 * sum_i f(a_i, a_i) (_extreme_gamma_perms) is
-    6 * sum_i |a_i| less one per fixed point off the centre,
-    (3n^2 - 2n - (n mod 2)) / 2, so its gamma is
+    The identity's 6 * sum_i f(a_i, a_i) is 6 * sum_i |a_i| less one per
+    fixed point off the centre, (3n^2 - 2n - (n mod 2)) / 2, so its gamma is
     1 - 2/(3n) - (n mod 2)/(3n^2), rounded once here; the reversal's is the
     negative.
     """
@@ -127,7 +119,8 @@ def _block_classes(rows, cols) -> np.ndarray:
 
 def _abs_run(x0, m):
     """sum_{k < m} |x0 + 2k|, elementwise over integer arrays."""
-    neg = np.clip((1 - x0) // 2, 0, m)  # the terms below 0
+    # The terms below 0; np.clip costs more than this on small arrays.
+    neg = np.minimum(np.maximum((1 - x0) // 2, 0), m)
     return (m - 2 * neg) * x0 + m * (m - 1) - 2 * neg * (neg - 1)
 
 
@@ -136,14 +129,35 @@ def _zero_in_run(x0, m):
     return (x0 <= 0) & (x0 % 2 == 0) & (-x0 < 2 * m)
 
 
-def _block_starts(sizes) -> np.ndarray:
-    return np.array([0, sizes[0], sizes[0] + sizes[1]], dtype=np.int64)
+def _runs(classes, n: int, mirror: bool):
+    """First row r and first image c of every (row block, column block) run.
+
+    A class's sorted permutation sends the rows of each row block, in
+    increasing order, to the column blocks in increasing order, and fills
+    each column block from its low end.  So the N[I, J] rows of row block I
+    that go to column block J are one run i -> c + (i - r): its rows follow
+    the runs before it in row-major order of the blocks, and its images
+    follow those before it in column-major order.  The mirror is the sorted
+    permutation of the reversed column blocks read back through j -> n-1-j:
+    it takes the column blocks in decreasing order, fills each from its high
+    end, and its runs are i -> c - (i - r).  Over any leading axes of
+    `classes`.
+    """
+    if mirror:
+        r, c = _runs(classes[..., ::-1], n, False)
+        return r[..., ::-1], n - 1 - c[..., ::-1]
+    shape, flat = classes.shape, classes.shape[:-2] + (9,)
+    by_rows = classes.reshape(flat)
+    by_cols = classes.swapaxes(-1, -2).reshape(flat)
+    r = (np.cumsum(by_rows, axis=-1) - by_rows).reshape(shape)
+    c = (np.cumsum(by_cols, axis=-1) - by_cols).reshape(shape).swapaxes(-1, -2)
+    return r, c
 
 
-def _class_gamma_ranges(classes, rows, cols) -> tuple[np.ndarray, np.ndarray]:
-    """The least and greatest S = 3n^2/2 * gamma over the permutations of each class.
+def _class_gamma(classes, n: int, mirror: bool) -> np.ndarray:
+    """S = 3n^2/2 * gamma of each class's sorted (or, with mirror, mirror) permutation.
 
-    In row and column indices, 6 f(a_i, a_j) of _extreme_gamma_perms is
+    In row and column indices, 6 f(a_i, a_j) of gamma_feasible_range is
 
         F(i, j) = 3 |i + j - (n-1)| - 3 |i - j| + [i + j = n-1] - [i = j],
 
@@ -151,11 +165,7 @@ def _class_gamma_ranges(classes, rows, cols) -> tuple[np.ndarray, np.ndarray]:
     permutation's gamma is 2 S / (3n^2) with the integer S = sum_i F(i, pi(i)).
 
     Lemma: over the permutations with block counts N, S is greatest at the
-    sorted permutation, where the rows of each row block, in increasing
-    order, go to the column blocks in increasing order and each column block
-    is filled from its low end, and least at the mirror, where they go to
-    the column blocks in decreasing order and each is filled from its high
-    end.
+    sorted permutation of _runs and least at the mirror.
 
     Proof.  F is supermodular: on each unit square the second difference
     F(i, j) + F(i+1, j+1) - F(i, j+1) - F(i+1, j) is >= 0.  Its first term
@@ -177,56 +187,36 @@ def _class_gamma_ranges(classes, rows, cols) -> tuple[np.ndarray, np.ndarray]:
     (f(a, -b) = -f(a, b)), so the sorted permutation of the reversed column
     blocks, read back, is the mirror and has the least S.
 
-    Under either construction each (row block, column block) pair is one run
-    i -> c + (i - r) or i -> c - (i - r), on which i + j or i - j is
-    constant and the other moves in steps of 2; each run's S is summed in
-    closed form here.  The LP result does not rest on the lemma for its
-    soundness: every hull point is the gamma and value of a real
+    On a run, one of i + j - (n-1) and i - j moves in steps of 2 from its
+    value at r and the other stays constant: i + j moves on a sorted run,
+    and i - j on a mirror run, whose S is minus a sorted run's with the two
+    swapped (reversing the columns swaps them and negates F).  Each run's S
+    is summed in closed form here.  The LP result does not rest on the lemma
+    for its soundness: every hull point is the gamma and value of a real
     permutation, and the argument board is re-validated; the lemma makes it
     optimal.
     """
-    n = sum(rows)
-    row0, col0 = _block_starts(rows), _block_starts(cols)
-    col_end = col0 + np.asarray(cols, dtype=np.int64) - 1
-    cum_right = np.cumsum(classes, axis=2)
-    cum_down = np.cumsum(classes, axis=1) - classes  # earlier row blocks
+    r, c = _runs(classes, n, mirror)
     m = classes
-
-    r = row0[:, None] + cum_right - m  # sorted: earlier column blocks first
-    c = col0[None, :] + cum_down
-    diag = r + c - (n - 1)
-    greatest = (
-        3 * (_abs_run(diag, m) - m * np.abs(r - c))
-        + _zero_in_run(diag, m) - m * (r == c)
+    plus, minus = r + c - (n - 1), r - c  # i + j - (n-1) and i - j at r
+    moving, fixed = (minus, plus) if mirror else (plus, minus)
+    run = (
+        3 * (_abs_run(moving, m) - m * np.abs(fixed))
+        + _zero_in_run(moving, m) - m * (fixed == 0)
     )
-    r = row0[:, None] + cum_right[:, :, 2:] - cum_right  # mirror: later blocks first
-    c = col_end[None, :] - cum_down
-    diag = r + c - (n - 1)
-    least = (
-        3 * (m * np.abs(diag) - _abs_run(r - c, m))
-        + m * (diag == 0) - _zero_in_run(r - c, m)
-    )
-    return least.sum(axis=(1, 2)), greatest.sum(axis=(1, 2))
+    return (-1 if mirror else 1) * run.sum(axis=(1, 2))
 
 
-def _class_permutation(counts, rows, cols, mirror: bool) -> np.ndarray:
-    """The sorted (or, with mirror, the mirror) permutation of one class."""
-    perm = np.empty(sum(rows), dtype=np.int64)
-    row0, col0 = _block_starts(rows), _block_starts(cols)
-    filled = [0, 0, 0]
-    for i in range(3):
-        r = int(row0[i])
-        for j in (2, 1, 0) if mirror else (0, 1, 2):
-            m = int(counts[i, j])
-            if mirror:
-                top = int(col0[j]) + cols[j] - 1 - filled[j]
-                perm[r:r + m] = np.arange(top, top - m, -1)
-            else:
-                low = int(col0[j]) + filled[j]
-                perm[r:r + m] = np.arange(low, low + m)
-            filled[j] += m
-            r += m
-    return perm
+def _class_permutation(counts, n: int, mirror: bool) -> np.ndarray:
+    """The sorted (or, with mirror, the mirror) permutation of one class.
+
+    On each run, pi(i) = (c - s r) + s i with s = 1, or s = -1 for the mirror.
+    """
+    s = -1 if mirror else 1
+    r, c = _runs(counts, n, mirror)
+    # Runs in row order: a row block's runs go by column block, reversed for the mirror.
+    starts = np.repeat((c - s * r)[:, ::s].ravel(), counts[:, ::s].ravel())
+    return starts + s * np.arange(n)
 
 
 def _upper_hull(s: list, value: list) -> list:
@@ -268,8 +258,7 @@ def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcom
     ) / n
     if direction == "min":
         value = -value
-    least, greatest = _class_gamma_ranges(classes, rows, cols)
-    s = np.concatenate([least, greatest])
+    s = np.concatenate([_class_gamma(classes, n, mirror) for mirror in (True, False)])
     value = np.concatenate([value, value])
     # Per distinct s, keep the point of greatest value.
     order = np.lexsort((value, s))
@@ -289,7 +278,7 @@ def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcom
     for end in (a, b):
         point = int(order[end])
         perms.append(_class_permutation(
-            classes[point % len(classes)], rows, cols, mirror=point < len(classes)
+            classes[point % len(classes)], n, mirror=point < len(classes)
         ))
     index = np.arange(n)
     mass = np.zeros((n, n))

@@ -5,8 +5,10 @@ gamma(C) = 4 * integral_0^1 [C(u,u) + C(u,1-u)] du - 2.
 The integrand of any copula is 2-Lipschitz, and the piecewise-linear
 copulas used throughout this package have a handful of kinks, so the
 composite rule converges at least quadratically away from kinks and the
-kink panels contribute O(1/m^2) in total.  Certification call sites use
-m >= 2000; convergence is observable by doubling m.
+kink panels contribute O(1/m^2) in total.  Both certification call sites,
+the witness post-condition and the gamma subcommand, use _CERTIFY_PANELS
+panels and accept a gamma within _CERTIFY_TOL of the exact one;
+convergence is observable by doubling m.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ import numpy as np
 
 from .core import Evaluator, _check_order
 from .errors import DomainError
+
+_CERTIFY_PANELS = 4000
+_CERTIFY_TOL = 1e-6
 
 
 def gamma_quadrature(f: Evaluator, panels: int) -> float:

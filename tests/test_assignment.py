@@ -123,7 +123,7 @@ def test_gamma_range_matches_brute_force():
         assert hi == pytest.approx(gammas[-1], abs=1e-12)
         if n > 1:
             # The identity and the reversal are the unique extremes, by a
-            # margin of at least 8/(3n^2) (oracle._extreme_gamma_perms).
+            # margin of at least 8/(3n^2) (oracle.gamma_feasible_range).
             margin = 8.0 / (3.0 * n * n) - 1e-12
             assert gammas[-2] <= hi - margin and gammas[1] >= lo + margin
 

@@ -128,6 +128,8 @@ def test_json_validation(tmp_path):
         ('{"n": 2, "mass": 5}', "fields n, mass"),
         ('{"n": -1, "mass": [1.0]}', "order"),
         ('{"n": 2.5, "mass": [0.5, 0.0, 0.0, 0.5]}', "integer"),
+        ('{"n": true, "mass": [1.0]}', "integer"),
+        ('{"n": 1, "mass": "1"}', "array"),
     ):
         path.write_text(text)
         with pytest.raises(DomainError, match=message):

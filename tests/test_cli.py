@@ -138,6 +138,8 @@ def test_gamma_checkerboard_validates_margins(capsys, tmp_path):
         ('{"n": 2, "mass": [NaN, 0.0, 0.0, 0.5]}', "NaN"),
         ('{"n": 2, "mass": [0.5, 0.0,', "malformed"),
         ('{"n": 2, "mass": 5}', "fields n, mass"),
+        ('{"n": true, "mass": [1.0]}', "integer"),
+        ('{"n": 1, "mass": "1"}', "array"),
     ):
         path.write_text(text)
         code, out, err = run(capsys, "gamma", "--copula", "checkerboard", str(path))

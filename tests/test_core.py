@@ -8,12 +8,15 @@ from gini_bounds import (
     UnitPoint,
     frechet_lower,
     frechet_upper,
+    gamma_feasible_range,
     point_bound_lower,
     point_bound_upper,
     product,
     rect_volume,
     reflect_first_coordinate,
 )
+from gini_bounds.core import _check_order
+from gini_bounds.lattice import lattice_nodes
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -50,6 +53,18 @@ def test_unit_point_validation():
         UnitPoint(-0.1, 0.5)
     with pytest.raises(DomainError):
         UnitPoint(0.5, 1.1)
+
+
+def test_order_validation():
+    # Python and numpy integers pass; bool is an int subclass but no order.
+    for n in (1, 7, np.int64(3)):
+        _check_order(n, "order")
+    for n, message in ((0, ">= 1"), (2.0, "integer"), (True, "integer"), (False, "integer")):
+        with pytest.raises(DomainError, match=message):
+            _check_order(n, "order")
+    for entry in (lattice_nodes, gamma_feasible_range):
+        with pytest.raises(DomainError, match="integer"):
+            entry(True)
 
 
 def test_point_bound_spec_rejects_inadmissible_theta():

@@ -18,7 +18,6 @@ from gini_bounds import (
 )
 from gini_bounds import oracle
 from gini_bounds.checkerboard import gamma_coefficients
-from gini_bounds.oracle import _extreme_gamma_perms
 
 
 def test_order2_forced_diagonal():
@@ -103,10 +102,11 @@ def test_argument_is_a_valid_checkerboard_copula():
 
 
 def test_extreme_gamma_permutations_are_the_reversal_and_the_identity():
-    # The closed form agrees with the float solver.
+    # gamma_feasible_range's proof agrees with the float solver.
     for n in range(1, 41):
         g = gamma_coefficients(n)
-        lo, hi = _extreme_gamma_perms(n)
+        hi = np.arange(n)
+        lo = hi[::-1]
         assert np.array_equal(lo, max_weight_assignment(-g)), n
         assert np.array_equal(hi, max_weight_assignment(g)), n
 
@@ -157,17 +157,49 @@ def test_sorted_and_mirror_permutations_attain_every_class_extreme(n):
             class_keys = classes.reshape(len(classes), 9) @ weights
             assert sorted(class_keys) == list(seen), (row_sizes, col_sizes)
             at = np.searchsorted(seen, class_keys)
-            s_least, s_greatest = oracle._class_gamma_ranges(classes, row_sizes, col_sizes)
-            ends = ((True, s_least, least[at]), (False, s_greatest, greatest[at]))
-            for mirror, s_closed, want in ends:
+            for mirror, want in ((True, least[at]), (False, greatest[at])):
+                s_closed = oracle._class_gamma(classes, n, mirror)
                 assert np.abs(s_closed * scale - want).max() <= 1e-12
                 made = np.array([
-                    oracle._class_permutation(counts, row_sizes, col_sizes, mirror)
+                    oracle._class_permutation(counts, n, mirror)
                     for counts in classes
                 ])
                 assert (np.sort(made, axis=1) == rows).all()
                 assert np.array_equal((base ** blocks(col_sizes, made)) @ row_code, class_keys)
                 assert np.abs(g[rows, made].mean(axis=1) - 2.0 - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 257, 1024])
+def test_sorted_and_mirror_runs_at_high_orders(n):
+    # Beyond brute force: at the lp-certify points and two node-aligned ones,
+    # both constructions of every class are permutations with the class's
+    # block counts, and their S = sum_i F(i, pi(i)), from the kernel written
+    # out here with no n x n matrix, is _class_gamma's closed form.
+    i = np.arange(n)
+    nodes = [((n // 3) / n, (2 * n // 3) / n), ((n // 8) / n, (n // 2) / n)]
+    certify = [(0.5, 0.5), (0.3, 0.7), (0.6, 0.35), (0.7, 0.4)]
+    for point, (u, v) in enumerate(nodes + certify):
+        rows, cols = oracle._ramp_blocks(n, u)[0], oracle._ramp_blocks(n, v)[0]
+        if point < len(nodes):
+            assert rows[1] == cols[1] == 0, (u, v)
+        classes = oracle._block_classes(rows, cols)
+        row_block = np.searchsorted(np.cumsum(rows), i, side="right")
+        for mirror in (True, False):
+            made = np.array([
+                oracle._class_permutation(counts, n, mirror) for counts in classes
+            ])
+            assert (np.sort(made, axis=1) == i).all(), (u, v, mirror)
+            cell = 3 * row_block + np.searchsorted(np.cumsum(cols), made, side="right")
+            cell += 9 * np.arange(len(classes))[:, None]
+            counts = np.bincount(cell.ravel(), minlength=9 * len(classes))
+            assert np.array_equal(counts, classes.ravel()), (u, v, mirror)
+            j = made
+            kernel = (
+                3 * np.abs(i + j - (n - 1)) - 3 * np.abs(i - j)
+                + (i + j == n - 1) - (i == j)
+            )
+            closed = oracle._class_gamma(classes, n, mirror)
+            assert np.array_equal(kernel.sum(axis=1), closed), (u, v, mirror)
 
 
 def test_convergence_at_the_centre_at_high_orders():
