@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    _BLOCK,
     BoundClassification,
     _reflected_upper_bound,
     classify_lower,
@@ -36,7 +37,9 @@ from .core import (
     PointBoundSpec, check_t, frechet_lower, frechet_upper, point_bound_lower, product,
 )
 from .errors import DomainError, InternalError
-from .lattice import LatticeFunction, check_properties, lattice_nodes, write_node_csv
+from .lattice import (
+    LatticeFunction, _row_strips, check_properties, lattice_nodes, write_node_csv,
+)
 from .oracle import lp_extreme
 from .pointgamma import i1_closed, i2_closed, lower_point_bound_gamma
 from .quadrature import _CERTIFY_PANELS, _CERTIFY_TOL, gamma_quadrature
@@ -92,15 +95,37 @@ def cmd_eval(args) -> int:
 def _triangle_lattice(f, n: int, t: float) -> np.ndarray:
     """f(u, v, t) on the order-n lattice, for an f exactly symmetric in (u, v).
 
-    f is evaluated once, on the nodes with i <= j, and mirrored.  It may
-    return a leading stack axis, as region_masks does with its five masks;
-    the lattice axes come last.
+    f is evaluated once on the nodes with i <= j, one group of whole rows
+    of that triangle per call, each group at most _BLOCK points (a single
+    row may be longer).  Row r of a group is written to out[..., r, r:];
+    the group's rows r0..r1-1 are then mirrored by one transposed copy of
+    the rectangle right of its diagonal block, and the block's own upper
+    half.  f may return a leading stack axis, as region_masks does with
+    its five masks; the lattice axes come last.
     """
     nodes = lattice_nodes(n)
-    rows, cols = np.triu_indices(n + 1)
-    tri = np.asarray(f(nodes[rows], nodes[cols], t))
-    out = np.empty(tri.shape[:-1] + (n + 1, n + 1), dtype=tri.dtype)
-    out[..., rows, cols] = out[..., cols, rows] = tri
+    side = n + 1
+    out = None
+    r0 = 0
+    while r0 < side:
+        r1, size = r0 + 1, side - r0
+        while r1 < side and size + side - r1 <= _BLOCK:
+            size += side - r1
+            r1 += 1
+        rows = range(r0, r1)
+        u = np.repeat(nodes[r0:r1], [side - r for r in rows])
+        v = np.concatenate([nodes[r:] for r in rows])
+        tri = np.asarray(f(u, v, t))
+        if out is None:
+            out = np.empty(tri.shape[:-1] + (side, side), dtype=tri.dtype)
+        start = 0
+        for r in rows:
+            out[..., r, r:] = tri[..., start:start + side - r]
+            start += side - r
+        out[..., r1:, r0:r1] = out[..., r0:r1, r1:].swapaxes(-1, -2)
+        block = out[..., r0:r1, r0:r1]
+        np.copyto(block, block.swapaxes(-1, -2), where=np.tri(r1 - r0, k=-1, dtype=bool))
+        r0 = r1
     return out
 
 
@@ -232,20 +257,22 @@ def cmd_check(args) -> int:
     rep_up = check_properties(upper, tol=_CHECK_TOL)
     rep_lo = check_properties(lower, tol=_CHECK_TOL)
     upper_vals, lower_vals = upper.values, lower.values
-    uu, vv = upper.nodes[:, None], upper.nodes[None, :]
+    nodes = upper.nodes
+
+    def strip_max(term) -> float:
+        """max over the lattice of term(rows), taken one row strip at a time."""
+        return float(np.max([np.max(term(rows)) for rows in _row_strips(n + 1, n + 1)]))
 
     # The two reflection forms, v_j - K((n - i)/n, v_j, -t) at lower[i, j]
     # and u_i - K(u_i, (n - j)/n, -t) at lower[j, i]: two entries of the -t
-    # upper lattice (see _envelope_lattice).
-    reflection_err = float(np.max(np.abs(lower_vals - lower_vals.T)))
-    w_vals = frechet_lower(uu, vv)
-    m_vals = frechet_upper(uu, vv)
-    sandwich_err = float(
-        max(
-            np.max(w_vals - lower_vals),
-            np.max(lower_vals - upper_vals),
-            np.max(upper_vals - m_vals),
-        )
+    # upper lattice (see _envelope_lattice).  Float subtraction is
+    # antisymmetric, so the largest lower - lower.T is its largest abs.
+    reflection_err = strip_max(lambda rows: lower_vals[rows] - lower_vals[:, rows].T)
+    # W <= lower <= upper <= M, with W and M taken per strip from the nodes.
+    sandwich_err = max(
+        strip_max(lambda rows: frechet_lower(nodes[rows, None], nodes) - lower_vals[rows]),
+        strip_max(lambda rows: lower_vals[rows] - upper_vals[rows]),
+        strip_max(lambda rows: upper_vals[rows] - frechet_upper(nodes[rows, None], nodes)),
     )
 
     checks = {

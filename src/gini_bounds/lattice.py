@@ -8,16 +8,21 @@ check_properties audits the boundary conditions, coordinatewise
 monotonicity, the 1-Lipschitz condition in each coordinate, and
 2-increasingness.  Single-cell volumes suffice for the latter: every
 rectangle volume of the bilinear interpolant is a sum of cell volumes.
+It reads the lattice in row strips of at most bounds._BLOCK points
+(_row_strips), so that no temporary is the size of the lattice.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from itertools import chain, groupby, product
 
 import numpy as np
 
+from .bounds import _BLOCK
 from .core import Evaluator, _check_order
 from .errors import DomainError
 
@@ -29,6 +34,18 @@ def lattice_nodes(n: int) -> np.ndarray:
     """Nodes i/n, i = 0..n, of the order-n uniform lattice (n >= 1)."""
     _check_order(n, "lattice order")
     return np.arange(n + 1, dtype=float) / n
+
+
+def _row_strips(rows: int, width: int) -> list:
+    """Slices of consecutive rows of a rows x width array, in order, each at
+    most _BLOCK points (one row where a row alone is wider)."""
+    step = max(1, _BLOCK // width)
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+def _cell_volumes(v: np.ndarray) -> np.ndarray:
+    """Volumes of the cells between consecutive rows and columns of v."""
+    return v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]
 
 
 @dataclass(frozen=True)
@@ -81,8 +98,7 @@ class LatticeFunction:
 
     def cell_volumes(self) -> np.ndarray:
         """Volumes of all N x N single cells of the bilinear interpolant."""
-        v = self.values
-        return v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]
+        return _cell_volumes(self.values)
 
     def to_csv(self, path) -> None:
         """Write `u,v,value` rows in row-major node order, 12 significant digits."""
@@ -191,10 +207,18 @@ def _group_row(cols: list, table, i: int) -> list:
 def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:
     """Audit a lattice function against the quasi-copula and copula axioms.
 
-    Verdicts use the single tolerance ``tol``: the function is a
-    quasi-copula if boundary error, monotonicity and Lipschitz excess pass
-    at tol, and a copula if additionally min_volume >= -tol.
+    Verdicts use the single tolerance ``tol``, a finite real >= 0: the
+    function is a quasi-copula if boundary error, monotonicity and
+    Lipschitz excess pass at tol, and a copula if additionally
+    min_volume >= -tol.
+
+    The forward differences and cell volumes are taken one strip of cell
+    rows at a time (_row_strips); every field equals the whole-array
+    reduction's, a NaN propagates as it would there, and min_volume_rect is
+    the first minimal cell in row-major order, as numpy's argmin picks it.
     """
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < math.inf:
+        raise DomainError(f"tolerance must be a finite real number >= 0, got {tol!r}")
     v = g.values
     n = g.N
     nodes = g.nodes
@@ -206,19 +230,34 @@ def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:
         float(np.max(np.abs(v[n, :] - nodes))),
     )
 
-    du = v[1:, :] - v[:-1, :]
-    dv = v[:, 1:] - v[:, :-1]
-    du_min, dv_min = float(du.min()), float(dv.min())
+    du_mins, du_maxs, dv_mins, dv_maxs = [], [], [], []
+    min_vol, flat = None, 0
+    for cells in _row_strips(n, n + 1):
+        # The strip's cell rows and the lattice row below them; the last
+        # strip's dv takes in the final lattice row too.
+        rows = v[cells.start:cells.stop + 1]
+        du = rows[1:] - rows[:-1]
+        dv_rows = rows if cells.stop == n else rows[:-1]
+        dv = dv_rows[:, 1:] - dv_rows[:, :-1]
+        du_mins.append(du.min())
+        du_maxs.append(du.max())
+        dv_mins.append(dv.min())
+        dv_maxs.append(dv.max())
+        vols = _cell_volumes(rows)
+        k = int(np.argmin(vols))
+        vol = vols.flat[k]
+        # Strictly smaller, so an earlier strip wins ties; the first NaN wins.
+        if min_vol is None or (not np.isnan(min_vol) and (np.isnan(vol) or vol < min_vol)):
+            min_vol, flat = vol, cells.start * n + k
+    du_min, dv_min = float(np.min(du_mins)), float(np.min(dv_mins))
     mono = min(du_min, dv_min)
 
     step = 1.0 / n
     # max|d| = max(d.max(), -d.min()) exactly, without an abs temporary.
-    lip = max(float(du.max()), -du_min, float(dv.max()), -dv_min) - step
+    lip = max(float(np.max(du_maxs)), -du_min, float(np.max(dv_maxs)), -dv_min) - step
 
-    vols = g.cell_volumes()
-    flat = int(np.argmin(vols))
     i, j = divmod(flat, n)
-    min_vol = float(vols[i, j])
+    min_vol = float(min_vol)
 
     is_quasi = boundary <= tol and mono >= -tol and lip <= tol
     is_cop = is_quasi and min_vol >= -tol

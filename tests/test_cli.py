@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gini_bounds import (
     upper_bound_values,
 )
 from gini_bounds import cli
+from gini_bounds.bounds import _BLOCK
 from gini_bounds.checkerboard import Checkerboard
 from gini_bounds.cli import _envelope_lattice, _triangle_lattice, main
 from gini_bounds.lattice import lattice_nodes
@@ -266,7 +268,7 @@ def test_regions_atlas_columns(capsys):
 
 def test_check_upper_triangle_matches_full_square_audit(capsys):
     ts = (-1.0, -0.9, -0.75, -0.5, -4.0 / 9.0, -4.0 / 13.0, -0.1, 0.0, 0.2, 0.5, 0.7, 1.0)
-    for n, t in itertools.product((37, 60), ts):
+    for n, t in itertools.product((37, 60, 181), ts):
         nodes = lattice_nodes(n)
         uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
         full = upper_bound_values(uu, vv, t)
@@ -318,7 +320,7 @@ def test_grid_upper_triangle_matches_full_square(capsys):
         assert code == 0 and np.max(np.abs(lower - lower_bound_values(uu, vv, t))) <= 1e-15, t
 
 
-@pytest.mark.parametrize("n", (1, 2, 37, 60, 64, 256, 400))
+@pytest.mark.parametrize("n", (1, 2, 37, 60, 64, 180, 181, 256, 400))
 def test_lower_lattice_and_atlas_match_full_square(n):
     nodes = lattice_nodes(n)
     uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
@@ -330,6 +332,46 @@ def test_lower_lattice_and_atlas_match_full_square(n):
         # (n - i)/n when n is a power of two.
         if n & (n - 1) == 0:
             assert np.array_equal(lower, full), (n, t)
-        if n in (1, 37):
+        if n in (1, 37, 181):
             atlas = _triangle_lattice(region_masks, n, t)
             assert np.array_equal(atlas, np.stack(region_masks(uu, vv, t))), (n, t)
+
+
+@pytest.mark.parametrize("n", (1, 2, 179, 180, 181, 400))
+def test_triangle_lattice_calls_f_in_blocks_on_each_upper_node_once(n):
+    calls = []
+
+    def product_recorder(u, v, t):
+        calls.append((u, v))
+        return np.stack([u * v, u + v])
+
+    nodes = lattice_nodes(n)
+    out = _triangle_lattice(product_recorder, n, 0.0)
+    want = np.stack([np.multiply.outer(nodes, nodes), np.add.outer(nodes, nodes)])
+    assert np.array_equal(out, want)
+    assert all(len(u) <= _BLOCK for u, _ in calls)
+    # The order-180 triangle, 181 * 182 / 2 = 16,471 nodes, is the first
+    # that needs two calls.
+    if n <= 180:
+        assert len(calls) == (1 if n < 180 else 2)
+    rows = np.rint(np.concatenate([u for u, _ in calls]) * n).astype(int)
+    cols = np.rint(np.concatenate([v for _, v in calls]) * n).astype(int)
+    counts = np.bincount(rows * (n + 1) + cols, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
+    assert np.array_equal(counts, np.triu(np.ones((n + 1, n + 1), dtype=int)))
+
+
+@pytest.mark.parametrize("t", (-0.9, 0.2))
+def test_check_allocates_no_lattice_sized_temporaries(capsys, t):
+    # Beyond the two lattices it returns, check holds only the kernel's
+    # per-block working set: its traced peak was 5.1 lattices when the
+    # mirror, the audit and the sandwich each built full-size arrays.
+    n = 400
+    run(capsys, "check", f"--t={t!r}", "--grid", str(n))
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "check", f"--t={t!r}", "--grid", str(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 3.5 * (n + 1) ** 2 * 8

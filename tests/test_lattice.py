@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -13,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from gini_bounds import (
     DomainError,
     LatticeFunction,
+    PropertyReport,
     check_properties,
     frechet_lower,
     frechet_upper,
@@ -68,6 +70,96 @@ def test_lipschitz_excess_counts_the_steepest_decrease():
     want = max(float(np.abs(du).max()), float(np.abs(dv).max())) - 1.0 / n
     assert rep.lipschitz_max_excess == want
     assert want > 0.0 and not rep.is_quasicopula
+
+
+def _whole_array_report(g, tol):
+    """check_properties over whole-array temporaries, as it was before the
+    audit read the lattice in row strips: the reference for that audit."""
+    v, n, nodes = g.values, g.N, g.nodes
+    boundary = max(
+        float(np.max(np.abs(v[:, 0]))),
+        float(np.max(np.abs(v[0, :]))),
+        float(np.max(np.abs(v[:, n] - nodes))),
+        float(np.max(np.abs(v[n, :] - nodes))),
+    )
+    du = v[1:, :] - v[:-1, :]
+    dv = v[:, 1:] - v[:, :-1]
+    du_min, dv_min = float(du.min()), float(dv.min())
+    mono = min(du_min, dv_min)
+    lip = max(float(du.max()), -du_min, float(dv.max()), -dv_min) - 1.0 / n
+    vols = v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]
+    i, j = divmod(int(np.argmin(vols)), n)
+    min_vol = float(vols[i, j])
+    is_quasi = boundary <= tol and mono >= -tol and lip <= tol
+    return PropertyReport(
+        boundary_max_err=boundary,
+        monotonicity_min_step=mono,
+        lipschitz_max_excess=lip,
+        min_volume=min_vol,
+        min_volume_rect=(i, j, i + 1, j + 1),
+        is_quasicopula=is_quasi,
+        is_copula=is_quasi and min_vol >= -tol,
+    )
+
+
+def _same_bits(a, b) -> bool:
+    if isinstance(a, float):
+        return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+    return a == b
+
+
+# Node values drawn from few distinct doubles, so that cell volumes tie and
+# zero steps come with both signs.
+_PALETTES = [(0.0, -0.0), (0.0, -0.0, 0.25, 1.0), (-0.5, 0.0, 0.5), (0.1, 0.2, 0.7)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(["palette", "blocks", "copula", "uniform"]),
+    palette=st.sampled_from(_PALETTES),
+    nans=st.integers(0, 3),
+)
+def test_strip_audit_matches_whole_array_reference(n, seed, layout, palette, nans):
+    rng = np.random.default_rng(seed)
+    side = n + 1
+    if layout == "palette":
+        vals = rng.choice(palette, size=(side, side))
+    elif layout == "blocks":
+        # Constant blocks: runs of equal minimal volumes across strip
+        # boundaries, where the first in row-major order must win.
+        edge = int(rng.integers(1, 40))
+        coarse = rng.choice(palette, size=(-(-side // edge),) * 2)
+        vals = np.kron(coarse, np.ones((edge, edge)))[:side, :side]
+    elif layout == "copula":
+        vals = LatticeFunction.from_evaluator(product, n).values.copy()
+    else:
+        vals = rng.random((side, side))
+    vals[rng.integers(0, side, nans), rng.integers(0, side, nans)] = np.nan
+    g = LatticeFunction(n, vals)
+    got, want = check_properties(g, tol=1e-9), _whole_array_report(g, tol=1e-9)
+    for field in dataclasses.fields(PropertyReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "monotonicity_min_step" and a == b == 0.0:
+            # numpy's min of a whole array picks the sign of a zero minimum
+            # by its reduction order (np.min([0.0, -0.0]) is -0.0, of
+            # [-0.0, 0.0] it is 0.0), which no strip order reproduces.
+            continue
+        assert _same_bits(a, b), (field.name, a, b)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12, True, False, "x", None])
+def test_check_properties_rejects_a_bad_tolerance(tol):
+    g = LatticeFunction.from_evaluator(product, 4)
+    with pytest.raises(DomainError, match="tolerance"):
+        check_properties(g, tol=tol)
+
+
+def test_check_properties_accepts_a_zero_or_numpy_tolerance():
+    g = LatticeFunction.from_evaluator(frechet_upper, 4)
+    for tol in (0, 0.0, np.float64(1e-9), np.float32(1e-6)):
+        assert check_properties(g, tol=tol).is_copula
 
 
 def test_point_bound_copulas_pass_copula_audit_at_n200():
