@@ -93,33 +93,34 @@ class Checkerboard:
         return cls(n, np.reshape(flat, (n, n)))
 
 
-def _ramp_products(n: int) -> np.ndarray:
-    """D[i, j] = integral_0^1 ramp_i(z) * ramp_j(z) dz, exact per cell.
+def gamma_numerators(n: int, i, j):
+    """K = 3n/2 * g[i, j] at index arrays i and j: integers (g = gamma_coefficients(n)).
 
-    Both ramps are 1 past cell max(i, j); on that cell the product is a
-    ramp (square when i == j), contributing 1/(2n) (resp. 1/(3n)).
+    g[i, j] = 4 * (diag[i, j] + anti[i, j]), where diag integrates
+    ramp_i(z) * ramp_j(z) and anti integrates ramp_i(z) * ramp_j(1 - z).  Both
+    ramps are 1 past cell max(i, j); on that cell the product is a ramp
+    (square when i == j), contributing 1/(2n) (resp. 1/(3n)), so
+    6n * diag[i, j] = 6n - 6 max(i, j) - 3 - [i = j].  Using
+    ramp_j(1 - z) = 1 - ramp_{n-1-j}(z), anti[i, j] = mean_i - diag[i, n-1-j],
+    where 6n * mean_i = 6n - 6i - 3 integrates ramp_i.  A permutation board's
+    gamma is therefore 2 G / (3n^2) - 2, with the integer G = sum_i K[i, pi(i)].
     """
-    idx = np.arange(n, dtype=float)
-    hi = np.maximum(idx[:, None], idx[None, :])
-    d = 1.0 - (hi + 1.0) / n + 1.0 / (2.0 * n)
-    np.fill_diagonal(d, 1.0 - (idx + 1.0) / n + 1.0 / (3.0 * n))
-    return d
+    i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+    mirror = n - 1 - j
+    return (
+        6 * n - 6 * i - 3 + 6 * (np.maximum(i, mirror) - np.maximum(i, j))
+        + (i == mirror) - (i == j)
+    )
 
 
 def gamma_coefficients(n: int) -> np.ndarray:
     """Matrix g with gamma(checkerboard) = sum_ij g[i,j]*mass[i,j] - 2.
 
-    g[i,j] = 4 * (diag[i,j] + anti[i,j]), where diag integrates
-    ramp_i(u)*ramp_j(u) and anti integrates ramp_i(u)*ramp_j(1-u); using
-    ramp_j(1-u) = 1 - ramp_{n-1-j}(u), both reduce to the same exact
-    per-cell integrals.
+    g[i, j] = 2K / (3n) with the integers K of gamma_numerators, rounded once.
     """
     _check_order(n, "order")
-    d = _ramp_products(n)
-    idx = np.arange(n, dtype=float)
-    ramp_mean = 1.0 - (2.0 * idx + 1.0) / (2.0 * n)  # integral of ramp_i
-    anti = ramp_mean[:, None] - d[:, ::-1]
-    return 4.0 * (d + anti)
+    idx = np.arange(n)
+    return 2 * gamma_numerators(n, idx[:, None], idx) / (3 * n)
 
 
 def gamma_checkerboard_exact(cb: Checkerboard) -> float:

@@ -12,32 +12,62 @@ permutation's C depends only on its block-count matrix, and there are O(n)
 such classes.  Each class spans a gamma interval whose ends are its sorted
 and mirror permutations (proved at _class_gamma), both made of one run per
 pair of blocks (_runs), and the hull is taken over those 2k points.  The
-optimum is a sound inner bound (checkerboards are copulas) that converges to
-the envelope as n grows.
+classes, their gammas and their values do not depend on the direction, so
+one memoised table (_class_table) serves the max and the min at one point.
+
+The result is kept as the two permutations and their exact weight alpha;
+nothing n x n is built on the way.  Every datum is rational (float u, v and
+t are dyadic, and so are the ramps), so the gamma of the mix is re-derived
+in integers on the 2n support cells from gamma_numerators and must equal
+the target exactly, and the optimum is computed exactly from the ramps at
+the support and rounded once.  The optimum is a sound inner bound
+(checkerboards are copulas) that converges to the envelope as n grows.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .checkerboard import Checkerboard, gamma_checkerboard_exact
+from .checkerboard import Checkerboard, gamma_numerators
 from .core import UnitPoint, _check_order, check_t
 from .errors import DomainError, InternalError
-
-_GAMMA_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class LpOutcome:
+    """An LP result: the optimum, and the optimal board as a permutation pair.
+
+    The board puts mass alpha / n on (i, permutations[0][i]) and
+    (1 - alpha) / n on (i, permutations[1][i]); alpha is exact, and the
+    optimum is that board's C(u, v), computed exactly and rounded once.
+    `argument` builds the dense Checkerboard on first access.  All three
+    are None when the target is infeasible.
+    """
+
     direction: str  # "min" | "max"
     optimum: Optional[float]
-    argument: Optional[Checkerboard]
     status: str  # "optimal" | "infeasible"
+    permutations: Optional[tuple[np.ndarray, np.ndarray]] = None
+    alpha: Optional[Fraction] = None
+
+    @functools.cached_property
+    def argument(self) -> Optional[Checkerboard]:
+        if self.permutations is None:
+            return None
+        first, second = self.permutations
+        n = len(first)
+        index = np.arange(n)
+        mass = np.zeros((n, n))
+        mass[index, first] = float(self.alpha) / n
+        mass[index, second] += float(1 - self.alpha) / n
+        return Checkerboard(n, mass)
 
 
 def gamma_feasible_range(n: int) -> tuple[float, float]:
@@ -68,8 +98,13 @@ def gamma_feasible_range(n: int) -> tuple[float, float]:
     negative.
     """
     _check_order(n, "order")
-    hi = (3 * n * n - 2 * n - n % 2) / (3 * n * n)
+    hi = 2 * _identity_s(n) / (3 * n * n)
     return -hi, hi
+
+
+def _identity_s(n: int) -> int:
+    """S = 3n^2/2 * gamma of the identity, (3n^2 - 2n - n mod 2) / 2 (an integer)."""
+    return (3 * n * n - 2 * n - n % 2) // 2
 
 
 def _ramp_blocks(n: int, z: float) -> tuple[tuple[int, int, int], float]:
@@ -193,8 +228,8 @@ def _class_gamma(classes, n: int, mirror: bool) -> np.ndarray:
     swapped (reversing the columns swaps them and negates F).  Each run's S
     is summed in closed form here.  The LP result does not rest on the lemma
     for its soundness: every hull point is the gamma and value of a real
-    permutation, and the argument board is re-validated; the lemma makes it
-    optimal.
+    permutation, and lp_extreme re-derives the gamma of the two it mixes
+    apart from this algebra, exactly; the lemma makes it optimal.
     """
     r, c = _runs(classes, n, mirror)
     m = classes
@@ -232,11 +267,59 @@ def _upper_hull(s: list, value: list) -> list:
     return hull
 
 
+@functools.lru_cache(maxsize=1)
+def _class_table(n: int, u: float, v: float):
+    """The part of lp_extreme that does not depend on the direction, read-only.
+
+    The block classes, and the hull points of their mirror and then their
+    sorted permutations: S = 3n^2/2 * gamma (_class_gamma) and C(u, v), the
+    count in the all-ones corner block plus the middle blocks' partial cells,
+    over n.  cmd_oracle solves max and min at one (n, u, v), so one entry
+    serves both.
+    """
+    rows, ramp_u = _ramp_blocks(n, u)
+    cols, ramp_v = _ramp_blocks(n, v)
+    classes = _block_classes(rows, cols)
+    value = (
+        classes[:, 0, 0] + ramp_v * classes[:, 0, 1]
+        + ramp_u * (classes[:, 1, 0] + ramp_v * classes[:, 1, 1])
+    ) / n
+    s = np.concatenate([_class_gamma(classes, n, mirror) for mirror in (True, False)])
+    value = np.concatenate([value, value])
+    for array in (classes, s, value):
+        array.flags.writeable = False
+    return classes, s, value
+
+
+def _permutation_cdf(blocks_u, blocks_v, perm):
+    """n * C(u, v) of a permutation board, exactly: sum_i ramp_i(u) * ramp_perm(i)(v).
+
+    From _ramp_blocks: ramp_i(z) is 1 for i < p, the dyadic ramp at i = p
+    (0 when there is no middle block) and 0 beyond, so only rows i <= p_u
+    count, and at most two products have a fractional factor.
+    """
+    (pu, _, _), ramp_u = blocks_u
+    (pv, _, _), ramp_v = blocks_v
+    head = perm[:pu]
+    total = int(np.count_nonzero(head < pv))
+    if np.any(head == pv):
+        total += Fraction(ramp_v)
+    if pu < len(perm):
+        j = perm[pu]
+        total += Fraction(ramp_u) * (1 if j < pv else Fraction(ramp_v) if j == pv else 0)
+    return total
+
+
 def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcome:
     """Extreme value of C(u, v) over order-n checkerboards with gamma = t.
 
     Infeasibility (t unreachable at order n) is a legitimate outcome and is
     reported through ``status``; small orders cannot reach gamma near +-1.
+
+    The optimum mixes two permutation boards with an exact weight alpha.
+    Their gammas are re-derived on the 2n support cells from
+    gamma_numerators, apart from _class_gamma, and the mix must meet the
+    target exactly, or InternalError is raised.
     """
     _check_order(n, "oracle order", least=2)
     if direction not in ("min", "max"):
@@ -245,49 +328,41 @@ def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcom
     t = check_t(t)
     lo, hi = gamma_feasible_range(n)
     if not lo <= t <= hi:
-        return LpOutcome(direction, None, None, "infeasible")
+        return LpOutcome(direction, None, "infeasible")
 
-    rows, ramp_u = _ramp_blocks(n, u)
-    cols, ramp_v = _ramp_blocks(n, v)
-    classes = _block_classes(rows, cols)
-    # C of each class: the count in the all-ones corner block plus the middle
-    # blocks' partial cells, over n.
-    value = (
-        classes[:, 0, 0] + ramp_v * classes[:, 0, 1]
-        + ramp_u * (classes[:, 1, 0] + ramp_v * classes[:, 1, 1])
-    ) / n
+    n, u, v = int(n), float(u), float(v)
+    classes, s, value = _class_table(n, u, v)
     if direction == "min":
         value = -value
-    s = np.concatenate([_class_gamma(classes, n, mirror) for mirror in (True, False)])
-    value = np.concatenate([value, value])
     # Per distinct s, keep the point of greatest value.
     order = np.lexsort((value, s))
     s, value = s[order], value[order]
     last = np.append(s[1:] != s[:-1], True)
     order, s, value = order[last], s[last].tolist(), value[last].tolist()
     hull = _upper_hull(s, value)
-    # The hull segment a..b with s[a] < S < s[b], S = 3n^2/2 * t; a = b when
-    # a hull point sits at S, or, by rounding, past the range's edge.
+    # The target S = 3n^2/2 * t, exactly.  A t at an end of the range that
+    # rounds past the exact end (the identity's S) is read as that end.
+    edge = _identity_s(n)
+    p, q = t.as_integer_ratio()
+    target = min(max(Fraction(3 * n * n * p, 2 * q), -edge), edge)
+    # The hull segment a..b with s[a] < target < s[b]; a = b when a hull
+    # point sits at the target.
     hull_s = [s[h] for h in hull]
-    target = 1.5 * n * n * t
     k = bisect.bisect_left(hull_s, target)
     b = hull[min(k, len(hull) - 1)]
     a = hull[k - 1] if 0 < k < len(hull) and hull_s[k] != target else b
-    alpha = 1.0 if a == b else (s[b] - target) / (s[b] - s[a])
-    perms = []
-    for end in (a, b):
-        point = int(order[end])
-        perms.append(_class_permutation(
-            classes[point % len(classes)], n, mirror=point < len(classes)
-        ))
-    index = np.arange(n)
-    mass = np.zeros((n, n))
-    mass[index, perms[0]] = alpha / n
-    mass[index, perms[1]] += (1.0 - alpha) / n
-    board = Checkerboard(n, mass)
-    residual = abs(gamma_checkerboard_exact(board) - t)
-    if residual > _GAMMA_RESIDUAL_TOL:
+    alpha = Fraction(1) if a == b else (s[b] - target) / (s[b] - s[a])
+    perms = tuple(
+        _class_permutation(classes[point % len(classes)], n, mirror=point < len(classes))
+        for point in (int(order[a]), int(order[b]))
+    )
+    g_a, g_b = gamma_numerators(n, np.arange(n), np.stack(perms)).sum(axis=1).tolist()
+    miss = g_b + alpha * (g_a - g_b) - 3 * n * n - target
+    if miss != 0:
         raise InternalError(
-            f"optimal checkerboard misses the gamma target by {residual:.3e}"
+            f"optimal checkerboard misses the gamma target by {float(miss) * 2 / (3 * n * n):.3e}"
         )
-    return LpOutcome(direction, board.cdf(u, v), board, "optimal")
+    blocks_u, blocks_v = _ramp_blocks(n, u), _ramp_blocks(n, v)
+    x_a, x_b = (_permutation_cdf(blocks_u, blocks_v, perm) for perm in perms)
+    optimum = float((x_b + alpha * (x_a - x_b)) / n)
+    return LpOutcome(direction, optimum, "optimal", perms, alpha)

@@ -15,12 +15,15 @@ from gini_bounds.checkerboard import cell_ramps, gamma_coefficients
 _HULL_TOL = 1e-12
 
 
-def max_weight_assignment(weights) -> np.ndarray:
-    """Column of each row in a maximum-weight perfect matching of a square matrix.
+def max_weight_assignment(weights):
+    """A maximum-weight perfect matching of a square matrix, and its dual.
 
-    Shortest augmenting paths with row and column potentials (the Hungarian
-    method), O(n^3).  Index 0 of the padded arrays is a virtual column that
-    roots each search; owner[j] is the 1-based row on column j, 0 if none.
+    Returns the column of each row, and potentials r and s with
+    r[i] + s[j] >= weights[i, j] everywhere and equality on the matching, up
+    to float rounding.  Shortest augmenting paths with row and column
+    potentials (the Hungarian method) on the costs -weights, O(n^3).  Index 0
+    of the padded arrays is a virtual column that roots each search;
+    owner[j] is the 1-based row on column j, 0 if none.
     """
     n = len(weights)
     cost = np.zeros((n + 1, n + 1))
@@ -51,7 +54,7 @@ def max_weight_assignment(weights) -> np.ndarray:
             col = via[col]
     perm = np.empty(n, dtype=int)
     perm[owner[1:] - 1] = np.arange(n)
-    return perm
+    return perm, -row_pot[1:], -col_pot[1:]
 
 
 def slope_search(n, u, v, t, direction):
@@ -75,7 +78,7 @@ def slope_search(n, u, v, t, direction):
         return None
     while ga < gb:
         slope = (cb - ca) / (gb - ga)
-        gt, ct = vertex(max_weight_assignment(c - slope * g))
+        gt, ct = vertex(max_weight_assignment(c - slope * g)[0])
         if (ct - slope * gt) - (ca - slope * ga) <= _HULL_TOL * (1.0 + abs(slope)):
             break
         if gt <= t:

@@ -4,12 +4,14 @@ scipy's linear_sum_assignment and linprog (skipped when scipy is absent),
 the Hungarian slope search, and the closed-form gamma range of every order."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from _hungarian import max_weight_assignment, slope_search
 from gini_bounds import gamma_checkerboard_exact, gamma_coefficients, gamma_feasible_range, lp_extreme
+from gini_bounds.checkerboard import cell_ramps, gamma_numerators
 
 # The fixed points of the benchmark's lp-certify workload.
 CERTIFY_POINTS = ((0.5, 0.5, 0.0), (0.3, 0.7, -0.4), (0.6, 0.35, 0.3), (0.7, 0.4, -0.7))
@@ -46,10 +48,13 @@ def test_assignment_matches_brute_force():
         for _ in range(15):
             # Real weights, then tie-heavy small integers.
             for w in (rng.normal(size=(n, n)), rng.integers(0, 3, size=(n, n)).astype(float)):
-                perm = max_weight_assignment(w)
+                perm, r, s = max_weight_assignment(w)
                 assert sorted(perm) == list(range(n))
                 best = max(_total(w, list(p)) for p in itertools.permutations(range(n)))
                 assert _total(w, perm) == pytest.approx(best, abs=1e-12)
+                # The potentials are a dual optimum: feasible, with the same total.
+                assert (r[:, None] + s >= w - 1e-12).all()
+                assert r.sum() + s.sum() == pytest.approx(best, abs=1e-12)
 
 
 def test_assignment_matches_scipy():
@@ -58,7 +63,7 @@ def test_assignment_matches_scipy():
     for n in (1, 2, 3, 7, 16, 33, 64):
         for w in (rng.random((n, n)), rng.integers(-2, 3, size=(n, n)).astype(float)):
             rows, cols = optimize.linear_sum_assignment(w, maximize=True)
-            assert _total(w, max_weight_assignment(w)) == pytest.approx(
+            assert _total(w, max_weight_assignment(w)[0]) == pytest.approx(
                 float(w[rows, cols].sum()), abs=1e-9
             )
 
@@ -115,6 +120,40 @@ def test_lp_matches_the_hungarian_slope_search(n, points):
             assert abs(out.optimum - slope_search(n, u, v, t, direction)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_lp_optimum_has_an_exact_dual_certificate(n):
+    # Weak duality in Fraction, with no use of the class-extreme lemma.  For
+    # a slope lam and potentials with r_i + s_j + eps >= c_ij - lam g_ij
+    # everywhere, every board x of gamma t has sum c x <= lam (t + 2) +
+    # (sum r + sum s) / n + eps, as its rows and columns sum to 1/n and
+    # sum g x = t + 2.  lam is the slope of the outcome's permutation pair,
+    # r and s come from the float assignment on c - lam g, and eps is their
+    # worst exact violation; the outcome is then a board of gamma t within
+    # 1e-12 of that bound.
+    rows = np.arange(n)
+    g = gamma_numerators(n, rows[:, None], rows).astype(object) * Fraction(2, 3 * n)
+    g_float = gamma_coefficients(n)
+    for u, v, t in CERTIFY_POINTS:
+        ramp_u = [Fraction(x) for x in cell_ramps(n, u)]
+        ramp_v = [Fraction(x) for x in cell_ramps(n, v)]
+        for direction, sign in (("max", 1), ("min", -1)):
+            c = sign * np.array([[x * y for y in ramp_v] for x in ramp_u], dtype=object)
+            out = lp_extreme(n, u, v, t, direction)
+            ends = [(g[rows, p].sum() / n - 2, c[rows, p].sum() / n) for p in out.permutations]
+            (ga, ca), (gb, cb) = ends
+            assert ga != gb, (u, v, t, direction)
+            alpha = out.alpha
+            assert alpha * ga + (1 - alpha) * gb == t
+            primal = alpha * ca + (1 - alpha) * cb
+            assert out.optimum == float(sign * primal)
+            lam = (cb - ca) / (gb - ga)
+            _, r, s = max_weight_assignment(c.astype(float) - float(lam) * g_float)
+            r, s = (np.array([Fraction(x) for x in p], dtype=object) for p in (r, s))
+            eps = max(0, (c - lam * g - r[:, None] - s).max())
+            bound = lam * (Fraction(t) + 2) + (r.sum() + s.sum()) / n + eps
+            assert primal <= bound <= primal + Fraction(1, 10**12), (u, v, t, direction)
+
+
 def test_gamma_range_matches_brute_force():
     for n in range(1, 7):
         gammas = sorted(gamma for gamma, _ in _permutation_points(n, np.zeros((n, n))))
@@ -147,6 +186,6 @@ def test_targets_at_the_gamma_range_edges(n):
                     out = lp_extreme(n, u, v, t, direction)
                     if out.status == "optimal":
                         assert delta <= 1e-12
-                        assert abs(gamma_checkerboard_exact(out.argument) - t) <= 1e-9
+                        assert abs(gamma_checkerboard_exact(out.argument) - t) <= 1e-12
                     else:
                         assert out.status == "infeasible" and delta > 0

@@ -5,10 +5,10 @@ Each test hashes outputs that every correctly rounded IEEE-754 build computes
 alike: the envelopes use only +, -, *, / and sqrt, the CSV writer prints
 each double correctly rounded to 12 significant digits, and the `check`
 report adds only differences, extrema and the lens floor's closed form,
-printed as shortest round-trip reprs.  The `oracle` report also reads
-numpy reductions (the board's CDF), whose summation order is fixed for one
-numpy build and CPU.  A change that moves any bit fails here; such a change
-updates the hash and records the move, with its size, in CHANGES.md.
+printed as shortest round-trip reprs.  The `oracle` report's LP optima
+are exact rationals, rounded once.  A change that moves any bit fails here;
+such a change updates the hash and records the move, with its size, in
+CHANGES.md.
 """
 
 import hashlib
@@ -64,13 +64,13 @@ CHECK_REPORTS = {
 # four lp-certify points at orders 8 and 16, and the centre at 4 and 32.
 ORACLE_REPORTS = {
     "0.5 0.5 0.0 8": "75123b509e63b566c8d3360291c258488530b0f712d291e359eede7a18b8f190",
-    "0.5 0.5 0.0 16": "083727965d08671ce2cd877ab3c496dbc813203f364b0aef78fd504a5ecb1a62",
+    "0.5 0.5 0.0 16": "ce56fe1fd8bb6a8e402657e2d5fb94ed375e87a4fb08b0744320bbf660dbda65",
     "0.3 0.7 -0.4 8": "858555dacf2826227f220de9496616e54fe82eec855bc883687f6f5b5143407b",
     "0.3 0.7 -0.4 16": "66309cb7c2907c54489cd45f3b8d512017869a5319ff2a8c08816dda3bf86c64",
-    "0.6 0.35 0.3 8": "a28eb5787afdc38b141714a3f94ae4d176a1964b56b65539e9561e8c36b6ca38",
-    "0.6 0.35 0.3 16": "a8f67bbf2dae46a60776f9b865ae8bc11da24d6967af2932d3240904195d9f95",
+    "0.6 0.35 0.3 8": "8fa05fbc086c113f4c26588419b946695ac8d4d9cca8ac530f1a97940775d589",
+    "0.6 0.35 0.3 16": "4a120cd3bd83e6250dfad31595a289dbf6be9566d7466f1ff3f90e08122cf850",
     "0.7 0.4 -0.7 8": "a0056a6b0bbd4407be4a4621eb51b01d1e93cc3987715e60bff25c910b50bd21",
-    "0.7 0.4 -0.7 16": "c4b974d7e213ad5af876210eba124b84acc1b50f385b94175929c0a1c9122976",
+    "0.7 0.4 -0.7 16": "043a737a0229944dad9f25e1c21b9c153703cc810ef73f251590cfbf02102f2f",
     "0.5 0.5 0.0 4": "3959a8c9a64992e977f2867fa362f1e2b0599b0cef019ade56726b77071efdff",
     "0.5 0.5 0.0 32": "cf7f10a9d56f739fec49b96dc0eae5ea620e717045764e343652276c202f4e76",
 }

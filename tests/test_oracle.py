@@ -1,9 +1,12 @@
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from _hungarian import max_weight_assignment
+from test_assignment import CERTIFY_POINTS
 from gini_bounds import (
     Checkerboard,
     DomainError,
@@ -16,8 +19,9 @@ from gini_bounds import (
     upper_bound,
     upper_bound_values,
 )
-from gini_bounds import oracle
+from gini_bounds import InternalError, oracle
 from gini_bounds.checkerboard import gamma_coefficients
+from gini_bounds.cli import main
 
 
 def test_order2_forced_diagonal():
@@ -107,8 +111,8 @@ def test_extreme_gamma_permutations_are_the_reversal_and_the_identity():
         g = gamma_coefficients(n)
         hi = np.arange(n)
         lo = hi[::-1]
-        assert np.array_equal(lo, max_weight_assignment(-g)), n
-        assert np.array_equal(hi, max_weight_assignment(g)), n
+        assert np.array_equal(lo, max_weight_assignment(-g)[0]), n
+        assert np.array_equal(hi, max_weight_assignment(g)[0]), n
 
 
 def _block_layouts(n):
@@ -212,3 +216,66 @@ def test_convergence_at_the_centre_at_high_orders():
         gaps.append(target - out.optimum)
         assert 0.0 <= n * gaps[-1] <= 0.03, (n, gaps[-1])
     assert gaps[0] >= gaps[1] >= gaps[2]
+
+
+def test_class_table_is_read_only():
+    for array in oracle._class_table(8, 0.3, 0.7):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_class_table_serves_one_oracle_command(capsys):
+    # Each lp-certify command solves max and min at one (n, u, v): one miss,
+    # then one hit, and nothing carried over from the command before.
+    table = oracle._class_table
+    table.cache_clear()
+    for u, v, t in CERTIFY_POINTS:
+        for n in (8, 16):
+            before = table.cache_info()
+            argv = ["oracle", "--t", repr(t), "--n", str(n), "--u", repr(u), "--v", repr(v)]
+            assert main(argv) == 0
+            after = table.cache_info()
+            assert (after.misses - before.misses, after.hits - before.hits) == (1, 1), argv
+    capsys.readouterr()
+    # A different (n, u, v) evicts the entry.
+    table.cache_clear()
+    for n in (8, 16, 8):
+        table(n, 0.3, 0.7)
+    assert table.cache_info()[:2] == (0, 3)
+    # An infeasible target returns before the table is touched.
+    table.cache_clear()
+    assert lp_extreme(2, 0.5, 0.5, 0.9, "max").status == "infeasible"
+    assert table.cache_info()[:2] == (0, 0)
+
+
+def test_large_order_keeps_the_permutation_pair():
+    # Nothing n x n is built: at n = 4096 a dense float board alone is 128 MB.
+    for direction in ("max", "min"):
+        oracle._class_table.cache_clear()
+        start = time.perf_counter()
+        out = lp_extreme(4096, 0.3, 0.7, -0.4, direction)
+        elapsed = time.perf_counter() - start
+        oracle._class_table.cache_clear()
+        tracemalloc.start()
+        try:
+            lp_extreme(4096, 0.3, 0.7, -0.4, direction)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.status == "optimal"
+        assert elapsed < 0.1 and peak < 16e6, (direction, elapsed, peak)
+        assert lower_bound_values(0.3, 0.7, -0.4) <= out.optimum <= upper_bound_values(0.3, 0.7, -0.4)
+
+
+def test_gamma_check_does_not_rest_on_the_class_algebra(monkeypatch):
+    # Off by one in every class's S, the hull picks a mix whose gamma,
+    # re-derived on its support, misses the target.
+    closed = oracle._class_gamma
+    monkeypatch.setattr(oracle, "_class_gamma", lambda *args: closed(*args) + 1)
+    oracle._class_table.cache_clear()
+    try:
+        with pytest.raises(InternalError, match="misses the gamma target"):
+            lp_extreme(16, 0.3, 0.7, -0.4, "max")
+    finally:
+        oracle._class_table.cache_clear()
