@@ -1,8 +1,9 @@
 """Best-possible pointwise bounds on copulas with a given Gini's gamma.
 
 Closed-form upper/lower envelopes with candidate/region bookkeeping,
-point-bound copulas and their exact gamma, lattice axiom checking, the
-sample rank statistic, and an exact LP oracle over checkerboard copulas.
+point-bound copulas and their exact gamma, lattice axiom checking and the
+envelope audit, the sample rank statistic, and an exact LP oracle over
+checkerboard copulas.
 """
 
 from .bounds import (
@@ -38,7 +39,9 @@ from .core import (
     reflect_first_coordinate,
 )
 from .errors import DomainError, InternalError
-from .lattice import LatticeFunction, PropertyReport, check_properties
+from .lattice import (
+    EnvelopeAudit, LatticeFunction, PropertyReport, check_properties, envelope_audit,
+)
 from .oracle import LpOutcome, gamma_feasible_range, lp_extreme
 from .pointgamma import (
     GammaBranchValue,
@@ -55,6 +58,7 @@ __all__ = [
     "BoundClassification",
     "Checkerboard",
     "DomainError",
+    "EnvelopeAudit",
     "GammaBranchValue",
     "InternalError",
     "LatticeFunction",
@@ -68,6 +72,7 @@ __all__ = [
     "check_t",
     "classify_lower",
     "classify_upper",
+    "envelope_audit",
     "frechet_lower",
     "frechet_upper",
     "gamma_checkerboard_exact",

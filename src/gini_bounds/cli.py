@@ -1,6 +1,9 @@
 """Command-line surface: evaluation, grids, gamma, classification, checks,
 oracle certification, and the region atlas.
 
+This module parses arguments and formats output only; the lattices and
+their audit are built in lattice (`check` prints envelope_audit's fields).
+
 Exit codes: 0 all checks passed, 1 check or IO failure, 2 usage or domain
 error.  Reports are JSON on stdout (sorted keys); grids and atlases are
 CSV with 12 significant digits.  Identical invocations are deterministic
@@ -13,38 +16,27 @@ import argparse
 import contextlib
 import functools
 import json
+import re
 import sys
 import time
 from dataclasses import asdict
 
-import numpy as np
-
 from . import __version__
 from .bounds import (
-    _BLOCK,
-    BoundClassification,
-    _reflected_upper_bound,
-    classify_lower,
-    classify_upper,
-    lens_density_floor,
-    lower_bound,
-    region_masks,
-    upper_bound,
-    upper_bound_values,
+    _reflected_upper_bound, classify_lower, classify_upper, lower_bound, region_masks, upper_bound,
 )
 from .checkerboard import Checkerboard, gamma_checkerboard_exact
-from .core import (
-    PointBoundSpec, check_t, frechet_lower, frechet_upper, point_bound_lower, product,
-)
+from .core import PointBoundSpec, frechet_lower, frechet_upper, point_bound_lower, product
 from .errors import DomainError, InternalError
-from .lattice import (
-    LatticeFunction, _row_strips, check_properties, lattice_nodes, write_node_csv,
-)
+from .lattice import _envelope_lattice, _triangle_lattice, envelope_audit, write_node_csv
 from .oracle import lp_extreme
 from .pointgamma import i1_closed, i2_closed, lower_point_bound_gamma
 from .quadrature import _CERTIFY_PANELS, _CERTIFY_TOL, gamma_quadrature
 
-_CHECK_TOL = 1e-10
+# The options that take a float.  argparse reads a negative number in exponent
+# form (-1e-3) as an option string, so main attaches a negative number that
+# follows one of them with "=" (--t=-1e-3), the form argparse reads as a value.
+_FLOAT_OPTIONS = ("--t", "--u", "--v")
 # Copula specs without arguments: evaluator and closed-form gamma.
 _BUILTIN_COPULAS = {"pi": (product, 0.0), "w": (frechet_lower, -1.0), "m": (frechet_upper, 1.0)}
 
@@ -90,63 +82,6 @@ def cmd_eval(args) -> int:
     payload["side"] = args.side
     _emit_json(payload)
     return 0
-
-
-def _triangle_lattice(f, n: int, t: float) -> np.ndarray:
-    """f(u, v, t) on the order-n lattice, for an f exactly symmetric in (u, v).
-
-    f is evaluated once on the nodes with i <= j, one group of whole rows
-    of that triangle per call, each group at most _BLOCK points (a single
-    row may be longer).  Row r of a group is written to out[..., r, r:];
-    the group's rows r0..r1-1 are then mirrored by one transposed copy of
-    the rectangle right of its diagonal block, and the block's own upper
-    half.  f may return a leading stack axis, as region_masks does with
-    its five masks; the lattice axes come last.
-    """
-    nodes = lattice_nodes(n)
-    side = n + 1
-    out = None
-    r0 = 0
-    while r0 < side:
-        r1, size = r0 + 1, side - r0
-        while r1 < side and size + side - r1 <= _BLOCK:
-            size += side - r1
-            r1 += 1
-        rows = range(r0, r1)
-        u = np.repeat(nodes[r0:r1], [side - r for r in rows])
-        v = np.concatenate([nodes[r:] for r in rows])
-        tri = np.asarray(f(u, v, t))
-        if out is None:
-            out = np.empty(tri.shape[:-1] + (side, side), dtype=tri.dtype)
-        start = 0
-        for r in rows:
-            out[..., r, r:] = tri[..., start:start + side - r]
-            start += side - r
-        out[..., r1:, r0:r1] = out[..., r0:r1, r1:].swapaxes(-1, -2)
-        block = out[..., r0:r1, r0:r1]
-        np.copyto(block, block.swapaxes(-1, -2), where=np.tri(r1 - r0, k=-1, dtype=bool))
-        r0 = r1
-    return out
-
-
-def _envelope_lattice(side: str, t: float, n: int) -> LatticeFunction:
-    """One side's envelope on the order-n lattice, from one upper lattice.
-
-    The upper envelope K depends on (u, v) only through max and min, so its
-    lattice is exactly symmetric and _triangle_lattice builds it.  The lower
-    envelope is the reflection v - K(1 - u, v, -t): entry (i, j) is
-    v_j - K((n - i)/n, v_j, -t), read off the upper lattice at -t, row n - i,
-    at the exact node (n - i)/n rather than the rounded 1 - i/n; the
-    subtraction overwrites that lattice in place.  Entry (j, i) is then the
-    other reflection form u_i - K(u_i, (n - j)/n, -t), a different entry of
-    the same -t lattice off the diagonal, which check compares with (i, j).
-    """
-    nodes = lattice_nodes(n)
-    t = check_t(t)  # before the lower side negates it, so that an error names the t given
-    if side == "upper":
-        return LatticeFunction(n, _triangle_lattice(upper_bound_values, n, t))
-    reflected = _triangle_lattice(upper_bound_values, n, -t)[::-1]
-    return LatticeFunction(n, np.subtract(nodes, reflected, out=reflected))
 
 
 def cmd_grid(args) -> int:
@@ -225,79 +160,11 @@ def cmd_classify(args) -> int:
     return _emit_report("classify", {"t": args.t}, results, True, started)
 
 
-def _minimiser_distance(rect, lens, n: int) -> float | None:
-    """Distance (in cells) from a cell to the nearest lens density minimiser.
-
-    lens is lens_density_floor's result, or None where there is no lens.
-    """
-    if lens is None:
-        return None
-    i, j = rect[0], rect[1]
-    return min(max(abs(i + 0.5 - p * n), abs(j + 0.5 - p * n)) for p in lens[1])
-
-
-def _floor_cell_volume(lens, n: int) -> float | None:
-    """D*(t) / n^2, the least volume an order-n lattice cell can have in the lens."""
-    return None if lens is None else lens[0] / (n * n)
-
-
 def cmd_check(args) -> int:
     started = time.monotonic()
-    t, n = args.t, args.grid
-    cls_up = classify_upper(t)
-    cls_lo = classify_lower(t)
-    # The lens, where an envelope's density is negative, exists exactly where
-    # the envelope is a proper quasi-copula.  The lower envelope reflects the
-    # upper one at -t, density and all.
-    quasi = BoundClassification.PROPER_QUASI_COPULA
-    lens_up = lens_density_floor(t) if cls_up is quasi else None
-    lens_lo = lens_density_floor(-t) if cls_lo is quasi else None
-
-    upper, lower = (_envelope_lattice(side, t, n) for side in ("upper", "lower"))
-    rep_up = check_properties(upper, tol=_CHECK_TOL)
-    rep_lo = check_properties(lower, tol=_CHECK_TOL)
-    upper_vals, lower_vals = upper.values, lower.values
-    nodes = upper.nodes
-
-    def strip_max(term) -> float:
-        """max over the lattice of term(rows), taken one row strip at a time."""
-        return float(np.max([np.max(term(rows)) for rows in _row_strips(n + 1, n + 1)]))
-
-    # The two reflection forms, v_j - K((n - i)/n, v_j, -t) at lower[i, j]
-    # and u_i - K(u_i, (n - j)/n, -t) at lower[j, i]: two entries of the -t
-    # upper lattice (see _envelope_lattice).  Float subtraction is
-    # antisymmetric, so the largest lower - lower.T is its largest abs.
-    reflection_err = strip_max(lambda rows: lower_vals[rows] - lower_vals[:, rows].T)
-    # W <= lower <= upper <= M, with W and M taken per strip from the nodes.
-    sandwich_err = max(
-        strip_max(lambda rows: frechet_lower(nodes[rows, None], nodes) - lower_vals[rows]),
-        strip_max(lambda rows: lower_vals[rows] - upper_vals[rows]),
-        strip_max(lambda rows: upper_vals[rows] - frechet_upper(nodes[rows, None], nodes)),
-    )
-
-    checks = {
-        "upper_quasicopula": rep_up.is_quasicopula,
-        "lower_quasicopula": rep_lo.is_quasicopula,
-        "upper_copula_matches_classification": rep_up.is_copula == (lens_up is None),
-        "lower_copula_matches_classification": rep_lo.is_copula == (lens_lo is None),
-        "reflection_identity": reflection_err <= 1e-12,
-        "sandwich": sandwich_err <= 1e-12,
-    }
-    results = {
-        "upper_classification": cls_up.value,
-        "lower_classification": cls_lo.value,
-        "upper_report": asdict(rep_up),
-        "lower_report": asdict(rep_lo),
-        "upper_min_volume_cell_distance_to_density_minimiser": _minimiser_distance(
-            rep_up.min_volume_rect, lens_up, n
-        ),
-        "upper_lens_floor_cell_volume": _floor_cell_volume(lens_up, n),
-        "lower_lens_floor_cell_volume": _floor_cell_volume(lens_lo, n),
-        "reflection_max_err": reflection_err,
-        "sandwich_max_violation": sandwich_err,
-        "checks": checks,
-    }
-    return _emit_report("check", {"t": t, "grid": n}, results, all(checks.values()), started)
+    results = asdict(envelope_audit(args.t, args.grid))
+    passed = all(results["checks"].values())
+    return _emit_report("check", {"t": args.t, "grid": args.grid}, results, passed, started)
 
 
 def cmd_oracle(args) -> int:
@@ -353,9 +220,12 @@ def _build_parser() -> argparse.ArgumentParser:
     with_t = argparse.ArgumentParser(add_help=False)
     with_t.add_argument("--t", type=float, required=True)
 
-    p = sub.add_parser("eval", parents=[with_t], help="evaluate one bound at a point")
-    p.add_argument("--u", type=float, required=True)
-    p.add_argument("--v", type=float, required=True)
+    # The point, shared by eval and oracle.
+    at_point = argparse.ArgumentParser(add_help=False)
+    at_point.add_argument("--u", type=float, required=True)
+    at_point.add_argument("--v", type=float, required=True)
+
+    p = sub.add_parser("eval", parents=[with_t, at_point], help="evaluate one bound at a point")
     p.add_argument("--side", choices=["upper", "lower"], default="upper")
 
     p = sub.add_parser("grid", parents=[with_t], help="emit a bound on a uniform lattice")
@@ -377,10 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[with_t], help="run the invariant suite for one t")
     p.add_argument("--grid", type=int, default=400)
 
-    p = sub.add_parser("oracle", parents=[with_t], help="LP certification at a point")
+    p = sub.add_parser("oracle", parents=[with_t, at_point], help="LP certification at a point")
     p.add_argument("--n", type=int, default=16)
-    p.add_argument("--u", type=float, required=True)
-    p.add_argument("--v", type=float, required=True)
 
     p = sub.add_parser("regions", parents=[with_t], help="emit the region-membership atlas")
     p.add_argument("--n", type=int, default=100)
@@ -390,6 +258,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for k in range(len(argv) - 1, 0, -1):  # backwards, so that a merge shifts nothing unseen
+        if argv[k - 1] in _FLOAT_OPTIONS and re.match(r"-\.?[0-9]", argv[k]):
+            argv[k - 1:k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -1,4 +1,5 @@
-"""Uniform-lattice samples of bivariate functions and axiom checking.
+"""Uniform-lattice samples of bivariate functions, the envelope lattices,
+and axiom checking.
 
 A LatticeFunction stores node values f(i/N, j/N) on the (N+1) x (N+1)
 uniform lattice.  Node values (not cell masses) are stored because the
@@ -8,8 +9,17 @@ check_properties audits the boundary conditions, coordinatewise
 monotonicity, the 1-Lipschitz condition in each coordinate, and
 2-increasingness.  Single-cell volumes suffice for the latter: every
 rectangle volume of the bilinear interpolant is a sum of cell volumes.
-It reads the lattice in row strips of at most bounds._BLOCK points
-(_row_strips), so that no temporary is the size of the lattice.
+
+_triangle_lattice evaluates a function exactly symmetric in (u, v) on the
+lattice's i <= j triangle only, and _envelope_lattice builds either
+envelope from it, the lower one at the exact reflected nodes.
+envelope_audit builds both envelopes at one t and audits them against the
+axioms, their classification, the reflection identity and the
+Frechet-Hoeffding sandwich: the `check` command's results.
+
+Every lattice pass goes in groups of whole rows of at most bounds._BLOCK
+points (_row_groups, the one statement of that rule), so that no temporary
+but the lattices themselves is the size of a lattice.
 """
 
 from __future__ import annotations
@@ -17,17 +27,23 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, groupby, product
+from itertools import accumulate, chain, groupby, product
 
 import numpy as np
 
-from .bounds import _BLOCK
-from .core import Evaluator, _check_order
+from .bounds import (
+    _BLOCK, BoundClassification, classify_lower, classify_upper, lens_density_floor,
+    upper_bound_values,
+)
+from .core import Evaluator, _check_order, check_t, frechet_lower, frechet_upper
 from .errors import DomainError
 
 # 12 significant digits: below verdict tolerances, above float noise.
 _CSV_FORMAT = "%.11e"
+# The axiom tolerance of envelope_audit.
+_CHECK_TOL = 1e-10
 
 
 def lattice_nodes(n: int) -> np.ndarray:
@@ -36,16 +52,17 @@ def lattice_nodes(n: int) -> np.ndarray:
     return np.arange(n + 1, dtype=float) / n
 
 
-def _row_strips(rows: int, width: int) -> list:
-    """Slices of consecutive rows of a rows x width array, in order, each at
-    most _BLOCK points (one row where a row alone is wider)."""
-    step = max(1, _BLOCK // width)
-    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
-
-
-def _cell_volumes(v: np.ndarray) -> np.ndarray:
-    """Volumes of the cells between consecutive rows and columns of v."""
-    return v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]
+def _row_groups(lengths) -> list:
+    """Slices of consecutive rows that partition rows of the given (non-negative)
+    lengths, in order, each at most _BLOCK points (one row where a row alone
+    is longer).  Each group takes as many rows as fit."""
+    ends = [0, *accumulate(lengths)]  # ends[r]: the points in the rows before r
+    groups, start = [], 0
+    while start < len(ends) - 1:
+        stop = max(start + 1, bisect_right(ends, ends[start] + _BLOCK) - 1)
+        groups.append(slice(start, stop))
+        start = stop
+    return groups
 
 
 @dataclass(frozen=True)
@@ -95,10 +112,6 @@ class LatticeFunction:
     @property
     def nodes(self) -> np.ndarray:
         return lattice_nodes(self.N)
-
-    def cell_volumes(self) -> np.ndarray:
-        """Volumes of all N x N single cells of the bilinear interpolant."""
-        return _cell_volumes(self.values)
 
     def to_csv(self, path) -> None:
         """Write `u,v,value` rows in row-major node order, 12 significant digits."""
@@ -212,8 +225,8 @@ def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:
     Lipschitz excess pass at tol, and a copula if additionally
     min_volume >= -tol.
 
-    The forward differences and cell volumes are taken one strip of cell
-    rows at a time (_row_strips); every field equals the whole-array
+    The forward differences and cell volumes are taken one group of cell
+    rows at a time (_row_groups); every field equals the whole-array
     reduction's, a NaN propagates as it would there, and min_volume_rect is
     the first minimal cell in row-major order, as numpy's argmin picks it.
     """
@@ -232,9 +245,9 @@ def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:
 
     du_mins, du_maxs, dv_mins, dv_maxs = [], [], [], []
     min_vol, flat = None, 0
-    for cells in _row_strips(n, n + 1):
-        # The strip's cell rows and the lattice row below them; the last
-        # strip's dv takes in the final lattice row too.
+    for cells in _row_groups([n + 1] * n):
+        # The group's cell rows and the lattice row below them; the last
+        # group's dv takes in the final lattice row too.
         rows = v[cells.start:cells.stop + 1]
         du = rows[1:] - rows[:-1]
         dv_rows = rows if cells.stop == n else rows[:-1]
@@ -243,10 +256,10 @@ def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:
         du_maxs.append(du.max())
         dv_mins.append(dv.min())
         dv_maxs.append(dv.max())
-        vols = _cell_volumes(rows)
+        vols = rows[1:, 1:] - rows[1:, :-1] - rows[:-1, 1:] + rows[:-1, :-1]
         k = int(np.argmin(vols))
         vol = vols.flat[k]
-        # Strictly smaller, so an earlier strip wins ties; the first NaN wins.
+        # Strictly smaller, so an earlier group wins ties; the first NaN wins.
         if min_vol is None or (not np.isnan(min_vol) and (np.isnan(vol) or vol < min_vol)):
             min_vol, flat = vol, cells.start * n + k
     du_min, dv_min = float(np.min(du_mins)), float(np.min(dv_mins))
@@ -270,4 +283,151 @@ def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:
         min_volume_rect=(i, j, i + 1, j + 1),
         is_quasicopula=is_quasi,
         is_copula=is_cop,
+    )
+
+
+def _triangle_lattice(f, n: int, t: float) -> np.ndarray:
+    """f(u, v, t) on the order-n lattice, for an f exactly symmetric in (u, v).
+
+    f is evaluated once on the nodes with i <= j, one group of whole rows
+    of that triangle per call (_row_groups).  Row r of a group is written to
+    out[..., r, r:]; the group's rows r0..r1-1 are then mirrored by one
+    transposed copy of the rectangle right of its diagonal block, and the
+    block's own upper half.  f may return a leading stack axis, as
+    region_masks does with its five masks; the lattice axes come last.
+    """
+    nodes = lattice_nodes(n)
+    side = n + 1
+    out = None
+    for group in _row_groups(range(side, 0, -1)):
+        r0, r1 = group.start, group.stop
+        rows = range(r0, r1)
+        u = np.repeat(nodes[r0:r1], [side - r for r in rows])
+        v = np.concatenate([nodes[r:] for r in rows])
+        tri = np.asarray(f(u, v, t))
+        if out is None:
+            out = np.empty(tri.shape[:-1] + (side, side), dtype=tri.dtype)
+        start = 0
+        for r in rows:
+            out[..., r, r:] = tri[..., start:start + side - r]
+            start += side - r
+        out[..., r1:, r0:r1] = out[..., r0:r1, r1:].swapaxes(-1, -2)
+        block = out[..., r0:r1, r0:r1]
+        np.copyto(block, block.swapaxes(-1, -2), where=np.tri(r1 - r0, k=-1, dtype=bool))
+    return out
+
+
+def _envelope_lattice(side: str, t: float, n: int) -> LatticeFunction:
+    """One side's envelope on the order-n lattice, from one upper lattice.
+
+    The upper envelope K depends on (u, v) only through max and min, so its
+    lattice is exactly symmetric and _triangle_lattice builds it.  The lower
+    envelope is the reflection v - K(1 - u, v, -t): entry (i, j) is
+    v_j - K((n - i)/n, v_j, -t), read off the upper lattice at -t, row n - i,
+    at the exact node (n - i)/n rather than the rounded 1 - i/n; the
+    subtraction overwrites that lattice in place.  Entry (j, i) is then the
+    other reflection form u_i - K(u_i, (n - j)/n, -t), a different entry of
+    the same -t lattice off the diagonal, which envelope_audit compares with
+    (i, j).
+    """
+    nodes = lattice_nodes(n)
+    t = check_t(t)  # before the lower side negates it, so that an error names the t given
+    if side == "upper":
+        return LatticeFunction(n, _triangle_lattice(upper_bound_values, n, t))
+    reflected = _triangle_lattice(upper_bound_values, n, -t)[::-1]
+    return LatticeFunction(n, np.subtract(nodes, reflected, out=reflected))
+
+
+@dataclass(frozen=True)
+class EnvelopeAudit:
+    """Both envelopes at one t, audited on the order-n lattice.
+
+    The fields are the `check` report's results; dataclasses.asdict gives
+    them as the report prints them.
+
+    upper_classification, lower_classification
+        classify_upper(t) and classify_lower(t), as their string values
+    upper_report, lower_report
+        check_properties of each envelope lattice, at tolerance 1e-10
+    upper_min_volume_cell_distance_to_density_minimiser
+        distance, in cells, from the upper report's min_volume_rect to the
+        nearest minimiser of lens_density_floor(t); None without a lens
+    upper_lens_floor_cell_volume, lower_lens_floor_cell_volume
+        D*(t) / n^2 and D*(-t) / n^2, the least volume an order-n cell can
+        have in each envelope's lens; None where it has no lens
+    reflection_max_err
+        largest difference between the two reflection forms of the lower
+        envelope, lower[i, j] - lower[j, i]
+    sandwich_max_violation
+        largest excess in W <= lower <= upper <= M over the nodes
+    checks
+        the verdicts; the audit passes when all of them hold
+    """
+
+    upper_classification: str
+    lower_classification: str
+    upper_report: PropertyReport
+    lower_report: PropertyReport
+    upper_min_volume_cell_distance_to_density_minimiser: float | None
+    upper_lens_floor_cell_volume: float | None
+    lower_lens_floor_cell_volume: float | None
+    reflection_max_err: float
+    sandwich_max_violation: float
+    checks: dict
+
+
+def envelope_audit(t: float, n: int) -> EnvelopeAudit:
+    """Audit the upper and lower envelopes at t on the order-n lattice.
+
+    A t outside [-1, 1] or NaN, or an order that is not an integer >= 1, is
+    a DomainError.  Beyond the two lattices, nothing the size of a lattice
+    is built: the reflection and sandwich maxima are taken in one pass of
+    row groups (_row_groups), with W and M taken per group from the nodes.
+    """
+    cls_up, cls_lo = classify_upper(t), classify_lower(t)
+    # The lens, where an envelope's density is negative, exists exactly where
+    # the envelope is a proper quasi-copula.  The lower envelope reflects the
+    # upper one at -t, density and all.
+    quasi = BoundClassification.PROPER_QUASI_COPULA
+    lens_up = lens_density_floor(t) if cls_up is quasi else None
+    lens_lo = lens_density_floor(-t) if cls_lo is quasi else None
+
+    upper, lower = (_envelope_lattice(side, t, n) for side in ("upper", "lower"))
+    rep_up, rep_lo = (check_properties(lf, tol=_CHECK_TOL) for lf in (upper, lower))
+    up, lo, nodes = upper.values, lower.values, upper.nodes
+    # Per group, the largest of: the two reflection forms' difference,
+    # v_j - K((n - i)/n, v_j, -t) at lo[i, j] less u_i - K(u_i, (n - j)/n, -t)
+    # at lo[j, i] (float subtraction is antisymmetric, so this is the largest
+    # abs); and each of W - lower, lower - upper and upper - M.
+    maxima = np.max([
+        [np.max(lo[rows] - lo[:, rows].T),
+         np.max(frechet_lower(nodes[rows, None], nodes) - lo[rows]),
+         np.max(lo[rows] - up[rows]),
+         np.max(up[rows] - frechet_upper(nodes[rows, None], nodes))]
+        for rows in _row_groups([n + 1] * (n + 1))
+    ], axis=0).tolist()
+    reflection_err, sandwich_err = maxima[0], max(maxima[1:])
+
+    distance = None
+    if lens_up is not None:
+        i, j = rep_up.min_volume_rect[:2]
+        distance = min(max(abs(i + 0.5 - p * n), abs(j + 0.5 - p * n)) for p in lens_up[1])
+    return EnvelopeAudit(
+        upper_classification=cls_up.value,
+        lower_classification=cls_lo.value,
+        upper_report=rep_up,
+        lower_report=rep_lo,
+        upper_min_volume_cell_distance_to_density_minimiser=distance,
+        upper_lens_floor_cell_volume=None if lens_up is None else lens_up[0] / (n * n),
+        lower_lens_floor_cell_volume=None if lens_lo is None else lens_lo[0] / (n * n),
+        reflection_max_err=reflection_err,
+        sandwich_max_violation=sandwich_err,
+        checks={
+            "upper_quasicopula": rep_up.is_quasicopula,
+            "lower_quasicopula": rep_lo.is_quasicopula,
+            "upper_copula_matches_classification": rep_up.is_copula == (lens_up is None),
+            "lower_copula_matches_classification": rep_lo.is_copula == (lens_lo is None),
+            "reflection_identity": reflection_err <= 1e-12,
+            "sandwich": sandwich_err <= 1e-12,
+        },
     )

@@ -9,6 +9,7 @@ import pytest
 from gini_bounds import (
     LatticeFunction,
     check_properties,
+    envelope_audit,
     frechet_lower,
     frechet_upper,
     lens_density_floor,
@@ -19,8 +20,8 @@ from gini_bounds import (
 from gini_bounds import cli
 from gini_bounds.bounds import _BLOCK
 from gini_bounds.checkerboard import Checkerboard
-from gini_bounds.cli import _envelope_lattice, _triangle_lattice, main
-from gini_bounds.lattice import lattice_nodes
+from gini_bounds.cli import main
+from gini_bounds.lattice import _envelope_lattice, _triangle_lattice, lattice_nodes
 from test_golden import SEAM_T
 
 
@@ -82,6 +83,23 @@ def test_eval_domain_error_exit_2(capsys):
         if "5" in argv:
             # The lower side reflects to -t; the error still names the t given.
             assert "t=5.0 outside" in err, argv
+
+
+@pytest.mark.parametrize("value", ("-1e-3", "-1E-3", "-1e-320", "-.5e-1"))
+@pytest.mark.parametrize("option", ("--t", "--u", "--v"))
+def test_a_negative_float_in_exponent_form_is_a_value(capsys, option, value):
+    # argparse alone reads -1e-3 as an option string and exits 2 with
+    # "expected one argument"; the "=" form was always read as a value.
+    values = {"--t": "0.3", "--u": "0.5", "--v": "0.5", option: value}
+    spaced = [x for item in values.items() for x in item]
+    joined = [f"{name}={x}" for name, x in values.items()]
+    got = run(capsys, "eval", *spaced)
+    assert got == run(capsys, "eval", *joined)
+    # A negative t is in range; a negative u or v is outside the square.
+    assert got[0] == (0 if option == "--t" else 2), got
+    if option == "--t":
+        assert json.loads(got[1])["t"] == float(value)
+        assert run(capsys, "classify", "--t", value) == run(capsys, "classify", f"--t={value}")
 
 
 def test_main_finds_the_handler_at_call_time(monkeypatch):
@@ -358,6 +376,16 @@ def test_triangle_lattice_calls_f_in_blocks_on_each_upper_node_once(n):
     cols = np.rint(np.concatenate([v for _, v in calls]) * n).astype(int)
     counts = np.bincount(rows * (n + 1) + cols, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
     assert np.array_equal(counts, np.triu(np.ones((n + 1, n + 1), dtype=int)))
+
+
+@pytest.mark.parametrize("n", (1, 37, 181))
+@pytest.mark.parametrize("t", (-1.0, -0.9, -0.1, 0.0, 0.45, 1.0))
+def test_check_results_are_the_envelope_audit(capsys, t, n):
+    code, payload, _ = run_json(capsys, "check", f"--t={t!r}", "--grid", str(n))
+    audit = envelope_audit(t, n)
+    assert json.loads(json.dumps(dataclasses.asdict(audit))) == payload["results"]
+    assert code == int(not all(audit.checks.values()))
+    assert payload["parameters"] == {"t": t, "grid": n}
 
 
 @pytest.mark.parametrize("t", (-0.9, 0.2))

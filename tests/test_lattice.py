@@ -13,16 +13,19 @@ from hypothesis.extra.numpy import arrays
 
 from gini_bounds import (
     DomainError,
+    EnvelopeAudit,
     LatticeFunction,
     PropertyReport,
     check_properties,
+    envelope_audit,
     frechet_lower,
     frechet_upper,
     product,
     region_masks,
     upper_bound_values,
 )
-from gini_bounds.lattice import lattice_nodes, write_node_csv
+from gini_bounds.bounds import _BLOCK
+from gini_bounds.lattice import _row_groups, lattice_nodes, write_node_csv
 
 
 def test_sampled_frechet_upper_is_copula():
@@ -349,3 +352,55 @@ def test_csv_reader_matches_row_loop_reference(tmp_path):
         back = LatticeFunction.from_csv(path)
         assert back.N == 60
         assert np.array_equal(back.values, _csv_loop_reader(path))
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [[], [1], [_BLOCK], [_BLOCK + 1], [3, _BLOCK + 1, 2, 5], [_BLOCK // 2 + 1] * 5,
+     [401] * 401, list(range(401, 0, -1)), [_BLOCK - 1, 1, 1, _BLOCK]],
+)
+def test_row_groups_partition_the_rows_in_order(lengths):
+    groups = _row_groups(lengths)
+    # Non-empty runs of consecutive rows that, in order, cover every row once.
+    rows = range(len(lengths))
+    assert [r for g in groups for r in rows[g]] == list(rows)
+    assert all(g.step is None and g.start < g.stop for g in groups)
+    for k, g in enumerate(groups):
+        size = sum(lengths[g])
+        # At most _BLOCK points, or one row that alone is longer; and greedy:
+        # the next group's first row would not have fitted.
+        assert size <= _BLOCK or g.stop - g.start == 1, (k, g)
+        if k + 1 < len(groups):
+            assert size + lengths[g.stop] > _BLOCK, (k, g)
+
+
+@pytest.mark.parametrize(
+    "t, n", [(5, 4), (math.nan, 4), (-1.5, 4), (0.1, 0), (0.1, -3), (0.1, True), (0.1, 2.5)]
+)
+def test_envelope_audit_rejects_out_of_domain_input(t, n):
+    with pytest.raises(DomainError):
+        envelope_audit(t, n)
+
+
+def test_envelope_audit_is_a_frozen_report():
+    audit = envelope_audit(-0.5, 40)
+    assert isinstance(audit, EnvelopeAudit) and all(audit.checks.values())
+    assert isinstance(audit.upper_report, PropertyReport)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        audit.reflection_max_err = 0.0
+
+
+@pytest.mark.parametrize("t", (-0.9, 0.2))
+def test_envelope_audit_allocates_no_lattice_sized_temporaries(t):
+    # The library call holds what check holds: the two lattices and the
+    # kernel's per-block working set, and returns neither lattice.
+    n = 400
+    envelope_audit(t, n)
+    tracemalloc.start()
+    try:
+        audit = envelope_audit(t, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(audit.checks.values())
+    assert peak <= 3.5 * (n + 1) ** 2 * 8
