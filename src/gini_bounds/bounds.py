@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Optional
@@ -32,6 +31,7 @@ import numpy as np
 from .core import (
     PointBoundSpec,
     UnitPoint,
+    _check_order,
     _check_points,
     check_t,
     frechet_lower,
@@ -144,8 +144,10 @@ def _live_candidates(t: float) -> tuple[int, ...]:
 
 
 def _check_index(i: int, kind: str) -> None:
-    if not (isinstance(i, numbers.Integral) and 1 <= i <= 5):
-        raise DomainError(f"{kind} index {i} is not an integer in 1..5")
+    """DomainError unless i is a candidate or region index: an integer (not bool) in 1..5."""
+    _check_order(i, f"{kind} index")
+    if i > 5:
+        raise DomainError(f"{kind} index must be <= 5, got {i}")
 
 
 def theta_candidate(i: int, u: float, v: float, t: float) -> Optional[float]:

@@ -50,8 +50,19 @@ def _check_points(u, v) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_t(t: float) -> float:
-    """A Gini's gamma target as a float; DomainError outside [-1, 1] or NaN."""
-    t = float(t)
+    """A Gini's gamma target as a float; DomainError outside [-1, 1] or NaN.
+
+    Python and numpy ints and floats and 0-d arrays are numbers; a bool
+    (Python or numpy), a string and anything float() cannot convert are a
+    DomainError too, as float() would read True as 1 and "0.3" as 0.3.
+    """
+    # A float (numpy's float64 included), the common case, takes one test.
+    if not isinstance(t, float) and isinstance(t, (bool, np.bool_, str, bytes)):
+        raise DomainError(f"gamma target t={t!r} is not a number")
+    try:
+        t = float(t)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"gamma target t={t!r} is not a number in [-1, 1]") from None
     if not -1.0 <= t <= 1.0:
         raise DomainError(f"gamma target t={t} outside [-1, 1]")
     return t

@@ -243,8 +243,7 @@ def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:
         float(np.max(np.abs(v[n, :] - nodes))),
     )
 
-    du_mins, du_maxs, dv_mins, dv_maxs = [], [], [], []
-    min_vol, flat = None, 0
+    extremes, minima = [], []
     for cells in _row_groups([n + 1] * n):
         # The group's cell rows and the lattice row below them; the last
         # group's dv takes in the final lattice row too.
@@ -252,23 +251,20 @@ def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:
         du = rows[1:] - rows[:-1]
         dv_rows = rows if cells.stop == n else rows[:-1]
         dv = dv_rows[:, 1:] - dv_rows[:, :-1]
-        du_mins.append(du.min())
-        du_maxs.append(du.max())
-        dv_mins.append(dv.min())
-        dv_maxs.append(dv.max())
+        # The maxima negated, so that one min reduces all four.
+        extremes.append((du.min(), dv.min(), -du.max(), -dv.max()))
         vols = rows[1:, 1:] - rows[1:, :-1] - rows[:-1, 1:] + rows[:-1, :-1]
         k = int(np.argmin(vols))
-        vol = vols.flat[k]
-        # Strictly smaller, so an earlier group wins ties; the first NaN wins.
-        if min_vol is None or (not np.isnan(min_vol) and (np.isnan(vol) or vol < min_vol)):
-            min_vol, flat = vol, cells.start * n + k
-    du_min, dv_min = float(np.min(du_mins)), float(np.min(dv_mins))
+        minima.append((vols.flat[k], cells.start * n + k))
+    du_min, dv_min, du_neg, dv_neg = np.min(extremes, axis=0).tolist()
     mono = min(du_min, dv_min)
 
     step = 1.0 / n
     # max|d| = max(d.max(), -d.min()) exactly, without an abs temporary.
-    lip = max(float(np.max(du_maxs)), -du_min, float(np.max(dv_maxs)), -dv_min) - step
+    lip = max(-du_neg, -du_min, -dv_neg, -dv_min) - step
 
+    # argmin's rule across the groups as within one: the first least, or the first NaN.
+    min_vol, flat = minima[int(np.argmin([vol for vol, _ in minima]))]
     i, j = divmod(flat, n)
     min_vol = float(min_vol)
 

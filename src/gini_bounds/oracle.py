@@ -19,9 +19,10 @@ The result is kept as the two permutations and their exact weight alpha;
 nothing n x n is built on the way.  Every datum is rational (float u, v and
 t are dyadic, and so are the ramps), so the gamma of the mix is re-derived
 in integers on the 2n support cells from gamma_numerators and must equal
-the target exactly, and the optimum is computed exactly from the ramps at
-the support and rounded once.  The optimum is a sound inner bound
-(checkerboards are copulas) that converges to the envelope as n grows.
+the target exactly, and the optimum is the class formula (_class_value)
+of the two ends in exact arithmetic, rounded once.  The optimum is a sound
+inner bound (checkerboards are copulas) that converges to the envelope as
+n grows.
 """
 
 from __future__ import annotations
@@ -267,47 +268,37 @@ def _upper_hull(s: list, value: list) -> list:
     return hull
 
 
+def _class_value(n00, n01, n10, n11, ramp_u, ramp_v):
+    """n * C(u, v) of a class, from its block counts N[0, 0], N[0, 1], N[1, 0], N[1, 1].
+
+    A permutation board's n * C(u, v) is sum_i ramp_i(u) * ramp_pi(i)(v),
+    and the ramp is 1 on block 0, the middle ramp on block 1 and 0 on
+    block 2 (_ramp_blocks), so only the top-left 2 x 2 counts enter.  This
+    is the one statement of a class's value: on count arrays and float
+    ramps for the hull, and on Python ints and Fraction ramps for the exact
+    optimum.
+    """
+    return n00 + ramp_v * n01 + ramp_u * (n10 + ramp_v * n11)
+
+
 @functools.lru_cache(maxsize=1)
 def _class_table(n: int, u: float, v: float):
     """The part of lp_extreme that does not depend on the direction, read-only.
 
     The block classes, and the hull points of their mirror and then their
-    sorted permutations: S = 3n^2/2 * gamma (_class_gamma) and C(u, v), the
-    count in the all-ones corner block plus the middle blocks' partial cells,
-    over n.  cmd_oracle solves max and min at one (n, u, v), so one entry
+    sorted permutations: S = 3n^2/2 * gamma (_class_gamma) and C(u, v)
+    (_class_value, over n).  cmd_oracle solves max and min at one (n, u, v), so one entry
     serves both.
     """
     rows, ramp_u = _ramp_blocks(n, u)
     cols, ramp_v = _ramp_blocks(n, v)
     classes = _block_classes(rows, cols)
-    value = (
-        classes[:, 0, 0] + ramp_v * classes[:, 0, 1]
-        + ramp_u * (classes[:, 1, 0] + ramp_v * classes[:, 1, 1])
-    ) / n
+    value = _class_value(*classes[:, :2, :2].reshape(-1, 4).T, ramp_u, ramp_v) / n
     s = np.concatenate([_class_gamma(classes, n, mirror) for mirror in (True, False)])
     value = np.concatenate([value, value])
     for array in (classes, s, value):
         array.flags.writeable = False
     return classes, s, value
-
-
-def _permutation_cdf(blocks_u, blocks_v, perm):
-    """n * C(u, v) of a permutation board, exactly: sum_i ramp_i(u) * ramp_perm(i)(v).
-
-    From _ramp_blocks: ramp_i(z) is 1 for i < p, the dyadic ramp at i = p
-    (0 when there is no middle block) and 0 beyond, so only rows i <= p_u
-    count, and at most two products have a fractional factor.
-    """
-    (pu, _, _), ramp_u = blocks_u
-    (pv, _, _), ramp_v = blocks_v
-    head = perm[:pu]
-    total = int(np.count_nonzero(head < pv))
-    if np.any(head == pv):
-        total += Fraction(ramp_v)
-    if pu < len(perm):
-        j = perm[pu]
-        total += Fraction(ramp_u) * (1 if j < pv else Fraction(ramp_v) if j == pv else 0)
-    return total
 
 
 def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcome:
@@ -352,9 +343,10 @@ def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcom
     b = hull[min(k, len(hull) - 1)]
     a = hull[k - 1] if 0 < k < len(hull) and hull_s[k] != target else b
     alpha = Fraction(1) if a == b else (s[b] - target) / (s[b] - s[a])
+    ends = [int(order[a]), int(order[b])]
+    counts = [classes[point % len(classes)] for point in ends]
     perms = tuple(
-        _class_permutation(classes[point % len(classes)], n, mirror=point < len(classes))
-        for point in (int(order[a]), int(order[b]))
+        _class_permutation(c, n, mirror=point < len(classes)) for c, point in zip(counts, ends)
     )
     g_a, g_b = gamma_numerators(n, np.arange(n), np.stack(perms)).sum(axis=1).tolist()
     miss = g_b + alpha * (g_a - g_b) - 3 * n * n - target
@@ -362,7 +354,9 @@ def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcom
         raise InternalError(
             f"optimal checkerboard misses the gamma target by {float(miss) * 2 / (3 * n * n):.3e}"
         )
-    blocks_u, blocks_v = _ramp_blocks(n, u), _ramp_blocks(n, v)
-    x_a, x_b = (_permutation_cdf(blocks_u, blocks_v, perm) for perm in perms)
+    # Each end permutation has its class's block counts, so its exact
+    # n * C(u, v) is the class value in Fraction (the ramps are dyadic).
+    ramp_u, ramp_v = (Fraction(_ramp_blocks(n, z)[1]) for z in (u, v))
+    x_a, x_b = (_class_value(*c[:2, :2].ravel().tolist(), ramp_u, ramp_v) for c in counts)
     optimum = float((x_b + alpha * (x_a - x_b)) / n)
     return LpOutcome(direction, optimum, "optimal", perms, alpha)

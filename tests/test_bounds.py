@@ -122,6 +122,33 @@ def test_region_nonempty_validates_index_and_t():
             region_nonempty(2, t)
 
 
+def test_bool_index_is_a_domain_error():
+    # bool is an int subclass, and True would otherwise read as index 1.
+    for call in (
+        lambda: region_nonempty(True, -0.5),
+        lambda: theta_candidate(True, 0.3, 0.6, -0.5),
+        lambda: region_contains(True, 0.3, 0.6, -0.5),
+    ):
+        with pytest.raises(DomainError, match="integer, got True"):
+            call()
+
+
+@pytest.mark.parametrize("f", [
+    lambda t: upper_bound(0.3, 0.6, t),
+    lambda t: upper_bound_values(0.3, 0.6, t),
+    lambda t: lower_bound_values(0.3, 0.6, t),
+    classify_upper,
+], ids=["upper_bound", "upper_bound_values", "lower_bound_values", "classify_upper"])
+def test_t_that_is_not_a_number_is_a_domain_error(f):
+    for t in (None, [0.1, 0.2], np.array([0.1, 0.2]), 1j, True, False, np.bool_(True), "0.3"):
+        with pytest.raises(DomainError, match="gamma target t="):
+            f(t)
+    # Python and numpy ints and floats, and 0-d arrays, stay numbers.
+    for number, same in ((0, 0.0), (np.int64(-1), -1.0), (np.float32(0.25), 0.25),
+                         (np.array(0.25), 0.25)):
+        assert f(number) == f(same), number
+
+
 # --- candidate pruning --------------------------------------------------
 
 # The point (max, min) at which region i shrinks to nothing as t rises to

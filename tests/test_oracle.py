@@ -1,6 +1,7 @@
 import itertools
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from gini_bounds import (
     upper_bound_values,
 )
 from gini_bounds import InternalError, oracle
-from gini_bounds.checkerboard import gamma_coefficients
+from gini_bounds.checkerboard import cell_ramps, gamma_coefficients
 from gini_bounds.cli import main
 
 
@@ -204,6 +205,29 @@ def test_sorted_and_mirror_runs_at_high_orders(n):
             )
             closed = oracle._class_gamma(classes, n, mirror)
             assert np.array_equal(kernel.sum(axis=1), closed), (u, v, mirror)
+
+
+def test_optimum_is_the_exact_value_of_the_returned_board():
+    # The optimum must be the returned board's C(u, v), rounded once.  Each
+    # end's C is derived here in Fraction from its permutation and the ramps
+    # alone, with no block classes: sum_i ramp_i(u) * ramp_pi(i)(v) / n.
+    # The (u, v) include node-aligned values, where there is no middle block.
+    zs = (0.0, 0.25, 0.5, 0.3, 0.7, 1.0)
+    for n in (2, 3, 4, 5, 7, 8, 16, 33):
+        lo, hi = gamma_feasible_range(n)
+        for u, v in itertools.product(zs, zs):
+            ramp_u, ramp_v = ([Fraction(x) for x in cell_ramps(n, z)] for z in (u, v))
+            for t in (lo, -0.4, 0.0, 0.3, hi):
+                for direction in ("max", "min"):
+                    out = lp_extreme(n, u, v, t, direction)
+                    if out.status == "infeasible":
+                        continue
+                    c_a, c_b = (
+                        sum(ramp_u[i] * ramp_v[j] for i, j in enumerate(perm.tolist())) / n
+                        for perm in out.permutations
+                    )
+                    want = float(out.alpha * c_a + (1 - out.alpha) * c_b)
+                    assert out.optimum == want, (n, u, v, t, direction)
 
 
 def test_convergence_at_the_centre_at_high_orders():
