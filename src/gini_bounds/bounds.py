@@ -244,8 +244,8 @@ def upper_bound(u: float, v: float, t: float) -> ThetaReport:
     arithmetic here.
     """
     UnitPoint(u, v)
-    # Coerced once: int, bool or numpy inputs leave only builtin floats and
-    # bools in the record.
+    # Coerced once: int, numpy or 0-d array inputs leave only builtin floats
+    # and bools in the record.
     u, v = float(u), float(v)
     t = check_t(t)
     x, m = max(u, v), min(u, v)

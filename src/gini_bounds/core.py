@@ -26,10 +26,27 @@ class UnitPoint:
     v: float
 
     def __post_init__(self):
+        # Floats (numpy's float64 included), the common case, take one test each.
+        if not (isinstance(self.u, float) and isinstance(self.v, float)):
+            _check_real(self.u, "point coordinate u")
+            _check_real(self.v, "point coordinate v")
         if not (0.0 <= self.u <= 1.0 and 0.0 <= self.v <= 1.0):
             raise DomainError(
                 f"point ({self.u}, {self.v}) is outside the unit square"
             )
+
+
+def _check_real(x, name: str) -> None:
+    """DomainError naming x unless it is a real number.
+
+    Python and numpy ints and floats (and Fraction) and 0-d arrays of them
+    are real; a bool (Python or numpy), a string, None, a sequence and a
+    complex number are not, though a comparison would read True as 1.
+    """
+    if isinstance(x, np.ndarray) and x.ndim == 0:
+        x = x[()]
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+        raise DomainError(f"{name}={x!r} is not a real number")
 
 
 def _check_points(u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -39,7 +56,12 @@ def _check_points(u, v) -> tuple[np.ndarray, np.ndarray]:
     vectorized check (NaN fails every comparison) for the array entry
     points; the scalar ones keep UnitPoint's cheaper chained comparison.
     """
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    u, v = np.asarray(u), np.asarray(v)
+    for name, x in (("u", u), ("v", v)):
+        # Ints and floats; asarray would read bools as 0 and 1 and "0.3" as 0.3.
+        if x.dtype.kind not in "iuf":
+            raise DomainError(f"point coordinate {name} is not real: dtype {x.dtype}")
+    u, v = u.astype(float, copy=False), v.astype(float, copy=False)
     try:
         np.broadcast_shapes(u.shape, v.shape)
     except ValueError:
@@ -52,20 +74,16 @@ def _check_points(u, v) -> tuple[np.ndarray, np.ndarray]:
 def check_t(t: float) -> float:
     """A Gini's gamma target as a float; DomainError outside [-1, 1] or NaN.
 
-    Python and numpy ints and floats and 0-d arrays are numbers; a bool
-    (Python or numpy), a string and anything float() cannot convert are a
-    DomainError too, as float() would read True as 1 and "0.3" as 0.3.
+    A t that is not a real number (_check_real) is a DomainError too, as
+    float() would read True as 1 and "0.3" as 0.3.
     """
     # A float (numpy's float64 included), the common case, takes one test.
-    if not isinstance(t, float) and isinstance(t, (bool, np.bool_, str, bytes)):
-        raise DomainError(f"gamma target t={t!r} is not a number")
-    try:
-        t = float(t)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"gamma target t={t!r} is not a number in [-1, 1]") from None
+    if not isinstance(t, float):
+        _check_real(t, "gamma target t")
+    # Compared before float(), which overflows on a huge int.
     if not -1.0 <= t <= 1.0:
         raise DomainError(f"gamma target t={t} outside [-1, 1]")
-    return t
+    return float(t)
 
 
 def _check_order(n: int, kind: str, least: int = 1) -> None:

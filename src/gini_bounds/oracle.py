@@ -20,9 +20,9 @@ nothing n x n is built on the way.  Every datum is rational (float u, v and
 t are dyadic, and so are the ramps), so the gamma of the mix is re-derived
 in integers on the 2n support cells from gamma_numerators and must equal
 the target exactly, and the optimum is the class formula (_class_value)
-of the two ends in exact arithmetic, rounded once.  The optimum is a sound
-inner bound (checkerboards are copulas) that converges to the envelope as
-n grows.
+of the two ends in integers over the ramps' common denominator, rounded
+once.  The optimum is a sound inner bound (checkerboards are copulas) that
+converges to the envelope as n grows.
 """
 
 from __future__ import annotations
@@ -123,6 +123,10 @@ def _ramp_blocks(n: int, z: float) -> tuple[tuple[int, int, int], float]:
     return (p, mid, n - p - mid), ramp
 
 
+# How N[0, 0], N[0, 2], N[2, 0] and N[2, 2] move with N[0, 0].
+_CORNER_SIGNS = np.array([[1, 0, -1], [0, 0, 0], [-1, 0, 1]])
+
+
 def _block_classes(rows, cols) -> np.ndarray:
     """Every 3 x 3 block-count matrix with row sums `rows` and column sums `cols`.
 
@@ -135,22 +139,25 @@ def _block_classes(rows, cols) -> np.ndarray:
     layouts = [r + c for r in row_units for c in col_units]
     if rows[1] and cols[1]:
         layouts.append([(1, 1)])
-    classes = []
+    bases, sizes = [], []
     for cells in layouts:
-        base = np.zeros((3, 3), dtype=np.int64)
-        for cell in cells:
-            base[cell] = 1
-        ra, rc = rows[0] - base[0].sum(), rows[2] - base[2].sum()
-        ca, cc = cols[0] - base[:, 0].sum(), cols[2] - base[:, 2].sum()
-        # Empty whenever one of the four residual margins is negative.
-        corner = np.arange(max(0, ra - cc), min(ra, ca) + 1)
-        block = np.repeat(base[None], len(corner), axis=0)
-        block[:, 0, 0] = corner
-        block[:, 0, 2] = ra - corner
-        block[:, 2, 0] = ca - corner
-        block[:, 2, 2] = rc - ca + corner
-        classes.append(block)
-    return np.concatenate(classes)
+        base = [[0] * 3 for _ in range(3)]
+        for i, j in cells:
+            base[i][j] = 1
+        # The residual margins of the corners (no unit sits in a corner).
+        ra, rc = rows[0] - base[0][1], rows[2] - base[2][1]
+        ca, cc = cols[0] - base[1][0], cols[2] - base[1][2]
+        # N[0, 0] runs over lo..min(ra, ca), empty if a residual is negative.
+        # The base states the corners at class index 0 (x is lo less the
+        # layout's first index), so adding the class index k gives N[0, 0] =
+        # lo, lo + 1, ... on the layout's own classes.
+        lo = max(0, ra - cc)
+        x = lo - sum(sizes)
+        base[0][0], base[0][2], base[2][0], base[2][2] = x, ra - x, ca - x, rc - ca + x
+        bases.append(base)
+        sizes.append(max(0, min(ra, ca) + 1 - lo))
+    k = np.arange(sum(sizes))[:, None, None]
+    return np.repeat(np.array(bases, dtype=np.int64), sizes, axis=0) + k * _CORNER_SIGNS
 
 
 def _abs_run(x0, m):
@@ -223,24 +230,22 @@ def _class_gamma(classes, n: int, mirror: bool) -> np.ndarray:
     (f(a, -b) = -f(a, b)), so the sorted permutation of the reversed column
     blocks, read back, is the mirror and has the least S.
 
-    On a run, one of i + j - (n-1) and i - j moves in steps of 2 from its
-    value at r and the other stays constant: i + j moves on a sorted run,
-    and i - j on a mirror run, whose S is minus a sorted run's with the two
-    swapped (reversing the columns swaps them and negates F).  Each run's S
-    is summed in closed form here.  The LP result does not rest on the lemma
-    for its soundness: every hull point is the gamma and value of a real
-    permutation, and lp_extreme re-derives the gamma of the two it mixes
-    apart from this algebra, exactly; the lemma makes it optimal.
+    On a sorted run, i + j - (n-1) moves in steps of 2 from its value at r
+    and i - j stays constant, so each run's S is summed in closed form
+    here.  The mirror's S is minus the sorted S of the reversed column
+    blocks, by the same F(i, n-1-j) = -F(i, j).  The LP result does not
+    rest on the lemma for its soundness: every hull point is the gamma and
+    value of a real permutation, and lp_extreme re-derives the gamma of the
+    two it mixes apart from this algebra, exactly; the lemma makes it
+    optimal.
     """
-    r, c = _runs(classes, n, mirror)
+    if mirror:
+        return -_class_gamma(classes[..., ::-1], n, False)
+    r, c = _runs(classes, n, False)
     m = classes
     plus, minus = r + c - (n - 1), r - c  # i + j - (n-1) and i - j at r
-    moving, fixed = (minus, plus) if mirror else (plus, minus)
-    run = (
-        3 * (_abs_run(moving, m) - m * np.abs(fixed))
-        + _zero_in_run(moving, m) - m * (fixed == 0)
-    )
-    return (-1 if mirror else 1) * run.sum(axis=(1, 2))
+    run = 3 * (_abs_run(plus, m) - m * np.abs(minus)) + _zero_in_run(plus, m) - m * (minus == 0)
+    return run.sum(axis=(1, 2))
 
 
 def _class_permutation(counts, n: int, mirror: bool) -> np.ndarray:
@@ -275,8 +280,8 @@ def _class_value(n00, n01, n10, n11, ramp_u, ramp_v):
     and the ramp is 1 on block 0, the middle ramp on block 1 and 0 on
     block 2 (_ramp_blocks), so only the top-left 2 x 2 counts enter.  This
     is the one statement of a class's value: on count arrays and float
-    ramps for the hull, and on Python ints and Fraction ramps for the exact
-    optimum.
+    ramps for the hull, and for the exact optimum on integers over the
+    ramps' common denominator, rounded once (lp_extreme).
     """
     return n00 + ramp_v * n01 + ramp_u * (n10 + ramp_v * n11)
 
@@ -331,32 +336,40 @@ def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcom
     last = np.append(s[1:] != s[:-1], True)
     order, s, value = order[last], s[last].tolist(), value[last].tolist()
     hull = _upper_hull(s, value)
-    # The target S = 3n^2/2 * t, exactly.  A t at an end of the range that
-    # rounds past the exact end (the identity's S) is read as that end.
-    edge = _identity_s(n)
+    # The target S = 3n^2/2 * t is tn / td exactly, in integers.  A t at an
+    # end of the range that rounds past the exact end (the identity's S) is
+    # read as that end.
     p, q = t.as_integer_ratio()
-    target = min(max(Fraction(3 * n * n * p, 2 * q), -edge), edge)
+    edge, td = _identity_s(n), 2 * q
+    tn = min(max(3 * n * n * p, -edge * td), edge * td)
     # The hull segment a..b with s[a] < target < s[b]; a = b when a hull
-    # point sits at the target.
+    # point sits at the target.  The s are integers, so bisecting on the
+    # target's ceiling is exact.
     hull_s = [s[h] for h in hull]
-    k = bisect.bisect_left(hull_s, target)
+    k = bisect.bisect_left(hull_s, -(-tn // td))
     b = hull[min(k, len(hull) - 1)]
-    a = hull[k - 1] if 0 < k < len(hull) and hull_s[k] != target else b
-    alpha = Fraction(1) if a == b else (s[b] - target) / (s[b] - s[a])
+    a = hull[k - 1] if 0 < k < len(hull) and hull_s[k] * td != tn else b
+    # alpha = an / ad = (s[b] - target) / (s[b] - s[a]), or 1.
+    an, ad = (1, 1) if a == b else (s[b] * td - tn, (s[b] - s[a]) * td)
     ends = [int(order[a]), int(order[b])]
     counts = [classes[point % len(classes)] for point in ends]
     perms = tuple(
         _class_permutation(c, n, mirror=point < len(classes)) for c, point in zip(counts, ends)
     )
     g_a, g_b = gamma_numerators(n, np.arange(n), np.stack(perms)).sum(axis=1).tolist()
-    miss = g_b + alpha * (g_a - g_b) - 3 * n * n - target
-    if miss != 0:
-        raise InternalError(
-            f"optimal checkerboard misses the gamma target by {float(miss) * 2 / (3 * n * n):.3e}"
-        )
+    # g_b + alpha (g_a - g_b) - 3n^2 = target, times ad * td.
+    mix = ((g_b - 3 * n * n) * ad + an * (g_a - g_b)) * td
+    if mix != tn * ad:
+        miss = (mix - tn * ad) / (ad * td) * 2 / (3 * n * n)
+        raise InternalError(f"optimal checkerboard misses the gamma target by {miss:.3e}")
     # Each end permutation has its class's block counts, so its exact
-    # n * C(u, v) is the class value in Fraction (the ramps are dyadic).
-    ramp_u, ramp_v = (Fraction(_ramp_blocks(n, z)[1]) for z in (u, v))
-    x_a, x_b = (_class_value(*c[:2, :2].ravel().tolist(), ramp_u, ramp_v) for c in counts)
-    optimum = float((x_b + alpha * (x_a - x_b)) / n)
-    return LpOutcome(direction, optimum, "optimal", perms, alpha)
+    # n * C(u, v) is the class value; with the dyadic ramps pu / qu and
+    # pv / qv, the class value on these integers is qu * qv times it.
+    (pu, qu), (pv, qv) = (_ramp_blocks(n, z)[1].as_integer_ratio() for z in (u, v))
+    x_a, x_b = (
+        _class_value(n00 * qu * qv, n01 * qu, n10 * qv, n11, pu, pv)
+        for (n00, n01), (n10, n11) in (c[:2, :2].tolist() for c in counts)
+    )
+    # One correctly rounded int / int division.
+    optimum = (x_b * ad + an * (x_a - x_b)) / (ad * n * qu * qv)
+    return LpOutcome(direction, optimum, "optimal", perms, Fraction(an, ad))

@@ -5,8 +5,13 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import DomainError
+
+_BOOLS = frozenset((bool, np.bool_))
 
 
 @dataclass(frozen=True)
@@ -17,10 +22,13 @@ class RankSample:
 
     def __post_init__(self):
         try:
-            ranks = tuple((int(r), int(s)) for r, s in self.ranks)
+            ranks = tuple([(int(r), int(s)) for r, s in self.ranks])
         except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"ranks must be pairs of integers: {exc}") from None
         fractional = [tuple(p) for p, whole in zip(self.ranks, ranks) if tuple(p) != whole]
+        # int() reads True as 1 and (True, 1) == (1, 1), so bools go by type.
+        if not fractional and not _BOOLS.isdisjoint(map(type, chain.from_iterable(self.ranks))):
+            fractional = [tuple(p) for p in self.ranks if not _BOOLS.isdisjoint(map(type, p))]
         if fractional:
             raise DomainError(f"ranks must be integers, got {fractional[0]}")
         object.__setattr__(self, "ranks", ranks)

@@ -21,6 +21,7 @@ from gini_bounds import (
     lens_density_floor,
     lower_bound,
     lower_bound_values,
+    lp_extreme,
     mixed_partial_density,
     region_contains,
     region_masks,
@@ -140,13 +141,47 @@ def test_bool_index_is_a_domain_error():
     classify_upper,
 ], ids=["upper_bound", "upper_bound_values", "lower_bound_values", "classify_upper"])
 def test_t_that_is_not_a_number_is_a_domain_error(f):
-    for t in (None, [0.1, 0.2], np.array([0.1, 0.2]), 1j, True, False, np.bool_(True), "0.3"):
+    for t in (None, [0.1, 0.2], np.array([0.1, 0.2]), 1j, True, False, np.bool_(True),
+              np.array(True), "0.3"):
         with pytest.raises(DomainError, match="gamma target t="):
             f(t)
     # Python and numpy ints and floats, and 0-d arrays, stay numbers.
     for number, same in ((0, 0.0), (np.int64(-1), -1.0), (np.float32(0.25), 0.25),
                          (np.array(0.25), 0.25)):
         assert f(number) == f(same), number
+
+
+@pytest.mark.parametrize("f", [
+    lambda u, v: upper_bound(u, v, -0.2),
+    lambda u, v: lower_bound(u, v, -0.2),
+    lambda u, v: lp_extreme(8, u, v, -0.2, "max").optimum,
+    lambda u, v: upper_bound_values(u, v, -0.2),
+    lambda u, v: region_masks(u, v, -0.2),
+], ids=["upper_bound", "lower_bound", "lp_extreme", "upper_bound_values", "region_masks"])
+def test_coordinate_that_is_not_a_real_number_is_a_domain_error(f):
+    # A comparison reads True as 1, and asarray(..., dtype=float) reads
+    # "0.3" as 0.3 and a bool array as 0 and 1.
+    for x in (None, "0.3", [None], True, False, np.bool_(True), np.array(True), 1j,
+              np.array([True, False])):
+        with pytest.raises(DomainError, match="point coordinate u"):
+            f(x, 0.7)
+        with pytest.raises(DomainError, match="point coordinate v"):
+            f(0.3, x)
+    # Python and numpy ints and floats, and 0-d arrays, stay numbers.
+    for number, same in ((1, 1.0), (np.int64(0), 0.0), (np.float32(0.25), 0.25),
+                         (np.array(0.25), 0.25)):
+        assert f(number, 0.7) == f(same, 0.7), number
+        assert f(0.3, number) == f(0.3, same), number
+
+
+def test_scalar_coordinate_that_is_a_sequence_is_a_domain_error():
+    # The array entry points take these; the scalar ones compared them raw.
+    for x in ([0.3], np.array([0.3, 0.4])):
+        for f in (upper_bound, lower_bound, hyperbolic_set_contains):
+            with pytest.raises(DomainError, match="point coordinate u"):
+                f(x, 0.7, -0.2)
+        with pytest.raises(DomainError, match="point coordinate v"):
+            lp_extreme(8, 0.3, x, -0.2, "min")
 
 
 # --- candidate pruning --------------------------------------------------
@@ -511,7 +546,7 @@ def test_report_structure_invariants():
 
 
 @pytest.mark.parametrize("u, v, t", [
-    (1, 0, 0.2), (1, 1, 1), (0, 1, -1), (0.3, 0.6, -0.5), (True, False, 0),
+    (1, 0, 0.2), (1, 1, 1), (0, 1, -1), (0.3, 0.6, -0.5), (np.array(0.3), np.array(1), 0),
     (np.float64(0.3), np.float64(0.6), np.float64(-0.5)),
     (np.float64(0.5), np.int64(1), np.float64(0.0)), (np.float64(0.5), 0.5, -0.9),
 ])

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -36,6 +37,12 @@ def test_malformed_ranks_reported():
         RankSample(((float("nan"), 1), (2, 2)))
     with pytest.raises(DomainError, match="pairs of integers"):
         RankSample(((1, 1, 1), (2, 2)))
+    # int(True) is 1 and (True, 1) == (1, 1), so only the type tells; numpy
+    # ints stay ranks.
+    for pairs in (((True, 1), (2, 2)), ((1, 1), (2, np.True_)), ((1, False), (2, 2))):
+        with pytest.raises(DomainError, match="ranks must be integers"):
+            RankSample(pairs)
+    assert RankSample(((np.int64(1), 2), (2, np.int32(1)))).ranks == ((1, 2), (2, 1))
 
 
 @given(st.permutations(list(range(1, 13))), st.permutations(list(range(12))))
