@@ -40,7 +40,7 @@ from .core import (
 )
 from .errors import DomainError, InternalError
 from .pointgamma import branch_condition, branch_form, branch_value, lower_point_bound_gamma
-from .quadrature import _CERTIFY_PANELS, _CERTIFY_TOL, gamma_quadrature
+from .quadrature import _certify_gamma
 
 # Clamping the final value into [W, M] by more than this is flagged: it
 # guards boundary float noise without hiding region-logic errors.
@@ -415,9 +415,9 @@ def witness_copula(u: float, v: float, t: float) -> Callable:
     def witness(uu, vv):
         return alpha * frechet_upper(uu, vv) + (1.0 - alpha) * base(uu, vv)
 
-    gamma_hat = gamma_quadrature(witness, _CERTIFY_PANELS)
+    gamma_hat, certified = _certify_gamma(witness, t)
     value = float(witness(u, v))
-    if abs(gamma_hat - t) > _CERTIFY_TOL or abs(value - report.bound) > _WITNESS_VALUE_TOL:
+    if not certified or abs(value - report.bound) > _WITNESS_VALUE_TOL:
         raise InternalError(
             "witness post-condition failed at "
             f"(u={u}, v={v}, t={t}): quadrature gamma={gamma_hat}, "

@@ -31,7 +31,7 @@ from .errors import DomainError, InternalError
 from .lattice import _envelope_lattice, _triangle_lattice, envelope_audit, write_node_csv
 from .oracle import lp_extreme
 from .pointgamma import i1_closed, i2_closed, lower_point_bound_gamma
-from .quadrature import _CERTIFY_PANELS, _CERTIFY_TOL, gamma_quadrature
+from .quadrature import _certify_gamma
 
 # The options that take a float.  argparse reads a negative number in exponent
 # form (-1e-3) as an option string, so main attaches a negative number that
@@ -146,8 +146,7 @@ def _gamma_spec(spec: list[str]):
 def cmd_gamma(args) -> int:
     started = time.monotonic()
     evaluator, expected, results = _gamma_spec(args.copula)
-    results["quadrature"] = gamma_quadrature(evaluator, _CERTIFY_PANELS)
-    passed = abs(expected - results["quadrature"]) <= _CERTIFY_TOL
+    results["quadrature"], passed = _certify_gamma(evaluator, expected)
     return _emit_report("gamma", {"copula": args.copula}, results, passed, started)
 
 

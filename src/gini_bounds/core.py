@@ -113,6 +113,9 @@ class PointBoundSpec:
 
     def __post_init__(self):
         UnitPoint(self.a, self.b)
+        # A float theta (numpy's float64 included), the common case, takes one test.
+        if not isinstance(self.theta, float):
+            _check_real(self.theta, "theta")
         lo = max(0.0, self.a + self.b - 1.0)
         hi = min(self.a, self.b)
         # Negated so that a NaN theta fails them.
@@ -179,8 +182,12 @@ def rect_volume(f: Evaluator, u1, u2, v1, v2):
     """Volume assigned by f to the rectangle [u1,u2] x [v1,v2].
 
     Nonnegativity of every rectangle volume is the 2-increasing property
-    that separates copulas from proper quasi-copulas.
+    that separates copulas from proper quasi-copulas.  The corners must be
+    real numbers (_check_real).
     """
+    for name, x in (("u1", u1), ("u2", u2), ("v1", v1), ("v2", v2)):
+        if not isinstance(x, float):
+            _check_real(x, f"rectangle corner {name}")
     if not (0.0 <= u1 <= u2 <= 1.0 and 0.0 <= v1 <= v2 <= 1.0):
         raise DomainError(
             f"invalid rectangle [{u1},{u2}]x[{v1},{v2}]: need "

@@ -10,10 +10,12 @@ and its optimum is the upper concave hull, at t, of the points
 The objective is constant on a 3 x 3 grid of row and column blocks, so a
 permutation's C depends only on its block-count matrix, and there are O(n)
 such classes.  Each class spans a gamma interval whose ends are its sorted
-and mirror permutations (proved at _class_gamma), both made of one run per
-pair of blocks (_runs), and the hull is taken over those 2k points.  The
-classes, their gammas and their values do not depend on the direction, so
-one memoised table (_class_table) serves the max and the min at one point.
+permutation, made of one run per pair of blocks (_runs), and its mirror,
+the sorted permutation of the column-reversed class read back through
+j -> n-1-j (proved at _class_gamma), and the hull is taken over those 2k
+points.  The classes, their gammas and their values do not depend on the
+direction, so one memoised table (_class_table) serves the max and the min
+at one point.
 
 The result is kept as the two permutations and their exact weight alpha;
 nothing n x n is built on the way.  Every datum is rational (float u, v and
@@ -172,7 +174,7 @@ def _zero_in_run(x0, m):
     return (x0 <= 0) & (x0 % 2 == 0) & (-x0 < 2 * m)
 
 
-def _runs(classes, n: int, mirror: bool):
+def _runs(classes, n: int):
     """First row r and first image c of every (row block, column block) run.
 
     A class's sorted permutation sends the rows of each row block, in
@@ -180,15 +182,9 @@ def _runs(classes, n: int, mirror: bool):
     each column block from its low end.  So the N[I, J] rows of row block I
     that go to column block J are one run i -> c + (i - r): its rows follow
     the runs before it in row-major order of the blocks, and its images
-    follow those before it in column-major order.  The mirror is the sorted
-    permutation of the reversed column blocks read back through j -> n-1-j:
-    it takes the column blocks in decreasing order, fills each from its high
-    end, and its runs are i -> c - (i - r).  Over any leading axes of
+    follow those before it in column-major order.  Over any leading axes of
     `classes`.
     """
-    if mirror:
-        r, c = _runs(classes[..., ::-1], n, False)
-        return r[..., ::-1], n - 1 - c[..., ::-1]
     shape, flat = classes.shape, classes.shape[:-2] + (9,)
     by_rows = classes.reshape(flat)
     by_cols = classes.swapaxes(-1, -2).reshape(flat)
@@ -197,8 +193,8 @@ def _runs(classes, n: int, mirror: bool):
     return r, c
 
 
-def _class_gamma(classes, n: int, mirror: bool) -> np.ndarray:
-    """S = 3n^2/2 * gamma of each class's sorted (or, with mirror, mirror) permutation.
+def _class_gamma(classes, n: int) -> np.ndarray:
+    """S = 3n^2/2 * gamma of each class's sorted permutation.
 
     In row and column indices, 6 f(a_i, a_j) of gamma_feasible_range is
 
@@ -208,7 +204,9 @@ def _class_gamma(classes, n: int, mirror: bool) -> np.ndarray:
     permutation's gamma is 2 S / (3n^2) with the integer S = sum_i F(i, pi(i)).
 
     Lemma: over the permutations with block counts N, S is greatest at the
-    sorted permutation of _runs and least at the mirror.
+    sorted permutation of _runs, and least at the mirror: the sorted
+    permutation of the column-reversed counts N[:, ::-1], read back through
+    j -> n-1-j, whose S is minus that one's sorted S.
 
     Proof.  F is supermodular: on each unit square the second difference
     F(i, j) + F(i+1, j+1) - F(i, j+1) - F(i+1, j) is >= 0.  Its first term
@@ -226,38 +224,36 @@ def _class_gamma(classes, n: int, mirror: bool) -> np.ndarray:
     the number of inversions.  Repeating ends, with S no lower, at a
     permutation increasing on every row block and with increasing inverse
     on every column block; given N that is exactly the sorted one.
-    Reversing the columns negates S, as F(i, n-1-j) = -F(i, j)
-    (f(a, -b) = -f(a, b)), so the sorted permutation of the reversed column
-    blocks, read back, is the mirror and has the least S.
+    Reading the columns back through j -> n-1-j reverses the column blocks
+    and negates S, as F(i, n-1-j) = -F(i, j) (f(a, -b) = -f(a, b)), so the
+    greatest S over N[:, ::-1], read back, is the least over N.
 
     On a sorted run, i + j - (n-1) moves in steps of 2 from its value at r
     and i - j stays constant, so each run's S is summed in closed form
-    here.  The mirror's S is minus the sorted S of the reversed column
-    blocks, by the same F(i, n-1-j) = -F(i, j).  The LP result does not
-    rest on the lemma for its soundness: every hull point is the gamma and
-    value of a real permutation, and lp_extreme re-derives the gamma of the
-    two it mixes apart from this algebra, exactly; the lemma makes it
-    optimal.
+    here.  The LP result does not rest on the lemma for its soundness:
+    every hull point is the gamma and value of a real permutation, and
+    lp_extreme re-derives the gamma of the two it mixes apart from this
+    algebra, exactly; the lemma makes it optimal.
     """
-    if mirror:
-        return -_class_gamma(classes[..., ::-1], n, False)
-    r, c = _runs(classes, n, False)
+    r, c = _runs(classes, n)
     m = classes
     plus, minus = r + c - (n - 1), r - c  # i + j - (n-1) and i - j at r
     run = 3 * (_abs_run(plus, m) - m * np.abs(minus)) + _zero_in_run(plus, m) - m * (minus == 0)
     return run.sum(axis=(1, 2))
 
 
-def _class_permutation(counts, n: int, mirror: bool) -> np.ndarray:
-    """The sorted (or, with mirror, the mirror) permutation of one class.
+def _class_permutation(counts, n: int) -> np.ndarray:
+    """The sorted permutation of one class: pi(i) = (c - r) + i on each run."""
+    r, c = _runs(counts, n)
+    # Runs in row order: a row block's runs go by column block.
+    return np.repeat((c - r).ravel(), counts.ravel()) + np.arange(n)
 
-    On each run, pi(i) = (c - s r) + s i with s = 1, or s = -1 for the mirror.
-    """
-    s = -1 if mirror else 1
-    r, c = _runs(counts, n, mirror)
-    # Runs in row order: a row block's runs go by column block, reversed for the mirror.
-    starts = np.repeat((c - s * r)[:, ::s].ravel(), counts[:, ::s].ravel())
-    return starts + s * np.arange(n)
+
+def _end_permutation(counts, n: int, mirror: bool) -> np.ndarray:
+    """A class's sorted permutation, or with mirror its mirror (_class_gamma's lemma)."""
+    if mirror:
+        return n - 1 - _class_permutation(counts[:, ::-1], n)
+    return _class_permutation(counts, n)
 
 
 def _upper_hull(s: list, value: list) -> list:
@@ -299,7 +295,7 @@ def _class_table(n: int, u: float, v: float):
     cols, ramp_v = _ramp_blocks(n, v)
     classes = _block_classes(rows, cols)
     value = _class_value(*classes[:, :2, :2].reshape(-1, 4).T, ramp_u, ramp_v) / n
-    s = np.concatenate([_class_gamma(classes, n, mirror) for mirror in (True, False)])
+    s = np.concatenate([-_class_gamma(classes[..., ::-1], n), _class_gamma(classes, n)])
     value = np.concatenate([value, value])
     for array in (classes, s, value):
         array.flags.writeable = False
@@ -353,9 +349,7 @@ def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcom
     an, ad = (1, 1) if a == b else (s[b] * td - tn, (s[b] - s[a]) * td)
     ends = [int(order[a]), int(order[b])]
     counts = [classes[point % len(classes)] for point in ends]
-    perms = tuple(
-        _class_permutation(c, n, mirror=point < len(classes)) for c, point in zip(counts, ends)
-    )
+    perms = tuple(_end_permutation(c, n, point < len(classes)) for c, point in zip(counts, ends))
     g_a, g_b = gamma_numerators(n, np.arange(n), np.stack(perms)).sum(axis=1).tolist()
     # g_b + alpha (g_a - g_b) - 3n^2 = target, times ad * td.
     mix = ((g_b - 3 * n * n) * ad + an * (g_a - g_b)) * td

@@ -6,9 +6,9 @@ The integrand of any copula is 2-Lipschitz, and the piecewise-linear
 copulas used throughout this package have a handful of kinks, so the
 composite rule converges at least quadratically away from kinks and the
 kink panels contribute O(1/m^2) in total.  Both certification call sites,
-the witness post-condition and the gamma subcommand, use _CERTIFY_PANELS
-panels and accept a gamma within _CERTIFY_TOL of the exact one;
-convergence is observable by doubling m.
+the witness post-condition and the gamma subcommand, call _certify_gamma,
+the one statement of the rule: _CERTIFY_PANELS panels, and a gamma within
+_CERTIFY_TOL of the exact one.  Convergence is observable by doubling m.
 """
 
 from __future__ import annotations
@@ -35,5 +35,16 @@ def gamma_quadrature(f: Evaluator, panels: int) -> float:
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     g = np.asarray(f(u, u), dtype=float) + np.asarray(f(u, 1.0 - u), dtype=float)
-    integral = float(np.dot(weights, g)) / (3.0 * panels)
+    # float() after the division: a numpy-integer panel count would make it numpy's.
+    integral = float(np.dot(weights, g) / (3.0 * panels))
     return 4.0 * integral - 2.0
+
+
+def _certify_gamma(f: Evaluator, expected: float) -> tuple[float, bool]:
+    """Gini's gamma of f by Simpson on _CERTIFY_PANELS panels, and the verdict.
+
+    The verdict is that the gamma lies within _CERTIFY_TOL of expected; a
+    NaN fails.
+    """
+    quadrature = gamma_quadrature(f, _CERTIFY_PANELS)
+    return quadrature, abs(quadrature - expected) <= _CERTIFY_TOL

@@ -77,6 +77,15 @@ def test_point_bound_spec_rejects_inadmissible_theta():
         PointBoundSpec(0.3, 0.3, float("nan"))
 
 
+def test_point_bound_spec_theta_that_is_not_a_number_is_a_domain_error():
+    # A comparison would read True as 1, and "0.2" or None would raise TypeError.
+    for theta in ("0.2", None, True, np.bool_(True), [0.2], 1j):
+        with pytest.raises(DomainError, match="theta=.* is not a real number"):
+            PointBoundSpec(1.0, 1.0, theta)
+    for theta in (0.2, np.float32(0.2), 0, np.int64(0), np.array(0.2)):
+        assert PointBoundSpec(0.3, 0.4, theta).theta is theta
+
+
 def test_point_bound_lower_examples():
     f = point_bound_lower(PointBoundSpec(0.5, 0.5, 0.0))
     assert f(0.5, 0.5) == 0.0
@@ -136,6 +145,15 @@ def test_rect_volume_rejects_inverted_rectangle():
         rect_volume(product, 0.5, 0.2, 0.0, 1.0)
     with pytest.raises(DomainError):
         rect_volume(product, 0.0, 1.0, 0.9, 0.4)
+
+
+def test_rect_volume_corner_that_is_not_a_number_is_a_domain_error():
+    # A comparison would read False and True as 0 and 1, and "0" would raise TypeError.
+    for corners in (("0", 1.0, 0.0, 1.0), (False, True, 0.0, 1.0), (0.0, 1.0, None, 1.0),
+                    (0.0, 1.0, 0.0, np.bool_(True))):
+        with pytest.raises(DomainError, match="rectangle corner .* is not a real number"):
+            rect_volume(product, *corners)
+    assert rect_volume(product, 0, 1, np.int64(0), np.array(1.0)) == 1.0
 
 
 def test_reflection_pointwise_identities():

@@ -127,6 +127,11 @@ def _block_layouts(n):
     return {oracle._ramp_blocks(n, z)[0] for z in zs}
 
 
+def _end_gamma(classes, n, mirror):
+    """S of each class's sorted end, or of its mirror end as _class_table states it."""
+    return -oracle._class_gamma(classes[..., ::-1], n) if mirror else oracle._class_gamma(classes, n)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_sorted_and_mirror_permutations_attain_every_class_extreme(n):
     # Brute force over all n! permutations: group them by block counts, and
@@ -163,10 +168,10 @@ def test_sorted_and_mirror_permutations_attain_every_class_extreme(n):
             assert sorted(class_keys) == list(seen), (row_sizes, col_sizes)
             at = np.searchsorted(seen, class_keys)
             for mirror, want in ((True, least[at]), (False, greatest[at])):
-                s_closed = oracle._class_gamma(classes, n, mirror)
+                s_closed = _end_gamma(classes, n, mirror)
                 assert np.abs(s_closed * scale - want).max() <= 1e-12
                 made = np.array([
-                    oracle._class_permutation(counts, n, mirror)
+                    oracle._end_permutation(counts, n, mirror)
                     for counts in classes
                 ])
                 assert (np.sort(made, axis=1) == rows).all()
@@ -199,14 +204,14 @@ def test_sorted_and_mirror_runs_at_high_orders(n):
         row_block = np.searchsorted(np.cumsum(rows), i, side="right")
         for mirror in (True, False):
             made = np.array([
-                oracle._class_permutation(counts, n, mirror) for counts in classes
+                oracle._end_permutation(counts, n, mirror) for counts in classes
             ])
             assert (np.sort(made, axis=1) == i).all(), (u, v, mirror)
             cell = 3 * row_block + np.searchsorted(np.cumsum(cols), made, side="right")
             cell += 9 * np.arange(len(classes))[:, None]
             counts = np.bincount(cell.ravel(), minlength=9 * len(classes))
             assert np.array_equal(counts, classes.ravel()), (u, v, mirror)
-            closed = oracle._class_gamma(classes, n, mirror)
+            closed = _end_gamma(classes, n, mirror)
             assert np.array_equal(_permutation_s(made), closed), (u, v, mirror)
 
 

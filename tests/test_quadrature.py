@@ -12,6 +12,7 @@ from gini_bounds import (
     product,
     reflect_first_coordinate,
 )
+from gini_bounds.quadrature import _CERTIFY_PANELS, _CERTIFY_TOL, _certify_gamma
 
 
 def test_quadrature_fixtures():
@@ -24,6 +25,24 @@ def test_quadrature_rejects_bad_panel_counts():
     for bad in (0, 1, 3, -2, 7, 4000.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             gamma_quadrature(product, bad)
+
+
+def test_quadrature_is_a_python_float_for_a_numpy_panel_count():
+    for panels in (np.int64(4), np.int32(2000), np.uint16(4000)):
+        gamma = gamma_quadrature(frechet_upper, panels)
+        assert type(gamma) is float
+        assert gamma == gamma_quadrature(frechet_upper, int(panels))
+
+
+def test_certification_rule_is_the_panels_and_the_tolerance():
+    # The witness post-condition and the gamma subcommand both read this verdict.
+    f = point_bound_lower(PointBoundSpec(0.3, 0.6, 0.2))
+    quad = gamma_quadrature(f, _CERTIFY_PANELS)
+    assert _certify_gamma(f, quad) == (quad, True)
+    assert _certify_gamma(f, quad + _CERTIFY_TOL / 2)[1]
+    assert not _certify_gamma(f, quad + 2 * _CERTIFY_TOL)[1]
+    assert not _certify_gamma(f, quad - 2 * _CERTIFY_TOL)[1]
+    assert not _certify_gamma(f, float("nan"))[1]
 
 
 def _random_specs(count, seed=11):
