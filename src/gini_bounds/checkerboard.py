@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_order, _check_points
+from .core import _check_order, _check_points, _real_array
 from .errors import DomainError
 
 MARGIN_TOL = 1e-12
@@ -37,7 +37,7 @@ class Checkerboard:
 
     def __post_init__(self):
         _check_order(self.n, "checkerboard order")
-        mass = np.asarray(self.mass, dtype=float)
+        mass = _real_array(self.mass, "mass")
         if mass.shape != (self.n, self.n):
             raise DomainError(
                 f"mass shape {mass.shape} does not match order n={self.n}"
@@ -78,19 +78,23 @@ class Checkerboard:
                 raise DomainError(f"malformed checkerboard JSON: {exc}") from None
         try:
             n, mass = payload["n"], payload["mass"]
-            flat = [float(x) for x in mass]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise DomainError(f"checkerboard JSON must have fields n, mass: {exc}") from None
         if not isinstance(mass, list):
             raise DomainError(
-                f"checkerboard JSON mass must be an array, got {type(mass).__name__}"
+                f"checkerboard JSON must have fields n, mass with mass an array, "
+                f"got {type(mass).__name__}"
             )
+        for x in mass:
+            # JSON numbers only: float() would read true as 1.0 and "1.0" as 1.0.
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise DomainError(f"checkerboard JSON mass entry {x!r} is not a number")
         _check_order(n, "checkerboard order")
-        if len(flat) != n * n:
+        if len(mass) != n * n:
             raise DomainError(
-                f"mass array has {len(flat)} entries, expected n^2 = {n * n}"
+                f"mass array has {len(mass)} entries, expected n^2 = {n * n}"
             )
-        return cls(n, np.reshape(flat, (n, n)))
+        return cls(n, np.reshape(mass, (n, n)))
 
 
 def gamma_numerators(n: int, i, j):

@@ -49,6 +49,18 @@ def _check_real(x, name: str) -> None:
         raise DomainError(f"{name}={x!r} is not a real number")
 
 
+def _real_array(x, name: str) -> np.ndarray:
+    """x as a float array; DomainError naming x unless its dtype is int or float.
+
+    The dtype is checked before the cast, which would read bools as 0 and 1
+    and "0.3" as 0.3.
+    """
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf":
+        raise DomainError(f"{name} is not real: dtype {x.dtype}")
+    return x.astype(float, copy=False)
+
+
 def _check_points(u, v) -> tuple[np.ndarray, np.ndarray]:
     """The points (u, v) as float arrays; DomainError outside the unit square.
 
@@ -56,12 +68,7 @@ def _check_points(u, v) -> tuple[np.ndarray, np.ndarray]:
     vectorized check (NaN fails every comparison) for the array entry
     points; the scalar ones keep UnitPoint's cheaper chained comparison.
     """
-    u, v = np.asarray(u), np.asarray(v)
-    for name, x in (("u", u), ("v", v)):
-        # Ints and floats; asarray would read bools as 0 and 1 and "0.3" as 0.3.
-        if x.dtype.kind not in "iuf":
-            raise DomainError(f"point coordinate {name} is not real: dtype {x.dtype}")
-    u, v = u.astype(float, copy=False), v.astype(float, copy=False)
+    u, v = _real_array(u, "point coordinate u"), _real_array(v, "point coordinate v")
     try:
         np.broadcast_shapes(u.shape, v.shape)
     except ValueError:

@@ -25,11 +25,10 @@ but the lattices themselves is the size of a lattice.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby, product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .bounds import (
     _BLOCK, BoundClassification, classify_lower, classify_upper, lens_density_floor,
     upper_bound_values,
 )
-from .core import Evaluator, _check_order, check_t, frechet_lower, frechet_upper
+from .core import Evaluator, _check_order, _check_real, check_t, frechet_lower, frechet_upper
 from .errors import DomainError
 
 # 12 significant digits: below verdict tolerances, above float noise.
@@ -164,15 +163,17 @@ def write_node_csv(fh, n: int, columns: dict) -> None:
 
     The header is `u,v` followed by the column names; then one row per
     node (i/n, j/n) in row-major order.  Each column is an (n+1) x (n+1)
-    array: float columns use _CSV_FORMAT, boolean columns are written 0/1.
-    This is the one definition of the lattice and atlas CSV format.
+    array, and the columns are one of the two layouts the package writes:
+    a single float column, written with _CSV_FORMAT, or one or more boolean
+    columns, written 0/1.  This is the one definition of the lattice and
+    atlas CSV format.
 
-    Each lattice row is one printf template, `u,v,<fields>` for every v,
-    filled by one `%` call.  A run of k adjacent boolean columns fills one
-    `%s` field per node from a table of its 2**k texts, indexed by the
-    node's k flags read as a binary number.  Nothing the size of the
-    lattice is built, and a mis-shaped column is rejected before any byte
-    is written.
+    Each lattice row is one printf template, `u,v,<field>` for every v,
+    filled by one `%` call.  The k flag columns fill one `%s` field per node
+    from a table of its 2**k texts, indexed by the node's k flags read as a
+    binary number (the first column is the most significant bit).  Nothing
+    the size of the lattice is built, and a mis-shaped column or any other
+    layout is rejected before any byte is written.
     """
     nodes = lattice_nodes(n)
     arrays = [np.asarray(col) for col in columns.values()]
@@ -180,41 +181,23 @@ def write_node_csv(fh, n: int, columns: dict) -> None:
     for name, col in zip(columns, arrays):
         if col.shape != side:
             raise DomainError(f"column {name!r} has shape {col.shape}, not {side}")
-    groups = _column_groups(arrays)
-    fields = "".join("," + (_CSV_FORMAT if table is None else "%s") for _, table in groups)
+    flags = [col.dtype == bool for col in arrays]
+    if flags != [False] and not (flags and all(flags)):
+        raise DomainError(f"columns {list(columns)} are not one float column or only flag columns")
+    table = [",".join(bits) for bits in product("01", repeat=len(flags))] if flags[0] else None
     node_text = [_CSV_FORMAT % x for x in nodes.tolist()]
-    cells = [f",{v}{fields}\n" for v in node_text]
+    cells = [f",{v},{_CSV_FORMAT if table is None else '%s'}\n" for v in node_text]
     fh.write(",".join(["u", "v", *columns]) + "\n")
     for i, u in enumerate(node_text):
-        rows = [_group_row(cols, table, i) for cols, table in groups]
-        args = rows[0] if len(rows) == 1 else chain.from_iterable(zip(*rows))
-        fh.write((u + u.join(cells)) % tuple(args))
-
-
-def _column_groups(arrays: list) -> list:
-    """(columns, table) per CSV field: a float column alone, with table None,
-    or a run of adjacent boolean columns, with its texts in bit order (the
-    first column is the most significant bit)."""
-    groups = []
-    for is_flag, run in groupby(arrays, key=lambda col: col.dtype == bool):
-        if is_flag:
-            run = list(run)
-            table = [",".join(bits) for bits in product("01", repeat=len(run))]
-            groups.append((run, table))
+        if table is None:
+            row = arrays[0][i].tolist()
         else:
-            groups.extend(([col], None) for col in run)
-    return groups
-
-
-def _group_row(cols: list, table, i: int) -> list:
-    """Row i of a group: floats for a float column, texts for a flag run."""
-    if table is None:
-        return cols[0][i].tolist()
-    code = cols[0][i].astype(np.intp)
-    for col in cols[1:]:
-        code <<= 1
-        code |= col[i]
-    return list(map(table.__getitem__, code.tolist()))
+            code = arrays[0][i].astype(np.intp)
+            for col in arrays[1:]:
+                code <<= 1
+                code |= col[i]
+            row = list(map(table.__getitem__, code.tolist()))
+        fh.write((u + u.join(cells)) % tuple(row))
 
 
 def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:
@@ -230,7 +213,9 @@ def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:
     reduction's, a NaN propagates as it would there, and min_volume_rect is
     the first minimal cell in row-major order, as numpy's argmin picks it.
     """
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < math.inf:
+    _check_real(tol, "tolerance")
+    # A float, so that the verdicts are builtin bools whatever real tol was.
+    if not 0.0 <= (tol := float(tol)) < math.inf:
         raise DomainError(f"tolerance must be a finite real number >= 0, got {tol!r}")
     v = g.values
     n = g.N

@@ -813,6 +813,12 @@ def test_mixed_partial_outside_set_raises():
         mixed_partial_density(0.1, 0.1, 0.0)
 
 
+def test_mixed_partial_at_a_vanishing_denominator_raises():
+    # At t = -1 the set's closure reaches the centre, where the radicand is 0.
+    with pytest.raises(DomainError, match="vanishing denominator"):
+        mixed_partial_density(0.5, 0.5, -1.0)
+
+
 # --- witness -------------------------------------------------------------
 
 

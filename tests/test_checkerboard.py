@@ -130,7 +130,25 @@ def test_json_validation(tmp_path):
         ('{"n": 2.5, "mass": [0.5, 0.0, 0.0, 0.5]}', "integer"),
         ('{"n": true, "mass": [1.0]}', "integer"),
         ('{"n": 1, "mass": "1"}', "array"),
+        # JSON numbers only: float() would read true and "1.0" as 1.0, and
+        # raise OverflowError on an integer beyond the float range.
+        ('{"n": 1, "mass": [true]}', "entry True is not a number"),
+        ('{"n": 1, "mass": ["1.0"]}', "entry '1.0' is not a number"),
+        ('{"n": 1, "mass": [null]}', "entry None is not a number"),
+        ('{"n": 1, "mass": [1' + "0" * 400 + "]}", "not real: dtype object"),
     ):
         path.write_text(text)
         with pytest.raises(DomainError, match=message):
             Checkerboard.from_json(path)
+
+
+@pytest.mark.parametrize("mass", [[[True]], [["1.0"]], np.array([[True]]), [[None]]])
+def test_mass_that_is_not_int_or_float_is_rejected(mass):
+    # asarray(mass, dtype=float) would read True and "1.0" as 1.0.
+    with pytest.raises(DomainError, match="mass is not real: dtype"):
+        Checkerboard(1, mass)
+
+
+def test_int_masses_are_read_as_floats():
+    board = Checkerboard(1, [[1]])
+    assert board.mass.dtype == np.float64 and board.mass[0, 0] == 1.0

@@ -21,6 +21,7 @@ from gini_bounds import cli
 from gini_bounds.bounds import _BLOCK
 from gini_bounds.checkerboard import Checkerboard
 from gini_bounds.cli import main
+from gini_bounds.errors import InternalError
 from gini_bounds.lattice import _envelope_lattice, _triangle_lattice, lattice_nodes
 from test_golden import SEAM_T
 
@@ -109,6 +110,31 @@ def test_main_finds_the_handler_at_call_time(monkeypatch):
     assert cli.main(["classify", "--t", "0.1"]) == 0
     assert cli.main(["classify", "--t", "-0.2"]) == 0
     assert seen == [0.1, -0.2]
+
+
+def test_an_internal_error_exits_1(monkeypatch, capsys):
+    def broken(args):
+        raise InternalError("a broken invariant")
+
+    monkeypatch.setattr(cli, "cmd_classify", broken)
+    assert run(capsys, "classify", "--t", "0.1") == (1, "", "internal error: a broken invariant\n")
+
+
+@pytest.mark.parametrize("spec, message", [
+    (["pi", "x"], "copula 'pi' takes no extra arguments"),
+    (["pointbound", "0.5", "0.5"], "usage: --copula pointbound A B THETA"),
+    (["checkerboard"], "usage: --copula checkerboard FILE"),
+    (["frank"], "unknown copula spec 'frank'; expected pi|w|m|pointbound|checkerboard"),
+])
+def test_gamma_spec_errors_exit_2(capsys, spec, message):
+    assert run(capsys, "gamma", "--copula", *spec) == (2, "", f"domain error: {message}\n")
+
+
+def test_gamma_on_a_board_with_a_bool_mass_exits_2(capsys, tmp_path):
+    path = tmp_path / "board.json"
+    path.write_text('{"n": 1, "mass": [true]}')
+    code, out, err = run(capsys, "gamma", "--copula", "checkerboard", str(path))
+    assert (code, out) == (2, "") and "mass entry True is not a number" in err
 
 
 def test_usage_error_exit_2(capsys):

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -152,7 +153,9 @@ def test_strip_audit_matches_whole_array_reference(n, seed, layout, palette, nan
         assert _same_bits(a, b), (field.name, a, b)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12, True, False, "x", None])
+@pytest.mark.parametrize(
+    "tol", [math.nan, math.inf, -math.inf, -1e-12, True, False, "x", None, np.array(-1.0)]
+)
 def test_check_properties_rejects_a_bad_tolerance(tol):
     g = LatticeFunction.from_evaluator(product, 4)
     with pytest.raises(DomainError, match="tolerance"):
@@ -161,8 +164,11 @@ def test_check_properties_rejects_a_bad_tolerance(tol):
 
 def test_check_properties_accepts_a_zero_or_numpy_tolerance():
     g = LatticeFunction.from_evaluator(frechet_upper, 4)
-    for tol in (0, 0.0, np.float64(1e-9), np.float32(1e-6)):
-        assert check_properties(g, tol=tol).is_copula
+    for tol in (0, 0.0, np.float64(1e-9), np.float32(1e-6), np.array(1e-9), Fraction(1, 10**9)):
+        rep = check_properties(g, tol=tol)
+        # tol is read as a float, so a numpy tolerance gives no numpy bools.
+        assert type(rep.is_quasicopula) is bool and type(rep.is_copula) is bool
+        assert rep.is_copula, tol
 
 
 def test_point_bound_copulas_pass_copula_audit_at_n200():
@@ -232,10 +238,12 @@ def test_node_csv_matches_csv_module_reference(tmp_path):
     rng = np.random.default_rng(5)
     values = rng.normal(size=(n + 1, n + 1)) * 10.0 ** rng.integers(-20, 5, (n + 1, n + 1))
     values[0, 0], values[1, 2] = -0.0, 0.0
-    flags = rng.random((n + 1, n + 1)) < 0.5
-    out = io.StringIO()
-    write_node_csv(out, n, {"value": values, "flag": flags})
-    assert out.getvalue() == _csv_module_reference(n, {"value": values, "flag": flags})
+    flags = {f"r{k + 1}": rng.random((n + 1, n + 1)) < 0.5 for k in range(5)}
+    # One write per layout: one float column, and a run of flag columns.
+    for columns in ({"value": values}, flags, {"flag": flags["r1"]}):
+        out = io.StringIO()
+        write_node_csv(out, n, columns)
+        assert out.getvalue() == _csv_module_reference(n, columns)
     LatticeFunction(n, values).to_csv(tmp_path / "m.csv")
     assert (tmp_path / "m.csv").read_text() == _csv_module_reference(n, {"value": values})
 
@@ -247,17 +255,12 @@ _EDGE_DOUBLES = st.sampled_from([
     2.2250738585072014e-308, -1.0e-100, 9.999999999995e-100, 1.0e100,
     -1.7976931348623157e308, 1.7976931348623157e308,
 ])
-_NAMED_LAYOUTS = [
-    ("float", "bool"), ("bool", "float", "bool"), ("bool",) * 5, ("float", "float"),
-]
+# The two layouts the writer takes: one float column, or 1 to 7 flag columns.
+_LAYOUTS = st.just(("float",)) | st.integers(1, 7).map(lambda k: ("bool",) * k)
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.integers(1, 12),
-    st.sampled_from(_NAMED_LAYOUTS) | st.lists(st.sampled_from(["float", "bool"]), max_size=7),
-    st.data(),
-)
+@given(st.integers(1, 12), _LAYOUTS, st.data())
 def test_node_csv_matches_csv_module_reference_on_any_doubles(n, layout, data):
     columns = {}
     for k, kind in enumerate(layout):
@@ -276,8 +279,24 @@ def test_node_csv_rejects_a_misshaped_column_before_writing(shape):
     # Before, with n = 3: (4, 3) wrote 12 three-field rows, (5, 5) its 4 x 4
     # corner, and (3, 4) 12 rows and then an IndexError.
     out = io.StringIO()
-    columns = {"value": np.zeros((4, 4)), "flag": np.zeros(shape, dtype=bool)}
+    columns = {"r1": np.zeros((4, 4), dtype=bool), "flag": np.zeros(shape, dtype=bool)}
     with pytest.raises(DomainError, match=re.escape(f"'flag' has shape {shape}, not (4, 4)")):
+        write_node_csv(out, 3, columns)
+    assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("layout", [
+    (), ("float", "float"), ("float", "bool"), ("bool", "float"), ("bool", "float", "bool"),
+])
+def test_node_csv_rejects_any_other_layout_before_writing(layout):
+    # No caller writes these, so they are errors, not bare u,v rows or an
+    # interleave of float and flag fields.
+    out = io.StringIO()
+    columns = {
+        f"{kind}{k}": np.zeros((4, 4), dtype=float if kind == "float" else bool)
+        for k, kind in enumerate(layout)
+    }
+    with pytest.raises(DomainError, match="not one float column or only flag columns"):
         write_node_csv(out, 3, columns)
     assert out.getvalue() == ""
 

@@ -72,6 +72,14 @@ def test_csv_malformed_rows_name_the_line(tmp_path):
             RankSample.from_csv(path)
 
 
+@pytest.mark.parametrize("text", ["", "u,v\n1,1\n", "r\n1\n", "s,r\n1,1\n", "r,s,t\n1,1,1\n"])
+def test_csv_rejects_a_header_other_than_r_s(tmp_path, text):
+    path = tmp_path / "ranks.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError, match="unexpected rank CSV header"):
+        RankSample.from_csv(path)
+
+
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "ranks.csv"
     sample = RankSample(((2, 1), (1, 3), (3, 2)))
