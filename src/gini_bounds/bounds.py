@@ -32,6 +32,7 @@ from .core import (
     PointBoundSpec,
     UnitPoint,
     _check_order,
+    _check_point,
     _check_points,
     check_t,
     frechet_lower,
@@ -243,7 +244,7 @@ def upper_bound(u: float, v: float, t: float) -> ThetaReport:
     numpy's functions cost about 1 us a call on scalars, several times the
     arithmetic here.
     """
-    UnitPoint(u, v)
+    _check_point(u, v)
     # Coerced once: int, numpy or 0-d array inputs leave only builtin floats
     # and bools in the record.
     u, v = float(u), float(v)
@@ -282,7 +283,7 @@ def upper_bound(u: float, v: float, t: float) -> ThetaReport:
 def _reflected_upper_bound(u: float, v: float, t: float) -> ThetaReport:
     """upper_bound's record at (1-u, v, -t); v minus its bound is the lower envelope."""
     # Checked before reflecting: 1 - u rounds u = -1e-20 into the square.
-    UnitPoint(u, v)
+    _check_point(u, v)
     return upper_bound(1.0 - u, v, -check_t(t))
 
 
@@ -331,7 +332,7 @@ def hyperbolic_set_contains(u: float, v: float, t: float) -> bool:
     This is the set where the fifth candidate lies below min(u, v); its
     boundary consists of two hyperbolic arcs symmetric about the diagonal.
     """
-    UnitPoint(u, v)
+    _check_point(u, v)
     t = check_t(t)
     return bool(_hyperbolic_excess(u, v, t) <= 0.0)
 
@@ -357,7 +358,7 @@ def mixed_partial_density(u: float, v: float, t: float) -> float:
     the upper envelope is a proper quasi-copula.  Its minimum over the set
     is lens_density_floor(t), which equals t/3 only for -2/3 <= t < 0.
     """
-    UnitPoint(u, v)
+    _check_point(u, v)
     t = check_t(t)
     # Closure membership with rounding slack: the corner points themselves
     # satisfy the boundary equation only to one ulp in floats.
@@ -406,7 +407,9 @@ def witness_copula(u: float, v: float, t: float) -> Callable:
     time by quadrature.
     """
     report = upper_bound(u, v, t)
-    t = report.t
+    # The record's builtin floats: a numpy float32 pin would make the
+    # witness compute in float32 at Python-float points.
+    u, v, t = report.u, report.v, report.t
     pinned = PointBoundSpec(u, v, report.bound)
     gamma0 = lower_point_bound_gamma(pinned).value
     alpha = min(max((t - gamma0) / (1.0 - gamma0), 0.0), 1.0)

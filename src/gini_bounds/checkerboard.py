@@ -53,6 +53,8 @@ class Checkerboard:
                 f"margins are not uniform: row error {row_err:.3e}, "
                 f"column error {col_err:.3e} (tolerance {MARGIN_TOL})"
             )
+        # A builtin int, so that to_json can write a numpy-integer order.
+        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "mass", mass)
 
     def cdf(self, u, v):

@@ -26,14 +26,7 @@ class UnitPoint:
     v: float
 
     def __post_init__(self):
-        # Floats (numpy's float64 included), the common case, take one test each.
-        if not (isinstance(self.u, float) and isinstance(self.v, float)):
-            _check_real(self.u, "point coordinate u")
-            _check_real(self.v, "point coordinate v")
-        if not (0.0 <= self.u <= 1.0 and 0.0 <= self.v <= 1.0):
-            raise DomainError(
-                f"point ({self.u}, {self.v}) is outside the unit square"
-            )
+        _check_point(self.u, self.v)
 
 
 def _check_real(x, name: str) -> None:
@@ -43,10 +36,25 @@ def _check_real(x, name: str) -> None:
     are real; a bool (Python or numpy), a string, None, a sequence and a
     complex number are not, though a comparison would read True as 1.
     """
+    # A float (numpy's float64 included), the common case, takes one test.
+    if isinstance(x, float):
+        return
     if isinstance(x, np.ndarray) and x.ndim == 0:
         x = x[()]
     if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
         raise DomainError(f"{name}={x!r} is not a real number")
+
+
+def _check_point(u, v) -> None:
+    """DomainError unless u and v are real numbers (_check_real) and (u, v)
+    lies in the unit square; a NaN coordinate fails the chained comparison.
+
+    The scalar entry points call it; UnitPoint validates through it.
+    """
+    _check_real(u, "point coordinate u")
+    _check_real(v, "point coordinate v")
+    if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
+        raise DomainError(f"point ({u}, {v}) is outside the unit square")
 
 
 def _real_array(x, name: str) -> np.ndarray:
@@ -66,7 +74,7 @@ def _check_points(u, v) -> tuple[np.ndarray, np.ndarray]:
 
     Shapes that do not broadcast together are a DomainError too.  One
     vectorized check (NaN fails every comparison) for the array entry
-    points; the scalar ones keep UnitPoint's cheaper chained comparison.
+    points; the scalar ones keep _check_point's cheaper chained comparison.
     """
     u, v = _real_array(u, "point coordinate u"), _real_array(v, "point coordinate v")
     try:
@@ -84,9 +92,7 @@ def check_t(t: float) -> float:
     A t that is not a real number (_check_real) is a DomainError too, as
     float() would read True as 1 and "0.3" as 0.3.
     """
-    # A float (numpy's float64 included), the common case, takes one test.
-    if not isinstance(t, float):
-        _check_real(t, "gamma target t")
+    _check_real(t, "gamma target t")
     # Compared before float(), which overflows on a huge int.
     if not -1.0 <= t <= 1.0:
         raise DomainError(f"gamma target t={t} outside [-1, 1]")
@@ -119,10 +125,8 @@ class PointBoundSpec:
     _ROUNDING = 1e-12
 
     def __post_init__(self):
-        UnitPoint(self.a, self.b)
-        # A float theta (numpy's float64 included), the common case, takes one test.
-        if not isinstance(self.theta, float):
-            _check_real(self.theta, "theta")
+        _check_point(self.a, self.b)
+        _check_real(self.theta, "theta")
         lo = max(0.0, self.a + self.b - 1.0)
         hi = min(self.a, self.b)
         # Negated so that a NaN theta fails them.
@@ -193,8 +197,7 @@ def rect_volume(f: Evaluator, u1, u2, v1, v2):
     real numbers (_check_real).
     """
     for name, x in (("u1", u1), ("u2", u2), ("v1", v1), ("v2", v2)):
-        if not isinstance(x, float):
-            _check_real(x, f"rectangle corner {name}")
+        _check_real(x, f"rectangle corner {name}")
     if not (0.0 <= u1 <= u2 <= 1.0 and 0.0 <= v1 <= v2 <= 1.0):
         raise DomainError(
             f"invalid rectangle [{u1},{u2}]x[{v1},{v2}]: need "

@@ -36,7 +36,9 @@ from .bounds import (
     _BLOCK, BoundClassification, classify_lower, classify_upper, lens_density_floor,
     upper_bound_values,
 )
-from .core import Evaluator, _check_order, _check_real, check_t, frechet_lower, frechet_upper
+from .core import (
+    Evaluator, _check_order, _check_real, _real_array, check_t, frechet_lower, frechet_upper,
+)
 from .errors import DomainError
 
 # 12 significant digits: below verdict tolerances, above float noise.
@@ -94,19 +96,22 @@ class LatticeFunction:
     values: np.ndarray  # shape (N+1, N+1); values[i][j] = f(i/N, j/N)
 
     def __post_init__(self):
-        lattice_nodes(self.N)  # rejects orders below 1
-        vals = np.asarray(self.values, dtype=float)
+        _check_order(self.N, "lattice order")
+        vals = _real_array(self.values, "lattice values")
         if vals.shape != (self.N + 1, self.N + 1):
             raise DomainError(
                 f"values shape {vals.shape} does not match order N={self.N}"
             )
+        # A builtin int, so that a numpy-integer order leaves only builtin
+        # ints and bools in check_properties' and envelope_audit's reports.
+        object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "values", vals)
 
     @classmethod
     def from_evaluator(cls, f: Evaluator, N: int) -> "LatticeFunction":
         nodes = lattice_nodes(N)
         uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
-        return cls(N, np.asarray(f(uu, vv), dtype=float))
+        return cls(N, f(uu, vv))
 
     @property
     def nodes(self) -> np.ndarray:

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .checkerboard import Checkerboard, gamma_numerators
-from .core import UnitPoint, _check_order, check_t
+from .core import _check_order, _check_point, check_t
 from .errors import DomainError, InternalError
 
 
@@ -316,7 +316,7 @@ def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcom
     _check_order(n, "oracle order", least=2)
     if direction not in ("min", "max"):
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
-    UnitPoint(u, v)
+    _check_point(u, v)
     t = check_t(t)
     lo, hi = gamma_feasible_range(n)
     if not lo <= t <= hi:

@@ -11,6 +11,7 @@ from gini_bounds import (
     BoundClassification,
     Checkerboard,
     DomainError,
+    PointBoundSpec,
     classify_lower,
     classify_upper,
     frechet_lower,
@@ -151,13 +152,29 @@ def test_t_that_is_not_a_number_is_a_domain_error(f):
         assert f(number) == f(same), number
 
 
+def _density(u, v):
+    return mixed_partial_density(u, v, -0.2)
+
+
+def _spec(u, v):
+    return PointBoundSpec(u, v, 0.0)
+
+
 @pytest.mark.parametrize("f", [
     lambda u, v: upper_bound(u, v, -0.2),
     lambda u, v: lower_bound(u, v, -0.2),
     lambda u, v: lp_extreme(8, u, v, -0.2, "max").optimum,
     lambda u, v: upper_bound_values(u, v, -0.2),
     lambda u, v: region_masks(u, v, -0.2),
-], ids=["upper_bound", "lower_bound", "lp_extreme", "upper_bound_values", "region_masks"])
+    lambda u, v: hyperbolic_set_contains(u, v, -0.2),
+    _density,
+    lambda u, v: witness_copula(u, v, -0.2)(0.5, 0.5),
+    lambda u, v: theta_candidate(5, u, v, -0.2),
+    lambda u, v: region_contains(5, u, v, -0.2),
+    _spec,
+], ids=["upper_bound", "lower_bound", "lp_extreme", "upper_bound_values", "region_masks",
+        "hyperbolic_set_contains", "mixed_partial_density", "witness_copula",
+        "theta_candidate", "region_contains", "PointBoundSpec"])
 def test_coordinate_that_is_not_a_real_number_is_a_domain_error(f):
     # A comparison reads True as 1, and asarray(..., dtype=float) reads
     # "0.3" as 0.3 and a bool array as 0 and 1.
@@ -167,11 +184,46 @@ def test_coordinate_that_is_not_a_real_number_is_a_domain_error(f):
             f(x, 0.7)
         with pytest.raises(DomainError, match="point coordinate v"):
             f(0.3, x)
+    # The density is undefined at (x, 0.7) for every x below (outside the
+    # hyperbolic set at t = -0.2), and no one theta is admissible at both
+    # (0, 0.7) and (1, 0.7): these two take the rejection half only.
+    if f in (_density, _spec):
+        return
     # Python and numpy ints and floats, and 0-d arrays, stay numbers.
     for number, same in ((1, 1.0), (np.int64(0), 0.0), (np.float32(0.25), 0.25),
                          (np.array(0.25), 0.25)):
         assert f(number, 0.7) == f(same, 0.7), number
         assert f(0.3, number) == f(0.3, same), number
+
+
+_SEAM_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, math.nextafter(1.0, 2.0),
+                math.nextafter(1.0, 0.0), 5e-324, -5e-324)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.floats(), st.sampled_from(_SEAM_FLOATS),
+    st.integers(), st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64), st.floats(width=32).map(np.float32),
+    st.one_of(st.floats(), st.integers(-3, 3), st.sampled_from(_SEAM_FLOATS)).map(np.array),
+    st.booleans(), st.booleans().map(np.bool_), st.text(max_size=4), st.none(),
+))
+def test_scalar_and_array_coordinate_rules_agree(x):
+    # The scalar rule (_check_point) and the array rule (_check_points) meet
+    # at these inputs.  Sequences and Fraction are left out: the array rule
+    # takes a sequence and rejects a Fraction (dtype object), and the scalar
+    # rule does the opposite, by design.
+    try:
+        scalar = upper_bound(x, 0.5, 0.0).bound
+    except DomainError:
+        scalar = None
+    try:
+        array = upper_bound_values(x, 0.5, 0.0)
+    except DomainError:
+        array = None
+    assert (scalar is None) == (array is None), x
+    if scalar is not None:
+        assert scalar == array, x
 
 
 def test_scalar_coordinate_that_is_a_sequence_is_a_domain_error():

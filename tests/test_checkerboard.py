@@ -114,6 +114,15 @@ def test_json_round_trip(tmp_path):
     assert np.array_equal(back.mass, board.mass)
 
 
+def test_numpy_integer_order_round_trips_through_json(tmp_path):
+    path = tmp_path / "board.json"
+    board = Checkerboard(np.int64(2), _diag2().mass)
+    assert type(board.n) is int
+    board.to_json(path)
+    back = Checkerboard.from_json(path)
+    assert back.n == 2 and np.array_equal(back.mass, board.mass)
+
+
 def test_json_validation(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "mass": [1.0, 0.0, 0.0]}))

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import json
 import math
 import os
 import re
@@ -193,6 +194,39 @@ def test_lattice_shape_validation():
         LatticeFunction(0, np.zeros((1, 1)))
     with pytest.raises(DomainError, match="integer"):
         lattice_nodes(2.5)
+
+
+@pytest.mark.parametrize("values", [
+    np.full((3, 3), "0.5"), np.eye(3, dtype=bool), [[True] * 3] * 3, [[None] * 3] * 3,
+])
+def test_lattice_values_that_are_not_int_or_float_are_a_domain_error(values):
+    # asarray(values, dtype=float) would read "0.5" as 0.5 and True as 1.0.
+    with pytest.raises(DomainError, match="lattice values is not real: dtype"):
+        LatticeFunction(2, values)
+
+
+def test_lattice_values_of_ints_or_nan_build():
+    assert LatticeFunction(2, np.eye(3, dtype=int)).values.dtype == np.float64
+    # check_properties reads NaN nodes (test_strip_audit_matches_whole_array_reference).
+    assert np.isnan(LatticeFunction(2, np.full((3, 3), np.nan)).values).all()
+
+
+def test_numpy_integer_order_gives_builtin_reports():
+    values = LatticeFunction.from_evaluator(frechet_upper, 6).values
+    lf = LatticeFunction(np.int64(6), values)
+    assert type(lf.N) is int
+    rep = check_properties(lf)
+    assert rep == check_properties(LatticeFunction(6, values))
+    assert all(type(x) is int for x in rep.min_volume_rect)
+    assert type(rep.is_quasicopula) is bool and type(rep.is_copula) is bool
+
+
+def test_numpy_integer_order_audit_dumps_as_the_int_one():
+    # The README's promise: dataclasses.asdict(audit) is the JSON.
+    def dump(n):
+        return json.dumps(dataclasses.asdict(envelope_audit(-0.5, n)), sort_keys=True)
+
+    assert dump(np.int64(8)) == dump(8)
 
 
 def test_csv_round_trip_preserves_verdicts(tmp_path):
