@@ -140,6 +140,10 @@ class PointBoundSpec:
                 f"theta={self.theta} violates the upper Frechet inequality "
                 f"theta <= min(a, b) = {hi} at (a, b)=({self.a}, {self.b})"
             )
+        # Builtin floats, so that the evaluators and gamma of a spec given
+        # numpy float32 inputs compute in double precision like any other.
+        for name in ("a", "b", "theta"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def frechet_lower(u, v):

@@ -25,10 +25,11 @@ but the lattices themselves is the size of a lattice.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
 
 import numpy as np
 
@@ -43,6 +44,23 @@ from .errors import DomainError
 
 # 12 significant digits: below verdict tolerances, above float noise.
 _CSV_FORMAT = "%.11e"
+# A lattice CSV row as to_csv writes it when the value is >= 0 and has a
+# two-digit exponent: three 17-byte _CSV_FORMAT fields, each followed by its
+# separator, 54 bytes.  Each byte lies at most _CSV_SPAN above the template's:
+# a digit above '0', the exponent sign '+' to '-' (the ',' between them is
+# ruled out apart), and the '.', the 'e' and the separators exactly.
+_CSV_ROW = np.frombuffer(b"0.00000000000e+00," * 2 + b"0.00000000000e+00\n", np.uint8).reshape(3, 18)
+_CSV_SPAN = np.select([_CSV_ROW == ord("0"), _CSV_ROW == ord("+")], [9, 2], 0).astype(np.uint8)
+# A field's 12 significand digits, and their place values.
+_SIGNIFICAND = [0, *range(2, 13)]
+_PLACES = np.array([float(10**k) for k in range(11, -1, -1)])
+# 10**k for k = 0..22, the powers of ten that are exact doubles.
+_POW10 = np.array([float(10**k) for k in range(23)])
+# Rows per group of the fixed-width reader (221 KB of text; the fastest of
+# 512 to 16384 at order 200), and nodes per group of the flag writer (its
+# tracemalloc peak about 165 KB at orders 200 and 400).
+_READ_ROWS = 4096
+_WRITE_NODES = 1024
 # The axiom tolerance of envelope_audit.
 _CHECK_TOL = 1e-10
 
@@ -53,14 +71,14 @@ def lattice_nodes(n: int) -> np.ndarray:
     return np.arange(n + 1, dtype=float) / n
 
 
-def _row_groups(lengths) -> list:
+def _row_groups(lengths, block: int = _BLOCK) -> list:
     """Slices of consecutive rows that partition rows of the given (non-negative)
-    lengths, in order, each at most _BLOCK points (one row where a row alone
+    lengths, in order, each at most `block` points (one row where a row alone
     is longer).  Each group takes as many rows as fit."""
     ends = [0, *accumulate(lengths)]  # ends[r]: the points in the rows before r
     groups, start = [], 0
     while start < len(ends) - 1:
-        stop = max(start + 1, bisect_right(ends, ends[start] + _BLOCK) - 1)
+        stop = max(start + 1, bisect_right(ends, ends[start] + block) - 1)
         groups.append(slice(start, stop))
         start = stop
     return groups
@@ -124,31 +142,26 @@ class LatticeFunction:
 
     @classmethod
     def from_csv(cls, path) -> "LatticeFunction":
-        """Read a lattice CSV written by to_csv; malformed input is a DomainError."""
-        with open(path, newline="") as fh:
-            line = fh.readline()
-            header = line.rstrip("\r\n").split(",") if line else None
-            if header != ["u", "v", "value"]:
-                raise DomainError(f"unexpected lattice CSV header: {header}")
-            try:
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            except ValueError as exc:
-                raise DomainError(f"malformed lattice CSV: {exc}") from None
-        if len(rows) and rows.shape[1] != 3:
-            raise DomainError(f"lattice CSV rows have {rows.shape[1]} columns, not 3")
-        side = round(len(rows) ** 0.5)
-        if side * side != len(rows) or side < 2:
+        """Read a lattice CSV written by to_csv; malformed input is a DomainError.
+
+        A file in to_csv's fixed-width layout is read as bytes
+        (_fixed_width_rows); any other file, malformed ones included, is
+        parsed by np.loadtxt (_loadtxt_rows).  Both give the nodes and the
+        values, each field's float(), and the checks below run once on them.
+        """
+        nodes, values = _fixed_width_rows(path) or _loadtxt_rows(path)
+        side = round(len(values) ** 0.5)
+        if side * side != len(values) or side < 2:
             raise DomainError(
-                f"lattice CSV has {len(rows)} rows, not a square node count"
+                f"lattice CSV has {len(values)} rows, not a square node count"
             )
         n = side - 1
-        nodes = lattice_nodes(n)
-        u, v, values = (rows[:, k].reshape(side, side) for k in range(3))
+        grid = lattice_nodes(n)
+        u, v = (nodes[:, k].reshape(side, side) for k in range(2))
+        values = values.reshape(side, side)
         # Negated so that a NaN node fails too.
         off = ~(
-            (np.abs(u - nodes[:, None]) <= 1e-9) & (np.abs(v - nodes[None, :]) <= 1e-9)
+            (np.abs(u - grid[:, None]) <= 1e-9) & (np.abs(v - grid[None, :]) <= 1e-9)
         )
         if off.any():
             k = int(np.argmax(off))
@@ -160,7 +173,78 @@ class LatticeFunction:
         if not np.all(np.isfinite(values)):
             k = int(np.argmin(np.isfinite(values)))
             raise DomainError(f"row {k}: value {float(values.flat[k])} is not finite")
-        return cls(n, np.ascontiguousarray(values))
+        return cls(n, values)
+
+
+def _fixed_width_rows(path) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (rows, 2) nodes and the (rows,) values of a lattice CSV in
+    to_csv's fixed-width layout, or None if any byte of the file is out of
+    that layout (_CSV_ROW).
+
+    The body is read _READ_ROWS rows at a time.  A field is a 12-digit
+    significand M < 2**53, exact in a double, and an exponent E; where
+    0 <= 11 - E <= 22, 10**(11 - E) is exact too, and the one IEEE division
+    M / 10**(11 - E) is the correctly rounded value of the field, the double
+    float() reads (Clinger, "How to Read Floating Point Numbers Accurately",
+    1990).  The fields with any other exponent are cast from their bytes,
+    which parses each as float() does.  The values, which become the
+    lattice, are allocated before every temporary, so that the lattice does
+    not sit above the heap holes they leave (allocated after them, it raised
+    a `grid-export` op's peak RSS by 2.6 MB).
+    """
+    with open(path, "rb") as fh:
+        if fh.readline() != b"u,v,value\n":
+            return None
+        count, rest = divmod(os.fstat(fh.fileno()).st_size - fh.tell(), _CSV_ROW.size)
+        if rest or count <= 0:
+            return None
+        values, nodes = np.empty(count), np.empty((count, 2))
+        data = np.empty((min(count, _READ_ROWS), 3, 18), np.uint8)
+        parsed = np.empty((len(data), 3))
+        for start in range(0, count, _READ_ROWS):
+            d, group = data[:count - start], parsed[:count - start]
+            if fh.readinto(d) != d.nbytes:
+                return None
+            # Each byte less the template's: a digit's value, 0 or 2 at the
+            # exponent sign ('+' or '-'), and 0 at every other byte.  Unsigned,
+            # a byte below the template's wraps round above its span.
+            np.subtract(d, _CSV_ROW, out=d)
+            if not (np.all(d <= _CSV_SPAN) and np.all(d[:, :, 14] != 1)):
+                return None
+            sign, e1, e0 = np.moveaxis(d[:, :, 14:17].astype(np.intp), -1, 0)
+            k = 11 + (sign - 1) * (10 * e1 + e0)  # 11 - E
+            exact = (0 <= k) & (k <= 22)
+            np.divide(np.einsum("rfk,k->rf", d[:, :, _SIGNIFICAND], _PLACES),
+                      _POW10[np.where(exact, k, 0)], out=group)
+            if not exact.all():
+                r, f = np.nonzero(~exact)
+                text = d[r, f, :17] + _CSV_ROW[f, :17]
+                group[r, f] = text.view("S17").astype(float).ravel()
+            nodes[start:start + len(group)] = group[:, :2]
+            values[start:start + len(group)] = group[:, 2]
+    return nodes, values
+
+
+def _loadtxt_rows(path) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and values of any lattice CSV, by np.loadtxt; a wrong
+    header, a row that is not three numbers, or a byte that is not UTF-8 is
+    a DomainError."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            line = fh.readline()
+            header = line.rstrip("\r\n").split(",") if line else None
+            if header == ["u", "v", "value"]:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:  # a UnicodeDecodeError too
+            raise DomainError(f"malformed lattice CSV: {exc}") from None
+    if header != ["u", "v", "value"]:
+        raise DomainError(f"unexpected lattice CSV header: {header}")
+    if len(rows) and rows.shape[1] != 3:
+        raise DomainError(f"lattice CSV rows have {rows.shape[1]} columns, not 3")
+    rows = rows.reshape(-1, 3)
+    return rows[:, :2], np.ascontiguousarray(rows[:, 2])
 
 
 def write_node_csv(fh, n: int, columns: dict) -> None:
@@ -173,12 +257,13 @@ def write_node_csv(fh, n: int, columns: dict) -> None:
     columns, written 0/1.  This is the one definition of the lattice and
     atlas CSV format.
 
-    Each lattice row is one printf template, `u,v,<field>` for every v,
-    filled by one `%` call.  The k flag columns fill one `%s` field per node
-    from a table of its 2**k texts, indexed by the node's k flags read as a
-    binary number (the first column is the most significant bit).  Nothing
-    the size of the lattice is built, and a mis-shaped column or any other
-    layout is rejected before any byte is written.
+    A float column's lattice row is one printf template, `u,v,<field>` for
+    every v, filled by one `%` call.  A row of k flag columns has a fixed
+    width, as every node text is 17 bytes, so a group of about _WRITE_NODES
+    nodes (_row_groups) is one byte array: copies of a lattice row's
+    template, with each row's u text put in and each flag added to its '0'.
+    Nothing the size of the lattice is built, and a mis-shaped column or any
+    other layout is rejected before any byte is written.
     """
     nodes = lattice_nodes(n)
     arrays = [np.asarray(col) for col in columns.values()]
@@ -189,20 +274,27 @@ def write_node_csv(fh, n: int, columns: dict) -> None:
     flags = [col.dtype == bool for col in arrays]
     if flags != [False] and not (flags and all(flags)):
         raise DomainError(f"columns {list(columns)} are not one float column or only flag columns")
-    table = [",".join(bits) for bits in product("01", repeat=len(flags))] if flags[0] else None
     node_text = [_CSV_FORMAT % x for x in nodes.tolist()]
-    cells = [f",{v},{_CSV_FORMAT if table is None else '%s'}\n" for v in node_text]
     fh.write(",".join(["u", "v", *columns]) + "\n")
-    for i, u in enumerate(node_text):
-        if table is None:
-            row = arrays[0][i].tolist()
-        else:
-            code = arrays[0][i].astype(np.intp)
-            for col in arrays[1:]:
-                code <<= 1
-                code |= col[i]
-            row = list(map(table.__getitem__, code.tolist()))
-        fh.write((u + u.join(cells)) % tuple(row))
+    if not flags[0]:
+        cells = [f",{v},{_CSV_FORMAT}\n" for v in node_text]
+        for i, u in enumerate(node_text):
+            fh.write((u + u.join(cells)) % tuple(arrays[0][i].tolist()))
+        return
+    text = np.frombuffer("".join(node_text).encode("ascii"), np.uint8).reshape(n + 1, -1)
+    w = text.shape[1]
+    groups = _row_groups([n + 1] * (n + 1), _WRITE_NODES)
+    # The first group's rows of `u,v,f1,...,fk\n` for every v: the commas,
+    # v texts and line ends stay; each group puts in its u texts and flags.
+    block = np.full((groups[0].stop, n + 1, 2 * w + 2 * len(arrays) + 2), ord(","), np.uint8)
+    block[:, :, w + 1:2 * w + 1] = text
+    block[:, :, -1] = ord("\n")
+    for rows in groups:
+        out = block[:rows.stop - rows.start]
+        out[:, :, :w] = text[rows, None, :]
+        for k, col in enumerate(arrays):
+            np.add(col[rows], ord("0"), out=out[:, :, 2 * w + 2 + 2 * k], dtype=np.uint8)
+        fh.write(out.tobytes().decode("ascii"))
 
 
 def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -60,15 +61,20 @@ class RankSample:
     @classmethod
     def from_csv(cls, path) -> "RankSample":
         """Read a sample written by to_csv; malformed input is a DomainError."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["r", "s"]:
-                raise DomainError(f"unexpected rank CSV header: {header}")
-            try:
-                pairs = [(int(r), int(s)) for r, s in reader]
-            except ValueError as exc:
-                raise DomainError(f"rank CSV line {reader.line_num}: {exc}") from None
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"rank CSV is not UTF-8: {exc}") from None
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader, None)
+        if header != ["r", "s"]:
+            raise DomainError(f"unexpected rank CSV header: {header}")
+        try:
+            pairs = [(int(r), int(s)) for r, s in reader]
+        except ValueError as exc:
+            raise DomainError(f"rank CSV line {reader.line_num}: {exc}") from None
         return cls(tuple(pairs))
 
 

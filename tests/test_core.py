@@ -9,6 +9,7 @@ from gini_bounds import (
     frechet_lower,
     frechet_upper,
     gamma_feasible_range,
+    lower_point_bound_gamma,
     point_bound_lower,
     point_bound_upper,
     product,
@@ -82,8 +83,26 @@ def test_point_bound_spec_theta_that_is_not_a_number_is_a_domain_error():
     for theta in ("0.2", None, True, np.bool_(True), [0.2], 1j):
         with pytest.raises(DomainError, match="theta=.* is not a real number"):
             PointBoundSpec(1.0, 1.0, theta)
+    # Each real is accepted, and stored as the builtin float it reads as.
     for theta in (0.2, np.float32(0.2), 0, np.int64(0), np.array(0.2)):
-        assert PointBoundSpec(0.3, 0.4, theta).theta is theta
+        stored = PointBoundSpec(0.3, 0.4, theta).theta
+        assert type(stored) is float and stored == float(theta)
+
+
+def test_point_bound_spec_of_numpy_inputs_computes_as_builtin_floats():
+    # A float32 coordinate once made the evaluators compute in float32 at
+    # builtin-float points: 0.10000000298023226 against 0.10000000000000003.
+    for given, plain in (
+        ((np.float32(0.25), 0.7, 0.2), (0.25, 0.7, 0.2)),
+        ((0.5, np.float32(0.75), np.array(0.25)), (0.5, 0.75, 0.25)),
+        ((np.int64(1), 0.5, np.float32(0.5)), (1.0, 0.5, 0.5)),
+    ):
+        spec, ref = PointBoundSpec(*given), PointBoundSpec(*plain)
+        assert spec == ref and all(type(x) is float for x in (spec.a, spec.b, spec.theta))
+        for u, v in ((0.4, 0.6), (0.1, 0.9), (0.8, 0.3)):
+            assert point_bound_lower(spec)(u, v) == point_bound_lower(ref)(u, v)
+            assert point_bound_upper(spec)(u, v) == point_bound_upper(ref)(u, v)
+        assert lower_point_bound_gamma(spec) == lower_point_bound_gamma(ref)
 
 
 def test_point_bound_lower_examples():

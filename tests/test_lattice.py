@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gini_bounds import (
@@ -27,7 +27,11 @@ from gini_bounds import (
     upper_bound_values,
 )
 from gini_bounds.bounds import _BLOCK
-from gini_bounds.lattice import _row_groups, lattice_nodes, write_node_csv
+from gini_bounds.lattice import (
+    _envelope_lattice, _fixed_width_rows, _row_groups, _triangle_lattice, lattice_nodes,
+    write_node_csv,
+)
+from test_golden import SEAM_T
 
 
 def test_sampled_frechet_upper_is_copula():
@@ -405,6 +409,131 @@ def test_csv_reader_matches_row_loop_reference(tmp_path):
         back = LatticeFunction.from_csv(path)
         assert back.N == 60
         assert np.array_equal(back.values, _csv_loop_reader(path))
+
+
+def _bits(values):
+    # The doubles' bit patterns, so that -0.0 and 0.0 differ.
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+# Values that to_csv writes in its fixed-width layout (>= 0, two-digit
+# exponents), and any finite double: the edge pool's finite entries add
+# signed zeros, subnormals and three-digit exponents of both signs.
+_FIXED_WIDTH_DOUBLES = st.just(0.0) | st.floats(1e-99, 9e99)
+_FINITE_DOUBLES = (
+    st.floats(allow_nan=False, allow_infinity=False) | _EDGE_DOUBLES.filter(math.isfinite)
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 12), st.booleans(), st.data())
+def test_csv_reader_reads_float_of_each_field_on_any_doubles(tmp_path, n, fixed, data):
+    elements = _FIXED_WIDTH_DOUBLES if fixed else _FIXED_WIDTH_DOUBLES | _FINITE_DOUBLES
+    values = data.draw(arrays(np.float64, (n + 1, n + 1), elements=elements))
+    path = tmp_path / "m.csv"
+    LatticeFunction(n, values).to_csv(path)
+    assert np.array_equal(_bits(LatticeFunction.from_csv(path).values), _bits(_csv_loop_reader(path)))
+    # The byte reader takes exactly the files whose rows are all 54 bytes.
+    rows = path.read_bytes().splitlines(keepends=True)[1:]
+    assert (_fixed_width_rows(path) is not None) == all(len(row) == 54 for row in rows)
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_csv_reader_matches_row_loop_reference_at_every_seam_t(tmp_path, side):
+    # Order 200, as grid-export reads it.  Every such grid is fixed-width;
+    # t = 1's lower grid has 49 values near 1.4e-17, whose exponent puts them
+    # off the division path.
+    path = tmp_path / "m.csv"
+    for t in SEAM_T:
+        _envelope_lattice(side, t, 200).to_csv(path)
+        assert _fixed_width_rows(path) is not None, t
+        reference = _csv_loop_reader(path)
+        assert np.array_equal(_bits(LatticeFunction.from_csv(path).values), _bits(reference)), t
+    assert side == "upper" or np.count_nonzero((reference > 0) & (reference < 1e-11)) == 49
+
+
+def test_csv_reader_reads_a_crlf_copy_alike(tmp_path):
+    path, crlf = tmp_path / "m.csv", tmp_path / "crlf.csv"
+    _envelope_lattice("lower", -0.9, 60).to_csv(path)
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert _fixed_width_rows(crlf) is None
+    back = LatticeFunction.from_csv(crlf)
+    assert back.N == 60
+    assert np.array_equal(_bits(back.values), _bits(LatticeFunction.from_csv(path).values))
+
+
+@pytest.mark.parametrize(
+    "offset, byte, message",
+    [
+        (0, b"x", "could not convert string 'x.00000000000e+00' to float64 at row 440, column 1."),
+        (1, b",", "the number of columns changed from 3 to 4 at row 441;"),
+        (17, b";", "the number of columns changed from 3 to 2 at row 441;"),
+        (40, b" ", "could not convert string '1.00 00000000e+00' to float64 at row 440, column 3."),
+        (49, b"+", "could not convert string '1.00000000000++00' to float64 at row 440, column 3."),
+        (50, b",", "the number of columns changed from 3 to 4 at row 441;"),  # the exponent sign
+        (52, b"a", "could not convert string '1.00000000000e+0a' to float64 at row 440, column 3."),
+        (53, b",", "the number of columns changed from 3 to 4 at row 441;"),
+        (5, b"\xff", "'utf-8' codec can't decode byte 0xff in position "),
+        (13, b"E", None),  # a valid file out of the fixed-width layout
+        (47, b"5", None),  # a valid file in it, with another value
+    ],
+)
+def test_csv_reader_on_a_corrupt_last_row(tmp_path, offset, byte, message):
+    # The messages are np.loadtxt's, as the reader gave them before it read
+    # bytes; a byte out of the layout anywhere sends the file to np.loadtxt.
+    path = tmp_path / "m.csv"
+    _envelope_lattice("upper", -0.9, 20).to_csv(path)
+    data = bytearray(path.read_bytes())
+    data[len(data) - 54 + offset] = byte[0]
+    path.write_bytes(data)
+    if message is None:
+        assert np.array_equal(_bits(LatticeFunction.from_csv(path).values), _bits(_csv_loop_reader(path)))
+        return
+    with pytest.raises(DomainError, match=re.escape(f"malformed lattice CSV: {message}")):
+        LatticeFunction.from_csv(path)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"u,v,val\xffue\n0,0,0\n0,1,0\n1,0,0\n1,1,1\n",  # in the header
+        b"u,v,value\n0,0,0\n0,1,\xff\n1,0,0\n1,1,1\n",  # in the body
+    ],
+)
+def test_csv_that_is_not_utf8_is_a_domain_error(tmp_path, data):
+    # Each raised UnicodeDecodeError before; a byte past the first decoded
+    # chunk was already a DomainError (test_csv_reader_on_a_corrupt_last_row).
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(DomainError, match="can't decode byte 0xff"):
+        LatticeFunction.from_csv(path)
+
+
+def test_csv_reader_holds_few_lattice_sizes(tmp_path):
+    # The nodes and values (three lattice sizes), the reader's row groups,
+    # and the node check's temporaries; np.loadtxt's reader peaked at 5.13.
+    n = 400
+    path = tmp_path / "m.csv"
+    _envelope_lattice("upper", -0.9, n).to_csv(path)
+    LatticeFunction.from_csv(path)
+    tracemalloc.start()
+    try:
+        LatticeFunction.from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * (n + 1) ** 2 * 8
+
+
+@pytest.mark.parametrize("n", [181, 200, 400])
+def test_atlas_csv_matches_csv_module_reference(n):
+    # At order 181 the writer's groups of five 182-node rows do not divide
+    # the 182 rows; at t = -0.9 every region is non-empty.
+    masks = _triangle_lattice(region_masks, n, -0.9)
+    columns = {f"r{k + 1}": masks[k] for k in range(5)}
+    out = io.StringIO()
+    write_node_csv(out, n, columns)
+    assert out.getvalue() == _csv_module_reference(n, columns)
 
 
 @pytest.mark.parametrize(

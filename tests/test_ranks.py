@@ -80,6 +80,15 @@ def test_csv_rejects_a_header_other_than_r_s(tmp_path, text):
         RankSample.from_csv(path)
 
 
+@pytest.mark.parametrize("data", [b"r,\xffs\n1,1\n2,2\n", b"r,s\n1,1\n2,\xff\n"])
+def test_csv_that_is_not_utf8_is_a_domain_error(tmp_path, data):
+    # A byte in the header, and one in the body.
+    path = tmp_path / "ranks.csv"
+    path.write_bytes(data)
+    with pytest.raises(DomainError, match="rank CSV is not UTF-8: .* byte 0xff in position"):
+        RankSample.from_csv(path)
+
+
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "ranks.csv"
     sample = RankSample(((2, 1), (1, 3), (3, 2)))
