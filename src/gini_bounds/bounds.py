@@ -244,10 +244,7 @@ def upper_bound(u: float, v: float, t: float) -> ThetaReport:
     numpy's functions cost about 1 us a call on scalars, several times the
     arithmetic here.
     """
-    _check_point(u, v)
-    # Coerced once: int, numpy or 0-d array inputs leave only builtin floats
-    # and bools in the record.
-    u, v = float(u), float(v)
+    u, v = _check_point(u, v)
     t = check_t(t)
     x, m = max(u, v), min(u, v)
     ceiling = m + ACTIVATION_EPS
@@ -283,13 +280,14 @@ def upper_bound(u: float, v: float, t: float) -> ThetaReport:
 def _reflected_upper_bound(u: float, v: float, t: float) -> ThetaReport:
     """upper_bound's record at (1-u, v, -t); v minus its bound is the lower envelope."""
     # Checked before reflecting: 1 - u rounds u = -1e-20 into the square.
-    _check_point(u, v)
+    u, v = _check_point(u, v)
     return upper_bound(1.0 - u, v, -check_t(t))
 
 
 def lower_bound(u: float, v: float, t: float) -> float:
-    """Lower envelope at one point: v - upper(1-u, v, -t)."""
-    return float(v - _reflected_upper_bound(u, v, t).bound)
+    """Lower envelope at one point: v - upper(1-u, v, -t), on the record's v."""
+    report = _reflected_upper_bound(u, v, t)
+    return report.v - report.bound
 
 
 def classify_upper(t: float) -> BoundClassification:
@@ -332,9 +330,9 @@ def hyperbolic_set_contains(u: float, v: float, t: float) -> bool:
     This is the set where the fifth candidate lies below min(u, v); its
     boundary consists of two hyperbolic arcs symmetric about the diagonal.
     """
-    _check_point(u, v)
+    u, v = _check_point(u, v)
     t = check_t(t)
-    return bool(_hyperbolic_excess(u, v, t) <= 0.0)
+    return _hyperbolic_excess(u, v, t) <= 0.0
 
 
 def hyperbolic_corner_points(t: float) -> tuple[UnitPoint, UnitPoint]:
@@ -343,9 +341,8 @@ def hyperbolic_corner_points(t: float) -> tuple[UnitPoint, UnitPoint]:
     rad = 3.0 - 6.0 * t
     if rad < 0.0:
         raise DomainError(f"corner points undefined for t={t} > 1/2")
-    root = np.sqrt(rad)
-    p1 = float((3.0 + root) / 6.0)
-    p2 = float((3.0 - root) / 6.0)
+    root = math.sqrt(rad)
+    p1, p2 = (3.0 + root) / 6.0, (3.0 - root) / 6.0
     return UnitPoint(p1, p1), UnitPoint(p2, p2)
 
 
@@ -358,7 +355,7 @@ def mixed_partial_density(u: float, v: float, t: float) -> float:
     the upper envelope is a proper quasi-copula.  Its minimum over the set
     is lens_density_floor(t), which equals t/3 only for -2/3 <= t < 0.
     """
-    _check_point(u, v)
+    u, v = _check_point(u, v)
     t = check_t(t)
     # Closure membership with rounding slack: the corner points themselves
     # satisfy the boundary equation only to one ulp in floats.
@@ -372,7 +369,7 @@ def mixed_partial_density(u: float, v: float, t: float) -> float:
         raise DomainError(
             f"density undefined at ({u}, {v}, t={t}): vanishing denominator"
         )
-    return float(3.0 * g / rad**1.5)
+    return 3.0 * g / rad**1.5
 
 
 def lens_density_floor(t: float) -> tuple[float, tuple[float, float]]:
@@ -390,8 +387,8 @@ def lens_density_floor(t: float) -> tuple[float, tuple[float, float]]:
     if not -1.0 < t < 0.0:
         raise DomainError(f"the lens density floor is defined for -1 < t < 0, got t={t}")
     if t <= -2.0 / 3.0:
-        half = float(np.sqrt(7.0 * (1.0 + t) / 3.0)) / 2.0
-        return -2.0 / (9.0 * float(np.sqrt(3.0 * (1.0 + t)))), (0.5 - half, 0.5 + half)
+        half = math.sqrt(7.0 * (1.0 + t) / 3.0) / 2.0
+        return -2.0 / (9.0 * math.sqrt(3.0 * (1.0 + t))), (0.5 - half, 0.5 + half)
     p1, p2 = hyperbolic_corner_points(t)
     return t / 3.0, (p2.u, p1.u)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_order, _check_points, _real_array
+from .core import _check_order, _check_points, _open_utf8, _real_array
 from .errors import DomainError
 
 MARGIN_TOL = 1e-12
@@ -36,7 +36,8 @@ class Checkerboard:
     mass: np.ndarray
 
     def __post_init__(self):
-        _check_order(self.n, "checkerboard order")
+        # A builtin int, so that to_json can write a numpy-integer order.
+        object.__setattr__(self, "n", _check_order(self.n, "checkerboard order"))
         mass = _real_array(self.mass, "mass")
         if mass.shape != (self.n, self.n):
             raise DomainError(
@@ -53,8 +54,6 @@ class Checkerboard:
                 f"margins are not uniform: row error {row_err:.3e}, "
                 f"column error {col_err:.3e} (tolerance {MARGIN_TOL})"
             )
-        # A builtin int, so that to_json can write a numpy-integer order.
-        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "mass", mass)
 
     def cdf(self, u, v):
@@ -73,11 +72,12 @@ class Checkerboard:
     @classmethod
     def from_json(cls, path) -> "Checkerboard":
         """Read a board written by to_json; malformed input is a DomainError."""
-        with open(path) as fh:
-            try:
-                payload = json.load(fh)
-            except ValueError as exc:
-                raise DomainError(f"malformed checkerboard JSON: {exc}") from None
+        # Decoded outside the try: its DomainError is a ValueError too.
+        fh = _open_utf8(path, "malformed checkerboard JSON: ")
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise DomainError(f"malformed checkerboard JSON: {exc}") from None
         try:
             n, mass = payload["n"], payload["mass"]
         except (KeyError, TypeError) as exc:
@@ -91,7 +91,7 @@ class Checkerboard:
             # JSON numbers only: float() would read true as 1.0 and "1.0" as 1.0.
             if isinstance(x, bool) or not isinstance(x, (int, float)):
                 raise DomainError(f"checkerboard JSON mass entry {x!r} is not a number")
-        _check_order(n, "checkerboard order")
+        n = _check_order(n, "checkerboard order")
         if len(mass) != n * n:
             raise DomainError(
                 f"mass array has {len(mass)} entries, expected n^2 = {n * n}"
@@ -124,7 +124,7 @@ def gamma_coefficients(n: int) -> np.ndarray:
 
     g[i, j] = 2K / (3n) with the integers K of gamma_numerators, rounded once.
     """
-    _check_order(n, "order")
+    n = _check_order(n, "order")
     idx = np.arange(n)
     return 2 * gamma_numerators(n, idx[:, None], idx) / (3 * n)
 

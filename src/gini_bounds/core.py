@@ -7,6 +7,7 @@ and are safe for concurrent use.
 
 from __future__ import annotations
 
+import io
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -45,16 +46,21 @@ def _check_real(x, name: str) -> None:
         raise DomainError(f"{name}={x!r} is not a real number")
 
 
-def _check_point(u, v) -> None:
-    """DomainError unless u and v are real numbers (_check_real) and (u, v)
-    lies in the unit square; a NaN coordinate fails the chained comparison.
+def _check_point(u, v) -> tuple[float, float]:
+    """(float(u), float(v)); DomainError unless u and v are real numbers
+    (_check_real) and (u, v) lies in the unit square, where a NaN coordinate
+    fails the chained comparison.
 
-    The scalar entry points call it; UnitPoint validates through it.
+    The scalar entry points compute on the builtin floats it returns, so
+    that a numpy float32 input computes in double as the array path does;
+    UnitPoint validates through it.  Compared before float(), which
+    overflows on a huge int.
     """
     _check_real(u, "point coordinate u")
     _check_real(v, "point coordinate v")
     if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
         raise DomainError(f"point ({u}, {v}) is outside the unit square")
+    return float(u), float(v)
 
 
 def _real_array(x, name: str) -> np.ndarray:
@@ -99,12 +105,32 @@ def check_t(t: float) -> float:
     return float(t)
 
 
-def _check_order(n: int, kind: str, least: int = 1) -> None:
-    """DomainError unless the order n is an integer (Python or numpy, not bool) >= least."""
+def _check_order(n: int, kind: str, least: int = 1) -> int:
+    """int(n); DomainError unless the order n is an integer (Python or numpy,
+    not bool) >= least.
+
+    The builtin int leaves only builtin numbers in what is computed from it.
+    """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise DomainError(f"{kind} must be an integer, got {n}")
     if n < least:
         raise DomainError(f"{kind} must be >= {least}, got {n}")
+    return int(n)
+
+
+def _open_utf8(path, prefix: str) -> io.StringIO:
+    """The file at path as a text stream, read whole and decoded as UTF-8.
+
+    The one decode rule for the files the package reads as text.  Line ends
+    are kept as they are, as open(path, newline="") keeps them.  Bytes that
+    are not UTF-8 are a DomainError of prefix plus Python's message, whose
+    position is then the offset in the file.
+    """
+    try:
+        with open(path, "rb") as fh:
+            return io.StringIO(fh.read().decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{prefix}{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -125,25 +151,25 @@ class PointBoundSpec:
     _ROUNDING = 1e-12
 
     def __post_init__(self):
-        _check_point(self.a, self.b)
+        a, b = _check_point(self.a, self.b)
         _check_real(self.theta, "theta")
-        lo = max(0.0, self.a + self.b - 1.0)
-        hi = min(self.a, self.b)
+        lo, hi = max(0.0, a + b - 1.0), min(a, b)
         # Negated so that a NaN theta fails them.
         if not self.theta >= lo - self._ROUNDING:
             raise DomainError(
                 f"theta={self.theta} violates the lower Frechet inequality "
-                f"theta >= max(0, a+b-1) = {lo} at (a, b)=({self.a}, {self.b})"
+                f"theta >= max(0, a+b-1) = {lo} at (a, b)=({a}, {b})"
             )
         if not self.theta <= hi + self._ROUNDING:
             raise DomainError(
                 f"theta={self.theta} violates the upper Frechet inequality "
-                f"theta <= min(a, b) = {hi} at (a, b)=({self.a}, {self.b})"
+                f"theta <= min(a, b) = {hi} at (a, b)=({a}, {b})"
             )
         # Builtin floats, so that the evaluators and gamma of a spec given
-        # numpy float32 inputs compute in double precision like any other.
-        for name in ("a", "b", "theta"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        # numpy float32 inputs compute in double precision like any other;
+        # theta after its checks, as float() overflows on a huge int.
+        for name, x in (("a", a), ("b", b), ("theta", float(self.theta))):
+            object.__setattr__(self, name, x)
 
 
 def frechet_lower(u, v):
@@ -198,7 +224,8 @@ def rect_volume(f: Evaluator, u1, u2, v1, v2):
 
     Nonnegativity of every rectangle volume is the 2-increasing property
     that separates copulas from proper quasi-copulas.  The corners must be
-    real numbers (_check_real).
+    real numbers (_check_real), and f is evaluated at their builtin floats,
+    taken after the range check as float() overflows on a huge int.
     """
     for name, x in (("u1", u1), ("u2", u2), ("v1", v1), ("v2", v2)):
         _check_real(x, f"rectangle corner {name}")
@@ -207,6 +234,7 @@ def rect_volume(f: Evaluator, u1, u2, v1, v2):
             f"invalid rectangle [{u1},{u2}]x[{v1},{v2}]: need "
             "0 <= u1 <= u2 <= 1 and 0 <= v1 <= v2 <= 1"
         )
+    u1, u2, v1, v2 = map(float, (u1, u2, v1, v2))
     return f(u2, v2) - f(u2, v1) - f(u1, v2) + f(u1, v1)
 
 

@@ -38,7 +38,8 @@ from .bounds import (
     upper_bound_values,
 )
 from .core import (
-    Evaluator, _check_order, _check_real, _real_array, check_t, frechet_lower, frechet_upper,
+    Evaluator, _check_order, _check_real, _open_utf8, _real_array, check_t, frechet_lower,
+    frechet_upper,
 )
 from .errors import DomainError
 
@@ -46,10 +47,11 @@ from .errors import DomainError
 _CSV_FORMAT = "%.11e"
 # A lattice CSV row as to_csv writes it when the value is >= 0 and has a
 # two-digit exponent: three 17-byte _CSV_FORMAT fields, each followed by its
-# separator, 54 bytes.  Each byte lies at most _CSV_SPAN above the template's:
-# a digit above '0', the exponent sign '+' to '-' (the ',' between them is
-# ruled out apart), and the '.', the 'e' and the separators exactly.
-_CSV_ROW = np.frombuffer(b"0.00000000000e+00," * 2 + b"0.00000000000e+00\n", np.uint8).reshape(3, 18)
+# separator, 54 bytes; the template is the row of three zeros.  Each byte lies
+# at most _CSV_SPAN above the template's: a digit above '0', the exponent sign
+# '+' to '-' (the ',' between them is ruled out apart), and the '.', the 'e'
+# and the separators exactly.
+_CSV_ROW = np.frombuffer((",".join([_CSV_FORMAT % 0.0] * 3) + "\n").encode(), np.uint8).reshape(3, 18)
 _CSV_SPAN = np.select([_CSV_ROW == ord("0"), _CSV_ROW == ord("+")], [9, 2], 0).astype(np.uint8)
 # A field's 12 significand digits, and their place values.
 _SIGNIFICAND = [0, *range(2, 13)]
@@ -67,7 +69,7 @@ _CHECK_TOL = 1e-10
 
 def lattice_nodes(n: int) -> np.ndarray:
     """Nodes i/n, i = 0..n, of the order-n uniform lattice (n >= 1)."""
-    _check_order(n, "lattice order")
+    n = _check_order(n, "lattice order")
     return np.arange(n + 1, dtype=float) / n
 
 
@@ -114,15 +116,14 @@ class LatticeFunction:
     values: np.ndarray  # shape (N+1, N+1); values[i][j] = f(i/N, j/N)
 
     def __post_init__(self):
-        _check_order(self.N, "lattice order")
+        # A builtin int, so that a numpy-integer order leaves only builtin
+        # ints and bools in check_properties' and envelope_audit's reports.
+        object.__setattr__(self, "N", _check_order(self.N, "lattice order"))
         vals = _real_array(self.values, "lattice values")
         if vals.shape != (self.N + 1, self.N + 1):
             raise DomainError(
                 f"values shape {vals.shape} does not match order N={self.N}"
             )
-        # A builtin int, so that a numpy-integer order leaves only builtin
-        # ints and bools in check_properties' and envelope_audit's reports.
-        object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -226,19 +227,19 @@ def _fixed_width_rows(path) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _loadtxt_rows(path) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes and values of any lattice CSV, by np.loadtxt; a wrong
-    header, a row that is not three numbers, or a byte that is not UTF-8 is
-    a DomainError."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            line = fh.readline()
-            header = line.rstrip("\r\n").split(",") if line else None
-            if header == ["u", "v", "value"]:
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:  # a UnicodeDecodeError too
-            raise DomainError(f"malformed lattice CSV: {exc}") from None
+    """The nodes and values of any lattice CSV, by np.loadtxt; a byte that
+    is not UTF-8 (core._open_utf8), a wrong header, or a row that is not
+    three numbers is a DomainError."""
+    fh = _open_utf8(path, "malformed lattice CSV: ")
+    try:
+        line = fh.readline()
+        header = line.rstrip("\r\n").split(",") if line else None
+        if header == ["u", "v", "value"]:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise DomainError(f"malformed lattice CSV: {exc}") from None
     if header != ["u", "v", "value"]:
         raise DomainError(f"unexpected lattice CSV header: {header}")
     if len(rows) and rows.shape[1] != 3:
@@ -472,7 +473,8 @@ def envelope_audit(t: float, n: int) -> EnvelopeAudit:
 
     upper, lower = (_envelope_lattice(side, t, n) for side in ("upper", "lower"))
     rep_up, rep_lo = (check_properties(lf, tol=_CHECK_TOL) for lf in (upper, lower))
-    up, lo, nodes = upper.values, lower.values, upper.nodes
+    # The order as the lattice stores it, a builtin int (_check_order).
+    up, lo, nodes, n = upper.values, lower.values, upper.nodes, upper.N
     # Per group, the largest of: the two reflection forms' difference,
     # v_j - K((n - i)/n, v_j, -t) at lo[i, j] less u_i - K(u_i, (n - j)/n, -t)
     # at lo[j, i] (float subtraction is antisymmetric, so this is the largest

@@ -100,7 +100,7 @@ def gamma_feasible_range(n: int) -> tuple[float, float]:
     1 - 2/(3n) - (n mod 2)/(3n^2), rounded once here; the reversal's is the
     negative.
     """
-    _check_order(n, "order")
+    n = _check_order(n, "order")
     hi = 2 * _identity_s(n) / (3 * n * n)
     return -hi, hi
 
@@ -174,7 +174,7 @@ def _zero_in_run(x0, m):
     return (x0 <= 0) & (x0 % 2 == 0) & (-x0 < 2 * m)
 
 
-def _runs(classes, n: int):
+def _runs(classes):
     """First row r and first image c of every (row block, column block) run.
 
     A class's sorted permutation sends the rows of each row block, in
@@ -235,7 +235,7 @@ def _class_gamma(classes, n: int) -> np.ndarray:
     lp_extreme re-derives the gamma of the two it mixes apart from this
     algebra, exactly; the lemma makes it optimal.
     """
-    r, c = _runs(classes, n)
+    r, c = _runs(classes)
     m = classes
     plus, minus = r + c - (n - 1), r - c  # i + j - (n-1) and i - j at r
     run = 3 * (_abs_run(plus, m) - m * np.abs(minus)) + _zero_in_run(plus, m) - m * (minus == 0)
@@ -244,7 +244,7 @@ def _class_gamma(classes, n: int) -> np.ndarray:
 
 def _class_permutation(counts, n: int) -> np.ndarray:
     """The sorted permutation of one class: pi(i) = (c - r) + i on each run."""
-    r, c = _runs(counts, n)
+    r, c = _runs(counts)
     # Runs in row order: a row block's runs go by column block.
     return np.repeat((c - r).ravel(), counts.ravel()) + np.arange(n)
 
@@ -313,16 +313,15 @@ def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcom
     gamma_numerators, apart from _class_gamma, and the mix must meet the
     target exactly, or InternalError is raised.
     """
-    _check_order(n, "oracle order", least=2)
+    n = _check_order(n, "oracle order", least=2)
     if direction not in ("min", "max"):
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
-    _check_point(u, v)
+    u, v = _check_point(u, v)
     t = check_t(t)
     lo, hi = gamma_feasible_range(n)
     if not lo <= t <= hi:
         return LpOutcome(direction, None, "infeasible")
 
-    n, u, v = int(n), float(u), float(v)
     classes, s, value = _class_table(n, u, v)
     if direction == "min":
         value = -value

@@ -27,7 +27,7 @@ def gamma_quadrature(f: Evaluator, panels: int) -> float:
 
     ``panels`` must be even and at least 2.  f must accept numpy arrays.
     """
-    _check_order(panels, "panels", least=2)
+    panels = _check_order(panels, "panels", least=2)
     if panels % 2 != 0:
         raise DomainError(f"panels must be even, got {panels}")
     u = np.arange(panels + 1, dtype=float) / panels
@@ -35,7 +35,7 @@ def gamma_quadrature(f: Evaluator, panels: int) -> float:
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     g = np.asarray(f(u, u), dtype=float) + np.asarray(f(u, 1.0 - u), dtype=float)
-    # float() after the division: a numpy-integer panel count would make it numpy's.
+    # np.dot gives a numpy float.
     integral = float(np.dot(weights, g) / (3.0 * panels))
     return 4.0 * integral - 2.0
 

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import csv
-import io
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
+from .core import _open_utf8
 from .errors import DomainError
 
 _BOOLS = frozenset((bool, np.bool_))
@@ -61,13 +61,7 @@ class RankSample:
     @classmethod
     def from_csv(cls, path) -> "RankSample":
         """Read a sample written by to_csv; malformed input is a DomainError."""
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"rank CSV is not UTF-8: {exc}") from None
-        reader = csv.reader(io.StringIO(text, newline=""))
+        reader = csv.reader(_open_utf8(path, "rank CSV is not UTF-8: "))
         header = next(reader, None)
         if header != ["r", "s"]:
             raise DomainError(f"unexpected rank CSV header: {header}")

@@ -189,11 +189,14 @@ def test_coordinate_that_is_not_a_real_number_is_a_domain_error(f):
     # (0, 0.7) and (1, 0.7): these two take the rejection half only.
     if f in (_density, _spec):
         return
-    # Python and numpy ints and floats, and 0-d arrays, stay numbers.
+    # Python and numpy ints and floats, and 0-d arrays, stay numbers, and
+    # compute as the builtin float they read as: arithmetic in float32 on
+    # float32 0.3 rounds otherwise (lower_bound(0.7, v, -0.2) once did).
     for number, same in ((1, 1.0), (np.int64(0), 0.0), (np.float32(0.25), 0.25),
-                         (np.array(0.25), 0.25)):
+                         (np.array(0.25), 0.25), (np.float32(0.3), float(np.float32(0.3)))):
         assert f(number, 0.7) == f(same, 0.7), number
         assert f(0.3, number) == f(0.3, same), number
+        assert f(0.7, number) == f(0.7, same), number
 
 
 _SEAM_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, math.nextafter(1.0, 2.0),
@@ -224,6 +227,19 @@ def test_scalar_and_array_coordinate_rules_agree(x):
     assert (scalar is None) == (array is None), x
     if scalar is not None:
         assert scalar == array, x
+
+
+def test_scalar_envelopes_equal_the_array_ones_on_float32_coordinates():
+    # The scalar path computes on the builtin floats its check returns, as the
+    # array path computes on float64 arrays; 1 - u in float32 once made the
+    # scalar lower envelope differ at about a quarter of these points.
+    rng = np.random.default_rng(1)
+    u, v = (rng.random(5000).astype(np.float32) for _ in range(2))
+    for a, b, t in zip(u, v, rng.uniform(-1.0, 1.0, 5000).tolist()):
+        lower, upper = lower_bound(a, b, t), upper_bound(a, b, t).bound
+        assert type(lower) is float and type(upper) is float
+        assert lower.hex() == float(lower_bound_values(a, b, t)).hex(), (a, b, t)
+        assert upper.hex() == float(upper_bound_values(a, b, t)).hex(), (a, b, t)
 
 
 def test_scalar_coordinate_that_is_a_sequence_is_a_domain_error():
@@ -812,6 +828,28 @@ def test_hyperbolic_set_is_where_the_fifth_candidate_is_at_most_min_uv():
         outcomes.append(contains)
     assert mismatches == []
     assert min(outcomes.count(True), outcomes.count(False)) > 500
+
+
+def test_hyperbolic_set_and_density_compute_in_double_on_float32_coordinates():
+    # A float32 u with a v bisected in double onto the arc at t = -0.5: the
+    # float32 excess, up to 5.9e-7 off, once flipped half of these points.
+    t, points = -0.5, []
+    for u in np.linspace(0.2, 0.45, 40, dtype=np.float32):
+        lo, hi = float(u), 1.0
+        assert _hyperbolic_excess(float(u), lo, t) <= 0.0 < _hyperbolic_excess(float(u), hi, t)
+        for _ in range(80):
+            mid = (lo + hi) / 2.0
+            if _hyperbolic_excess(float(u), mid, t) <= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        points += [(u, lo), (u, hi)]
+    for u, v in points:
+        contains = hyperbolic_set_contains(u, v, t)
+        assert type(contains) is bool and contains == hyperbolic_set_contains(float(u), v, t)
+    density = mixed_partial_density(np.float32(0.5), np.float32(0.5), -0.5)
+    assert type(density) is float and density == mixed_partial_density(0.5, 0.5, -0.5)
+    assert density == 0.28867513459481287
 
 
 def test_corner_points():

@@ -149,6 +149,11 @@ def test_json_validation(tmp_path):
         path.write_text(text)
         with pytest.raises(DomainError, match=message):
             Checkerboard.from_json(path)
+    # A byte that is not UTF-8, at its offset in the file.
+    path.write_bytes(b'{"n": 1, "mass": [1.0]}\n' + b" " * 9000 + b"\xff\n")
+    with pytest.raises(DomainError, match="malformed checkerboard JSON: 'utf-8' codec can't "
+                                          "decode byte 0xff in position 9024: invalid start byte"):
+        Checkerboard.from_json(path)
 
 
 @pytest.mark.parametrize("mass", [[[True]], [["1.0"]], np.array([[True]]), [[None]]])

@@ -58,8 +58,10 @@ def test_unit_point_validation():
 
 def test_order_validation():
     # Python and numpy integers pass; bool is an int subclass but no order.
+    # Each is returned as the builtin int it reads as.
     for n in (1, 7, np.int64(3)):
-        _check_order(n, "order")
+        checked = _check_order(n, "order")
+        assert type(checked) is int and checked == n
     for n, message in ((0, ">= 1"), (2.0, "integer"), (True, "integer"), (False, "integer")):
         with pytest.raises(DomainError, match=message):
             _check_order(n, "order")
@@ -173,6 +175,13 @@ def test_rect_volume_corner_that_is_not_a_number_is_a_domain_error():
         with pytest.raises(DomainError, match="rectangle corner .* is not a real number"):
             rect_volume(product, *corners)
     assert rect_volume(product, 0, 1, np.int64(0), np.array(1.0)) == 1.0
+    # f is evaluated at the builtin floats of the corners, taken after the
+    # range check, so that a huge int is rejected there, not by float().
+    volume = rect_volume(product, np.float32(0.1), 0.2, 0.1, 0.3)
+    assert type(volume) is float
+    assert volume == rect_volume(product, float(np.float32(0.1)), 0.2, 0.1, 0.3)
+    with pytest.raises(DomainError, match="invalid rectangle"):
+        rect_volume(product, 0, 10**400, 0, 1)
 
 
 def test_reflection_pointwise_identities():

@@ -232,6 +232,22 @@ def test_numpy_integer_order_audit_dumps_as_the_int_one():
 
     assert dump(np.int64(8)) == dump(8)
 
+    # json.dumps writes a numpy float as the builtin one, so the types are
+    # checked apart: every number of the audit is builtin, as at order 8.
+    def leaves(x):
+        if isinstance(x, dict):
+            return [y for value in x.values() for y in leaves(value)]
+        if isinstance(x, (list, tuple)):
+            return [y for value in x for y in leaves(value)]
+        return [x]
+
+    audit = dataclasses.asdict(envelope_audit(-0.5, np.int64(8)))
+    types = [type(x) for x in leaves(audit)]
+    assert types == [type(x) for x in leaves(dataclasses.asdict(envelope_audit(-0.5, 8)))]
+    assert set(types) <= {float, int, bool, str, type(None)}
+    assert type(audit["upper_lens_floor_cell_volume"]) is float
+    assert type(audit["upper_min_volume_cell_distance_to_density_minimiser"]) is float
+
 
 def test_csv_round_trip_preserves_verdicts(tmp_path):
     path = tmp_path / "m.csv"
@@ -473,7 +489,8 @@ def test_csv_reader_reads_a_crlf_copy_alike(tmp_path):
         (50, b",", "the number of columns changed from 3 to 4 at row 441;"),  # the exponent sign
         (52, b"a", "could not convert string '1.00000000000e+0a' to float64 at row 440, column 3."),
         (53, b",", "the number of columns changed from 3 to 4 at row 441;"),
-        (5, b"\xff", "'utf-8' codec can't decode byte 0xff in position "),
+        # The offset in the file, 10 header bytes and 440 rows of 54 before it.
+        (5, b"\xff", "'utf-8' codec can't decode byte 0xff in position 23775: "),
         (13, b"E", None),  # a valid file out of the fixed-width layout
         (47, b"5", None),  # a valid file in it, with another value
     ],
@@ -498,6 +515,9 @@ def test_csv_reader_on_a_corrupt_last_row(tmp_path, offset, byte, message):
     [
         b"u,v,val\xffue\n0,0,0\n0,1,0\n1,0,0\n1,1,1\n",  # in the header
         b"u,v,value\n0,0,0\n0,1,\xff\n1,0,0\n1,1,1\n",  # in the body
+        # Past the first 8 KB, under a wrong header: the whole file is
+        # decoded before the header is read.
+        pytest.param(b"u,v,wrong\n" + b"0,0,0\n" * 2000 + b"\xff\n", id="past-8k-under-a-wrong-header"),
     ],
 )
 def test_csv_that_is_not_utf8_is_a_domain_error(tmp_path, data):

@@ -93,6 +93,9 @@ def test_gamma_range_symmetric_and_growing():
         assert hi >= prev - 1e-12
         prev = hi
     assert gamma_feasible_range(2)[1] == pytest.approx(2.0 / 3.0, abs=1e-9)
+    # A numpy-integer order gives the builtin floats of the int one.
+    ends = gamma_feasible_range(np.int64(8))
+    assert ends == gamma_feasible_range(8) and all(type(x) is float for x in ends)
 
 
 def test_argument_is_a_valid_checkerboard_copula():
