@@ -72,12 +72,13 @@ def cmd_eval(args) -> int:
         payload = asdict(upper_bound(u, v, t))
     else:
         # Candidate bookkeeping describes the reflected upper evaluation at
-        # (1-u, v, -t); the bound field is the lower value v - upper at (u, v).
+        # (1-u, v, -t), whose point the record holds; the bound field is the
+        # lower value, v - upper, as lower_bound takes it.
         report = _reflected_upper_bound(u, v, t)
         payload = asdict(report)
         payload.update(
-            {"u": u, "v": v, "t": t, "bound": v - report.bound,
-             "reflected_u": 1.0 - u, "reflected_v": v}
+            {"u": u, "v": v, "t": t, "bound": report.v - report.bound,
+             "reflected_u": report.u, "reflected_v": report.v}
         )
     payload["side"] = args.side
     _emit_json(payload)

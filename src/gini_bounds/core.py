@@ -30,20 +30,28 @@ class UnitPoint:
         _check_point(self.u, self.v)
 
 
-def _check_real(x, name: str) -> None:
-    """DomainError naming x unless it is a real number.
+def _check_real(x, name: str) -> numbers.Real:
+    """x as the Python number it is; DomainError naming x unless it is a
+    real number.
 
     Python and numpy ints and floats (and Fraction) and 0-d arrays of them
     are real; a bool (Python or numpy), a string, None, a sequence and a
     complex number are not, though a comparison would read True as 1.
+
+    A numpy number ends here, as the Python number its .item() gives (a
+    longdouble, whose .item() is itself, as its nearest float).  Every
+    scalar range check compares the number returned: exactly, in Python
+    arithmetic, where numpy compares a float32 with a Python float in
+    float32; and before any float(), which overflows on a huge int.
     """
-    # A float (numpy's float64 included), the common case, takes one test.
-    if isinstance(x, float):
-        return
-    if isinstance(x, np.ndarray) and x.ndim == 0:
-        x = x[()]
-    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+    # A builtin float, the common case, takes one test.
+    if type(x) is float:
+        return x
+    if isinstance(x, (np.generic, np.ndarray)) and x.ndim == 0:
+        x = float(x) if x.dtype == np.longdouble else x.item()
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise DomainError(f"{name}={x!r} is not a real number")
+    return x
 
 
 def _check_point(u, v) -> tuple[float, float]:
@@ -53,11 +61,9 @@ def _check_point(u, v) -> tuple[float, float]:
 
     The scalar entry points compute on the builtin floats it returns, so
     that a numpy float32 input computes in double as the array path does;
-    UnitPoint validates through it.  Compared before float(), which
-    overflows on a huge int.
+    UnitPoint validates through it.
     """
-    _check_real(u, "point coordinate u")
-    _check_real(v, "point coordinate v")
+    u, v = _check_real(u, "point coordinate u"), _check_real(v, "point coordinate v")
     if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
         raise DomainError(f"point ({u}, {v}) is outside the unit square")
     return float(u), float(v)
@@ -98,8 +104,7 @@ def check_t(t: float) -> float:
     A t that is not a real number (_check_real) is a DomainError too, as
     float() would read True as 1 and "0.3" as 0.3.
     """
-    _check_real(t, "gamma target t")
-    # Compared before float(), which overflows on a huge int.
+    t = _check_real(t, "gamma target t")
     if not -1.0 <= t <= 1.0:
         raise DomainError(f"gamma target t={t} outside [-1, 1]")
     return float(t)
@@ -118,19 +123,24 @@ def _check_order(n: int, kind: str, least: int = 1) -> int:
     return int(n)
 
 
-def _open_utf8(path, prefix: str) -> io.StringIO:
+def _open_utf8(path, prefix: str) -> io.TextIOWrapper:
     """The file at path as a text stream, read whole and decoded as UTF-8.
 
-    The one decode rule for the files the package reads as text.  Line ends
-    are kept as they are, as open(path, newline="") keeps them.  Bytes that
-    are not UTF-8 are a DomainError of prefix plus Python's message, whose
-    position is then the offset in the file.
+    The one decode rule for the files the package reads as text.  The bytes
+    are decoded once whole, only to validate them: bytes that are not UTF-8
+    are a DomainError of prefix plus Python's message, whose position is
+    then the offset in the file.  The stream decodes them again as it is
+    read, so that the file is held as bytes, not as an io.StringIO, which
+    CPython holds at 4 bytes a character once it is read by lines.  Line
+    ends are kept as they are, as open(path, newline="") keeps them.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "rb") as fh:
-            return io.StringIO(fh.read().decode("utf-8"), newline="")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DomainError(f"{prefix}{exc}") from None
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
 
 
 @dataclass(frozen=True)
@@ -152,23 +162,22 @@ class PointBoundSpec:
 
     def __post_init__(self):
         a, b = _check_point(self.a, self.b)
-        _check_real(self.theta, "theta")
+        theta = _check_real(self.theta, "theta")
         lo, hi = max(0.0, a + b - 1.0), min(a, b)
         # Negated so that a NaN theta fails them.
-        if not self.theta >= lo - self._ROUNDING:
+        if not theta >= lo - self._ROUNDING:
             raise DomainError(
-                f"theta={self.theta} violates the lower Frechet inequality "
+                f"theta={theta} violates the lower Frechet inequality "
                 f"theta >= max(0, a+b-1) = {lo} at (a, b)=({a}, {b})"
             )
-        if not self.theta <= hi + self._ROUNDING:
+        if not theta <= hi + self._ROUNDING:
             raise DomainError(
-                f"theta={self.theta} violates the upper Frechet inequality "
+                f"theta={theta} violates the upper Frechet inequality "
                 f"theta <= min(a, b) = {hi} at (a, b)=({a}, {b})"
             )
         # Builtin floats, so that the evaluators and gamma of a spec given
-        # numpy float32 inputs compute in double precision like any other;
-        # theta after its checks, as float() overflows on a huge int.
-        for name, x in (("a", a), ("b", b), ("theta", float(self.theta))):
+        # numpy float32 inputs compute in double precision like any other.
+        for name, x in (("a", a), ("b", b), ("theta", float(theta))):
             object.__setattr__(self, name, x)
 
 
@@ -224,11 +233,10 @@ def rect_volume(f: Evaluator, u1, u2, v1, v2):
 
     Nonnegativity of every rectangle volume is the 2-increasing property
     that separates copulas from proper quasi-copulas.  The corners must be
-    real numbers (_check_real), and f is evaluated at their builtin floats,
-    taken after the range check as float() overflows on a huge int.
+    real numbers (_check_real), and f is evaluated at their builtin floats.
     """
-    for name, x in (("u1", u1), ("u2", u2), ("v1", v1), ("v2", v2)):
-        _check_real(x, f"rectangle corner {name}")
+    u1, u2, v1, v2 = (_check_real(x, f"rectangle corner {name}")
+                      for name, x in (("u1", u1), ("u2", u2), ("v1", v1), ("v2", v2)))
     if not (0.0 <= u1 <= u2 <= 1.0 and 0.0 <= v1 <= v2 <= 1.0):
         raise DomainError(
             f"invalid rectangle [{u1},{u2}]x[{v1},{v2}]: need "

@@ -311,9 +311,7 @@ def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:
     reduction's, a NaN propagates as it would there, and min_volume_rect is
     the first minimal cell in row-major order, as numpy's argmin picks it.
     """
-    _check_real(tol, "tolerance")
-    # A float, so that the verdicts are builtin bools whatever real tol was.
-    if not 0.0 <= (tol := float(tol)) < math.inf:
+    if not 0.0 <= (tol := _check_real(tol, "tolerance")) < math.inf:
         raise DomainError(f"tolerance must be a finite real number >= 0, got {tol!r}")
     v = g.values
     n = g.N
@@ -338,7 +336,7 @@ def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:
         extremes.append((du.min(), dv.min(), -du.max(), -dv.max()))
         vols = rows[1:, 1:] - rows[1:, :-1] - rows[:-1, 1:] + rows[:-1, :-1]
         k = int(np.argmin(vols))
-        minima.append((vols.flat[k], cells.start * n + k))
+        minima.append((vols.item(k), cells.start * n + k))
     du_min, dv_min, du_neg, dv_neg = np.min(extremes, axis=0).tolist()
     mono = min(du_min, dv_min)
 
@@ -349,7 +347,6 @@ def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:
     # argmin's rule across the groups as within one: the first least, or the first NaN.
     min_vol, flat = minima[int(np.argmin([vol for vol, _ in minima]))]
     i, j = divmod(flat, n)
-    min_vol = float(min_vol)
 
     is_quasi = boundary <= tol and mono >= -tol and lip <= tol
     is_cop = is_quasi and min_vol >= -tol

@@ -154,6 +154,10 @@ def test_json_validation(tmp_path):
     with pytest.raises(DomainError, match="malformed checkerboard JSON: 'utf-8' codec can't "
                                           "decode byte 0xff in position 9024: invalid start byte"):
         Checkerboard.from_json(path)
+    # A syntax error at its character offset in the file, CRs counted.
+    path.write_bytes(b'{\r\n  "n": 2,\r\n  "mass": [0.5, 0.0,, 0.0, 0.5]\r\n}\r\n')
+    with pytest.raises(DomainError, match=r"line 3 column 21 \(char 34\)"):
+        Checkerboard.from_json(path)
 
 
 @pytest.mark.parametrize("mass", [[[True]], [["1.0"]], np.array([[True]]), [[None]]])

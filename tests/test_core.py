@@ -1,20 +1,25 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gini_bounds import (
     DomainError,
+    LatticeFunction,
     PointBoundSpec,
     UnitPoint,
+    check_properties,
+    classify_upper,
     frechet_lower,
     frechet_upper,
     gamma_feasible_range,
+    lower_bound,
     lower_point_bound_gamma,
     point_bound_lower,
     point_bound_upper,
     product,
     rect_volume,
     reflect_first_coordinate,
+    upper_bound,
 )
 from gini_bounds.core import _check_order
 from gini_bounds.lattice import lattice_nodes
@@ -78,6 +83,9 @@ def test_point_bound_spec_rejects_inadmissible_theta():
         PointBoundSpec(0.3, 0.3, 0.4)  # above M = 0.3
     with pytest.raises(DomainError, match="theta=nan"):
         PointBoundSpec(0.3, 0.3, float("nan"))
+    # float32 0.3 is 1.2e-8 above M = 0.3: compared in float32, it passed.
+    with pytest.raises(DomainError, match="upper Frechet"):
+        PointBoundSpec(0.3, 0.3, np.float32(0.3))
 
 
 def test_point_bound_spec_theta_that_is_not_a_number_is_a_domain_error():
@@ -162,10 +170,11 @@ def test_rect_volume_examples():
 
 
 def test_rect_volume_rejects_inverted_rectangle():
-    with pytest.raises(DomainError):
-        rect_volume(product, 0.5, 0.2, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        rect_volume(product, 0.0, 1.0, 0.9, 0.4)
+    # float32 0.1 is above 0.1; compared in float32, M's volume was -1.5e-9.
+    for corners in ((0.5, 0.2, 0.0, 1.0), (0.0, 1.0, 0.9, 0.4), (np.float32(0.1), 0.1, 0.0, 1.0),
+                    (0.0, 1.0, 0.1, np.array(np.float16(0.1)))):
+        with pytest.raises(DomainError, match="invalid rectangle"):
+            rect_volume(frechet_upper, *corners)
 
 
 def test_rect_volume_corner_that_is_not_a_number_is_a_domain_error():
@@ -191,3 +200,79 @@ def test_reflection_pointwise_identities():
     assert np.max(np.abs(refl_m(uu, vv) - frechet_lower(uu, vv))) <= 1e-15
     refl_pi = reflect_first_coordinate(product)
     assert np.max(np.abs(refl_pi(uu, vv) - product(uu, vv))) <= 1e-15
+
+
+_NUMPY_KINDS = (np.float16, np.float32, np.float64, np.int64, np.uint64)
+
+
+@st.composite
+def _numpy_near(draw, anchor):
+    """A numpy scalar of one of _NUMPY_KINDS, or a 0-d array of one: anchor,
+    or float32(anchor) or a float32 step either side of it, read by that
+    kind (an integer kind takes the nearest integer, and uint64 at least 0)."""
+    f32 = np.float32(anchor)
+    steps = (f32, np.nextafter(f32, np.float32(-np.inf)), np.nextafter(f32, np.float32(np.inf)))
+    x = draw(st.sampled_from([anchor, *map(float, steps)]))
+    kind = draw(st.sampled_from(_NUMPY_KINDS))
+    if kind in (np.int64, np.uint64):
+        x = max(round(x), 0) if kind is np.uint64 else round(x)
+    number = kind(x)
+    return np.array(number) if draw(st.booleans()) else number
+
+
+def _bumped_lattice():
+    """M on the order-4 lattice with node (2, 2) raised by 1e-9: its
+    monotonicity step, Lipschitz excess and least cell volume are about
+    1e-9 off, so a tolerance about 1e-9 decides its verdicts."""
+    values = LatticeFunction.from_evaluator(frechet_upper, 4).values.copy()
+    values[2, 2] += 1e-9
+    return LatticeFunction(4, values)
+
+
+_BUMPED = _bumped_lattice()
+
+# Each entry point with one argument a numpy number x, and the anchors x is
+# drawn about, given the unit coordinates a and b: the range ends, the other
+# corner of a rectangle, and min(a, b) and W(a, b) past PointBoundSpec's slack.
+_NUMPY_CASES = {
+    "classify_upper": (lambda x, a, b: classify_upper(x), lambda a, b: (-1.0, 0.0, 1.0)),
+    "upper_bound-u": (lambda x, a, b: upper_bound(x, b, 0.3), lambda a, b: (0.0, 1.0)),
+    "upper_bound-t": (lambda x, a, b: upper_bound(a, b, x), lambda a, b: (-1.0, 0.0, 1.0)),
+    "lower_bound-v": (lambda x, a, b: lower_bound(a, x, -0.3), lambda a, b: (0.0, 1.0)),
+    "rect_volume-u1": (lambda x, a, b: rect_volume(frechet_upper, x, a, 0.0, 1.0),
+                       lambda a, b: (0.0, a)),
+    "rect_volume-v2": (lambda x, a, b: rect_volume(frechet_upper, 0.0, 1.0, b, x),
+                       lambda a, b: (b, 1.0)),
+    "PointBoundSpec-a": (lambda x, a, b: PointBoundSpec(x, b, 0.0), lambda a, b: (0.0, 1.0)),
+    "PointBoundSpec-theta": (
+        lambda x, a, b: PointBoundSpec(a, b, x),
+        lambda a, b: (min(a, b) - 1e-12, min(a, b) + 1e-12, max(0.0, a + b - 1.0) - 1e-12),
+    ),
+    "check_properties-tol": (lambda x, a, b: check_properties(_BUMPED, tol=x),
+                             lambda a, b: (0.0, 1e-9)),
+}
+
+
+def _outcome(f, *args):
+    """f(*args), a float as its hex, or DomainError if f raises one."""
+    try:
+        out = f(*args)
+    except DomainError:
+        return DomainError
+    return out.hex() if isinstance(out, float) else out
+
+
+# Unit coordinates, with decimal fractions that a float32 cannot hold.
+_COORD = st.one_of(UNIT, st.sampled_from((0.1, 0.3, 0.7)))
+
+
+@pytest.mark.parametrize("case", list(_NUMPY_CASES))
+@settings(max_examples=150, deadline=None)
+@given(a=_COORD, b=_COORD, data=st.data())
+def test_numpy_number_gets_the_verdict_and_bits_of_its_python_number(case, a, b, data):
+    # A float16 or float32 compared raw with a Python float was compared in
+    # its own precision: rect_volume took the inverted rectangle
+    # [float32(0.1), 0.1] x [0, 1], and PointBoundSpec a theta past min(a, b).
+    f, anchors = _NUMPY_CASES[case]
+    x = data.draw(_numpy_near(data.draw(st.sampled_from(anchors(a, b)))))
+    assert _outcome(f, x, a, b) == _outcome(f, x.item(), a, b), x

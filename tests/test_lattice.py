@@ -169,11 +169,24 @@ def test_check_properties_rejects_a_bad_tolerance(tol):
 
 def test_check_properties_accepts_a_zero_or_numpy_tolerance():
     g = LatticeFunction.from_evaluator(frechet_upper, 4)
-    for tol in (0, 0.0, np.float64(1e-9), np.float32(1e-6), np.array(1e-9), Fraction(1, 10**9)):
+    for tol in (0, 0.0, np.float64(1e-9), np.float32(1e-6), np.array(1e-9), Fraction(1, 10**9),
+                np.longdouble(1e-9), 10**400):
         rep = check_properties(g, tol=tol)
-        # tol is read as a float, so a numpy tolerance gives no numpy bools.
+        # tol is compared as the Python number _check_real returns, so a numpy
+        # tolerance gives no numpy bools, and a huge int (which float() would
+        # overflow on) is a tolerance too.
         assert type(rep.is_quasicopula) is bool and type(rep.is_copula) is bool
         assert rep.is_copula, tol
+
+
+def test_check_properties_compares_a_fraction_tolerance_exactly():
+    # The boundary error is the double 1e-9, which lies above 1/10**9; read
+    # as float(tol), the tolerance was that double and the error passed.
+    values = LatticeFunction.from_evaluator(frechet_upper, 4).values.copy()
+    values[0, 2] = 1e-9
+    g = LatticeFunction(4, values)
+    assert not check_properties(g, tol=Fraction(1, 10**9)).is_quasicopula
+    assert check_properties(g, tol=1e-9).is_quasicopula
 
 
 def test_point_bound_copulas_pass_copula_audit_at_n200():
@@ -543,6 +556,22 @@ def test_csv_reader_holds_few_lattice_sizes(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 5.5 * (n + 1) ** 2 * 8
+
+
+def test_csv_fallback_reader_holds_the_file_as_bytes(tmp_path):
+    # A CRLF copy goes to np.loadtxt.  The file's bytes and one validating
+    # decode of them: 2.0 file sizes, where the whole file as an io.StringIO
+    # (4 bytes a character once read by lines) peaked at 5.0.
+    path, crlf = tmp_path / "m.csv", tmp_path / "crlf.csv"
+    _envelope_lattice("upper", -0.9, 100).to_csv(path)
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    tracemalloc.start()
+    try:
+        LatticeFunction.from_csv(crlf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * crlf.stat().st_size
 
 
 @pytest.mark.parametrize("n", [181, 200, 400])

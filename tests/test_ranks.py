@@ -66,8 +66,11 @@ def test_csv_malformed_rows_name_the_line(tmp_path):
     for text, message in (
         ("r,s\n1,2\n2\n", "line 3: not enough values"),
         ("r,s\n1,x\n2,1\n", "line 2: invalid literal"),
+        # CRLF line ends, and a two-byte character, count as in the file.
+        ("r,s\r\n1,\u00e9\r\n2,1\r\n", "line 2: invalid literal"),
+        ("r,s\r\n1,2\r\n2,x\r\n", "line 3: invalid literal"),
     ):
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(DomainError, match=message):
             RankSample.from_csv(path)
 
