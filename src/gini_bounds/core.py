@@ -21,13 +21,16 @@ Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class UnitPoint:
-    """A point (u, v) of the unit square; coordinates validated on construction."""
+    """A point (u, v) of the unit square; coordinates validated on construction
+    and stored as the builtin floats _check_point returns."""
 
     u: float
     v: float
 
     def __post_init__(self):
-        _check_point(self.u, self.v)
+        u, v = _check_point(self.u, self.v)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
 
 
 def _check_real(x, name: str) -> numbers.Real:
@@ -61,7 +64,7 @@ def _check_point(u, v) -> tuple[float, float]:
 
     The scalar entry points compute on the builtin floats it returns, so
     that a numpy float32 input computes in double as the array path does;
-    UnitPoint validates through it.
+    UnitPoint and PointBoundSpec store them.
     """
     u, v = _check_real(u, "point coordinate u"), _check_real(v, "point coordinate v")
     if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
@@ -126,18 +129,20 @@ def _check_order(n: int, kind: str, least: int = 1) -> int:
 def _open_utf8(path, prefix: str) -> io.TextIOWrapper:
     """The file at path as a text stream, read whole and decoded as UTF-8.
 
-    The one decode rule for the files the package reads as text.  The bytes
-    are decoded once whole, only to validate them: bytes that are not UTF-8
-    are a DomainError of prefix plus Python's message, whose position is
-    then the offset in the file.  The stream decodes them again as it is
-    read, so that the file is held as bytes, not as an io.StringIO, which
-    CPython holds at 4 bytes a character once it is read by lines.  Line
-    ends are kept as they are, as open(path, newline="") keeps them.
+    The one decode rule for the files the package reads as text.  Bytes
+    that are not all ASCII are decoded once whole, only to validate them:
+    bytes that are not UTF-8 are a DomainError of prefix plus Python's
+    message, whose position is then the offset in the file.  ASCII bytes
+    are UTF-8 as they are, so they skip that decode and its copy of the
+    file.  The stream decodes the bytes as it is read, so that the file is
+    held as bytes, not as an io.StringIO, which CPython holds at 4 bytes a
+    character once it is read by lines.  Line ends are kept as they are, as
+    open(path, newline="") keeps them.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        data.decode("utf-8")
+        data.isascii() or data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DomainError(f"{prefix}{exc}") from None
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")

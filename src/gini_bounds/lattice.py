@@ -19,7 +19,9 @@ Frechet-Hoeffding sandwich: the `check` command's results.
 
 Every lattice pass goes in groups of whole rows of at most bounds._BLOCK
 points (_row_groups, the one statement of that rule), so that no temporary
-but the lattices themselves is the size of a lattice.
+but the lattices themselves is the size of a lattice.  The one exception
+is the fixed-width CSV reader (_fixed_width_rows), which reads _READ_ROWS
+file rows, one node each, at a time.
 """
 
 from __future__ import annotations

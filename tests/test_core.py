@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +62,16 @@ def test_unit_point_validation():
         UnitPoint(-0.1, 0.5)
     with pytest.raises(DomainError):
         UnitPoint(0.5, 1.1)
+
+
+def test_unit_point_stores_builtin_floats():
+    # As PointBoundSpec does: a float32 coordinate was stored as given, and
+    # json.dumps of the point's asdict raised TypeError.
+    point = UnitPoint(np.float32(0.3), np.array(0.4))
+    assert point == UnitPoint(float(np.float32(0.3)), 0.4)
+    assert type(point.u) is float and type(point.v) is float
+    assert json.loads(json.dumps(dataclasses.asdict(point))) == {"u": point.u, "v": point.v}
+    assert UnitPoint(0.1, 0.7).u.hex() == (0.1).hex() and type(UnitPoint(0, 1).v) is float
 
 
 def test_order_validation():
