@@ -71,7 +71,13 @@ class Checkerboard:
 
     @classmethod
     def from_json(cls, path) -> "Checkerboard":
-        """Read a board written by to_json; malformed input is a DomainError."""
+        """Read a board written by to_json; malformed input is a DomainError.
+
+        That is a file that is not UTF-8 (core._open_utf8), malformed JSON, a
+        mass that is not a list (a string such as "1" included), a mass entry
+        that is not a JSON number (true, "1.0", null), an n that is not an
+        integer (2.7, true), and any board the constructor rejects.
+        """
         # Decoded outside the try: its DomainError is a ValueError too.
         fh = _open_utf8(path, "malformed checkerboard JSON: ")
         try:

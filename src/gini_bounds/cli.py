@@ -3,6 +3,7 @@ oracle certification, and the region atlas.
 
 This module parses arguments and formats output only; the lattices and
 their audit are built in lattice (`check` prints envelope_audit's fields).
+The parser is built once per process.
 
 Exit codes: 0 all checks passed, 1 check or IO failure, 2 usage or domain
 error.  Reports are JSON on stdout (sorted keys); grids and atlases are

@@ -35,7 +35,7 @@ class UnitPoint:
 
 def _check_real(x, name: str) -> numbers.Real:
     """x as the Python number it is; DomainError naming x unless it is a
-    real number.
+    real number.  The one rule for a scalar number.
 
     Python and numpy ints and floats (and Fraction) and 0-d arrays of them
     are real; a bool (Python or numpy), a string, None, a sequence and a
@@ -62,7 +62,8 @@ def _check_point(u, v) -> tuple[float, float]:
     (_check_real) and (u, v) lies in the unit square, where a NaN coordinate
     fails the chained comparison.
 
-    The scalar entry points compute on the builtin floats it returns, so
+    The one scalar point check.  The scalar entry points call it without
+    building a UnitPoint and compute on the builtin floats it returns, so
     that a numpy float32 input computes in double as the array path does;
     UnitPoint and PointBoundSpec store them.
     """
@@ -117,7 +118,8 @@ def _check_order(n: int, kind: str, least: int = 1) -> int:
     """int(n); DomainError unless the order n is an integer (Python or numpy,
     not bool) >= least.
 
-    The builtin int leaves only builtin numbers in what is computed from it.
+    The one order check: 2.0, 2.5 and True are DomainErrors.  The builtin
+    int leaves only builtin numbers in what is computed from it.
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise DomainError(f"{kind} must be an integer, got {n}")
@@ -129,15 +131,17 @@ def _check_order(n: int, kind: str, least: int = 1) -> int:
 def _open_utf8(path, prefix: str) -> io.TextIOWrapper:
     """The file at path as a text stream, read whole and decoded as UTF-8.
 
-    The one decode rule for the files the package reads as text.  Bytes
-    that are not all ASCII are decoded once whole, only to validate them:
-    bytes that are not UTF-8 are a DomainError of prefix plus Python's
-    message, whose position is then the offset in the file.  ASCII bytes
-    are UTF-8 as they are, so they skip that decode and its copy of the
-    file.  The stream decodes the bytes as it is read, so that the file is
-    held as bytes, not as an io.StringIO, which CPython holds at 4 bytes a
-    character once it is read by lines.  Line ends are kept as they are, as
-    open(path, newline="") keeps them.
+    The one decode rule for the files the package reads as text: the rank
+    CSV, a lattice CSV out of to_csv's fixed-width layout, and the
+    checkerboard JSON.  Bytes that are not all ASCII are decoded once
+    whole, only to validate them, before any of them is parsed, so a bad
+    byte is reported before a wrong header: bytes that are not UTF-8 are a
+    DomainError of prefix plus Python's message, whose position is then the
+    offset in the file.  ASCII bytes are UTF-8 as they are, so they skip
+    that decode and its copy of the file.  The stream decodes the bytes as
+    it is read, so that the file is held as bytes, not as an io.StringIO,
+    which CPython holds at 4 bytes a character once it is read by lines.
+    Line ends are kept as they are, as open(path, newline="") keeps them.
     """
     with open(path, "rb") as fh:
         data = fh.read()

@@ -112,7 +112,12 @@ class PropertyReport:
 
 @dataclass(frozen=True)
 class LatticeFunction:
-    """Values of a bivariate function on the uniform (N+1) x (N+1) lattice."""
+    """Values of a bivariate function on the uniform (N+1) x (N+1) lattice.
+
+    The values must have an int or float dtype (core._real_array): a bool,
+    string or object lattice is a DomainError naming its dtype.  NaN nodes
+    are kept, for check_properties to report.
+    """
 
     N: int
     values: np.ndarray  # shape (N+1, N+1); values[i][j] = f(i/N, j/N)
@@ -151,6 +156,10 @@ class LatticeFunction:
         (_fixed_width_rows); any other file, malformed ones included, is
         parsed by np.loadtxt (_loadtxt_rows).  Both give the nodes and the
         values, each field's float(), and the checks below run once on them.
+        A wrong header, a short or long row, a value that is not a finite
+        number, a byte that is not UTF-8, a row count that is not a square,
+        or a node more than 1e-9 from its row-major position is a
+        DomainError.
         """
         nodes, values = _fixed_width_rows(path) or _loadtxt_rows(path)
         side = round(len(values) ** 0.5)
@@ -233,17 +242,16 @@ def _loadtxt_rows(path) -> tuple[np.ndarray, np.ndarray]:
     is not UTF-8 (core._open_utf8), a wrong header, or a row that is not
     three numbers is a DomainError."""
     fh = _open_utf8(path, "malformed lattice CSV: ")
-    try:
-        line = fh.readline()
-        header = line.rstrip("\r\n").split(",") if line else None
-        if header == ["u", "v", "value"]:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise DomainError(f"malformed lattice CSV: {exc}") from None
+    line = fh.readline()
+    header = line.rstrip("\r\n").split(",") if line else None
     if header != ["u", "v", "value"]:
         raise DomainError(f"unexpected lattice CSV header: {header}")
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise DomainError(f"malformed lattice CSV: {exc}") from None
     if len(rows) and rows.shape[1] != 3:
         raise DomainError(f"lattice CSV rows have {rows.shape[1]} columns, not 3")
     rows = rows.reshape(-1, 3)
@@ -255,16 +263,19 @@ def write_node_csv(fh, n: int, columns: dict) -> None:
 
     The header is `u,v` followed by the column names; then one row per
     node (i/n, j/n) in row-major order.  Each column is an (n+1) x (n+1)
-    array, and the columns are one of the two layouts the package writes:
+    array, and the columns are one of the two layouts the package writes
+    (to_csv, and the `grid` and `regions` commands, all write through it):
     a single float column, written with _CSV_FORMAT, or one or more boolean
     columns, written 0/1.  This is the one definition of the lattice and
     atlas CSV format.
 
     A float column's lattice row is one printf template, `u,v,<field>` for
-    every v, filled by one `%` call.  A row of k flag columns has a fixed
-    width, as every node text is 17 bytes, so a group of about _WRITE_NODES
-    nodes (_row_groups) is one byte array: copies of a lattice row's
-    template, with each row's u text put in and each flag added to its '0'.
+    every v, filled by one `%` call, so the numbers are formatted in C.  A
+    row of k flag columns has a fixed width, as every node text is 17 bytes
+    (46 bytes a row for the five region flags of the atlas), so a group of
+    about _WRITE_NODES nodes (_row_groups) is one byte array: copies of a
+    lattice row's template, with each row's u text put in and each flag
+    added to its '0'.
     Nothing the size of the lattice is built, and a mis-shaped column or any
     other layout is rejected before any byte is written.
     """
@@ -306,7 +317,10 @@ def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:
     Verdicts use the single tolerance ``tol``, a finite real >= 0: the
     function is a quasi-copula if boundary error, monotonicity and
     Lipschitz excess pass at tol, and a copula if additionally
-    min_volume >= -tol.
+    min_volume >= -tol.  tol goes through core._check_real, and the
+    verdicts compare the Python number it returns: a 0-d array and a huge
+    int are tolerances too, a Fraction is compared exactly, and the
+    verdicts are bools.
 
     The forward differences and cell volumes are taken one group of cell
     rows at a time (_row_groups); every field equals the whole-array
@@ -402,11 +416,12 @@ def _envelope_lattice(side: str, t: float, n: int) -> LatticeFunction:
     lattice is exactly symmetric and _triangle_lattice builds it.  The lower
     envelope is the reflection v - K(1 - u, v, -t): entry (i, j) is
     v_j - K((n - i)/n, v_j, -t), read off the upper lattice at -t, row n - i,
-    at the exact node (n - i)/n rather than the rounded 1 - i/n; the
-    subtraction overwrites that lattice in place.  Entry (j, i) is then the
-    other reflection form u_i - K(u_i, (n - j)/n, -t), a different entry of
-    the same -t lattice off the diagonal, which envelope_audit compares with
-    (i, j).
+    at the exact node (n - i)/n rather than the rounded 1 - i/n that
+    lower_bound_values reflects to, so the two agree within 1e-15, and bit
+    for bit when n is a power of two; the subtraction overwrites that
+    lattice in place.  Entry (j, i) is then the other reflection form
+    u_i - K(u_i, (n - j)/n, -t), a different entry of the same -t lattice
+    off the diagonal, which envelope_audit compares with (i, j).
     """
     nodes = lattice_nodes(n)
     t = check_t(t)  # before the lower side negates it, so that an error names the t given

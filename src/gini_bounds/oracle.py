@@ -25,6 +25,11 @@ the target exactly, and the optimum is the class formula (_class_value)
 of the two ends in integers over the ramps' common denominator, rounded
 once.  The optimum is a sound inner bound (checkerboards are copulas) that
 converges to the envelope as n grows.
+
+The tests compare lp_extreme with references that share none of the block
+algebra: a Hungarian slope search over the dense n x n matrices
+(tests/_hungarian.py), and an exact dual certificate at n <= 64 that does
+not use _class_gamma's lemma (tests/test_assignment.py).
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ class LpOutcome:
     The board puts mass alpha / n on (i, permutations[0][i]) and
     (1 - alpha) / n on (i, permutations[1][i]); alpha is exact, and the
     optimum is that board's C(u, v), computed exactly and rounded once.
+    Where optima tie, the board may be another of equal value.
     `argument` builds the dense Checkerboard on first access.  All three
     are None when the target is infeasible.
     """
@@ -242,22 +248,21 @@ def _class_gamma(classes, n: int) -> np.ndarray:
     return run.sum(axis=(1, 2))
 
 
-def _class_permutation(counts, n: int) -> np.ndarray:
-    """The sorted permutation of one class: pi(i) = (c - r) + i on each run."""
+def _end_permutation(counts, n: int, mirror: bool) -> np.ndarray:
+    """A class's sorted permutation, pi(i) = (c - r) + i on each run (_runs),
+    or with mirror its mirror (_class_gamma's lemma): the sorted permutation
+    of the column-reversed counts, read back through j -> n-1-j."""
+    if mirror:
+        counts = counts[:, ::-1]
     r, c = _runs(counts)
     # Runs in row order: a row block's runs go by column block.
-    return np.repeat((c - r).ravel(), counts.ravel()) + np.arange(n)
-
-
-def _end_permutation(counts, n: int, mirror: bool) -> np.ndarray:
-    """A class's sorted permutation, or with mirror its mirror (_class_gamma's lemma)."""
-    if mirror:
-        return n - 1 - _class_permutation(counts[:, ::-1], n)
-    return _class_permutation(counts, n)
+    sorted_perm = np.repeat((c - r).ravel(), counts.ravel()) + np.arange(n)
+    return n - 1 - sorted_perm if mirror else sorted_perm
 
 
 def _upper_hull(s: list, value: list) -> list:
-    """Indices of the upper concave hull of points sorted by s, distinct s."""
+    """Indices of the upper concave hull of points sorted by s, distinct s
+    (a monotone chain)."""
     hull: list = []
     for p in range(len(s)):
         while len(hull) >= 2:

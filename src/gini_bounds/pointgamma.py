@@ -10,6 +10,11 @@ theta + smaller coordinate and (1 + theta)/2; adjacent branches agree on
 shared boundaries, and branch selection takes the first condition that
 holds, in the listed order.  branch_condition states the conditions once;
 bounds also evaluates it on arrays to decide which candidate roots bind.
+
+The table's literals are floats, so a Fraction input gives floats; exact
+checks evaluate the polynomials themselves (tests/test_pointgamma.py holds
+the table equal to them on a dyadic grid, where every float step is
+exact).  The module does not import numpy.
 """
 
 from __future__ import annotations
@@ -45,8 +50,9 @@ def branch_form(branch: int, x, m, t):
     of (a, b), and gamma_branch(theta) - t = den*theta**2 - 2*offset*theta - gap.
     The largest root in theta, a candidate of the upper envelope (bounds),
     is (offset + sqrt(radicand)) / den, and exists where the radicand,
-    offset**2 + den*gap, is nonnegative.  Works on floats and elementwise
-    on arrays.
+    offset**2 + den*gap, is nonnegative; the fifth, 9(x + m - 1)**2 +
+    6((x - m)**2 + (t + 1)), is a sum of nonnegative terms.  Works on floats
+    and elementwise on arrays.
     """
     # Each gap is (t + 1) plus the branch's constant term, kept
     # parenthesized, so that it is exact at t = -1, where the envelope

@@ -26,6 +26,7 @@ def gamma_quadrature(f: Evaluator, panels: int) -> float:
     """Gini's gamma of the evaluator f by composite Simpson with ``panels`` panels.
 
     ``panels`` must be even and at least 2.  f must accept numpy arrays.
+    The result is a builtin float, also for a numpy-integer panel count.
     """
     panels = _check_order(panels, "panels", least=2)
     if panels % 2 != 0:

@@ -17,7 +17,11 @@ _BOOLS = frozenset((bool, np.bool_))
 
 @dataclass(frozen=True)
 class RankSample:
-    """Paired ranks (R_i, S_i), each coordinate a permutation of 1..n."""
+    """Paired ranks (R_i, S_i), each coordinate a permutation of 1..n.
+
+    A rank that is not integral (1.5) or is a bool, and a row that is not a
+    pair of integers (a NaN rank, three values), is a DomainError.
+    """
 
     ranks: tuple[tuple[int, int], ...]
 
@@ -60,7 +64,11 @@ class RankSample:
 
     @classmethod
     def from_csv(cls, path) -> "RankSample":
-        """Read a sample written by to_csv; malformed input is a DomainError."""
+        """Read a sample written by to_csv; malformed input is a DomainError.
+
+        The error names the line of a row that is not two integers, and the
+        byte and its offset in a file that is not UTF-8 (core._open_utf8).
+        """
         reader = csv.reader(_open_utf8(path, "rank CSV is not UTF-8: "))
         header = next(reader, None)
         if header != ["r", "s"]:

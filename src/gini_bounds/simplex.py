@@ -1,8 +1,9 @@
 """Dense two-phase simplex for small equality-constrained LPs.
 
-The LP oracle no longer uses it: it solves its LP by assignment (see
-oracle).  The module stays while the benchmark's per-layer tracer
-(perfbench/tracing.py) names simplex.solve_equality_lp.
+The LP oracle no longer uses it: it takes the hull of the permutation
+boards over block classes (see oracle).  The module stays while the
+benchmark's per-layer tracer (perfbench/tracing.py) names
+simplex.solve_equality_lp.
 
 Solves min/max c.x subject to A x = b, x >= 0 with Bland's pivoting rule
 (lowest eligible index for both entering and leaving variables), which

@@ -227,6 +227,26 @@ def test_oracle_report(capsys):
     assert res["gap_upper"] >= -1e-9
 
 
+@pytest.mark.parametrize("t, n", [
+    # The exact tail's big integers: a subnormal and a tiny target, and
+    # order 4's upper range end, which rounds above the exact one.
+    ("5e-324", "8"),
+    ("-1e-300", "4096"),
+    ("0.8333333333333334", "4"),
+    # Near both ends of the order-16 range, +-(1 - 2/48): each optimum
+    # mixes in the reversal or the identity, the ends of the hull.
+    ("-0.95", "16"),
+    ("0.95", "16"),
+])
+def test_oracle_report_at_edge_targets(capsys, t, n):
+    code, payload, _ = run_json(capsys, "oracle", f"--t={t}", "--n", n, "--u", "0.3", "--v", "0.7")
+    assert code == 0 and payload["checks_passed"]
+    res = payload["results"]
+    assert res["lp_max"] <= res["upper_bound"] + 1e-9
+    assert res["lp_min"] >= res["lower_bound"] - 1e-9
+    assert res["gap_upper"] >= -1e-9
+
+
 def test_oracle_infeasible_is_reported_not_failed(capsys):
     code, payload, _ = run_json(
         capsys, "oracle", "--t", "0.9", "--n", "2", "--u", "0.5", "--v", "0.5"
