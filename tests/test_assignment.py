@@ -10,18 +10,9 @@ import numpy as np
 import pytest
 
 from _hungarian import max_weight_assignment, slope_search
+from _support import CERTIFY_POINTS, CRITERION_09_GRID
 from gini_bounds import gamma_checkerboard_exact, gamma_coefficients, gamma_feasible_range, lp_extreme
 from gini_bounds.checkerboard import cell_ramps, gamma_numerators
-
-# The fixed points of the benchmark's lp-certify workload.
-CERTIFY_POINTS = ((0.5, 0.5, 0.0), (0.3, 0.7, -0.4), (0.6, 0.35, 0.3), (0.7, 0.4, -0.7))
-# The soundness grid of acceptance criterion 09.
-CRITERION_09_GRID = tuple(
-    (u, v, t)
-    for t in (-0.5, 0.0, 0.25)
-    for u in (0.2, 0.35, 0.5, 0.65, 0.8)
-    for v in (0.2, 0.35, 0.5, 0.65, 0.8)
-)
 
 
 def _total(w, perm):

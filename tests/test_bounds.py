@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from _support import UNIT, bits, lattice
 from gini_bounds import (
     BoundClassification,
     Checkerboard,
     DomainError,
+    InternalError,
     PointBoundSpec,
     classify_lower,
     classify_upper,
@@ -32,6 +34,7 @@ from gini_bounds import (
     upper_bound_values,
     witness_copula,
 )
+from gini_bounds import bounds
 from gini_bounds.bounds import (
     _BLOCK,
     REGION_EMPTY_ABOVE,
@@ -39,11 +42,6 @@ from gini_bounds.bounds import (
     _hyperbolic_excess,
     _live_candidates,
 )
-
-
-def _lattice(n):
-    nodes = np.arange(n + 1, dtype=float) / n
-    return np.meshgrid(nodes, nodes, indexing="ij")
 
 
 # --- candidates ---------------------------------------------------------
@@ -104,7 +102,7 @@ def test_region_nonempty_examples():
 
 
 def test_region_masks_agree_with_region_contains_and_validate():
-    uu, vv = _lattice(20)
+    uu, vv = lattice(20)
     for t in (-0.9, -0.3, 0.2):
         masks = region_masks(uu, vv, t)
         for i in range(5):
@@ -303,7 +301,7 @@ def test_region_nonempty_matches_a_point_search():
     (thr, thr + 1e-12] is skipped for region i: there ACTIVATION_EPS can
     still mark a sliver of it (see the test above).
     """
-    uu, vv = _lattice(200)
+    uu, vv = lattice(200)
     patches = [_patch(px, pm, side=201, half=1e-3) for px, pm in VANISHING_POINTS]
     u = np.concatenate([uu.ravel()] + [x for x, _ in patches])
     v = np.concatenate([vv.ravel()] + [m for _, m in patches])
@@ -322,8 +320,7 @@ _NEAR_VANISHING = st.builds(
     st.floats(min_value=-PATCH, max_value=PATCH),
     st.floats(min_value=-PATCH, max_value=PATCH),
 )
-_UNIT = st.floats(min_value=0.0, max_value=1.0)
-_ANYWHERE = st.tuples(_UNIT, _UNIT)
+_ANYWHERE = st.tuples(UNIT, UNIT)
 
 
 @settings(max_examples=500, deadline=None)
@@ -349,7 +346,7 @@ def test_pruned_candidates_are_inactive(point, thr, above):
 
 @pytest.mark.parametrize("thr", sorted(set(REGION_EMPTY_ABOVE)))
 def test_pruned_kernel_is_bit_identical_at_thresholds(thr):
-    uu, vv = _lattice(120)
+    uu, vv = lattice(120)
     patches = [_patch(px, pm, side=41) for px, pm in VANISHING_POINTS]
     pu = np.concatenate([x for x, _ in patches])
     pv = np.concatenate([m for _, m in patches])
@@ -506,7 +503,7 @@ def test_upper_envelope_is_w_near_the_centre_at_minus_one():
 
 @pytest.mark.parametrize("t0", [-1.0, -0.75, -4.0 / 9.0, -0.5, -4.0 / 13.0, 0.0, 0.5, 1.0])
 def test_identities_at_distinguished_t_and_their_neighbours(t0):
-    uu, vv = _lattice(48)
+    uu, vv = lattice(48)
     patches = [_patch(px, pm, side=21) for px, pm in VANISHING_POINTS]
     x = np.concatenate([uu.ravel()] + [p[0] for p in patches])
     m = np.concatenate([vv.ravel()] + [p[1] for p in patches])
@@ -637,18 +634,13 @@ _POW_SEAMS = (
 )
 
 
-def _bits(values):
-    # The float64 bit patterns, so that 0.0 and -0.0 differ.
-    return np.asarray(values, dtype=float).view(np.uint64)
-
-
 def _assert_scalar_records_bit_equal_arrays(points, t):
     u, v = np.array(points).T
     reports = [upper_bound(a, b, t) for a, b in points]
     upper = [r.bound for r in reports]
-    assert np.array_equal(_bits(upper), _bits(upper_bound_values(u, v, t))), t
+    assert np.array_equal(bits(upper), bits(upper_bound_values(u, v, t))), t
     lower = [lower_bound(a, b, t) for a, b in points]
-    assert np.array_equal(_bits(lower), _bits(lower_bound_values(u, v, t))), t
+    assert np.array_equal(bits(lower), bits(lower_bound_values(u, v, t))), t
     masks = np.array(region_masks(u, v, t)).T
     assert np.array_equal(np.array([r.active for r in reports]), masks), t
 
@@ -669,7 +661,7 @@ def test_scalar_record_bit_equals_the_array_kernel_where_pow_differed():
 
 
 def test_endpoint_identities_small_lattice():
-    uu, vv = _lattice(80)
+    uu, vv = lattice(80)
     assert np.max(np.abs(upper_bound_values(uu, vv, -1.0) - frechet_lower(uu, vv))) <= 1e-12
     for t in (0.5, 0.75, 1.0):
         assert np.max(np.abs(upper_bound_values(uu, vv, t) - frechet_upper(uu, vv))) == 0.0
@@ -679,7 +671,7 @@ def test_endpoint_identities_small_lattice():
 
 
 def test_reflection_identity_both_forms():
-    uu, vv = _lattice(80)
+    uu, vv = lattice(80)
     for t in (-0.9, -0.5, -0.1, 0.0, 0.2, 0.6):
         low = lower_bound_values(uu, vv, t)
         first = vv - upper_bound_values(1.0 - uu, vv, -t)
@@ -689,7 +681,7 @@ def test_reflection_identity_both_forms():
 
 
 def test_symmetry_is_exact():
-    uu, vv = _lattice(60)
+    uu, vv = lattice(60)
     for t in (-0.9, -0.3, 0.2):
         assert np.array_equal(
             upper_bound_values(uu, vv, t), upper_bound_values(vv, uu, t)
@@ -697,7 +689,7 @@ def test_symmetry_is_exact():
 
 
 def test_sandwich():
-    uu, vv = _lattice(60)
+    uu, vv = lattice(60)
     for t in (-0.9, -0.5, 0.0, 0.25, 0.7):
         up = upper_bound_values(uu, vv, t)
         lo = lower_bound_values(uu, vv, t)
@@ -718,7 +710,7 @@ def test_envelopes_never_exceed_m_where_a_coordinate_is_one():
 
 
 def test_monotone_in_t_small_sweep():
-    uu, vv = _lattice(40)
+    uu, vv = lattice(40)
     ts = np.linspace(-1.0, 1.0, 11)
     prev_up = prev_lo = None
     for t in ts:
@@ -953,3 +945,10 @@ def test_witness_near_the_centre_at_minus_one():
     # witness_copula checks the witness's gamma and value by quadrature.
     w = witness_copula(0.5000006, 0.5000006, -1.0)
     assert abs(float(w(0.5000006, 0.5000006)) - frechet_lower(0.5000006, 0.5000006)) <= 1e-9
+
+
+def test_witness_that_fails_its_certificate_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(bounds, "_certify_gamma", lambda f, t: (float("nan"), False))
+    with pytest.raises(InternalError, match="witness post-condition failed at "
+                                            r"\(u=0.5, v=0.5, t=0.0\): quadrature gamma=nan"):
+        witness_copula(0.5, 0.5, 0.0)

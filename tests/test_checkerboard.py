@@ -135,6 +135,11 @@ def test_json_validation(tmp_path):
         ('{"n": 2, "mass": [NaN, 0.0, 0.0, 0.5]}', "NaN"),
         ('{"n": 2, "mass": [0.5, 0.0,', "malformed"),
         ('{"n": 2, "mass": 5}', "fields n, mass"),
+        # Not an object, or one without both fields.
+        ("[1]", "checkerboard JSON must have fields n, mass: "),
+        ('"x"', "checkerboard JSON must have fields n, mass: "),
+        ('{"mass": [1.0]}', "checkerboard JSON must have fields n, mass: "),
+        ('{"n": 1}', "checkerboard JSON must have fields n, mass: "),
         ('{"n": -1, "mass": [1.0]}', "order"),
         ('{"n": 2.5, "mass": [0.5, 0.0, 0.0, 0.5]}', "integer"),
         ('{"n": true, "mass": [1.0]}', "integer"),

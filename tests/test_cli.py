@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _support import SEAM_T, lattice
 from gini_bounds import (
     LatticeFunction,
     check_properties,
@@ -23,7 +24,6 @@ from gini_bounds.checkerboard import Checkerboard
 from gini_bounds.cli import main
 from gini_bounds.errors import InternalError
 from gini_bounds.lattice import _envelope_lattice, _triangle_lattice, lattice_nodes
-from test_golden import SEAM_T
 
 
 def run(capsys, *argv):
@@ -184,7 +184,7 @@ def test_gamma_checkerboard_validates_margins(capsys, tmp_path):
         ('{"n": 2, "mass": [NaN, 0.0, 0.0, 0.5]}', "NaN"),
         ('{"n": 2, "mass": [0.5, 0.0,', "malformed"),
         ('{"n": 2, "mass": 5}', "fields n, mass"),
-        ('{"n": true, "mass": [1.0]}', "integer"),
+        ('{"n": true, "mass": [1.0]}', "checkerboard order must be an integer, got True"),
         ('{"n": 1, "mass": "1"}', "array"),
     ):
         path.write_text(text)
@@ -270,9 +270,7 @@ def test_grid_round_trip_matches_memory(capsys, tmp_path):
     )
     assert code == 0
     lf = LatticeFunction.from_csv(path)
-    from gini_bounds import upper_bound_values
-
-    uu, vv = np.meshgrid(lf.nodes, lf.nodes, indexing="ij")
+    uu, vv = lattice(40)
     direct = upper_bound_values(uu, vv, 0.0)
     assert np.max(np.abs(lf.values - direct)) <= 1e-11
     before = check_properties(LatticeFunction(40, direct), tol=1e-9)
@@ -284,7 +282,7 @@ def test_grid_endpoint_files_match_frechet(capsys, tmp_path):
     out = tmp_path / "w.csv"
     run(capsys, "grid", "--t", "-1", "--n", "60", "--side", "upper", "--out", str(out))
     lf = LatticeFunction.from_csv(out)
-    uu, vv = np.meshgrid(lf.nodes, lf.nodes, indexing="ij")
+    uu, vv = lattice(60)
     assert np.max(np.abs(lf.values - frechet_lower(uu, vv))) <= 1e-11
     run(capsys, "grid", "--t", "1", "--n", "60", "--side", "lower", "--out", str(out))
     lf = LatticeFunction.from_csv(out)
@@ -333,8 +331,7 @@ def test_regions_atlas_columns(capsys):
 def test_check_upper_triangle_matches_full_square_audit(capsys):
     ts = (-1.0, -0.9, -0.75, -0.5, -4.0 / 9.0, -4.0 / 13.0, -0.1, 0.0, 0.2, 0.5, 0.7, 1.0)
     for n, t in itertools.product((37, 60, 181), ts):
-        nodes = lattice_nodes(n)
-        uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
+        uu, vv = lattice(n)
         full = upper_bound_values(uu, vv, t)
         assert np.array_equal(_envelope_lattice("upper", t, n).values, full), (n, t)
         code, payload, _ = run_json(capsys, "check", f"--t={t!r}", "--grid", str(n))
@@ -357,9 +354,8 @@ def test_check_upper_triangle_matches_full_square_audit(capsys):
         assert payload["results"]["upper_report"] == want, (n, t)
         # Both reflection forms evaluated directly, by two kernel calls at the
         # exact reflected nodes (n - k)/n.
-        reflected = nodes[::-1]
-        lower = vv - upper_bound_values(reflected[:, None], vv, -t)
-        second_form = uu - upper_bound_values(uu, reflected[None, :], -t)
+        lower = vv - upper_bound_values(uu[::-1], vv, -t)
+        second_form = uu - upper_bound_values(uu, vv[:, ::-1], -t)
         two_call_err = float(np.max(np.abs(lower - second_form)))
         assert payload["results"]["reflection_max_err"] == two_call_err, (n, t)
         audit = check_properties(LatticeFunction(n, lower), tol=1e-10)
@@ -369,8 +365,7 @@ def test_check_upper_triangle_matches_full_square_audit(capsys):
 
 def test_grid_upper_triangle_matches_full_square(capsys):
     n = 37
-    nodes = lattice_nodes(n)
-    uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
+    uu, vv = lattice(n)
     for t in (-1.0, -0.6, -4.0 / 13.0, 0.0, 0.45, 1.0):
         full = upper_bound_values(uu, vv, t).ravel().tolist()
         code, payload, _ = run_json(
@@ -386,8 +381,7 @@ def test_grid_upper_triangle_matches_full_square(capsys):
 
 @pytest.mark.parametrize("n", (1, 2, 37, 60, 64, 180, 181, 256, 400))
 def test_lower_lattice_and_atlas_match_full_square(n):
-    nodes = lattice_nodes(n)
-    uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
+    uu, vv = lattice(n)
     for t in SEAM_T:
         lower = _envelope_lattice("lower", t, n).values
         full = lower_bound_values(uu, vv, t)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _support import UNIT, pinned_spec
 from gini_bounds import (
     DomainError,
     LatticeFunction,
@@ -26,8 +27,6 @@ from gini_bounds import (
 )
 from gini_bounds.core import _check_order
 from gini_bounds.lattice import lattice_nodes
-
-UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 def test_frechet_and_product_values():
@@ -166,8 +165,7 @@ def test_point_bound_degenerate_specs():
 
 @given(a=UNIT, b=UNIT, frac=UNIT, u=UNIT, v=UNIT)
 def test_point_bounds_sandwich(a, b, frac, u, v):
-    lo, hi = max(0.0, a + b - 1.0), min(a, b)
-    spec = PointBoundSpec(a, b, lo + frac * (hi - lo))
+    spec = pinned_spec(a, b, frac)
     lower = float(point_bound_lower(spec)(u, v))
     upper = float(point_bound_upper(spec)(u, v))
     w, m = float(frechet_lower(u, v)), float(frechet_upper(u, v))

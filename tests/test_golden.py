@@ -17,6 +17,7 @@ import random
 import numpy as np
 import pytest
 
+from _support import SEAM_T, lattice
 from gini_bounds import (
     LatticeFunction,
     lower_bound,
@@ -26,13 +27,6 @@ from gini_bounds import (
     upper_bound_values,
 )
 from gini_bounds.cli import main
-
-# The distinguished t and the region thresholds, with their float neighbours.
-SEAM_T = (
-    -1.0, -1.0 + 2.0**-53, -1.0 + 2.0**-52, -0.9999, -0.9, -3.0 / 4.0,
-    -3.0 / 4.0 + 1e-13, -1.0 / 2.0, -4.0 / 9.0, -4.0 / 13.0, -0.3, -0.1, 0.0,
-    0.1, 1.0 / 4.0, 1.0 / 2.0, 1.0 / 2.0 + 2.0**-53, 3.0 / 4.0, 1.0,
-)
 
 # sha256 pins; see the module docstring before changing one.
 UPPER_LATTICES = "f5557ade89b4761539bff83c18f25a78623371d5815087eef45b9e45d703dc7a"
@@ -76,8 +70,7 @@ ORACLE_REPORTS = {
 }
 
 # A 401^2 lattice; k / 400 is one correctly rounded division per node.
-_NODES = np.arange(401) / 400.0
-_UU, _VV = np.meshgrid(_NODES, _NODES, indexing="ij")
+_UU, _VV = lattice(400)
 
 
 def _points(count=20000, seed=14):

@@ -7,12 +7,14 @@ import os
 import re
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from _support import SEAM_T, bits, lattice, random_specs
 from gini_bounds import (
     DomainError,
     EnvelopeAudit,
@@ -22,6 +24,8 @@ from gini_bounds import (
     envelope_audit,
     frechet_lower,
     frechet_upper,
+    point_bound_lower,
+    point_bound_upper,
     product,
     region_masks,
     upper_bound_values,
@@ -31,7 +35,6 @@ from gini_bounds.lattice import (
     _envelope_lattice, _fixed_width_rows, _row_groups, _triangle_lattice, lattice_nodes,
     write_node_csv,
 )
-from test_golden import SEAM_T
 
 
 def test_sampled_frechet_upper_is_copula():
@@ -190,13 +193,7 @@ def test_check_properties_compares_a_fraction_tolerance_exactly():
 
 
 def test_point_bound_copulas_pass_copula_audit_at_n200():
-    from gini_bounds import PointBoundSpec, point_bound_lower, point_bound_upper
-
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        a, b = rng.random(2)
-        lo, hi = max(0.0, a + b - 1.0), min(a, b)
-        spec = PointBoundSpec(a, b, lo + (hi - lo) * rng.random())
+    for spec in random_specs(10, seed=31):
         for make in (point_bound_lower, point_bound_upper):
             rep = check_properties(
                 LatticeFunction.from_evaluator(make(spec), 200), tol=1e-12
@@ -372,7 +369,7 @@ def test_node_csv_streams_without_lattice_sized_buffers():
     # The order-200 grid and atlas: one float64 column alone is 323 KB and
     # the grid's text 2.2 MB, so a 256 KB peak leaves room for rows only.
     n, t = 200, -0.9
-    uu, vv = np.meshgrid(lattice_nodes(n), lattice_nodes(n), indexing="ij")
+    uu, vv = lattice(n)
     values, masks = upper_bound_values(uu, vv, t), region_masks(uu, vv, t)
     for columns in ({"value": values}, {f"r{k + 1}": m for k, m in enumerate(masks)}):
         with open(os.devnull, "w") as sink:
@@ -440,11 +437,6 @@ def test_csv_reader_matches_row_loop_reference(tmp_path):
         assert np.array_equal(back.values, _csv_loop_reader(path))
 
 
-def _bits(values):
-    # The doubles' bit patterns, so that -0.0 and 0.0 differ.
-    return np.asarray(values, dtype=np.float64).view(np.int64)
-
-
 # Values that to_csv writes in its fixed-width layout (>= 0, two-digit
 # exponents), and any finite double: the edge pool's finite entries add
 # signed zeros, subnormals and three-digit exponents of both signs.
@@ -461,7 +453,7 @@ def test_csv_reader_reads_float_of_each_field_on_any_doubles(tmp_path, n, fixed,
     values = data.draw(arrays(np.float64, (n + 1, n + 1), elements=elements))
     path = tmp_path / "m.csv"
     LatticeFunction(n, values).to_csv(path)
-    assert np.array_equal(_bits(LatticeFunction.from_csv(path).values), _bits(_csv_loop_reader(path)))
+    assert np.array_equal(bits(LatticeFunction.from_csv(path).values), bits(_csv_loop_reader(path)))
     # The byte reader takes exactly the files whose rows are all 54 bytes.
     rows = path.read_bytes().splitlines(keepends=True)[1:]
     assert (_fixed_width_rows(path) is not None) == all(len(row) == 54 for row in rows)
@@ -477,7 +469,7 @@ def test_csv_reader_matches_row_loop_reference_at_every_seam_t(tmp_path, side):
         _envelope_lattice(side, t, 200).to_csv(path)
         assert _fixed_width_rows(path) is not None, t
         reference = _csv_loop_reader(path)
-        assert np.array_equal(_bits(LatticeFunction.from_csv(path).values), _bits(reference)), t
+        assert np.array_equal(bits(LatticeFunction.from_csv(path).values), bits(reference)), t
     assert side == "upper" or np.count_nonzero((reference > 0) & (reference < 1e-11)) == 49
 
 
@@ -488,7 +480,19 @@ def test_csv_reader_reads_a_crlf_copy_alike(tmp_path):
     assert _fixed_width_rows(crlf) is None
     back = LatticeFunction.from_csv(crlf)
     assert back.N == 60
-    assert np.array_equal(_bits(back.values), _bits(LatticeFunction.from_csv(path).values))
+    assert np.array_equal(bits(back.values), bits(LatticeFunction.from_csv(path).values))
+
+
+def test_csv_reader_reads_a_body_shorter_than_its_size_alike(tmp_path, monkeypatch):
+    # fstat reports one 54-byte row more than the body holds, as for a file
+    # cut while it is read: the short read sends it to np.loadtxt.
+    path = tmp_path / "m.csv"
+    _envelope_lattice("lower", -0.9, 60).to_csv(path)
+    want = LatticeFunction.from_csv(path).values
+    grown = SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=os.fstat(fd).st_size + 54))
+    monkeypatch.setattr("gini_bounds.lattice.os", grown)
+    assert _fixed_width_rows(path) is None
+    assert np.array_equal(bits(LatticeFunction.from_csv(path).values), bits(want))
 
 
 @pytest.mark.parametrize(
@@ -517,7 +521,7 @@ def test_csv_reader_on_a_corrupt_last_row(tmp_path, offset, byte, message):
     data[len(data) - 54 + offset] = byte[0]
     path.write_bytes(data)
     if message is None:
-        assert np.array_equal(_bits(LatticeFunction.from_csv(path).values), _bits(_csv_loop_reader(path)))
+        assert np.array_equal(bits(LatticeFunction.from_csv(path).values), bits(_csv_loop_reader(path)))
         return
     with pytest.raises(DomainError, match=re.escape(f"malformed lattice CSV: {message}")):
         LatticeFunction.from_csv(path)
@@ -590,7 +594,7 @@ def test_csv_fallback_reader_skips_the_decode_of_an_ascii_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1.75 * crlf.stat().st_size
-    assert np.array_equal(_bits(back.values), _bits(lf.values))
+    assert np.array_equal(bits(back.values), bits(lf.values))
 
 
 @pytest.mark.parametrize("n", [181, 200, 400])

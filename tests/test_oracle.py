@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from _hungarian import max_weight_assignment
-from test_assignment import CERTIFY_POINTS
+from _support import CERTIFY_POINTS
 from gini_bounds import (
     Checkerboard,
     DomainError,
@@ -198,8 +198,7 @@ def test_sorted_and_mirror_runs_at_high_orders(n):
     # out by _permutation_s, is _class_gamma's closed form.
     i = np.arange(n)
     nodes = [((n // 3) / n, (2 * n // 3) / n), ((n // 8) / n, (n // 2) / n)]
-    certify = [(0.5, 0.5), (0.3, 0.7), (0.6, 0.35), (0.7, 0.4)]
-    for point, (u, v) in enumerate(nodes + certify):
+    for point, (u, v) in enumerate(nodes + [(u, v) for u, v, _ in CERTIFY_POINTS]):
         rows, cols = oracle._ramp_blocks(n, u)[0], oracle._ramp_blocks(n, v)[0]
         if point < len(nodes):
             assert rows[1] == cols[1] == 0, (u, v)

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
+from _support import UNIT, pinned_spec, random_specs
 from gini_bounds import (
+    InternalError,
     PointBoundSpec,
     gamma_quadrature,
     i1_closed,
@@ -13,9 +15,7 @@ from gini_bounds import (
     lower_point_bound_gamma,
     point_bound_lower,
 )
-from gini_bounds.pointgamma import branch_condition, branch_form, branch_value
-
-UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+from gini_bounds.pointgamma import _select_branch, branch_condition, branch_form, branch_value
 
 
 def _simpson(values):
@@ -23,16 +23,6 @@ def _simpson(values):
     w = np.ones(m + 1)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     return float(np.dot(w, values)) / (3.0 * m)
-
-
-def _spec(a, b, frac):
-    lo, hi = max(0.0, a + b - 1.0), min(a, b)
-    return PointBoundSpec(a, b, lo + frac * (hi - lo))
-
-
-def _random_specs(count, seed):
-    rng = np.random.default_rng(seed)
-    return [_spec(*rng.random(2), rng.random()) for _ in range(count)]
 
 
 @pytest.mark.parametrize(
@@ -66,7 +56,7 @@ def _i2_on_every_branch(per_branch=4, seed=29):
     rng = np.random.default_rng(seed)
     found = {branch: [] for branch in _I2_BY_BRANCH}
     while any(len(specs) < per_branch for specs in found.values()):
-        spec = _spec(*rng.random(2), rng.random())
+        spec = pinned_spec(*rng.random(2), rng.random())
         branch = lower_point_bound_gamma(spec).branch
         if len(found[branch]) < per_branch:
             found[branch].append(spec)
@@ -109,7 +99,7 @@ def test_gamma_branch_examples():
     assert res.branch == 1 and res.value == pytest.approx(-0.96, abs=1e-15)
 
 
-@pytest.mark.parametrize("spec", _random_specs(300, seed=5))
+@pytest.mark.parametrize("spec", random_specs(300, seed=5))
 def test_closed_form_matches_quadrature(spec):
     closed = lower_point_bound_gamma(spec).value
     quad = gamma_quadrature(point_bound_lower(spec), 4000)
@@ -118,7 +108,7 @@ def test_closed_form_matches_quadrature(spec):
 
 @given(a=UNIT, b=UNIT, frac=UNIT)
 def test_integral_identity_and_range(a, b, frac):
-    spec = _spec(a, b, frac)
+    spec = pinned_spec(a, b, frac)
     res = lower_point_bound_gamma(spec)
     assert abs(4.0 * (i1_closed(spec) + i2_closed(spec)) - 2.0 - res.value) <= 1e-12
     assert -1.0 - 1e-12 <= res.value <= 1.0 + 1e-12
@@ -190,3 +180,14 @@ def test_branch_table_is_exact_on_a_dyadic_grid():
                 ):
                     mismatches.append((branch, x, m, th, t))
     assert mismatches == []
+
+
+def test_branch_index_outside_1_to_5_and_a_nan_theta_are_internal_errors():
+    for branch in (0, 6):
+        with pytest.raises(InternalError, match=f"branch index {branch} not in 1..5"):
+            branch_form(branch, 0.5, 0.5, 0.0)
+        with pytest.raises(InternalError, match=f"branch index {branch} not in 1..5"):
+            branch_condition(branch, 0.5, 0.5, 0.0)
+    # PointBoundSpec rejects a NaN theta, which no branch condition admits.
+    with pytest.raises(InternalError, match="no gamma branch matches"):
+        _select_branch(0.5, 0.5, float("nan"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _support import random_specs
 from gini_bounds import (
     DomainError,
     PointBoundSpec,
@@ -45,17 +46,7 @@ def test_certification_rule_is_the_panels_and_the_tolerance():
     assert not _certify_gamma(f, float("nan"))[1]
 
 
-def _random_specs(count, seed=11):
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        a, b = rng.random(2)
-        lo, hi = max(0.0, a + b - 1.0), min(a, b)
-        out.append(PointBoundSpec(a, b, lo + (hi - lo) * rng.random()))
-    return out
-
-
-@pytest.mark.parametrize("spec", _random_specs(10))
+@pytest.mark.parametrize("spec", random_specs(10, seed=11))
 def test_reflection_negates_gamma(spec):
     f = point_bound_lower(spec)
     g = reflect_first_coordinate(f)
