@@ -96,7 +96,7 @@ def cmd_grid(args) -> int:
             "n": lf.N,
             "t": args.t,
             "side": args.side,
-            "values": [float(x) for x in lf.values.ravel()],
+            "values": lf.values.ravel().tolist(),
         }
         _emit_json(payload, args.out)
     return 0

@@ -17,11 +17,18 @@ envelope_audit builds both envelopes at one t and audits them against the
 axioms, their classification, the reflection identity and the
 Frechet-Hoeffding sandwich: the `check` command's results.
 
-Every lattice pass goes in groups of whole rows of at most bounds._BLOCK
-points (_row_groups, the one statement of that rule), so that no temporary
-but the lattices themselves is the size of a lattice.  The one exception
-is the fixed-width CSV reader (_fixed_width_rows), which reads _READ_ROWS
-file rows, one node each, at a time.
+Every lattice pass goes in groups of whole rows (_row_groups, the one
+statement of that rule), so that no temporary but the lattices themselves
+is the size of a lattice: at most bounds._BLOCK points a group, and
+_WRITE_NODES nodes in the CSV writer.  The one exception is the
+fixed-width CSV reader (_fixed_width_rows), which reads _READ_ROWS file
+rows, one node each, at a time.
+
+CSV IO works on the bytes of the fixed-width rows that _CSV_ROW states.
+write_node_csv fills byte blocks of them in both of its layouts, a float
+column and flag columns.  Each float field comes from _fast_fields, an
+exact fast path for _CSV_FORMAT, or from `%` for a value that the fast path
+leaves; the reader parses each field with one exact division.
 """
 
 from __future__ import annotations
@@ -47,9 +54,10 @@ from .errors import DomainError
 
 # 12 significant digits: below verdict tolerances, above float noise.
 _CSV_FORMAT = "%.11e"
-# A lattice CSV row as to_csv writes it when the value is >= 0 and has a
-# two-digit exponent: three 17-byte _CSV_FORMAT fields, each followed by its
-# separator, 54 bytes; the template is the row of three zeros.  Each byte lies
+# A lattice CSV row in the fixed-width layout: three 17-byte _CSV_FORMAT
+# fields of values >= 0 with two-digit exponents, each followed by its
+# separator, 54 bytes; the template is the row of three zeros.  The reader
+# checks rows against it and the writer fills copies of it.  Each byte lies
 # at most _CSV_SPAN above the template's: a digit above '0', the exponent sign
 # '+' to '-' (the ',' between them is ruled out apart), and the '.', the 'e'
 # and the separators exactly.
@@ -60,9 +68,18 @@ _SIGNIFICAND = [0, *range(2, 13)]
 _PLACES = np.array([float(10**k) for k in range(11, -1, -1)])
 # 10**k for k = 0..22, the powers of ten that are exact doubles.
 _POW10 = np.array([float(10**k) for k in range(23)])
+# The float writer's texts, one uint32 each so that a gather moves 4 bytes:
+# the "%03d." texts of 0..999, and the "e%+03d" texts of the exponents
+# 11 - k, k = 0..22.  A value's five gathered texts, viewed as 20 bytes, give
+# its field by _FIELD_BYTES: the first group's digit, the '.' that pads it,
+# its other two digits, the other groups' digits, and the exponent.
+_GROUP_TEXT = np.array([b"%03d." % g for g in range(1000)]).view(np.uint32)
+_EXPONENT_TEXT = np.array([b"e%+03d" % (11 - k) for k in range(23)]).view(np.uint32)
+_FIELD_BYTES = [0, 3, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17, 18, 19]
 # Rows per group of the fixed-width reader (221 KB of text; the fastest of
-# 512 to 16384 at order 200), and nodes per group of the flag writer (its
-# tracemalloc peak about 165 KB at orders 200 and 400).
+# 512 to 16384 at order 200), and nodes per group of the writer, in either
+# layout (its tracemalloc peak about 210 KB for a float column and 170 KB
+# for the five region flags, at orders 200 and 400).
 _READ_ROWS = 4096
 _WRITE_NODES = 1024
 # The axiom tolerance of envelope_audit.
@@ -265,17 +282,21 @@ def write_node_csv(fh, n: int, columns: dict) -> None:
     node (i/n, j/n) in row-major order.  Each column is an (n+1) x (n+1)
     array, and the columns are one of the two layouts the package writes
     (to_csv, and the `grid` and `regions` commands, all write through it):
-    a single float column, written with _CSV_FORMAT, or one or more boolean
-    columns, written 0/1.  This is the one definition of the lattice and
+    a single float column (any int or float dtype), written with
+    _CSV_FORMAT, or one or more boolean columns, written 0/1.  This is the one definition of the lattice and
     atlas CSV format.
 
-    A float column's lattice row is one printf template, `u,v,<field>` for
-    every v, filled by one `%` call, so the numbers are formatted in C.  A
-    row of k flag columns has a fixed width, as every node text is 17 bytes
-    (46 bytes a row for the five region flags of the atlas), so a group of
-    about _WRITE_NODES nodes (_row_groups) is one byte array: copies of a
-    lattice row's template, with each row's u text put in and each flag
-    added to its '0'.
+    Both layouts are written as byte blocks.  Every node text is 17 bytes,
+    so a row has a fixed width: _CSV_ROW's two node fields, then the value
+    field of _CSV_ROW or a '0' per flag, each field followed by its
+    separator.  A group of about _WRITE_NODES nodes (_row_groups) is one
+    uint8 array of copies of that row, with each row's u text put in and,
+    per node, each flag added to its '0' or the value's 17 bytes filled in
+    by _fast_fields.  A value that _fast_fields leaves is formatted by `%`
+    on its own; if any such text is not 17 bytes (a negative value, a
+    three-digit exponent, inf or nan), the group is written instead with a
+    printf template per lattice row, `u,v,<field>` for every v, filled by
+    one `%` call.
     Nothing the size of the lattice is built, and a mis-shaped column or any
     other layout is rejected before any byte is written.
     """
@@ -286,29 +307,84 @@ def write_node_csv(fh, n: int, columns: dict) -> None:
         if col.shape != side:
             raise DomainError(f"column {name!r} has shape {col.shape}, not {side}")
     flags = [col.dtype == bool for col in arrays]
-    if flags != [False] and not (flags and all(flags)):
+    real = len(arrays) == 1 and arrays[0].dtype.kind in "iuf"
+    if not (real or (flags and all(flags))):
         raise DomainError(f"columns {list(columns)} are not one float column or only flag columns")
     node_text = [_CSV_FORMAT % x for x in nodes.tolist()]
     fh.write(",".join(["u", "v", *columns]) + "\n")
-    if not flags[0]:
-        cells = [f",{v},{_CSV_FORMAT}\n" for v in node_text]
-        for i, u in enumerate(node_text):
-            fh.write((u + u.join(cells)) % tuple(arrays[0][i].tolist()))
-        return
-    text = np.frombuffer("".join(node_text).encode("ascii"), np.uint8).reshape(n + 1, -1)
-    w = text.shape[1]
+    text = np.frombuffer("".join(node_text).encode("ascii"), np.uint8).reshape(n + 1, 17)
+    tail = _CSV_ROW[2] if not flags[0] else np.frombuffer(
+        (",".join("0" * len(arrays)) + "\n").encode("ascii"), np.uint8)
     groups = _row_groups([n + 1] * (n + 1), _WRITE_NODES)
-    # The first group's rows of `u,v,f1,...,fk\n` for every v: the commas,
-    # v texts and line ends stay; each group puts in its u texts and flags.
-    block = np.full((groups[0].stop, n + 1, 2 * w + 2 * len(arrays) + 2), ord(","), np.uint8)
-    block[:, :, w + 1:2 * w + 1] = text
-    block[:, :, -1] = ord("\n")
+    # The first group's rows of `u,v,<fields>` for every v: the commas, v
+    # texts and line ends stay; each group puts in its u texts and fields.
+    block = np.empty((groups[0].stop, n + 1, 36 + tail.size), np.uint8)
+    block[...] = np.concatenate([_CSV_ROW[:2].ravel(), tail])
+    block[:, :, 18:35] = text
     for rows in groups:
         out = block[:rows.stop - rows.start]
-        out[:, :, :w] = text[rows, None, :]
-        for k, col in enumerate(arrays):
-            np.add(col[rows], ord("0"), out=out[:, :, 2 * w + 2 + 2 * k], dtype=np.uint8)
-        fh.write(out.tobytes().decode("ascii"))
+        out[:, :, :17] = text[rows, None, :]
+        if flags[0]:
+            for k, col in enumerate(arrays):
+                np.add(col[rows], ord("0"), out=out[:, :, 36 + 2 * k], dtype=np.uint8)
+        else:
+            x = np.asarray(arrays[0][rows], dtype=float)
+            fields, slow = _fast_fields(x)
+            texts = [_CSV_FORMAT % v for v in x[slow].tolist()]
+            if any(len(t) != 17 for t in texts):
+                cells = [f",{v},{_CSV_FORMAT}\n" for v in node_text]
+                for i in range(rows.start, rows.stop):
+                    fh.write((node_text[i] + node_text[i].join(cells)) % tuple(x[i - rows.start].tolist()))
+                continue
+            fields[slow] = np.frombuffer("".join(texts).encode("ascii"), np.uint8).reshape(-1, 17)
+            out[:, :, 36:53] = fields
+        fh.write(str(out.data, "ascii"))
+
+
+def _fast_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17-byte `_CSV_FORMAT % v` texts of the values v of the float64
+    array x, as a uint8 array of shape x.shape + (17,), and the mask of the
+    values the exact fast path leaves, whose bytes the caller replaces with
+    their `%` texts.
+
+    The fast path finds printf's 12-digit significand M and exponent E
+    without formatting; it is the detect-and-fall-back design of Grisu3
+    (F. Loitsch, "Printing Floating-Point Numbers Quickly and Accurately
+    with Integers", PLDI 2010).  E is guessed as floor(log10 v), and
+    k = 11 - E is kept where 0 <= k <= 22, so that 10**k is exact and
+    y = v * 10**k is the exact product rounded once, within 2**-14 of it
+    below 2**40.  Where M = rint(y) < 10**12 and y is at least 2**-13 from
+    a half-integer, M is the exact product rounded to nearest, with no tie.
+    Where also y >= 10**11 - 1/32, the guess is either right (the exact
+    product is at least 10**11), or one too high with the exact product
+    above 10**11 - 1/20: then printf's 12 digits at E - 1 round up to
+    10**12, which it prints as M = 10**11 at E.  So M and E are printf's
+    whatever log10's error.  +0.0 is M = 0 at E = 0.  The fast path leaves
+    every other value: near-halves and ties, a mis-guessed E, -0.0,
+    negatives, inf and nan, and exponents outside -11..11.  M's four
+    3-digit groups are split in floats, exactly, as M < 2**53, and each is
+    gathered as one uint32 "%03d." text (_GROUP_TEXT), the first one's pad
+    byte giving the '.'; the exponent is one gathered "e%+03d" text.
+    """
+    zero = (x == 0) & ~np.signbit(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = 11 - np.floor(np.log10(x))
+    k[zero] = 11
+    exact = (0 <= k) & (k <= 22)
+    k = np.where(exact, k, 11).astype(np.intp)
+    y = np.where(exact, x, 0.0)
+    y *= _POW10[k]
+    m = np.rint(y)
+    fast = exact & (np.abs(y - m) <= 0.5 - 2.0**-13) & (m < 1e12) & ((y >= 1e11 - 1 / 32) | zero)
+    m *= fast
+    # lead[g]: M's first g + 1 groups, so that group g is lead[g] - 1000 * lead[g - 1].
+    lead = [np.floor(m / 1e9), np.floor(m / 1e6), np.floor(m / 1e3), m]
+    words = np.empty(x.shape + (5,), np.uint32)
+    words[..., 0] = _GROUP_TEXT[lead[0].astype(np.intp)]
+    for g in (1, 2, 3):
+        words[..., g] = _GROUP_TEXT[(lead[g] - 1000 * lead[g - 1]).astype(np.intp)]
+    words[..., 4] = _EXPONENT_TEXT[k]
+    return words.view(np.uint8)[..., _FIELD_BYTES], ~fast
 
 
 def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:

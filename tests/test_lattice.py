@@ -32,8 +32,8 @@ from gini_bounds import (
 )
 from gini_bounds.bounds import _BLOCK
 from gini_bounds.lattice import (
-    _envelope_lattice, _fixed_width_rows, _row_groups, _triangle_lattice, lattice_nodes,
-    write_node_csv,
+    _CSV_FORMAT, _envelope_lattice, _fast_fields, _fixed_width_rows, _row_groups,
+    _triangle_lattice, lattice_nodes, write_node_csv,
 )
 
 
@@ -338,6 +338,38 @@ def test_node_csv_matches_csv_module_reference_on_any_doubles(n, layout, data):
     assert out.getvalue() == _csv_module_reference(n, columns)
 
 
+# The float writer's fast-path seams, each with its neighbours one ulp either
+# side: 12-digit half-way points (M + 1/2) * 10**(E - 11), the doubles
+# nearest the powers of ten, and 10**(E +- ulp(E)), whose log10 is within an
+# ulp of an integer.  E runs a little beyond the fast path's -11..11.
+_SEAM_EXPONENTS = st.integers(-13, 13)
+_SEAM_DOUBLES = (
+    st.builds(lambda m, e: float(Fraction(2 * m + 1, 2) * Fraction(10) ** (e - 11)),
+              st.integers(10**11, 10**12 - 1), _SEAM_EXPONENTS)
+    | st.builds(lambda e: float(Fraction(10) ** e), _SEAM_EXPONENTS)
+    | st.builds(lambda e, s: 10.0 ** (e + s * math.ulp(e)), _SEAM_EXPONENTS, st.sampled_from([-1, 1]))
+).flatmap(lambda x: st.sampled_from([math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_node_csv_matches_csv_module_reference_at_the_fast_path_seams(n, data):
+    columns = {"value": data.draw(arrays(np.float64, (n + 1, n + 1), elements=_SEAM_DOUBLES))}
+    out = io.StringIO()
+    write_node_csv(out, n, columns)
+    assert out.getvalue() == _csv_module_reference(n, columns)
+
+
+def test_float_writer_takes_the_fast_path():
+    # The bytes stay the same if every value falls back to `%`; only the speed
+    # goes.  The order-200 upper grid at t = -0.9 sends 24 of its 40,401
+    # values to `%`, all near-halves.
+    values = _envelope_lattice("upper", -0.9, 200).values
+    fields, slow = _fast_fields(values)
+    assert np.count_nonzero(slow) <= 64
+    assert fields[~slow].tobytes() == "".join(_CSV_FORMAT % v for v in values[~slow].tolist()).encode()
+
+
 @pytest.mark.parametrize("shape", [(4, 3), (5, 5), (3, 4)])
 def test_node_csv_rejects_a_misshaped_column_before_writing(shape):
     # Before, with n = 3: (4, 3) wrote 12 three-field rows, (5, 5) its 4 x 4
@@ -362,6 +394,16 @@ def test_node_csv_rejects_any_other_layout_before_writing(layout):
     }
     with pytest.raises(DomainError, match="not one float column or only flag columns"):
         write_node_csv(out, 3, columns)
+    assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("dtype", [complex, str, object])
+def test_node_csv_rejects_a_column_that_is_not_real_before_writing(dtype):
+    # The float layout takes int and float columns only: a complex, string
+    # or object lattice would be cast to floats, or fail in mid-write.
+    out = io.StringIO()
+    with pytest.raises(DomainError, match="not one float column or only flag columns"):
+        write_node_csv(out, 3, {"value": np.zeros((4, 4)).astype(dtype)})
     assert out.getvalue() == ""
 
 
