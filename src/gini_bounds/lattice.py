@@ -174,15 +174,15 @@ class LatticeFunction:
         parsed by np.loadtxt (_loadtxt_rows).  Both give the nodes and the
         values, each field's float(), and the checks below run once on them.
         A wrong header, a short or long row, a value that is not a finite
-        number, a byte that is not UTF-8, a row count that is not a square,
-        or a node more than 1e-9 from its row-major position is a
-        DomainError.
+        number, a byte that is not UTF-8, a row count that is not a square
+        of at least 4, or a node more than 1e-9 from its row-major position
+        is a DomainError.
         """
         nodes, values = _fixed_width_rows(path) or _loadtxt_rows(path)
-        side = round(len(values) ** 0.5)
+        side = math.isqrt(len(values))
         if side * side != len(values) or side < 2:
             raise DomainError(
-                f"lattice CSV has {len(values)} rows, not a square node count"
+                f"lattice CSV has {len(values)} rows; an order-N lattice has (N + 1)**2 >= 4 rows"
             )
         n = side - 1
         grid = lattice_nodes(n)
@@ -458,30 +458,26 @@ def _triangle_lattice(f, n: int, t: float) -> np.ndarray:
     """f(u, v, t) on the order-n lattice, for an f exactly symmetric in (u, v).
 
     f is evaluated once on the nodes with i <= j, one group of whole rows
-    of that triangle per call (_row_groups).  Row r of a group is written to
-    out[..., r, r:]; the group's rows r0..r1-1 are then mirrored by one
-    transposed copy of the rectangle right of its diagonal block, and the
-    block's own upper half.  f may return a leading stack axis, as
-    region_masks does with its five masks; the lattice axes come last.
+    of that triangle per call (_row_groups).  The values of row r, the nodes
+    (i, j) = (r, r..n), are written to row r from the diagonal on,
+    out[..., r, r:], and to column r from the diagonal down, out[..., r:, r],
+    their mirror (j, i).  f may return a leading stack axis, as region_masks
+    does with its five masks; the lattice axes come last.
     """
     nodes = lattice_nodes(n)
     side = n + 1
     out = None
     for group in _row_groups(range(side, 0, -1)):
-        r0, r1 = group.start, group.stop
-        rows = range(r0, r1)
-        u = np.repeat(nodes[r0:r1], [side - r for r in rows])
+        rows = range(group.start, group.stop)
+        u = np.repeat(nodes[group], [side - r for r in rows])
         v = np.concatenate([nodes[r:] for r in rows])
         tri = np.asarray(f(u, v, t))
         if out is None:
             out = np.empty(tri.shape[:-1] + (side, side), dtype=tri.dtype)
         start = 0
         for r in rows:
-            out[..., r, r:] = tri[..., start:start + side - r]
+            out[..., r, r:] = out[..., r:, r] = tri[..., start:start + side - r]
             start += side - r
-        out[..., r1:, r0:r1] = out[..., r0:r1, r1:].swapaxes(-1, -2)
-        block = out[..., r0:r1, r0:r1]
-        np.copyto(block, block.swapaxes(-1, -2), where=np.tri(r1 - r0, k=-1, dtype=bool))
     return out
 
 

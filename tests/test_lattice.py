@@ -440,6 +440,7 @@ _GOOD_ROWS = ["0,0,0", "0,1,0", "1,0,0", "1,1,1"]
         ("u,v,val\n" + "\n".join(_GOOD_ROWS) + "\n", "header"),
         ("", "header"),
         ("u,v,value\n", "0 rows"),
+        ("u,v,value\n0,0,0\n", "has 1 rows; an order-N lattice has (N + 1)**2 >= 4 rows"),
         ("u,v,value\n0,0,0\n0,1\n1,0,0\n1,1,1\n", "malformed"),  # short row
         ("u,v,value\n0,0,0\n0,1,0,7\n1,0,0\n1,1,1\n", "malformed"),  # extra column
         ("u,v,value\n0,0,0,7\n0,1,0,7\n1,0,0,7\n1,1,1,7\n", "4 columns"),
