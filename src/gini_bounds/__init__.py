@@ -6,6 +6,8 @@ envelope audit, the sample rank statistic, and an exact LP oracle over
 checkerboard copulas.
 """
 
+import types as _types
+
 from .bounds import (
     BoundClassification,
     ThetaReport,
@@ -54,52 +56,9 @@ from .ranks import RankSample, gamma_rank_statistic
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundClassification",
-    "Checkerboard",
-    "DomainError",
-    "EnvelopeAudit",
-    "GammaBranchValue",
-    "InternalError",
-    "LatticeFunction",
-    "LpOutcome",
-    "PointBoundSpec",
-    "PropertyReport",
-    "RankSample",
-    "ThetaReport",
-    "UnitPoint",
-    "check_properties",
-    "check_t",
-    "classify_lower",
-    "classify_upper",
-    "envelope_audit",
-    "frechet_lower",
-    "frechet_upper",
-    "gamma_checkerboard_exact",
-    "gamma_coefficients",
-    "gamma_feasible_range",
-    "gamma_quadrature",
-    "gamma_rank_statistic",
-    "hyperbolic_corner_points",
-    "hyperbolic_set_contains",
-    "lens_density_floor",
-    "i1_closed",
-    "i2_closed",
-    "lower_bound",
-    "lower_bound_values",
-    "lower_point_bound_gamma",
-    "lp_extreme",
-    "mixed_partial_density",
-    "point_bound_lower",
-    "point_bound_upper",
-    "product",
-    "rect_volume",
-    "reflect_first_coordinate",
-    "region_contains",
-    "region_masks",
-    "region_nonempty",
-    "theta_candidate",
-    "upper_bound",
-    "upper_bound_values",
-    "witness_copula",
-]
+# The public surface is what the imports above bind: every name without a
+# leading underscore that is not a module.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

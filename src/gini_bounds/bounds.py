@@ -57,16 +57,18 @@ CLAMP_ALARM = 1e-12
 ACTIVATION_EPS = 1e-13
 
 # Region i (the points where candidate i binds) is non-empty exactly for
-# t <= REGION_EMPTY_ABOVE[i - 1]; region_nonempty reads this table and the
-# array kernel prunes by it.  Acceptance criterion 07 pins these values.
+# t <= REGION_EMPTY_ABOVE[i - 1]; region_nonempty reads this table, and both
+# array passes, the envelope and region_masks, prune by it.  Acceptance
+# criterion 07 pins these values.
 REGION_EMPTY_ABOVE = (-3.0 / 4.0, -4.0 / 9.0, -4.0 / 13.0, -4.0 / 13.0, 1.0 / 2.0)
 _ALL_CANDIDATES = (0, 1, 2, 3, 4)
 
-# The array envelope skips a candidate when t exceeds its emptiness
-# threshold by more than this.  ACTIVATION_EPS lets a region outlive its
-# threshold, but by about 1e-13 in t (tests/test_bounds.py draws points at
-# the vanishing points to show it), so a skipped candidate could only have
-# added -inf to the max and the envelope is unchanged.
+# Both array passes, the envelope and region_masks, skip a candidate when t
+# exceeds its emptiness threshold by more than this.  ACTIVATION_EPS lets a
+# region outlive its threshold, but by about 1e-13 in t (tests/test_bounds.py
+# draws points at the vanishing points to show it), so a skipped candidate
+# would have been inactive everywhere: it could only have added -inf to the
+# envelope's max, and its region mask is all False.
 _PRUNE_MARGIN = 1e-9
 
 # Points per block of the array kernel: each float64 temporary is 128 KiB
@@ -109,7 +111,7 @@ _REFLECTED_CLASS = {
 }
 
 
-def _active_masks(x, m, t, live=_ALL_CANDIDATES):
+def _active_masks(x, m, t, live):
     """Values and activity masks of the candidates in ``live``, on arrays.
 
     ``live`` lists candidate indices 0..4 in increasing order, and the
@@ -141,7 +143,9 @@ def _active_masks(x, m, t, live=_ALL_CANDIDATES):
 
 
 def _live_candidates(t: float) -> tuple[int, ...]:
-    """Indices of the candidates whose region can be non-empty at t."""
+    """Indices of the candidates whose region can be non-empty at t.
+
+    The thresholds increase, so these are always a suffix of 0..4."""
     return tuple(
         i for i, thr in enumerate(REGION_EMPTY_ABOVE) if t <= thr + _PRUNE_MARGIN
     )
@@ -169,21 +173,27 @@ def region_contains(i: int, u: float, v: float, t: float) -> bool:
 def region_nonempty(i: int, t: float) -> bool:
     """Whether region i has a point at t: exactly t <= REGION_EMPTY_ABOVE[i - 1].
 
-    One comparison against the closed-form thresholds; the array kernel
-    prunes by the same table, with the 1e-9 margin of _live_candidates.
+    One comparison against the closed-form thresholds; both array passes,
+    the envelope and region_masks, prune by the same table, with the 1e-9
+    margin of _live_candidates.
     """
     _check_index(i, "region")
     return check_t(t) <= REGION_EMPTY_ABOVE[i - 1]
 
 
 def region_masks(u, v, t) -> tuple:
-    """Membership masks of regions 1..5 at the points (u, v); u, v may be arrays."""
+    """Membership masks of regions 1..5 at the points (u, v); u, v may be arrays.
+
+    Only the candidates live at t (_live_candidates) are evaluated, as in the
+    envelope; the masks of the pruned ones are all False.
+    """
     t = check_t(t)
     u, v = np.broadcast_arrays(*_check_points(u, v))
-    masks = np.empty((5,) + u.shape, dtype=bool)
+    masks = np.zeros((5,) + u.shape, dtype=bool)
     flat = masks.reshape(5, -1)
-    for block, x, m in _blocks(u, v):
-        flat[:, block] = _active_masks(x, m, t)[1]
+    live = _live_candidates(t)
+    for block, x, m in _blocks(u, v) if live else ():
+        flat[live[0]:, block] = _active_masks(x, m, t, live)[1]
     return tuple(masks)
 
 

@@ -90,7 +90,7 @@ def cmd_grid(args) -> int:
     lf = _envelope_lattice(args.side, args.t, args.n)
     if args.format == "csv":
         with _open_out(args.out) as fh:
-            write_node_csv(fh, lf.N, {"value": lf.values})
+            write_node_csv(fh, lf.N, lf.values)
     else:
         payload = {
             "n": lf.N,
@@ -205,7 +205,7 @@ def cmd_oracle(args) -> int:
 def cmd_regions(args) -> int:
     active = _triangle_lattice(region_masks, args.n, args.t)
     with _open_out(args.out) as fh:
-        write_node_csv(fh, args.n, {f"r{k + 1}": active[k] for k in range(5)})
+        write_node_csv(fh, args.n, active)
     return 0
 
 

@@ -25,10 +25,12 @@ fixed-width CSV reader (_fixed_width_rows), which reads _READ_ROWS file
 rows, one node each, at a time.
 
 CSV IO works on the bytes of the fixed-width rows that _CSV_ROW states.
-write_node_csv fills byte blocks of them in both of its layouts, a float
-column and flag columns.  Each float field comes from _fast_fields, an
-exact fast path for _CSV_FORMAT, or from `%` for a value that the fast path
-leaves; the reader parses each field with one exact division.
+write_node_csv fills byte blocks of them in both of its layouts, and each
+layout names its columns: a float lattice is the `value` column under
+_CSV_HEADER, and a stack of k flag lattices (the region atlas) the columns
+r1..rk.  Each float field comes from _fast_fields, an exact fast path for
+_CSV_FORMAT, or from `%` for a value that the fast path leaves; the reader
+parses each field with one exact division.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ from .core import (
 )
 from .errors import DomainError
 
+# The header of a lattice CSV; the region atlas puts its flag columns where
+# `value` is.
+_CSV_HEADER = "u,v,value"
 # 12 significant digits: below verdict tolerances, above float noise.
 _CSV_FORMAT = "%.11e"
 # A lattice CSV row in the fixed-width layout: three 17-byte _CSV_FORMAT
@@ -161,9 +166,9 @@ class LatticeFunction:
         return lattice_nodes(self.N)
 
     def to_csv(self, path) -> None:
-        """Write `u,v,value` rows in row-major node order, 12 significant digits."""
+        """Write the lattice CSV (write_node_csv's float layout), 12 significant digits."""
         with open(path, "w", newline="\n") as fh:
-            write_node_csv(fh, self.N, {"value": self.values})
+            write_node_csv(fh, self.N, self.values)
 
     @classmethod
     def from_csv(cls, path) -> "LatticeFunction":
@@ -222,7 +227,7 @@ def _fixed_width_rows(path) -> tuple[np.ndarray, np.ndarray] | None:
     a `grid-export` op's peak RSS by 2.6 MB).
     """
     with open(path, "rb") as fh:
-        if fh.readline() != b"u,v,value\n":
+        if fh.readline() != f"{_CSV_HEADER}\n".encode():
             return None
         count, rest = divmod(os.fstat(fh.fileno()).st_size - fh.tell(), _CSV_ROW.size)
         if rest or count <= 0:
@@ -261,7 +266,7 @@ def _loadtxt_rows(path) -> tuple[np.ndarray, np.ndarray]:
     fh = _open_utf8(path, "malformed lattice CSV: ")
     line = fh.readline()
     header = line.rstrip("\r\n").split(",") if line else None
-    if header != ["u", "v", "value"]:
+    if header != _CSV_HEADER.split(","):
         raise DomainError(f"unexpected lattice CSV header: {header}")
     try:
         with warnings.catch_warnings():
@@ -275,16 +280,18 @@ def _loadtxt_rows(path) -> tuple[np.ndarray, np.ndarray]:
     return rows[:, :2], np.ascontiguousarray(rows[:, 2])
 
 
-def write_node_csv(fh, n: int, columns: dict) -> None:
+def write_node_csv(fh, n: int, values) -> None:
     """Write node-indexed CSV for the order-n lattice to the text stream fh.
 
-    The header is `u,v` followed by the column names; then one row per
-    node (i/n, j/n) in row-major order.  Each column is an (n+1) x (n+1)
-    array, and the columns are one of the two layouts the package writes
-    (to_csv, and the `grid` and `regions` commands, all write through it):
-    a single float column (any int or float dtype), written with
-    _CSV_FORMAT, or one or more boolean columns, written 0/1.  This is the one definition of the lattice and
-    atlas CSV format.
+    values is one of the two layouts the package writes (to_csv, and the
+    `grid` and `regions` commands, all write through it), and it names the
+    columns after `u,v`:
+    - an (n+1) x (n+1) float lattice (any int or float dtype): the column
+      `value` (the header _CSV_HEADER), written with _CSV_FORMAT;
+    - a (k, n+1, n+1) stack of bool lattices, k >= 1, such as the five
+      region masks of the atlas: the columns r1..rk, written 0/1.
+    Then one row per node (i/n, j/n) in row-major order.  This is the one
+    definition of the lattice and atlas CSV format.
 
     Both layouts are written as byte blocks.  Every node text is 17 bytes,
     so a row has a fixed width: _CSV_ROW's two node fields, then the value
@@ -297,24 +304,23 @@ def write_node_csv(fh, n: int, columns: dict) -> None:
     three-digit exponent, inf or nan), the group is written instead with a
     printf template per lattice row, `u,v,<field>` for every v, filled by
     one `%` call.
-    Nothing the size of the lattice is built, and a mis-shaped column or any
-    other layout is rejected before any byte is written.
+    Nothing the size of the lattice is built, and values of any other
+    dtype or shape are rejected before any byte is written.
     """
     nodes = lattice_nodes(n)
-    arrays = [np.asarray(col) for col in columns.values()]
-    side = (n + 1, n + 1)
-    for name, col in zip(columns, arrays):
-        if col.shape != side:
-            raise DomainError(f"column {name!r} has shape {col.shape}, not {side}")
-    flags = [col.dtype == bool for col in arrays]
-    real = len(arrays) == 1 and arrays[0].dtype.kind in "iuf"
-    if not (real or (flags and all(flags))):
-        raise DomainError(f"columns {list(columns)} are not one float column or only flag columns")
+    values = np.asarray(values)
+    flags = values.dtype == bool
+    # The shape of a float lattice, or of a stack of flag lattices.
+    layout = values.shape[:1] * flags + (n + 1, n + 1)
+    if values.shape != layout or not (values.dtype.kind in "iuf" or flags and layout[0]):
+        raise DomainError(f"values of dtype {values.dtype} and shape {values.shape} are not an "
+                          f"order-{n} float lattice or a stack of order-{n} flag lattices")
     node_text = [_CSV_FORMAT % x for x in nodes.tolist()]
-    fh.write(",".join(["u", "v", *columns]) + "\n")
+    names = ",".join(f"r{k + 1}" for k in range(len(values))) if flags else "value"
+    fh.write(_CSV_HEADER.replace("value", names) + "\n")
     text = np.frombuffer("".join(node_text).encode("ascii"), np.uint8).reshape(n + 1, 17)
-    tail = _CSV_ROW[2] if not flags[0] else np.frombuffer(
-        (",".join("0" * len(arrays)) + "\n").encode("ascii"), np.uint8)
+    tail = _CSV_ROW[2] if not flags else np.frombuffer(
+        (",".join("0" * len(values)) + "\n").encode("ascii"), np.uint8)
     groups = _row_groups([n + 1] * (n + 1), _WRITE_NODES)
     # The first group's rows of `u,v,<fields>` for every v: the commas, v
     # texts and line ends stay; each group puts in its u texts and fields.
@@ -324,11 +330,11 @@ def write_node_csv(fh, n: int, columns: dict) -> None:
     for rows in groups:
         out = block[:rows.stop - rows.start]
         out[:, :, :17] = text[rows, None, :]
-        if flags[0]:
-            for k, col in enumerate(arrays):
-                np.add(col[rows], ord("0"), out=out[:, :, 36 + 2 * k], dtype=np.uint8)
+        if flags:
+            for k, flag in enumerate(values):
+                np.add(flag[rows], ord("0"), out=out[:, :, 36 + 2 * k], dtype=np.uint8)
         else:
-            x = np.asarray(arrays[0][rows], dtype=float)
+            x = np.asarray(values[rows], dtype=float)
             fields, slow = _fast_fields(x)
             texts = [_CSV_FORMAT % v for v in x[slow].tolist()]
             if any(len(t) != 17 for t in texts):

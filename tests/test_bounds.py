@@ -36,6 +36,7 @@ from gini_bounds import (
 )
 from gini_bounds import bounds
 from gini_bounds.bounds import (
+    _ALL_CANDIDATES,
     _BLOCK,
     REGION_EMPTY_ABOVE,
     _active_masks,
@@ -276,7 +277,7 @@ def _patch(px, pm, side=801, half=PATCH):
 def _five_candidate_upper(u, v, t):
     # The envelope reduced over all five candidates, none pruned.
     x, m = np.maximum(u, v), np.minimum(u, v)
-    thetas, active = _active_masks(x, m, t)
+    thetas, active = _active_masks(x, m, t, _ALL_CANDIDATES)
     inner = np.max([np.where(act, th, -np.inf) for th, act in zip(thetas, active)], axis=0)
     raw = np.where(inner > -np.inf, np.minimum(m, inner), m)
     return np.minimum(np.maximum(raw, frechet_lower(u, v)), frechet_upper(u, v))
@@ -287,8 +288,8 @@ def test_activation_tolerance_outlives_each_threshold_by_less_than_1e_12():
     # threshold; the pruning margin of 1e-9 must cover that sliver.
     for i, (thr, (px, pm)) in enumerate(zip(REGION_EMPTY_ABOVE, VANISHING_POINTS)):
         x, m = _patch(px, pm)
-        assert np.any(_active_masks(x, m, thr + 1e-13)[1][i]), i + 1
-        assert not np.any(_active_masks(x, m, thr + 1e-12)[1][i]), i + 1
+        assert np.any(_active_masks(x, m, thr + 1e-13, _ALL_CANDIDATES)[1][i]), i + 1
+        assert not np.any(_active_masks(x, m, thr + 1e-12, _ALL_CANDIDATES)[1][i]), i + 1
 
 
 def test_region_nonempty_matches_a_point_search():
@@ -338,7 +339,7 @@ def test_pruned_candidates_are_inactive(point, thr, above):
     live = _live_candidates(t)
     assume(len(live) < 5)
     x, m = max(point), min(point)
-    _, active = _active_masks(x, m, t)
+    _, active = _active_masks(x, m, t, _ALL_CANDIDATES)
     for i in range(5):
         if i not in live:
             assert not active[i], (i + 1, x, m, t)
@@ -368,7 +369,7 @@ def _assert_blocked_matches_whole_array(u, v, t):
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     want_up = _five_candidate_upper(u, v, t)
     want_lo = v - _five_candidate_upper(1.0 - u, v, -t)
-    want_masks = _active_masks(np.maximum(u, v), np.minimum(u, v), t)[1]
+    want_masks = _active_masks(np.maximum(u, v), np.minimum(u, v), t, _ALL_CANDIDATES)[1]
     assert len(got_masks) == len(want_masks) == 5
     for got, want in ((got_up, want_up), (got_lo, want_lo), *zip(got_masks, want_masks)):
         assert type(got) is type(want) and got.dtype == want.dtype, (type(got), t)

@@ -430,9 +430,11 @@ def test_check_results_are_the_envelope_audit(capsys, t, n):
 
 @pytest.mark.parametrize("t", (-0.9, 0.2))
 def test_check_allocates_no_lattice_sized_temporaries(capsys, t):
-    # Beyond the two lattices it returns, check holds only the kernel's
-    # per-block working set: its traced peak was 5.1 lattices when the
-    # mirror, the audit and the sandwich each built full-size arrays.
+    # Beyond the two lattices that envelope_audit builds and does not
+    # return, check holds only the kernel's per-block working set and its
+    # report: its traced peak was 5.1 lattices when the mirror, the audit
+    # and the sandwich each built full-size arrays.  check is envelope_audit
+    # plus JSON, so this bounds the library call too.
     n = 400
     run(capsys, "check", f"--t={t!r}", "--grid", str(n))
     tracemalloc.start()

@@ -281,8 +281,13 @@ def test_csv_round_trip_bytes_are_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def _csv_module_reference(n, columns):
-    # The csv-module loop the shared writer replaced: one row per node.
+def _csv_module_reference(n, values):
+    # The csv-module loop the shared writer replaced: one row per node, a
+    # float lattice in the column `value` and a stack of flags in r1..rk.
+    if values.dtype == bool:
+        columns = {f"r{k + 1}": flag for k, flag in enumerate(values)}
+    else:
+        columns = {"value": values}
     nodes = np.arange(n + 1, dtype=float) / n
     fmt = "{:.11e}".format
     ref = io.StringIO()
@@ -302,14 +307,14 @@ def test_node_csv_matches_csv_module_reference(tmp_path):
     rng = np.random.default_rng(5)
     values = rng.normal(size=(n + 1, n + 1)) * 10.0 ** rng.integers(-20, 5, (n + 1, n + 1))
     values[0, 0], values[1, 2] = -0.0, 0.0
-    flags = {f"r{k + 1}": rng.random((n + 1, n + 1)) < 0.5 for k in range(5)}
-    # One write per layout: one float column, and a run of flag columns.
-    for columns in ({"value": values}, flags, {"flag": flags["r1"]}):
+    flags = rng.random((5, n + 1, n + 1)) < 0.5
+    # One write per layout: a float lattice, and stacks of five and of one flag.
+    for lattice_values in (values, flags, flags[:1]):
         out = io.StringIO()
-        write_node_csv(out, n, columns)
-        assert out.getvalue() == _csv_module_reference(n, columns)
+        write_node_csv(out, n, lattice_values)
+        assert out.getvalue() == _csv_module_reference(n, lattice_values)
     LatticeFunction(n, values).to_csv(tmp_path / "m.csv")
-    assert (tmp_path / "m.csv").read_text() == _csv_module_reference(n, {"value": values})
+    assert (tmp_path / "m.csv").read_text() == _csv_module_reference(n, values)
 
 
 # Doubles the format must print alike: signed zeros, infinities, nan, the
@@ -319,23 +324,23 @@ _EDGE_DOUBLES = st.sampled_from([
     2.2250738585072014e-308, -1.0e-100, 9.999999999995e-100, 1.0e100,
     -1.7976931348623157e308, 1.7976931348623157e308,
 ])
-# The two layouts the writer takes: one float column, or 1 to 7 flag columns.
-_LAYOUTS = st.just(("float",)) | st.integers(1, 7).map(lambda k: ("bool",) * k)
+# The two layouts the writer takes: a float lattice (k = 0), or a stack of
+# 1 to 7 flag lattices.
+_LAYOUTS = st.just(0) | st.integers(1, 7)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 12), _LAYOUTS, st.data())
-def test_node_csv_matches_csv_module_reference_on_any_doubles(n, layout, data):
-    columns = {}
-    for k, kind in enumerate(layout):
-        if kind == "float":
-            column = arrays(np.float64, (n + 1, n + 1), elements=st.floats() | _EDGE_DOUBLES)
-        else:
-            column = arrays(bool, (n + 1, n + 1))
-        columns[f"{kind}{k}"] = data.draw(column)
+def test_node_csv_matches_csv_module_reference_on_any_doubles(n, k, data):
+    if k:
+        values = data.draw(arrays(bool, (k, n + 1, n + 1)))
+    else:
+        values = data.draw(
+            arrays(np.float64, (n + 1, n + 1), elements=st.floats() | _EDGE_DOUBLES)
+        )
     out = io.StringIO()
-    write_node_csv(out, n, columns)
-    assert out.getvalue() == _csv_module_reference(n, columns)
+    write_node_csv(out, n, values)
+    assert out.getvalue() == _csv_module_reference(n, values)
 
 
 # The float writer's fast-path seams, each with its neighbours one ulp either
@@ -354,10 +359,10 @@ _SEAM_DOUBLES = (
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 6), st.data())
 def test_node_csv_matches_csv_module_reference_at_the_fast_path_seams(n, data):
-    columns = {"value": data.draw(arrays(np.float64, (n + 1, n + 1), elements=_SEAM_DOUBLES))}
+    values = data.draw(arrays(np.float64, (n + 1, n + 1), elements=_SEAM_DOUBLES))
     out = io.StringIO()
-    write_node_csv(out, n, columns)
-    assert out.getvalue() == _csv_module_reference(n, columns)
+    write_node_csv(out, n, values)
+    assert out.getvalue() == _csv_module_reference(n, values)
 
 
 def test_float_writer_takes_the_fast_path():
@@ -373,12 +378,16 @@ def test_float_writer_takes_the_fast_path():
 @pytest.mark.parametrize("shape", [(4, 3), (5, 5), (3, 4)])
 def test_node_csv_rejects_a_misshaped_column_before_writing(shape):
     # Before, with n = 3: (4, 3) wrote 12 three-field rows, (5, 5) its 4 x 4
-    # corner, and (3, 4) 12 rows and then an IndexError.
-    out = io.StringIO()
-    columns = {"r1": np.zeros((4, 4), dtype=bool), "flag": np.zeros(shape, dtype=bool)}
-    with pytest.raises(DomainError, match=re.escape(f"'flag' has shape {shape}, not (4, 4)")):
-        write_node_csv(out, 3, columns)
-    assert out.getvalue() == ""
+    # corner, and (3, 4) 12 rows and then an IndexError.  A float lattice,
+    # and a stack of two flag lattices.
+    for values in (np.zeros(shape), np.zeros((2, *shape), dtype=bool)):
+        out = io.StringIO()
+        with pytest.raises(DomainError, match=re.escape(f"shape {values.shape} are not an order-3")):
+            write_node_csv(out, 3, values)
+        assert out.getvalue() == ""
+
+
+_NOT_A_LAYOUT = "are not an order-3 float lattice or a stack of order-3 flag lattices"
 
 
 @pytest.mark.parametrize("layout", [
@@ -386,14 +395,13 @@ def test_node_csv_rejects_a_misshaped_column_before_writing(shape):
 ])
 def test_node_csv_rejects_any_other_layout_before_writing(layout):
     # No caller writes these, so they are errors, not bare u,v rows or an
-    # interleave of float and flag fields.
+    # interleave of float and flag fields.  Stacked, the columns of a layout
+    # with a float column are a float stack; no columns are an empty flag stack.
     out = io.StringIO()
-    columns = {
-        f"{kind}{k}": np.zeros((4, 4), dtype=float if kind == "float" else bool)
-        for k, kind in enumerate(layout)
-    }
-    with pytest.raises(DomainError, match="not one float column or only flag columns"):
-        write_node_csv(out, 3, columns)
+    columns = [np.zeros((4, 4), dtype=float if kind == "float" else bool) for kind in layout]
+    values = np.stack(columns) if columns else np.zeros((0, 4, 4), dtype=bool)
+    with pytest.raises(DomainError, match=_NOT_A_LAYOUT):
+        write_node_csv(out, 3, values)
     assert out.getvalue() == ""
 
 
@@ -402,8 +410,8 @@ def test_node_csv_rejects_a_column_that_is_not_real_before_writing(dtype):
     # The float layout takes int and float columns only: a complex, string
     # or object lattice would be cast to floats, or fail in mid-write.
     out = io.StringIO()
-    with pytest.raises(DomainError, match="not one float column or only flag columns"):
-        write_node_csv(out, 3, {"value": np.zeros((4, 4)).astype(dtype)})
+    with pytest.raises(DomainError, match=_NOT_A_LAYOUT):
+        write_node_csv(out, 3, np.zeros((4, 4)).astype(dtype))
     assert out.getvalue() == ""
 
 
@@ -412,12 +420,12 @@ def test_node_csv_streams_without_lattice_sized_buffers():
     # the grid's text 2.2 MB, so a 256 KB peak leaves room for rows only.
     n, t = 200, -0.9
     uu, vv = lattice(n)
-    values, masks = upper_bound_values(uu, vv, t), region_masks(uu, vv, t)
-    for columns in ({"value": values}, {f"r{k + 1}": m for k, m in enumerate(masks)}):
+    values, masks = upper_bound_values(uu, vv, t), np.array(region_masks(uu, vv, t))
+    for lattice_values in (values, masks):
         with open(os.devnull, "w") as sink:
             tracemalloc.start()
             try:
-                write_node_csv(sink, n, columns)
+                write_node_csv(sink, n, lattice_values)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -645,10 +653,9 @@ def test_atlas_csv_matches_csv_module_reference(n):
     # At order 181 the writer's groups of five 182-node rows do not divide
     # the 182 rows; at t = -0.9 every region is non-empty.
     masks = _triangle_lattice(region_masks, n, -0.9)
-    columns = {f"r{k + 1}": masks[k] for k in range(5)}
     out = io.StringIO()
-    write_node_csv(out, n, columns)
-    assert out.getvalue() == _csv_module_reference(n, columns)
+    write_node_csv(out, n, masks)
+    assert out.getvalue() == _csv_module_reference(n, masks)
 
 
 @pytest.mark.parametrize(
@@ -685,19 +692,3 @@ def test_envelope_audit_is_a_frozen_report():
     assert isinstance(audit.upper_report, PropertyReport)
     with pytest.raises(dataclasses.FrozenInstanceError):
         audit.reflection_max_err = 0.0
-
-
-@pytest.mark.parametrize("t", (-0.9, 0.2))
-def test_envelope_audit_allocates_no_lattice_sized_temporaries(t):
-    # The library call holds what check holds: the two lattices and the
-    # kernel's per-block working set, and returns neither lattice.
-    n = 400
-    envelope_audit(t, n)
-    tracemalloc.start()
-    try:
-        audit = envelope_audit(t, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert all(audit.checks.values())
-    assert peak <= 3.5 * (n + 1) ** 2 * 8

@@ -14,6 +14,7 @@ README = (ROOT / "README.md").read_text(encoding="utf-8")
 # Every inline code span, outside the fenced blocks.
 SPANS = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```", "", README, flags=re.M | re.S))
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+PACKAGE = gini_bounds.__name__
 
 
 def _layout_entries():
@@ -30,13 +31,13 @@ def test_each_python_file_named_exists():
 
 
 def _dotted_references():
-    """Each `module.attr[.attr]` in a code span whose first part is a
-    submodule of the package or a name it exports."""
+    """Each `module.attr[.attr]` in a code span whose first part is the
+    package, a submodule of it or a name it exports."""
     refs = []
     for span in SPANS:
         for match in re.finditer(r"(?<![\w.])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span):
             first, *attrs = match.group().split(".")
-            if attrs != ["py"] and (first in MODULES or first in gini_bounds.__all__):
+            if attrs != ["py"] and first in {PACKAGE, *MODULES, *gini_bounds.__all__}:
                 refs.append(match.group())
     return refs
 
@@ -44,8 +45,10 @@ def _dotted_references():
 @pytest.mark.parametrize("ref", _dotted_references())
 def test_each_dotted_reference_resolves(ref):
     first, *attrs = ref.split(".")
-    if first in MODULES:
-        obj = importlib.import_module(f"gini_bounds.{first}")
+    if first == PACKAGE:
+        obj = gini_bounds
+    elif first in MODULES:
+        obj = importlib.import_module(f"{PACKAGE}.{first}")
     else:
         obj = getattr(gini_bounds, first)
     for attr in attrs:
