@@ -174,8 +174,8 @@ def region_nonempty(i: int, t: float) -> bool:
     """Whether region i has a point at t: exactly t <= REGION_EMPTY_ABOVE[i - 1].
 
     One comparison against the closed-form thresholds; both array passes,
-    the envelope and region_masks, prune by the same table, with the 1e-9
-    margin of _live_candidates.
+    the envelope and region_masks, prune by the same table, with the margin
+    _PRUNE_MARGIN of _live_candidates.
     """
     _check_index(i, "region")
     return check_t(t) <= REGION_EMPTY_ABOVE[i - 1]
@@ -211,29 +211,29 @@ def _blocks(u, v):
 
 
 def _upper_values(u, v, t):
-    """The vectorized upper envelope on points and t already checked."""
+    """The vectorized upper envelope on points and t already checked.
+
+    Per block, with x = max(u, v) and m = min(u, v): raw starts as m; the
+    largest active candidate among those live at t, where there is one,
+    caps it; and one maximum with W(x, m) clamps it into [W, M].
+    """
     u, v = np.broadcast_arrays(u, v)
     out = np.empty(u.shape)
     flat_out = out.reshape(-1)
     live = _live_candidates(t)
     for block, x, m in _blocks(u, v):
-        flat_out[block] = _upper_block(x, m, t, live)
-    return out[()]
-
-
-def _upper_block(x, m, t, live):
-    """The upper envelope on one block, x = max(u, v), m = min(u, v), over live."""
-    if live:
-        thetas, active = _active_masks(x, m, t, live)
-        inner = reduce(
-            np.maximum, (np.where(act, th, -np.inf) for th, act in zip(thetas, active))
-        )
-        raw = np.where(inner > -np.inf, np.minimum(m, inner), m)
-    else:
         raw = m
-    # raw <= m = M(u, v) and W <= M, so this clamps raw into [W, M]; W(x, m)
-    # is W(u, v) bit for bit, since x + m == u + v exactly.
-    return np.maximum(raw, frechet_lower(x, m))
+        if live:
+            # The largest active candidate, -inf where none is; bound to raw
+            # itself, so that no block's roots and masks outlive the block.
+            raw = reduce(np.maximum, (
+                np.where(act, th, -np.inf) for th, act in zip(*_active_masks(x, m, t, live))
+            ))
+            raw = np.where(raw > -np.inf, np.minimum(m, raw), m)
+        # raw <= m = M(u, v) and W <= M, so this clamps raw into [W, M]; W(x, m)
+        # is W(u, v) bit for bit, since x + m == u + v exactly.
+        flat_out[block] = np.maximum(raw, frechet_lower(x, m))
+    return out[()]
 
 
 def upper_bound_values(u, v, t):

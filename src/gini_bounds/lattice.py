@@ -87,7 +87,7 @@ _FIELD_BYTES = [0, 3, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17, 18, 19]
 # for the five region flags, at orders 200 and 400).
 _READ_ROWS = 4096
 _WRITE_NODES = 1024
-# The axiom tolerance of envelope_audit.
+# The axiom tolerance of check_properties, and so of envelope_audit.
 _CHECK_TOL = 1e-10
 
 
@@ -393,10 +393,11 @@ def _fast_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return words.view(np.uint8)[..., _FIELD_BYTES], ~fast
 
 
-def check_properties(g: LatticeFunction, tol: float = 1e-9) -> PropertyReport:
+def check_properties(g: LatticeFunction, tol: float = _CHECK_TOL) -> PropertyReport:
     """Audit a lattice function against the quasi-copula and copula axioms.
 
-    Verdicts use the single tolerance ``tol``, a finite real >= 0: the
+    Verdicts use the single tolerance ``tol``, a finite real >= 0 that
+    defaults to the audit tolerance _CHECK_TOL, which envelope_audit uses: the
     function is a quasi-copula if boundary error, monotonicity and
     Lipschitz excess pass at tol, and a copula if additionally
     min_volume >= -tol.  tol goes through core._check_real, and the
@@ -519,7 +520,8 @@ class EnvelopeAudit:
     upper_classification, lower_classification
         classify_upper(t) and classify_lower(t), as their string values
     upper_report, lower_report
-        check_properties of each envelope lattice, at tolerance 1e-10
+        check_properties of each envelope lattice, at its default tolerance
+        _CHECK_TOL
     upper_min_volume_cell_distance_to_density_minimiser
         distance, in cells, from the upper report's min_volume_rect to the
         nearest minimiser of lens_density_floor(t); None without a lens
@@ -564,7 +566,7 @@ def envelope_audit(t: float, n: int) -> EnvelopeAudit:
     lens_lo = lens_density_floor(-t) if cls_lo is quasi else None
 
     upper, lower = (_envelope_lattice(side, t, n) for side in ("upper", "lower"))
-    rep_up, rep_lo = (check_properties(lf, tol=_CHECK_TOL) for lf in (upper, lower))
+    rep_up, rep_lo = (check_properties(lf) for lf in (upper, lower))
     # The order as the lattice stores it, a builtin int (_check_order).
     up, lo, nodes, n = upper.values, lower.values, upper.nodes, upper.N
     # Per group, the largest of: the two reflection forms' difference,

@@ -32,7 +32,7 @@ from gini_bounds import (
 )
 from gini_bounds.bounds import _BLOCK
 from gini_bounds.lattice import (
-    _CSV_FORMAT, _envelope_lattice, _fast_fields, _fixed_width_rows, _row_groups,
+    _CHECK_TOL, _CSV_FORMAT, _envelope_lattice, _fast_fields, _fixed_width_rows, _row_groups,
     _triangle_lattice, lattice_nodes, write_node_csv,
 )
 
@@ -190,6 +190,17 @@ def test_check_properties_compares_a_fraction_tolerance_exactly():
     g = LatticeFunction(4, values)
     assert not check_properties(g, tol=Fraction(1, 10**9)).is_quasicopula
     assert check_properties(g, tol=1e-9).is_quasicopula
+
+
+def test_check_properties_defaults_to_the_audit_tolerance():
+    # A boundary node 5e-10 off: a quasi-copula at 1e-9, but not at the one
+    # audit tolerance _CHECK_TOL = 1e-10 that envelope_audit judges by.
+    values = LatticeFunction.from_evaluator(frechet_upper, 4).values.copy()
+    values[4, 2] += 5e-10
+    g = LatticeFunction(4, values)
+    assert check_properties(g, tol=1e-9).is_quasicopula
+    assert not check_properties(g).is_quasicopula
+    assert check_properties(g) == check_properties(g, tol=_CHECK_TOL)
 
 
 def test_point_bound_copulas_pass_copula_audit_at_n200():

@@ -1,12 +1,18 @@
-"""README.md against the code it names: files, attributes and the module map."""
+"""README.md against the code it names: files, attributes, the module map
+and its examples, which run as written."""
 
+import dataclasses
 import importlib
+import json
+import math
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import gini_bounds
+from gini_bounds import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gini_bounds"
@@ -57,3 +63,48 @@ def test_each_dotted_reference_resolves(ref):
 
 def test_layout_has_one_entry_per_module():
     assert sorted(_layout_entries()) == [f"{stem}.py" for stem in MODULES]
+
+
+def _fenced_blocks(section, lang):
+    """The body of each ```lang block under README's "## section", in order."""
+    body = README.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"^```{lang}\n(.*?)^```$", body, flags=re.M | re.S)
+
+
+def _command_lines():
+    """Each line of the "Command line" block as an argv, without its comment."""
+    lines = [
+        argv
+        for block in _fenced_blocks("Command line", "bash")
+        for line in block.splitlines()
+        if (argv := shlex.split(line, comments=True))
+    ]
+    # An empty block would parametrize nothing, which pytest skips.
+    if not lines:
+        raise AssertionError("README's Command line section has no bash lines")
+    return lines
+
+
+@pytest.mark.parametrize("argv", _command_lines(), ids=" ".join)
+def test_each_command_line_example_exits_0(argv, tmp_path, monkeypatch):
+    # The 2 x 2 diagonal checkerboard that the gamma line reads.
+    (tmp_path / "board.json").write_text('{"n": 2, "mass": [0.5, 0.0, 0.0, 0.5]}')
+    monkeypatch.chdir(tmp_path)
+    program, *args = argv
+    assert program == "gini-bounds"
+    assert cli.main(args) == 0
+
+
+def test_library_quick_start_holds_what_its_comments_say():
+    blocks = _fenced_blocks("Library quick start", "python")
+    assert blocks
+    names = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), names)
+    rep, out, audit = names["rep"], names["out"], names["audit"]
+    assert rep.bound == math.sqrt(6) / 6
+    assert out.optimum <= rep.bound
+    assert audit.upper_classification == "ProperQuasiCopula"
+    assert audit.upper_report.min_volume < 0.0
+    assert all(audit.checks.values())
+    json.dumps(dataclasses.asdict(audit))
