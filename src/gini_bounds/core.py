@@ -211,14 +211,15 @@ def product(u, v):
 def point_bound_lower(spec: PointBoundSpec) -> Evaluator:
     """Best-possible lower bound copula among copulas with C(a,b) = theta.
 
-    Pointwise max(0, u+v-1, theta - (a-u)^+ - (b-v)^+); evaluates to theta
-    at (a, b) and is itself a copula.
+    Pointwise max(W(u,v), theta - (a-u)^+ - (b-v)^+); evaluates to theta
+    at (a, b) and is itself a copula.  W is read from frechet_lower, which
+    keeps it at or below M on the edges u = 1 and v = 1.
     """
     a, b, theta = spec.a, spec.b, spec.theta
 
     def f(u, v):
         hinge = theta - np.maximum(a - u, 0.0) - np.maximum(b - v, 0.0)
-        return np.maximum(np.maximum(0.0, u + v - 1.0), hinge)
+        return np.maximum(frechet_lower(u, v), hinge)
 
     return f
 
@@ -226,13 +227,14 @@ def point_bound_lower(spec: PointBoundSpec) -> Evaluator:
 def point_bound_upper(spec: PointBoundSpec) -> Evaluator:
     """Best-possible upper bound copula among copulas with C(a,b) = theta.
 
-    Pointwise min(u, v, theta + (u-a)^+ + (v-b)^+).
+    Pointwise min(M(u,v), theta + (u-a)^+ + (v-b)^+), M read from
+    frechet_upper.
     """
     a, b, theta = spec.a, spec.b, spec.theta
 
     def f(u, v):
         hinge = theta + np.maximum(u - a, 0.0) + np.maximum(v - b, 0.0)
-        return np.minimum(np.minimum(u, v), hinge)
+        return np.minimum(frechet_upper(u, v), hinge)
 
     return f
 

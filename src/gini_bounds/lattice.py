@@ -68,18 +68,18 @@ _CSV_FORMAT = "%.11e"
 # and the separators exactly.
 _CSV_ROW = np.frombuffer((",".join([_CSV_FORMAT % 0.0] * 3) + "\n").encode(), np.uint8).reshape(3, 18)
 _CSV_SPAN = np.select([_CSV_ROW == ord("0"), _CSV_ROW == ord("+")], [9, 2], 0).astype(np.uint8)
-# A field's 12 significand digits, and their place values.
-_SIGNIFICAND = [0, *range(2, 13)]
-_PLACES = np.array([float(10**k) for k in range(11, -1, -1)])
 # 10**k for k = 0..22, the powers of ten that are exact doubles.
 _POW10 = np.array([float(10**k) for k in range(23)])
+# A field's 12 significand digits, and their place values 10**11..10**0.
+_SIGNIFICAND = [0, *range(2, 13)]
+_PLACES = _POW10[11::-1]
 # The float writer's texts, one uint32 each so that a gather moves 4 bytes:
 # the "%03d." texts of 0..999, and the "e%+03d" texts of the exponents
 # 11 - k, k = 0..22.  A value's five gathered texts, viewed as 20 bytes, give
 # its field by _FIELD_BYTES: the first group's digit, the '.' that pads it,
 # its other two digits, the other groups' digits, and the exponent.
 _GROUP_TEXT = np.array([b"%03d." % g for g in range(1000)]).view(np.uint32)
-_EXPONENT_TEXT = np.array([b"e%+03d" % (11 - k) for k in range(23)]).view(np.uint32)
+_EXPONENT_TEXT = np.array([b"e%+03d" % (11 - k) for k in range(len(_POW10))]).view(np.uint32)
 _FIELD_BYTES = [0, 3, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17, 18, 19]
 # Rows per group of the fixed-width reader (221 KB of text; the fastest of
 # 512 to 16384 at order 200), and nodes per group of the writer, in either
@@ -247,7 +247,7 @@ def _fixed_width_rows(path) -> tuple[np.ndarray, np.ndarray] | None:
                 return None
             sign, e1, e0 = np.moveaxis(d[:, :, 14:17].astype(np.intp), -1, 0)
             k = 11 + (sign - 1) * (10 * e1 + e0)  # 11 - E
-            exact = (0 <= k) & (k <= 22)
+            exact = (0 <= k) & (k < len(_POW10))
             np.divide(np.einsum("rfk,k->rf", d[:, :, _SIGNIFICAND], _PLACES),
                       _POW10[np.where(exact, k, 0)], out=group)
             if not exact.all():
@@ -376,7 +376,7 @@ def _fast_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):
         k = 11 - np.floor(np.log10(x))
     k[zero] = 11
-    exact = (0 <= k) & (k <= 22)
+    exact = (0 <= k) & (k < len(_POW10))
     k = np.where(exact, k, 11).astype(np.intp)
     y = np.where(exact, x, 0.0)
     y *= _POW10[k]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -19,8 +18,10 @@ _BOOLS = frozenset((bool, np.bool_))
 class RankSample:
     """Paired ranks (R_i, S_i), each coordinate a permutation of 1..n.
 
-    A rank that is not integral (1.5) or is a bool, and a row that is not a
-    pair of integers (a NaN rank, three values), is a DomainError.
+    One rule for a pair: it equals the pair of its int()s and holds no bool.
+    The first pair that breaks it (1.5, True) is a DomainError, as is a row
+    that is not a pair of integers (a NaN rank, three values), and a column
+    whose sorted ranks are not 1..n.
     """
 
     ranks: tuple[tuple[int, int], ...]
@@ -30,23 +31,19 @@ class RankSample:
             ranks = tuple([(int(r), int(s)) for r, s in self.ranks])
         except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"ranks must be pairs of integers: {exc}") from None
-        fractional = [tuple(p) for p, whole in zip(self.ranks, ranks) if tuple(p) != whole]
         # int() reads True as 1 and (True, 1) == (1, 1), so bools go by type.
-        if not fractional and not _BOOLS.isdisjoint(map(type, chain.from_iterable(self.ranks))):
-            fractional = [tuple(p) for p in self.ranks if not _BOOLS.isdisjoint(map(type, p))]
-        if fractional:
-            raise DomainError(f"ranks must be integers, got {fractional[0]}")
+        for (r, s), whole in zip(self.ranks, ranks):
+            if (r, s) != whole or type(r) in _BOOLS or type(s) in _BOOLS:
+                raise DomainError(f"ranks must be integers, got {(r, s)}")
         object.__setattr__(self, "ranks", ranks)
-        n = len(self.ranks)
+        n = len(ranks)
         if n < 2:
-            raise DomainError(
-                f"rank sample needs at least 2 observations, got {n}"
-            )
-        for label, seen in (("r", [r for r, _ in self.ranks]), ("s", [s for _, s in self.ranks])):
-            counts = Counter(seen)
-            duplicates = sorted(x for x, c in counts.items() if c > 1)
-            missing = [x for x in range(1, n + 1) if x not in counts]
-            if duplicates or missing:
+            raise DomainError(f"rank sample needs at least 2 observations, got {n}")
+        for label, seen in (("r", [r for r, _ in ranks]), ("s", [s for _, s in ranks])):
+            if sorted(seen) != list(range(1, n + 1)):
+                counts = Counter(seen)
+                duplicates = sorted(x for x, c in counts.items() if c > 1)
+                missing = [x for x in range(1, n + 1) if x not in counts]
                 raise DomainError(
                     f"{label}-ranks are not a permutation of 1..{n}: "
                     f"duplicates {duplicates}, missing {missing}"

@@ -917,6 +917,8 @@ def test_witness_examples():
     w = witness_copula(0.5, 0.5, 0.0)
     assert float(w(0.5, 0.5)) == pytest.approx(np.sqrt(6.0) / 6.0, abs=1e-9)
     assert gamma_quadrature(w, 4000) == pytest.approx(0.0, abs=1e-6)
+    # On the edge u = 1 it is M, not one ulp above it.
+    assert w(1.0, 0.3) == 0.3
 
 
 # One point inside each of regions 1..5, where only that candidate binds.

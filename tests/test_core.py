@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _support import UNIT, pinned_spec
+from _support import UNIT, pinned_spec, random_specs
 from gini_bounds import (
     DomainError,
     LatticeFunction,
@@ -133,6 +133,18 @@ def test_point_bound_lower_examples():
     f = point_bound_lower(PointBoundSpec(0.6, 0.7, 0.4))
     # three-term max evaluates to the hinge term here
     assert f(0.5, 0.9) == pytest.approx(0.4, abs=1e-15)
+
+
+def test_point_bound_lower_never_exceeds_frechet_upper_on_the_edges():
+    # Its W term is frechet_lower's, held at or below M where u + v - 1
+    # rounds one ulp above it.
+    assert point_bound_lower(PointBoundSpec(0.5, 0.5, 0.2))(1.0, 0.3) == 0.3
+    v = np.random.default_rng(29).random(10_001)
+    ones = np.ones_like(v)
+    for spec in random_specs(50, 31):
+        f = point_bound_lower(spec)
+        for u, w in ((ones, v), (v, ones)):
+            assert np.all(f(u, w) <= frechet_upper(u, w)), spec
 
 
 def test_point_bound_upper_examples():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -42,7 +44,21 @@ def test_malformed_ranks_reported():
     for pairs in (((True, 1), (2, 2)), ((1, 1), (2, np.True_)), ((1, False), (2, 2))):
         with pytest.raises(DomainError, match="ranks must be integers"):
             RankSample(pairs)
+    # The first pair that breaks the rule is named, bool or fraction.
+    with pytest.raises(DomainError, match=re.escape("ranks must be integers, got (True, 1)")):
+        RankSample(((True, 1), (1.5, 2)))
     assert RankSample(((np.int64(1), 2), (2, np.int32(1)))).ranks == ((1, 2), (2, 1))
+
+
+def test_numpy_and_float_ranks_store_builtin_ints():
+    # A numpy (n, 2) int array, and rankdata-style float ranks 1.0 .. n.
+    n = 6
+    pairs = np.column_stack([np.arange(1, n + 1), np.arange(n, 0, -1)])
+    for ranks in (pairs, pairs.astype(float)):
+        sample = RankSample(ranks)
+        assert sample.ranks == tuple((i, n + 1 - i) for i in range(1, n + 1))
+        assert {type(x) for pair in sample.ranks for x in pair} == {int}
+        assert gamma_rank_statistic(sample) == -1.0
 
 
 @given(st.permutations(list(range(1, 13))), st.permutations(list(range(12))))
