@@ -40,6 +40,9 @@ from .quadrature import _certify_gamma
 _FLOAT_OPTIONS = ("--t", "--u", "--v")
 # Copula specs without arguments: evaluator and closed-form gamma.
 _BUILTIN_COPULAS = {"pi": (product, 0.0), "w": (frechet_lower, -1.0), "m": (frechet_upper, 1.0)}
+# oracle's soundness slack: an LP optimum is one rounding of an exact rational,
+# and no sweep has found it past an envelope by more than 1e-15.
+_LP_SOUND_TOL = 1e-9
 
 
 def _open_out(out_path: str | None):
@@ -191,8 +194,8 @@ def cmd_oracle(args) -> int:
             }
         )
         checks = {
-            "lp_max_sound": outcome_max.optimum <= upper_val + 1e-9,
-            "lp_min_sound": outcome_min.optimum >= lower_val - 1e-9,
+            "lp_max_sound": outcome_max.optimum <= upper_val + _LP_SOUND_TOL,
+            "lp_min_sound": outcome_min.optimum >= lower_val - _LP_SOUND_TOL,
         }
     else:
         # Unreachable gamma at this order is a legitimate outcome.

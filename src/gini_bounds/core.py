@@ -158,15 +158,18 @@ class PointBoundSpec:
 
     Only admissible values are accepted: theta must lie between the
     Frechet-Hoeffding bounds at (a, b).  Rejection is strict; values are
-    never clamped.  The comparison allows one part in 1e12 of rounding so
-    that exact boundary prescriptions (theta equal to a Frechet bound) are
-    not rejected over representation noise.
+    never clamped.  The comparison allows _ROUNDING of slack so that exact
+    boundary prescriptions (theta equal to a Frechet bound) are not rejected
+    over representation noise.
     """
 
     a: float
     b: float
     theta: float
 
+    # For decimal prescriptions on a bound: PointBoundSpec(0.9, 0.2, 0.1) has
+    # theta below W, which is 0.10000000000000009 in floats and, exactly for
+    # these doubles, 0.10000000000000003, so an exact check would reject it too.
     _ROUNDING = 1e-12
 
     def __post_init__(self):

@@ -27,12 +27,14 @@ class RankSample:
     ranks: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        # Read once, so that a generator is checked as the tuple of its items.
         try:
-            ranks = tuple([(int(r), int(s)) for r, s in self.ranks])
+            pairs = tuple(self.ranks)
+            ranks = tuple([(int(r), int(s)) for r, s in pairs])
         except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"ranks must be pairs of integers: {exc}") from None
         # int() reads True as 1 and (True, 1) == (1, 1), so bools go by type.
-        for (r, s), whole in zip(self.ranks, ranks):
+        for (r, s), whole in zip(pairs, ranks):
             if (r, s) != whole or type(r) in _BOOLS or type(s) in _BOOLS:
                 raise DomainError(f"ranks must be integers, got {(r, s)}")
         object.__setattr__(self, "ranks", ranks)

@@ -65,6 +65,11 @@ def test_cdf_against_dense_mass_accumulation():
 def test_margin_validation():
     with pytest.raises(DomainError, match="margins"):
         Checkerboard(2, np.array([[0.6, 0.0], [0.0, 0.4]]))
+    # At the edge of MARGIN_TOL (1e-12): rows that miss 1/2 by half of it
+    # build, and by twice it fail.
+    Checkerboard(2, np.array([[0.5 + 5e-13, 0.0], [0.0, 0.5 - 5e-13]]))
+    with pytest.raises(DomainError, match="margins"):
+        Checkerboard(2, np.array([[0.5 + 2e-12, 0.0], [0.0, 0.5 - 2e-12]]))
     with pytest.raises(DomainError, match="negative"):
         Checkerboard(2, np.array([[0.6, -0.1], [-0.1, 0.6]]))
     with pytest.raises(DomainError, match="NaN"):

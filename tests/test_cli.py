@@ -9,13 +9,16 @@ import pytest
 from _support import SEAM_T, lattice
 from gini_bounds import (
     LatticeFunction,
+    LpOutcome,
     check_properties,
     envelope_audit,
     frechet_lower,
     frechet_upper,
     lens_density_floor,
+    lower_bound,
     lower_bound_values,
     region_masks,
+    upper_bound,
     upper_bound_values,
 )
 from gini_bounds import cli
@@ -245,6 +248,20 @@ def test_oracle_report_at_edge_targets(capsys, t, n):
     assert res["lp_max"] <= res["upper_bound"] + 1e-9
     assert res["lp_min"] >= res["lower_bound"] - 1e-9
     assert res["gap_upper"] >= -1e-9
+
+
+@pytest.mark.parametrize("excess, sound", [(5e-10, True), (2e-9, False)])
+def test_oracle_soundness_at_its_tolerance(capsys, monkeypatch, excess, sound):
+    # LP optima planted past both envelopes by half and twice _LP_SOUND_TOL (1e-9).
+    upper, lower = upper_bound(0.5, 0.5, 0.0).bound, lower_bound(0.5, 0.5, 0.0)
+
+    def planted(n, u, v, t, direction):
+        return LpOutcome(direction, upper + excess if direction == "max" else lower - excess, "optimal")
+
+    monkeypatch.setattr(cli, "lp_extreme", planted)
+    code, payload, _ = run_json(capsys, "oracle", "--t", "0", "--n", "8", "--u", "0.5", "--v", "0.5")
+    assert payload["results"]["checks"] == {"lp_max_sound": sound, "lp_min_sound": sound}
+    assert code == (0 if sound else 1)
 
 
 def test_oracle_infeasible_is_reported_not_failed(capsys):

@@ -98,6 +98,13 @@ def test_point_bound_spec_rejects_inadmissible_theta():
     # float32 0.3 is 1.2e-8 above M = 0.3: compared in float32, it passed.
     with pytest.raises(DomainError, match="upper Frechet"):
         PointBoundSpec(0.3, 0.3, np.float32(0.3))
+    # At the edge of _ROUNDING (1e-12): half past a bound builds, twice fails.
+    PointBoundSpec(0.3, 0.3, 0.3 + 5e-13)
+    PointBoundSpec(0.7, 0.8, 0.5 - 5e-13)
+    with pytest.raises(DomainError, match="upper Frechet"):
+        PointBoundSpec(0.3, 0.3, 0.3 + 2e-12)
+    with pytest.raises(DomainError, match="lower Frechet"):
+        PointBoundSpec(0.7, 0.8, 0.5 - 2e-12)
 
 
 def test_point_bound_spec_theta_that_is_not_a_number_is_a_domain_error():

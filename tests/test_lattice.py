@@ -462,6 +462,8 @@ _GOOD_ROWS = ["0,0,0", "0,1,0", "1,0,0", "1,1,1"]
         ("u,v,value\n0,0,0\n0,1,0\n1,0,inf\n1,1,1\n", "row 2: value inf"),
         ("u,v,value\n0,0,0\n0,1,0\n1,1,0\n1,0,1\n", "row 2: node (1.0, 1.0)"),
         ("u,v,value\n0,0,0\nnan,1,0\n1,0,0\n1,1,1\n", "row 1: node (nan, 1.0)"),
+        # Twice _NODE_TOL (1e-9) off.
+        ("u,v,value\n0,0,0\n0,1.000000002,0\n1,0,0\n1,1,1\n", "row 1: node (0.0, 1.000000002)"),
     ],
 )
 def test_csv_rejects_each_malformed_case(tmp_path, text, message):
@@ -469,6 +471,14 @@ def test_csv_rejects_each_malformed_case(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(DomainError, match=re.escape(message)):
         LatticeFunction.from_csv(path)
+
+
+def test_csv_reads_a_node_within_its_tolerance(tmp_path):
+    # Half _NODE_TOL (1e-9) off: the node is read as its lattice position.
+    path = tmp_path / "near.csv"
+    path.write_text("u,v,value\n0,0,0\n0,1.0000000005,0\n1,0,0\n1,1,1\n")
+    lf = LatticeFunction.from_csv(path)
+    assert lf.N == 1 and lf.values.tolist() == [[0.0, 0.0], [0.0, 1.0]]
 
 
 def _csv_loop_reader(path):
@@ -697,3 +707,26 @@ def test_envelope_audit_is_a_frozen_report():
     assert isinstance(audit.upper_report, PropertyReport)
     with pytest.raises(dataclasses.FrozenInstanceError):
         audit.reflection_max_err = 0.0
+
+
+@pytest.mark.parametrize("bump, passed", [(5e-13, True), (2e-12, False)])
+@pytest.mark.parametrize("side, node, check", [
+    # Lower (15, 25) leaves its reflection form (25, 15); there it lies
+    # between W and the upper envelope, so the sandwich holds.
+    ("lower", (15, 25), "reflection_identity"),
+    # Upper (40, 7) is on the edge u = 1, where it equals M.
+    ("upper", (40, 7), "sandwich"),
+])
+def test_envelope_audit_identities_at_their_tolerance(monkeypatch, side, node, check, bump, passed):
+    # One node planted off by half and twice _IDENTITY_TOL (1e-12).
+    def planted(planted_side, t, n):
+        lf = _envelope_lattice(planted_side, t, n)
+        if planted_side != side:
+            return lf
+        values = lf.values.copy()
+        values[node] += bump
+        return LatticeFunction(n, values)
+
+    monkeypatch.setattr("gini_bounds.lattice._envelope_lattice", planted)
+    checks = envelope_audit(-0.5, 40).checks
+    assert checks.pop(check) is passed and all(checks.values())

@@ -47,6 +47,12 @@ def test_malformed_ranks_reported():
     # The first pair that breaks the rule is named, bool or fraction.
     with pytest.raises(DomainError, match=re.escape("ranks must be integers, got (True, 1)")):
         RankSample(((True, 1), (1.5, 2)))
+    # A one-shot iterable is checked as the tuple of its items.
+    with pytest.raises(DomainError, match=re.escape("ranks must be integers, got (1.5, 1)")):
+        RankSample(p for p in [(1.5, 1), (2, 2)])
+    with pytest.raises(DomainError, match=re.escape("ranks must be integers, got (True, 1)")):
+        RankSample(iter([(True, 1), (2, 2)]))
+    assert RankSample(p for p in [(2, 1), (1, 2)]).ranks == ((2, 1), (1, 2))
     assert RankSample(((np.int64(1), 2), (2, np.int32(1)))).ranks == ((1, 2), (2, 1))
 
 
