@@ -57,12 +57,15 @@ def _emit_json(payload: dict, out_path: str | None = None) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _emit_report(command: str, parameters: dict, results: dict, checks_passed: bool,
-                 started: float) -> int:
-    """Write a command's JSON report to stdout; return its exit code."""
+def _emit_report(args, results: dict, checks_passed: bool, started: float) -> int:
+    """Write a command's JSON report to stdout; return its exit code.
+
+    The report states the parse: its command is args.command, and its
+    parameters are every other attribute of args, defaults included.
+    """
     _emit_json({
-        "command": command,
-        "parameters": parameters,
+        "command": args.command,
+        "parameters": {name: value for name, value in vars(args).items() if name != "command"},
         "results": results,
         "checks_passed": checks_passed,
         "elapsed_ms": int((time.monotonic() - started) * 1000),
@@ -152,7 +155,7 @@ def cmd_gamma(args) -> int:
     started = time.monotonic()
     evaluator, expected, results = _gamma_spec(args.copula)
     results["quadrature"], passed = _certify_gamma(evaluator, expected)
-    return _emit_report("gamma", {"copula": args.copula}, results, passed, started)
+    return _emit_report(args, results, passed, started)
 
 
 def cmd_classify(args) -> int:
@@ -161,14 +164,14 @@ def cmd_classify(args) -> int:
         "upper": classify_upper(args.t).value,
         "lower": classify_lower(args.t).value,
     }
-    return _emit_report("classify", {"t": args.t}, results, True, started)
+    return _emit_report(args, results, True, started)
 
 
 def cmd_check(args) -> int:
     started = time.monotonic()
     results = asdict(envelope_audit(args.t, args.grid))
     passed = all(results["checks"].values())
-    return _emit_report("check", {"t": args.t, "grid": args.grid}, results, passed, started)
+    return _emit_report(args, results, passed, started)
 
 
 def cmd_oracle(args) -> int:
@@ -201,8 +204,7 @@ def cmd_oracle(args) -> int:
         # Unreachable gamma at this order is a legitimate outcome.
         checks = {"statuses_consistent": outcome_min.status == "infeasible"}
     results["checks"] = checks
-    parameters = {"t": t, "n": n, "u": u, "v": v}
-    return _emit_report("oracle", parameters, results, all(checks.values()), started)
+    return _emit_report(args, results, all(checks.values()), started)
 
 
 def cmd_regions(args) -> int:

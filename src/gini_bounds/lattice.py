@@ -415,6 +415,8 @@ def check_properties(g: LatticeFunction, tol: float = _CHECK_TOL) -> PropertyRep
     rows at a time (_row_groups); every field equals the whole-array
     reduction's, a NaN propagates as it would there, and min_volume_rect is
     the first minimal cell in row-major order, as numpy's argmin picks it.
+    The boundary error is one reduction over the four edges, so a NaN node
+    on any edge makes boundary_max_err NaN as well.
     """
     if not 0.0 <= (tol := _check_real(tol, "tolerance")) < math.inf:
         raise DomainError(f"tolerance must be a finite real number >= 0, got {tol!r}")
@@ -422,12 +424,7 @@ def check_properties(g: LatticeFunction, tol: float = _CHECK_TOL) -> PropertyRep
     n = g.N
     nodes = g.nodes
 
-    boundary = max(
-        float(np.max(np.abs(v[:, 0]))),
-        float(np.max(np.abs(v[0, :]))),
-        float(np.max(np.abs(v[:, n] - nodes))),
-        float(np.max(np.abs(v[n, :] - nodes))),
-    )
+    boundary = float(np.max(np.abs([v[:, 0], v[0], v[:, n] - nodes, v[n] - nodes])))
 
     extremes, minima = [], []
     for cells in _row_groups([n + 1] * n):
@@ -540,7 +537,14 @@ class EnvelopeAudit:
     sandwich_max_violation
         largest excess in W <= lower <= upper <= M over the nodes
     checks
-        the verdicts; the audit passes when all of them hold
+        the verdicts; the audit passes when all of them hold.  A
+        *_copula_matches_classification check needs that side's lattice to
+        be a quasi-copula as well, so a lattice that is not one fails it
+        even where its classification predicts no copula.
+
+    A NaN node makes the maxima that read it NaN: reflection_max_err for a
+    node of the lower lattice, sandwich_max_violation for a node of either,
+    and the verdicts on them fail.
     """
 
     upper_classification: str
@@ -585,8 +589,8 @@ def envelope_audit(t: float, n: int) -> EnvelopeAudit:
          np.max(lo[rows] - up[rows]),
          np.max(up[rows] - frechet_upper(nodes[rows, None], nodes))]
         for rows in _row_groups([n + 1] * (n + 1))
-    ], axis=0).tolist()
-    reflection_err, sandwich_err = maxima[0], max(maxima[1:])
+    ], axis=0)
+    reflection_err, sandwich_err = float(maxima[0]), float(np.max(maxima[1:]))
 
     distance = None
     if lens_up is not None:
@@ -605,8 +609,10 @@ def envelope_audit(t: float, n: int) -> EnvelopeAudit:
         checks={
             "upper_quasicopula": rep_up.is_quasicopula,
             "lower_quasicopula": rep_lo.is_quasicopula,
-            "upper_copula_matches_classification": rep_up.is_copula == (lens_up is None),
-            "lower_copula_matches_classification": rep_lo.is_copula == (lens_lo is None),
+            "upper_copula_matches_classification":
+                rep_up.is_quasicopula and rep_up.is_copula == (lens_up is None),
+            "lower_copula_matches_classification":
+                rep_lo.is_quasicopula and rep_lo.is_copula == (lens_lo is None),
             "reflection_identity": reflection_err <= _IDENTITY_TOL,
             "sandwich": sandwich_err <= _IDENTITY_TOL,
         },

@@ -332,6 +332,17 @@ def test_reports_deterministic_modulo_elapsed(capsys):
     assert p1 == p2
 
 
+@pytest.mark.parametrize("argv, parameters", [
+    (("gamma", "--copula", "pi"), {"copula": ["pi"]}),
+    (("classify", "--t", "-0.5"), {"t": -0.5}),
+    (("check", "--t", "0.2", "--grid", "8"), {"t": 0.2, "grid": 8}),
+    (("oracle", "--t", "0", "--u", "0.5", "--v", "0.25"), {"t": 0.0, "u": 0.5, "v": 0.25, "n": 16}),
+], ids=["gamma", "classify", "check", "oracle"])
+def test_report_states_its_command_and_parameters(capsys, argv, parameters):
+    _, payload, _ = run_json(capsys, *argv)
+    assert (payload["command"], payload["parameters"]) == (argv[0], parameters)
+
+
 def test_regions_atlas_columns(capsys):
     def column_any(t):
         _, out, _ = run(capsys, "regions", "--t", str(t), "--n", "100")

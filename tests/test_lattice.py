@@ -84,16 +84,22 @@ def test_lipschitz_excess_counts_the_steepest_decrease():
     assert want > 0.0 and not rep.is_quasicopula
 
 
+# One interior node of each edge of the order-4 lattice.
+@pytest.mark.parametrize("node", [(1, 0), (0, 1), (2, 4), (4, 2)], ids=["v=0", "u=0", "v=1", "u=1"])
+def test_a_nan_on_any_edge_makes_the_boundary_error_nan(node):
+    values = LatticeFunction.from_evaluator(frechet_upper, 4).values.copy()
+    values[node] = np.nan
+    assert math.isnan(check_properties(LatticeFunction(4, values)).boundary_max_err)
+
+
 def _whole_array_report(g, tol):
     """check_properties over whole-array temporaries, as it was before the
-    audit read the lattice in row strips: the reference for that audit."""
+    audit read the lattice in row strips, with its boundary error taken over
+    all four edges at once, so that a NaN on any edge reaches it: the
+    reference for that audit."""
     v, n, nodes = g.values, g.N, g.nodes
-    boundary = max(
-        float(np.max(np.abs(v[:, 0]))),
-        float(np.max(np.abs(v[0, :]))),
-        float(np.max(np.abs(v[:, n] - nodes))),
-        float(np.max(np.abs(v[n, :] - nodes))),
-    )
+    edges = np.concatenate([v[:, 0], v[0, :], v[:, n] - nodes, v[n, :] - nodes])
+    boundary = float(np.abs(edges).max())
     du = v[1:, :] - v[:-1, :]
     dv = v[:, 1:] - v[:, :-1]
     du_min, dv_min = float(du.min()), float(dv.min())
@@ -730,3 +736,25 @@ def test_envelope_audit_identities_at_their_tolerance(monkeypatch, side, node, c
     monkeypatch.setattr("gini_bounds.lattice._envelope_lattice", planted)
     checks = envelope_audit(-0.5, 40).checks
     assert checks.pop(check) is passed and all(checks.values())
+
+
+@pytest.mark.parametrize("t", (-0.5, 0.2))
+@pytest.mark.parametrize("side", ("upper", "lower"))
+def test_envelope_audit_fails_on_a_nan_node(monkeypatch, side, t):
+    # Node (40, 7) of the order-100 lattice is read by the sandwich and by
+    # its side's own audit; in the lower lattice, also by the reflection.
+    def planted(planted_side, t, n):
+        lf = _envelope_lattice(planted_side, t, n)
+        if planted_side != side:
+            return lf
+        values = lf.values.copy()
+        values[40, 7] = np.nan
+        return LatticeFunction(n, values)
+
+    monkeypatch.setattr("gini_bounds.lattice._envelope_lattice", planted)
+    audit = envelope_audit(t, 100)
+    assert math.isnan(audit.sandwich_max_violation)
+    assert math.isnan(audit.reflection_max_err) is (side == "lower")
+    failed = {name for name, passed in audit.checks.items() if not passed}
+    want = {"sandwich", f"{side}_quasicopula", f"{side}_copula_matches_classification"}
+    assert failed == want | ({"reflection_identity"} if side == "lower" else set())
