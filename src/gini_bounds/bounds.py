@@ -5,7 +5,8 @@ theta ranges over up to five closed-form candidates.  Candidate i is the
 largest root of the i-th branch of the piecewise gamma of the lower
 point-bound copula (see pointgamma); it is *active* when
 
-  - its radicand is nonnegative (the root exists),
+  - its radicand is nonnegative (the root exists; the array kernel's root
+    is NaN where the radicand is negative),
   - it does not exceed min(u, v) (a copula value at (u, v) cannot), and
   - the branch condition holds at the root itself.
 
@@ -69,8 +70,8 @@ _ALL_CANDIDATES = (0, 1, 2, 3, 4)
 # exceeds its emptiness threshold by more than this.  ACTIVATION_EPS lets a
 # region outlive its threshold, but by about 1e-13 in t (tests/test_bounds.py
 # draws points at the vanishing points to show it), so a skipped candidate
-# would have been inactive everywhere: it could only have added -inf to the
-# envelope's max, and its region mask is all False.
+# would have been inactive everywhere: it could only have added NaN to the
+# envelope's max, which passes over it, and its region mask is all False.
 _PRUNE_MARGIN = 1e-9
 
 # Points per block of the array kernel: each float64 temporary is 128 KiB
@@ -123,7 +124,8 @@ def _active_masks(x, m, t, live):
     """Values and activity masks of the candidates in ``live``, on arrays.
 
     ``live`` lists candidate indices 0..4 in increasing order, and the
-    results follow it; a value is garbage where its candidate is absent.
+    results follow it; a value is NaN where its radicand is negative (the
+    root does not exist), and a NaN root fails every activation comparison.
     A root is (offset + sqrt) / den where offset >= 0, and the equal
     gap / (sqrt - offset) elsewhere, so that neither form cancels: near
     (1/2, 1/2) at t = -1, where every radicand nearly vanishes, the 401^2
@@ -133,8 +135,9 @@ def _active_masks(x, m, t, live):
     thetas, active = [], []
     for i in live:
         rad, gap, offset, den = branch_form(i + 1, x, m, t)
-        exists = rad >= 0.0
-        sq = np.sqrt(np.maximum(rad, 0.0))
+        # The square root of a negative radicand is NaN, by intent.
+        with np.errstate(invalid="ignore"):
+            sq = np.sqrt(rad)
         del rad
         th = np.asarray((offset + sq) / den)
         # One divide per point: where offset >= 0, sq - offset may be 0.
@@ -144,9 +147,9 @@ def _active_masks(x, m, t, live):
         # 83-97 ms, not 81-94 ms (fastest of 15 rounds, 2 vCPUs).
         del gap, offset, sq
         thetas.append(th)
-        active.append(
-            exists & (th <= ceiling) & branch_condition(i + 1, x, m, th, ACTIVATION_EPS)
-        )
+        # numpy 1.24 may warn on ordering a NaN root; the answer is False.
+        with np.errstate(invalid="ignore"):
+            active.append((th <= ceiling) & branch_condition(i + 1, x, m, th, ACTIVATION_EPS))
     return thetas, active
 
 
@@ -221,23 +224,21 @@ def _blocks(u, v):
 def _upper_values(u, v, t):
     """The vectorized upper envelope on points and t already checked.
 
-    Per block, with x = max(u, v) and m = min(u, v): raw starts as m; the
-    largest active candidate among those live at t, where there is one,
-    caps it; and one maximum with W(x, m) clamps it into [W, M].
+    Per block, with x = max(u, v) and m = min(u, v): the largest active
+    candidate among those live at t caps m, and one maximum with W(x, m)
+    clamps the result into [W, M].  An inactive or absent candidate counts
+    as NaN, which np.fmax and np.fmin pass over, so a point with no active
+    candidate, or a t with no live one, keeps m.
     """
     u, v = np.broadcast_arrays(u, v)
     out = np.empty(u.shape)
     flat_out = out.reshape(-1)
     live = _live_candidates(t)
     for block, x, m in _blocks(u, v):
-        raw = m
-        if live:
-            # The largest active candidate, -inf where none is; bound to raw
-            # itself, so that no block's roots and masks outlive the block.
-            raw = reduce(np.maximum, (
-                np.where(act, th, -np.inf) for th, act in zip(*_active_masks(x, m, t, live))
-            ))
-            raw = np.where(raw > -np.inf, np.minimum(m, raw), m)
+        # One expression, so that no block's roots and masks outlive the block.
+        raw = np.fmin(m, reduce(np.fmax, (
+            np.where(act, th, np.nan) for th, act in zip(*_active_masks(x, m, t, live))
+        ), np.nan))
         # raw <= m = M(u, v) and W <= M, so this clamps raw into [W, M]; W(x, m)
         # is W(u, v) bit for bit, since x + m == u + v exactly.
         flat_out[block] = np.maximum(raw, frechet_lower(x, m))

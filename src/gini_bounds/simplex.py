@@ -28,6 +28,8 @@ from .errors import InternalError
 _RC_TOL = 1e-9  # reduced-cost threshold for optimality
 _PIVOT_TOL = 1e-9  # minimum magnitude of an eligible pivot
 _FEAS_TOL = 1e-8  # phase-1 objective above this means infeasible
+# Ratio-test ties, broken by Bland's rule: rounding moves an O(1) ratio by ~1e-16.
+_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ def _iterate(tableau, reduced, basis, budget: int) -> int:
             )
         ratios = tableau[rows, -1] / column[rows]
         best = ratios.min()
-        ties = rows[ratios <= best + 1e-12]
+        ties = rows[ratios <= best + _TIE_TOL]
         row = int(min(ties, key=lambda i: basis[i]))
         _pivot(tableau, reduced, basis, row, col)
         used += 1

@@ -43,6 +43,7 @@ from gini_bounds.bounds import (
     _hyperbolic_excess,
     _live_candidates,
 )
+from gini_bounds.pointgamma import branch_form
 
 
 # --- candidates ---------------------------------------------------------
@@ -360,6 +361,36 @@ def test_pruned_kernel_is_bit_identical_at_thresholds(thr):
             assert np.array_equal(
                 lower_bound_values(u, v, -t), v - _five_candidate_upper(1.0 - u, v, t)
             ), t
+
+
+def _assert_absent_roots_are_nan(x, m, t, sample):
+    """Candidate i's array root is NaN exactly where its radicand is negative,
+    is then inactive, and the scalar record's theta[i] is None there too."""
+    thetas, active = _active_masks(x, m, t, _ALL_CANDIDATES)
+    reports = [upper_bound(x[k], m[k], t) for k in sample]
+    for i in _ALL_CANDIDATES:
+        absent = branch_form(i + 1, x, m, t)[0] < 0.0
+        assert np.array_equal(np.isnan(thetas[i]), absent), (i + 1, t)
+        assert not np.any(active[i][absent]), (i + 1, t)
+        assert [r.theta[i] is None for r in reports] == absent[sample].tolist(), (i + 1, t)
+
+
+def test_an_absent_root_is_nan_and_never_binds_on_random_points():
+    rng = np.random.default_rng(41)
+    x, m = np.sort(rng.random((2, 20000)), axis=0)[::-1]
+    for t in [-1.0, *rng.uniform(-1.0, 1.0, 10), 1.0]:
+        _assert_absent_roots_are_nan(x, m, t, range(0, x.size, 97))
+
+
+# Each vanishing point at its threshold, and the centre at t = -1, where the
+# radicands of candidates 2 and 4 change sign.
+@pytest.mark.parametrize(
+    "point, t0", [*zip(VANISHING_POINTS, REGION_EMPTY_ABOVE), ((0.5, 0.5), -1.0)]
+)
+def test_an_absent_root_is_nan_and_never_binds_at_the_seams(point, t0):
+    x, m = _patch(*point, side=41)
+    for t in _ulp_neighbours(t0):
+        _assert_absent_roots_are_nan(x, m, t, range(0, x.size, 7))
 
 
 def _assert_blocked_matches_whole_array(u, v, t):

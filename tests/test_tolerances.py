@@ -4,9 +4,6 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gini_bounds"
-# The LP solver that nothing calls keeps its ratio-tie literal until the
-# module is deleted.
-EXEMPT = {"simplex.py"}
 
 
 def _named_values(tree):
@@ -31,8 +28,6 @@ def unnamed_tolerances(src=SRC):
     """file:line of each float literal 0 < |x| < 1e-5 outside a named constant."""
     found = []
     for path in sorted(src.glob("*.py")):
-        if path.name in EXEMPT:
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         named = _named_values(tree)
         lines = sorted(
