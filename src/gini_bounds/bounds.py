@@ -44,11 +44,16 @@ from .errors import DomainError, InternalError
 from .pointgamma import branch_condition, branch_form, branch_value, lower_point_bound_gamma
 from .quadrature import _certify_gamma
 
-# Clamping the final value into [W, M] by more than this is flagged: it
-# guards boundary float noise without hiding region-logic errors.  On 200,000
-# points (a third on the 1/64 grid, half at 13 distinguished t) the clamp moved
-# a value by at most 5.55e-16.
-CLAMP_ALARM = 1e-12
+# How far a value the package computes may sit from the exact envelope before
+# a check calls it a defect: the clamp into [W, M] (ThetaReport.clamped), the
+# witness's value at its point, envelope_audit's reflection and sandwich
+# verdicts, and oracle's LP soundness checks.  Each sees only the rounding of
+# the closed-form envelope, and the largest seen were clamp moves of 5.55e-16
+# (200,000 points, a third on the 1/64 grid, half at 13 distinguished t),
+# reflection and sandwich errors of 5.0e-16 and 2.2e-16 (14 t at orders 37,
+# 200 and 400), a witness value 1.4e-17 from its bound (600 seeded points) and
+# an LP optimum, one rounding of an exact rational, 1e-15 past an envelope.
+ENVELOPE_TOL = 1e-12
 
 # Activation comparisons tolerate this much rounding noise.  Candidate
 # values carry about one ulp of error, and at distinguished t (for example
@@ -56,7 +61,7 @@ CLAMP_ALARM = 1e-12
 # lattice lines sit exactly on region boundaries, so exact comparisons
 # would flip membership on float noise.  Admitting a candidate that misses
 # a boundary by <= 1e-13 moves the envelope by at most a comparable amount,
-# far below the 1e-12 identity tolerance, lattice._IDENTITY_TOL.
+# far below ENVELOPE_TOL.
 ACTIVATION_EPS = 1e-13
 
 # Region i (the points where candidate i binds) is non-empty exactly for
@@ -78,9 +83,6 @@ _PRUNE_MARGIN = 1e-9
 # and stays in L2 cache; 16k was the fastest of 4k to 64k on a 401^2 lattice.
 _BLOCK = 16384
 
-# A witness's value at its point may differ from the envelope by this much;
-# on 600 seeded points it differed by at most 1.4e-17.
-_WITNESS_VALUE_TOL = 1e-9
 # mixed_partial_density's slack on _hyperbolic_excess, the set's closure: at
 # hyperbolic_corner_points(t), on the boundary, the excess lies within 8.9e-16
 # of 0 on 20,001 t in [-1, 1/2].
@@ -301,7 +303,7 @@ def upper_bound(u: float, v: float, t: float) -> ThetaReport:
         active=tuple(active),
         inner_max=inner,
         bound=bound,
-        clamped=abs(bound - raw) > CLAMP_ALARM,
+        clamped=abs(bound - raw) > ENVELOPE_TOL,
     )
 
 
@@ -448,7 +450,7 @@ def witness_copula(u: float, v: float, t: float) -> Callable:
 
     gamma_hat, certified = _certify_gamma(witness, t)
     value = float(witness(u, v))
-    if not certified or abs(value - report.bound) > _WITNESS_VALUE_TOL:
+    if not certified or abs(value - report.bound) > ENVELOPE_TOL:
         raise InternalError(
             "witness post-condition failed at "
             f"(u={u}, v={v}, t={t}): quadrature gamma={gamma_hat}, "

@@ -24,7 +24,8 @@ from dataclasses import asdict
 
 from . import __version__
 from .bounds import (
-    _reflected_upper_bound, classify_lower, classify_upper, lower_bound, region_masks, upper_bound,
+    ENVELOPE_TOL, _reflected_upper_bound, classify_lower, classify_upper, lower_bound,
+    region_masks, upper_bound,
 )
 from .checkerboard import Checkerboard, gamma_checkerboard_exact
 from .core import PointBoundSpec, frechet_lower, frechet_upper, point_bound_lower, product
@@ -40,9 +41,6 @@ from .quadrature import _certify_gamma
 _FLOAT_OPTIONS = ("--t", "--u", "--v")
 # Copula specs without arguments: evaluator and closed-form gamma.
 _BUILTIN_COPULAS = {"pi": (product, 0.0), "w": (frechet_lower, -1.0), "m": (frechet_upper, 1.0)}
-# oracle's soundness slack: an LP optimum is one rounding of an exact rational,
-# and no sweep has found it past an envelope by more than 1e-15.
-_LP_SOUND_TOL = 1e-9
 
 
 def _open_out(out_path: str | None):
@@ -197,8 +195,8 @@ def cmd_oracle(args) -> int:
             }
         )
         checks = {
-            "lp_max_sound": outcome_max.optimum <= upper_val + _LP_SOUND_TOL,
-            "lp_min_sound": outcome_min.optimum >= lower_val - _LP_SOUND_TOL,
+            "lp_max_sound": outcome_max.optimum <= upper_val + ENVELOPE_TOL,
+            "lp_min_sound": outcome_min.optimum >= lower_val - ENVELOPE_TOL,
         }
     else:
         # Unreachable gamma at this order is a legitimate outcome.

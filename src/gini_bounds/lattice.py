@@ -45,7 +45,7 @@ from itertools import accumulate
 import numpy as np
 
 from .bounds import (
-    _BLOCK, BoundClassification, classify_lower, classify_upper, lens_density_floor,
+    _BLOCK, ENVELOPE_TOL, BoundClassification, classify_lower, classify_upper, lens_density_floor,
     upper_bound_values,
 )
 from .core import (
@@ -92,9 +92,6 @@ _CHECK_TOL = 1e-10
 # from_csv's node check: to_csv's 12 significant digits put every node of
 # orders 1 to 400 within 5.0e-13 of i/n; the rest is for nodes written by hand.
 _NODE_TOL = 1e-9
-# envelope_audit's reflection and sandwich verdicts: over 14 t at orders 37,
-# 200 and 400 their errors were at most 5.0e-16 and 2.2e-16.
-_IDENTITY_TOL = 1e-12
 
 
 def lattice_nodes(n: int) -> np.ndarray:
@@ -613,7 +610,7 @@ def envelope_audit(t: float, n: int) -> EnvelopeAudit:
                 rep_up.is_quasicopula and rep_up.is_copula == (lens_up is None),
             "lower_copula_matches_classification":
                 rep_lo.is_quasicopula and rep_lo.is_copula == (lens_lo is None),
-            "reflection_identity": reflection_err <= _IDENTITY_TOL,
-            "sandwich": sandwich_err <= _IDENTITY_TOL,
+            "reflection_identity": reflection_err <= ENVELOPE_TOL,
+            "sandwich": sandwich_err <= ENVELOPE_TOL,
         },
     )

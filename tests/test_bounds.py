@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from gini_bounds import (
     lower_bound_values,
     lp_extreme,
     mixed_partial_density,
+    point_bound_lower,
     region_contains,
     region_masks,
     region_nonempty,
@@ -642,6 +644,27 @@ def test_report_structure_invariants():
     assert len(payload["theta"]) == 5 and len(payload["active"]) == 5
 
 
+@pytest.mark.parametrize("delta, clamped", [(5e-13, False), (2e-12, True)])
+def test_clamp_flag_at_its_tolerance(monkeypatch, delta, clamped):
+    # At t = -1 candidate 4 binds on W at this point; its root is planted
+    # half and twice ENVELOPE_TOL (1e-12) below W, so the clamp lifts it back.
+    u, v, t = 0.8133, 0.9128, -1.0
+
+    def lowered(branch, x, m, t):
+        rad, gap, offset, den = branch_form(branch, x, m, t)
+        if branch != 4:
+            return rad, gap, offset, den
+        root = (offset + math.sqrt(rad)) / den - delta
+        gap = root * (den * root - 2.0 * offset)
+        return offset * offset + den * gap, gap, offset, den
+
+    monkeypatch.setattr(bounds, "branch_form", lowered)
+    rep = upper_bound(u, v, t)
+    assert rep.active == (False, False, False, True, False)
+    assert u + v - 1.0 - rep.inner_max == pytest.approx(delta, rel=1e-3)
+    assert rep.bound == u + v - 1.0 and rep.clamped is clamped
+
+
 @pytest.mark.parametrize("u, v, t", [
     (1, 0, 0.2), (1, 1, 1), (0, 1, -1), (0.3, 0.6, -0.5), (np.array(0.3), np.array(1), 0),
     (np.float64(0.3), np.float64(0.6), np.float64(-0.5)),
@@ -1006,6 +1029,27 @@ def test_witness_near_the_centre_at_minus_one():
     # witness_copula checks the witness's gamma and value by quadrature.
     w = witness_copula(0.5000006, 0.5000006, -1.0)
     assert abs(float(w(0.5000006, 0.5000006)) - frechet_lower(0.5000006, 0.5000006)) <= 1e-9
+
+
+@pytest.mark.parametrize("delta, attained", [(5e-13, True), (2e-12, False)])
+def test_witness_value_at_its_tolerance(monkeypatch, delta, attained):
+    # The pinned copula raised by half and twice ENVELOPE_TOL (1e-12); where
+    # candidate 5 binds the blend's weight is 0, so the witness's value sits
+    # that far above the envelope, and its gamma moves by only about 8 delta.
+    def raised(spec):
+        base = point_bound_lower(spec)
+        return lambda uu, vv: base(uu, vv) + delta
+
+    monkeypatch.setattr(bounds, "point_bound_lower", raised)
+    if attained:
+        w = witness_copula(0.5, 0.5, 0.0)
+        assert float(w(0.5, 0.5)) - upper_bound(0.5, 0.5, 0.0).bound == pytest.approx(delta, rel=1e-3)
+    else:
+        with pytest.raises(InternalError, match="witness post-condition failed at ") as err:
+            witness_copula(0.5, 0.5, 0.0)
+        # The value failed, not the gamma certificate.
+        gamma = float(re.search(r"quadrature gamma=(\S+),", str(err.value)).group(1))
+        assert abs(gamma) <= 1e-6
 
 
 def test_witness_that_fails_its_certificate_is_an_internal_error(monkeypatch):

@@ -250,9 +250,9 @@ def test_oracle_report_at_edge_targets(capsys, t, n):
     assert res["gap_upper"] >= -1e-9
 
 
-@pytest.mark.parametrize("excess, sound", [(5e-10, True), (2e-9, False)])
+@pytest.mark.parametrize("excess, sound", [(5e-13, True), (2e-12, False)])
 def test_oracle_soundness_at_its_tolerance(capsys, monkeypatch, excess, sound):
-    # LP optima planted past both envelopes by half and twice _LP_SOUND_TOL (1e-9).
+    # LP optima planted past both envelopes by half and twice ENVELOPE_TOL (1e-12).
     upper, lower = upper_bound(0.5, 0.5, 0.0).bound, lower_bound(0.5, 0.5, 0.0)
 
     def planted(n, u, v, t, direction):

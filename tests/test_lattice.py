@@ -724,7 +724,7 @@ def test_envelope_audit_is_a_frozen_report():
     ("upper", (40, 7), "sandwich"),
 ])
 def test_envelope_audit_identities_at_their_tolerance(monkeypatch, side, node, check, bump, passed):
-    # One node planted off by half and twice _IDENTITY_TOL (1e-12).
+    # One node planted off by half and twice ENVELOPE_TOL (1e-12).
     def planted(planted_side, t, n):
         lf = _envelope_lattice(planted_side, t, n)
         if planted_side != side:
