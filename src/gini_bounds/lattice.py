@@ -409,9 +409,13 @@ def check_properties(g: LatticeFunction, tol: float = _CHECK_TOL) -> PropertyRep
     verdicts are bools.
 
     The forward differences and cell volumes are taken one group of cell
-    rows at a time (_row_groups); every field equals the whole-array
-    reduction's, a NaN propagates as it would there, and min_volume_rect is
-    the first minimal cell in row-major order, as numpy's argmin picks it.
+    rows at a time (_row_groups).  Each group reads its cell rows and the
+    lattice row below them, and the next group reads that row again, which
+    moves no extreme.  Every field equals the whole-array reduction's (but
+    for the sign of a zero monotonicity_min_step, which numpy's min picks by
+    its reduction order), a NaN propagates as it would there, and
+    min_volume_rect is the first minimal cell in row-major order, as numpy's
+    argmin picks it.
     The boundary error is one reduction over the four edges, so a NaN node
     on any edge makes boundary_max_err NaN as well.
     """
@@ -425,23 +429,18 @@ def check_properties(g: LatticeFunction, tol: float = _CHECK_TOL) -> PropertyRep
 
     extremes, minima = [], []
     for cells in _row_groups([n + 1] * n):
-        # The group's cell rows and the lattice row below them; the last
-        # group's dv takes in the final lattice row too.
         rows = v[cells.start:cells.stop + 1]
         du = rows[1:] - rows[:-1]
-        dv_rows = rows if cells.stop == n else rows[:-1]
-        dv = dv_rows[:, 1:] - dv_rows[:, :-1]
-        # The maxima negated, so that one min reduces all four.
-        extremes.append((du.min(), dv.min(), -du.max(), -dv.max()))
+        dv = rows[:, 1:] - rows[:, :-1]
+        # du first, as it holds every node of the group, so that a NaN
+        # reaches both; the maximum negated, so that one min reduces both.
+        extremes.append((min(du.min(), dv.min()), -max(du.max(), dv.max())))
         vols = rows[1:, 1:] - rows[1:, :-1] - rows[:-1, 1:] + rows[:-1, :-1]
         k = int(np.argmin(vols))
         minima.append((vols.item(k), cells.start * n + k))
-    du_min, dv_min, du_neg, dv_neg = np.min(extremes, axis=0).tolist()
-    mono = min(du_min, dv_min)
-
-    step = 1.0 / n
+    mono, neg = np.min(extremes, axis=0).tolist()
     # max|d| = max(d.max(), -d.min()) exactly, without an abs temporary.
-    lip = max(-du_neg, -du_min, -dv_neg, -dv_min) - step
+    lip = max(-neg, -mono) - 1.0 / n
 
     # argmin's rule across the groups as within one: the first least, or the first NaN.
     min_vol, flat = minima[int(np.argmin([vol for vol, _ in minima]))]
@@ -524,7 +523,13 @@ class EnvelopeAudit:
         _CHECK_TOL
     upper_min_volume_cell_distance_to_density_minimiser
         distance, in cells, from the upper report's min_volume_rect to the
-        nearest minimiser of lens_density_floor(t); None without a lens
+        nearest minimiser of lens_density_floor(t); None without a lens.
+        Both envelope lattices are point-symmetric up to rounding, so the
+        cells (i, j) and (n - 1 - i, n - 1 - j) have volumes an ulp apart,
+        and an ulp change in the envelope can move a report's
+        min_volume_rect from one to the other: `check --t=-0.75 --grid 37`
+        went from (32, 32) to (4, 4) in one root rewrite.  This distance
+        does not jump so, as the lens minimisers are symmetric about 1/2.
     upper_lens_floor_cell_volume, lower_lens_floor_cell_volume
         D*(t) / n^2 and D*(-t) / n^2, the least volume an order-n cell can
         have in each envelope's lens; None where it has no lens

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _support import SEAM_T, bits, lattice, random_specs
@@ -135,10 +135,15 @@ _PALETTES = [(0.0, -0.0), (0.0, -0.0, 0.25, 1.0), (-0.5, 0.0, 0.5), (0.1, 0.2, 0
 @given(
     n=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
-    layout=st.sampled_from(["palette", "blocks", "copula", "uniform"]),
+    layout=st.sampled_from(["palette", "blocks", "copula", "uniform", "edge"]),
     palette=st.sampled_from(_PALETTES),
     nans=st.integers(0, 3),
 )
+# The edge layout at orders of one row group and of several (n >= 128).
+@example(n=1, seed=0, layout="edge", palette=_PALETTES[0], nans=0)
+@example(n=40, seed=1, layout="edge", palette=_PALETTES[0], nans=1)
+@example(n=200, seed=2, layout="edge", palette=_PALETTES[0], nans=0)
+@example(n=300, seed=3, layout="edge", palette=_PALETTES[0], nans=2)
 def test_strip_audit_matches_whole_array_reference(n, seed, layout, palette, nans):
     rng = np.random.default_rng(seed)
     side = n + 1
@@ -152,6 +157,16 @@ def test_strip_audit_matches_whole_array_reference(n, seed, layout, palette, nan
         vals = np.kron(coarse, np.ones((edge, edge)))[:side, :side]
     elif layout == "copula":
         vals = LatticeFunction.from_evaluator(product, n).values.copy()
+    elif layout == "edge":
+        # The copula lattice with a node of its last row or column raised
+        # (by 1e-3, a Lipschitz excess, or 0.5, a decreasing step too) or,
+        # where NaNs are drawn, its NaNs put there: its only violations, or
+        # its only NaNs, lie on the last lattice row or column.
+        vals = LatticeFunction.from_evaluator(product, n).values.copy()
+        k = rng.integers(0, side, max(nans, 1))
+        edge = (n, k) if rng.random() < 0.5 else (k, n)
+        vals[edge] = np.nan if nans else vals[edge] + rng.choice([1e-3, 0.5])
+        nans = 0  # none elsewhere
     else:
         vals = rng.random((side, side))
     vals[rng.integers(0, side, nans), rng.integers(0, side, nans)] = np.nan

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from _exact import anti_diagonal_integral, exact_gamma
 from _support import UNIT, pinned_spec, random_specs
 from gini_bounds import (
     InternalError,
@@ -179,6 +180,44 @@ def test_branch_table_is_exact_on_a_dyadic_grid():
                     or rad != offset * offset + den * gap
                 ):
                     mismatches.append((branch, x, m, th, t))
+    assert mismatches == []
+
+
+def _dyadic_pins():
+    """(a, b, theta) with a and b on the k/8 grid, in both orders, and theta
+    at the eighths of [W(a, b), M(a, b)] and at every k/8 inside it, which
+    puts theta on each branch boundary (x - 1/2, x - m, 2x - 1) there.  Every
+    value is a multiple of 1/64, so the float branch conditions are exact."""
+    for a, b in itertools.product(_EIGHTHS, repeat=2):
+        lo, hi = max(0.0, a + b - 1.0), min(a, b)
+        thetas = {lo + k * (hi - lo) / 8 for k in range(9)} | {th for th in _EIGHTHS if lo <= th <= hi}
+        for theta in sorted(thetas):
+            yield a, b, theta
+
+
+def test_branch_table_equals_gamma_from_the_copula_definition():
+    # Every branch whose condition holds at a pin, not only the one selected,
+    # must give gamma of the pinned copula itself (tests/_exact.py), so the
+    # conditions are checked with the polynomials, boundaries included.
+    held, mismatches = set(), []
+    for a, b, theta in _dyadic_pins():
+        x, m = max(a, b), min(a, b)
+        exact = exact_gamma(a, b, theta)
+        for branch, gamma in _EXACT_GAMMA.items():
+            if branch_condition(branch, x, m, theta):
+                held.add(branch)
+                if gamma(Fraction(x), Fraction(m), Fraction(theta)) != exact:
+                    mismatches.append((branch, a, b, theta))
+    assert mismatches == [] and held == set(_EXACT_GAMMA)
+
+
+def test_i1_closed_is_the_anti_diagonal_integral():
+    # On the 1/64 grid i1_closed's float arithmetic is exact.
+    mismatches = [
+        (a, b, theta)
+        for a, b, theta in _dyadic_pins()
+        if Fraction(i1_closed(PointBoundSpec(a, b, theta))) != anti_diagonal_integral(a, b, theta)
+    ]
     assert mismatches == []
 
 
