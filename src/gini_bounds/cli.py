@@ -30,7 +30,9 @@ from .bounds import (
 from .checkerboard import Checkerboard, gamma_checkerboard_exact
 from .core import PointBoundSpec, frechet_lower, frechet_upper, point_bound_lower, product
 from .errors import DomainError, InternalError
-from .lattice import _envelope_lattice, _triangle_lattice, envelope_audit, write_node_csv
+from .lattice import (
+    _atlas_survival, _envelope_lattice, _triangle_lattice, envelope_audit, write_node_csv,
+)
 from .oracle import lp_extreme
 from .pointgamma import i1_closed, i2_closed, lower_point_bound_gamma
 from .quadrature import _certify_gamma
@@ -206,7 +208,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    active = _triangle_lattice(region_masks, args.n, args.t)
+    active = _triangle_lattice(region_masks, args.n, args.t, _atlas_survival)
     with _open_out(args.out) as fh:
         write_node_csv(fh, args.n, active)
     return 0

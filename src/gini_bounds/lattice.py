@@ -10,9 +10,18 @@ monotonicity, the 1-Lipschitz condition in each coordinate, and
 2-increasingness.  Single-cell volumes suffice for the latter: every
 rectangle volume of the bilinear interpolant is a sum of cell volumes.
 
-_triangle_lattice evaluates a function exactly symmetric in (u, v) on the
-lattice's i <= j triangle only, and _envelope_lattice builds either
-envelope from it, the lower one at the exact reflected nodes.
+_triangle_lattice evaluates a function exactly symmetric in (u, v) on one
+quarter of the lattice, the nodes with i <= j and i + j <= n, and fills the
+rest from mirror nodes: (j, i) by that symmetry, and (n - i, n - j) by a
+survival rule that its caller passes.  Gini's gamma integrates
+|u + v - 1| - |u - v|, which the map (u, v) -> (1 - u, 1 - v) keeps, so the
+copulas with gamma t are closed under the survival map
+C -> u + v - 1 + C(1 - u, 1 - v) (Nelsen, An Introduction to Copulas, 2nd
+ed., 2006), and both envelopes satisfy K(u, v) = u + v - 1 +
+K(1 - u, 1 - v): _envelope_survival states that rule in floats.  In the
+region atlas, regions 3 and 4 trade places (_atlas_survival).
+_envelope_lattice builds either envelope, the lower one at the exact
+reflected nodes.
 envelope_audit builds both envelopes at one t and audits them against the
 axioms, their classification, the reflection identity and the
 Frechet-Hoeffding sandwich: the `check` command's results.
@@ -435,7 +444,8 @@ def check_properties(g: LatticeFunction, tol: float = _CHECK_TOL) -> PropertyRep
         # du first, as it holds every node of the group, so that a NaN
         # reaches both; the maximum negated, so that one min reduces both.
         extremes.append((min(du.min(), dv.min()), -max(du.max(), dv.max())))
-        vols = rows[1:, 1:] - rows[1:, :-1] - rows[:-1, 1:] + rows[:-1, :-1]
+        # dv[1:] is rows[1:, 1:] - rows[1:, :-1], the first step of each volume.
+        vols = dv[1:] - rows[:-1, 1:] + rows[:-1, :-1]
         k = int(np.argmin(vols))
         minima.append((vols.item(k), cells.start * n + k))
     mono, neg = np.min(extremes, axis=0).tolist()
@@ -460,52 +470,93 @@ def check_properties(g: LatticeFunction, tol: float = _CHECK_TOL) -> PropertyRep
     )
 
 
-def _triangle_lattice(f, n: int, t: float) -> np.ndarray:
-    """f(u, v, t) on the order-n lattice, for an f exactly symmetric in (u, v).
+def _triangle_lattice(f, n: int, t: float, survival) -> np.ndarray:
+    """f(u, v, t) on the order-n lattice, for an f exactly symmetric in (u, v)
+    whose values at the survival images (1 - u, 1 - v) survival gives.
 
-    f is evaluated once on the nodes with i <= j, one group of whole rows
-    of that triangle per call (_row_groups).  The values of row r, the nodes
-    (i, j) = (r, r..n), are written to row r from the diagonal on,
-    out[..., r, r:], and to column r from the diagonal down, out[..., r:, r],
-    their mirror (j, i).  f may return a leading stack axis, as region_masks
-    does with its five masks; the lattice axes come last.
+    f is evaluated once on the quarter of the nodes with i <= j and
+    i + j <= n, one group of whole rows of that quarter per call
+    (_row_groups); row r is the nodes (i, j) = (r, r..n - r).
+    survival(values, u, v, su, sv) takes f's values at nodes (u, v) of the
+    quarter and gives f at their images (su, sv), the exact nodes
+    ((n - i)/n, (n - j)/n).  Row r's values are written to row r from the
+    diagonal on, out[..., r, r:n + 1 - r], and to column r from the diagonal
+    down, their mirror (j, i).  Their images go to row n - r from the
+    diagonal back to column r + 1, and to column n - r likewise, but for the
+    image of the last node (r, n - r): it is that node's mirror, written
+    already.  So f gives the nodes with i + j <= n and survival the rest.
+    f may return a leading stack axis, as region_masks does with its five
+    masks; the lattice axes come last.
     """
     nodes = lattice_nodes(n)
     side = n + 1
-    out = None
-    for group in _row_groups(range(side, 0, -1)):
+
+    def coordinates(x, group):
+        # (x[i], x[j]) at the nodes (i, j) of the quarter's rows in group:
+        # the nodes for x = nodes, and their images for x = nodes[::-1].
         rows = range(group.start, group.stop)
-        u = np.repeat(nodes[group], [side - r for r in rows])
-        v = np.concatenate([nodes[r:] for r in rows])
-        tri = np.asarray(f(u, v, t))
+        return (np.repeat(x[group], [side - 2 * r for r in rows]),
+                np.concatenate([x[r:side - r] for r in rows]))
+
+    out = None
+    for group in _row_groups([side - 2 * r for r in range(n // 2 + 1)]):
+        u, v = coordinates(nodes, group)
+        quarter = np.asarray(f(u, v, t))
+        # The images' coordinates only now, so that the kernel's working set
+        # does not hold them.
+        image = survival(quarter, u, v, *coordinates(nodes[::-1], group))
         if out is None:
-            out = np.empty(tri.shape[:-1] + (side, side), dtype=tri.dtype)
+            out = np.empty(quarter.shape[:-1] + (side, side), dtype=quarter.dtype)
         start = 0
-        for r in rows:
-            out[..., r, r:] = out[..., r:, r] = tri[..., start:start + side - r]
-            start += side - r
+        for r in range(group.start, group.stop):
+            stop, m = start + side - 2 * r, n - r
+            out[..., r, r:m + 1] = out[..., r:m + 1, r] = quarter[..., start:stop]
+            out[..., m, m:r:-1] = out[..., m:r:-1, m] = image[..., start:stop - 1]
+            start = stop
+        del quarter, image  # not held through the next group's kernel call
     return out
+
+
+def _envelope_survival(k, u, v, su, sv):
+    """An envelope at the survival images (su, sv) = (1 - u, 1 - v) of nodes
+    (u, v) where it is k: K(su, sv) = su + sv - 1 + K(u, v).
+
+    su + sv - 1 = M(su, sv) - M(u, v), so this is M(su, sv) - (M(u, v) - k),
+    raised to W(su, sv) by one maximum.  k lies in [W, M], so M(u, v) - k is
+    >= 0 and the result never exceeds M; where k is M(u, v), it is M bit for
+    bit, and so on the edges u = 1 and v = 1, whose mirrors are 0.  The form
+    (i + j - n)/n + k missed M by an ulp on 11% of the order-400 nodes at
+    t >= 1/2, and exceeded it on 6%.
+    """
+    return np.maximum(frechet_lower(su, sv), frechet_upper(su, sv) - (frechet_upper(u, v) - k))
+
+
+def _atlas_survival(masks, *nodes):
+    """The region masks at the survival images of nodes with the given
+    masks: regions 3 and 4 trade places, and the others keep theirs."""
+    return masks[[0, 1, 3, 2, 4]]
 
 
 def _envelope_lattice(side: str, t: float, n: int) -> LatticeFunction:
     """One side's envelope on the order-n lattice, from one upper lattice.
 
     The upper envelope K depends on (u, v) only through max and min, so its
-    lattice is exactly symmetric and _triangle_lattice builds it.  The lower
-    envelope is the reflection v - K(1 - u, v, -t): entry (i, j) is
+    lattice is exactly symmetric, and _triangle_lattice builds it with the
+    survival rule _envelope_survival, within 2**-50 of upper_bound_values.
+    The lower envelope is the reflection v - K(1 - u, v, -t): entry (i, j) is
     v_j - K((n - i)/n, v_j, -t), read off the upper lattice at -t, row n - i,
     at the exact node (n - i)/n rather than the rounded 1 - i/n that
-    lower_bound_values reflects to, so the two agree within 1e-15, and bit
-    for bit when n is a power of two; the subtraction overwrites that
-    lattice in place.  Entry (j, i) is then the other reflection form
-    u_i - K(u_i, (n - j)/n, -t), a different entry of the same -t lattice
-    off the diagonal, which envelope_audit compares with (i, j).
+    lower_bound_values reflects to, so the two agree within 1e-15; the
+    subtraction overwrites that lattice in place.  Entry (j, i) is then the
+    other reflection form u_i - K(u_i, (n - j)/n, -t), a different entry of
+    the same -t lattice off the diagonal, which envelope_audit compares
+    with (i, j).
     """
     nodes = lattice_nodes(n)
     t = check_t(t)  # before the lower side negates it, so that an error names the t given
     if side == "upper":
-        return LatticeFunction(n, _triangle_lattice(upper_bound_values, n, t))
-    reflected = _triangle_lattice(upper_bound_values, n, -t)[::-1]
+        return LatticeFunction(n, _triangle_lattice(upper_bound_values, n, t, _envelope_survival))
+    reflected = _triangle_lattice(upper_bound_values, n, -t, _envelope_survival)[::-1]
     return LatticeFunction(n, np.subtract(nodes, reflected, out=reflected))
 
 
@@ -524,12 +575,18 @@ class EnvelopeAudit:
     upper_min_volume_cell_distance_to_density_minimiser
         distance, in cells, from the upper report's min_volume_rect to the
         nearest minimiser of lens_density_floor(t); None without a lens.
-        Both envelope lattices are point-symmetric up to rounding, so the
-        cells (i, j) and (n - 1 - i, n - 1 - j) have volumes an ulp apart,
-        and an ulp change in the envelope can move a report's
+        Both envelope lattices are point-symmetric up to rounding (the
+        survival rule derives the nodes with i + j > n from their mirrors),
+        so the cells (i, j) and (n - 1 - i, n - 1 - j) have volumes an ulp
+        apart, and an ulp change in the envelope can move a report's
         min_volume_rect from one to the other: `check --t=-0.75 --grid 37`
         went from (32, 32) to (4, 4) in one root rewrite.  This distance
         does not jump so, as the lens minimisers are symmetric about 1/2.
+        Where every cell volume is within a few ulps of 0, as near t = -1
+        and t = 1, an ulp change can move min_volume_rect to any cell, and
+        this distance with it: at t = -1 and order 400, a change of the
+        lattice by rounding alone moved the upper one from (200, 367) to
+        (201, 213).
     upper_lens_floor_cell_volume, lower_lens_floor_cell_volume
         D*(t) / n^2 and D*(-t) / n^2, the least volume an order-n cell can
         have in each envelope's lens; None where it has no lens

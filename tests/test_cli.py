@@ -26,7 +26,7 @@ from gini_bounds.bounds import _BLOCK
 from gini_bounds.checkerboard import Checkerboard
 from gini_bounds.cli import main
 from gini_bounds.errors import InternalError
-from gini_bounds.lattice import _envelope_lattice, _triangle_lattice, lattice_nodes
+from gini_bounds.lattice import _atlas_survival, _envelope_lattice, _triangle_lattice, lattice_nodes
 
 
 def run(capsys, *argv):
@@ -356,12 +356,34 @@ def test_regions_atlas_columns(capsys):
     assert column_any(0.6) == [False] * 5
 
 
+# The t of the envelope-audit benchmark.
+_AUDIT_T = (-0.9, -0.5, -0.1, 0.2, 0.45, 0.7)
+
+
+def _survival_lattice(n, t):
+    """The order-n upper lattice at t as the survival rule derives it, and the
+    kernel's values on the full square that it is derived from.
+
+    Where i + j <= n the kernel's value; where i + j > n, M - (M' - K')
+    raised to W, with K' the kernel's value and M' = M at the mirror node
+    (n - i, n - j), and W and M at the node itself.
+    """
+    uu, vv = lattice(n)
+    full = upper_bound_values(uu, vv, t)
+    mirror = frechet_upper(uu[::-1, ::-1], vv[::-1, ::-1]) - full[::-1, ::-1]
+    derived = np.maximum(frechet_lower(uu, vv), frechet_upper(uu, vv) - mirror)
+    i, j = np.indices(full.shape)
+    return np.where(i + j > n, derived, full), full
+
+
 def test_check_upper_triangle_matches_full_square_audit(capsys):
     ts = (-1.0, -0.9, -0.75, -0.5, -4.0 / 9.0, -4.0 / 13.0, -0.1, 0.0, 0.2, 0.5, 0.7, 1.0)
     for n, t in itertools.product((37, 60, 181), ts):
         uu, vv = lattice(n)
-        full = upper_bound_values(uu, vv, t)
-        assert np.array_equal(_envelope_lattice("upper", t, n).values, full), (n, t)
+        want, full = _survival_lattice(n, t)
+        upper = _envelope_lattice("upper", t, n).values
+        assert np.array_equal(upper, want), (n, t)
+        assert np.max(np.abs(upper - full)) <= 2.0**-50, (n, t)
         code, payload, _ = run_json(capsys, "check", f"--t={t!r}", "--grid", str(n))
         # The order-37 lattice is too coarse to see the upper envelope's
         # negative mass at t = -0.1, so its copula verdict misses there; the
@@ -377,13 +399,14 @@ def test_check_upper_triangle_matches_full_square_audit(capsys):
         if (n, t) == (37, -0.1):
             assert results["upper_report"]["min_volume"] == 0.0
             assert results["upper_lens_floor_cell_volume"] == pytest.approx(-2.435e-5, rel=1e-3)
-        audit = check_properties(LatticeFunction(n, full), tol=1e-10)
-        want = json.loads(json.dumps(dataclasses.asdict(audit)))
-        assert payload["results"]["upper_report"] == want, (n, t)
-        # Both reflection forms evaluated directly, by two kernel calls at the
+        audit = check_properties(LatticeFunction(n, want), tol=1e-10)
+        report = json.loads(json.dumps(dataclasses.asdict(audit)))
+        assert payload["results"]["upper_report"] == report, (n, t)
+        # Both reflection forms read off the survival reference at -t, at the
         # exact reflected nodes (n - k)/n.
-        lower = vv - upper_bound_values(uu[::-1], vv, -t)
-        second_form = uu - upper_bound_values(uu, vv[:, ::-1], -t)
+        reflected = _survival_lattice(n, -t)[0]
+        lower = vv - reflected[::-1]
+        second_form = uu - reflected[:, ::-1]
         two_call_err = float(np.max(np.abs(lower - second_form)))
         assert payload["results"]["reflection_max_err"] == two_call_err, (n, t)
         audit = check_properties(LatticeFunction(n, lower), tol=1e-10)
@@ -415,16 +438,18 @@ def test_grid_upper_triangle_matches_full_square(capsys):
     n = 37
     uu, vv = lattice(n)
     for t in (-1.0, -0.6, -4.0 / 13.0, 0.0, 0.45, 1.0):
-        full = upper_bound_values(uu, vv, t).ravel().tolist()
+        want, full = _survival_lattice(n, t)
         code, payload, _ = run_json(
             capsys, "grid", "--t", repr(t), "--n", str(n), "--format", "json"
         )
-        assert code == 0 and payload["values"] == full, t
+        assert code == 0 and payload["values"] == want.ravel().tolist(), t
+        assert np.max(np.abs(np.reshape(payload["values"], full.shape) - full)) <= 2.0**-50, t
         code, payload, _ = run_json(
             capsys, "grid", "--t", repr(t), "--n", str(n), "--side", "lower", "--format", "json"
         )
         lower = np.reshape(payload["values"], (n + 1, n + 1))
-        assert code == 0 and np.max(np.abs(lower - lower_bound_values(uu, vv, t))) <= 1e-15, t
+        assert code == 0 and np.array_equal(lower, vv - _survival_lattice(n, -t)[0][::-1]), t
+        assert np.max(np.abs(lower - lower_bound_values(uu, vv, t))) <= 1e-15, t
 
 
 @pytest.mark.parametrize("n", (1, 2, 37, 60, 64, 180, 181, 256, 400))
@@ -434,36 +459,71 @@ def test_lower_lattice_and_atlas_match_full_square(n):
         lower = _envelope_lattice("lower", t, n).values
         full = lower_bound_values(uu, vv, t)
         assert np.max(np.abs(lower - full)) <= 1e-15, (n, t)
-        # 1 - i/n, which lower_bound_values reflects to, is the exact node
-        # (n - i)/n when n is a power of two.
-        if n & (n - 1) == 0:
-            assert np.array_equal(lower, full), (n, t)
+        # The reflection of the survival reference at -t, at the exact node
+        # (n - i)/n; lower_bound_values reflects to 1 - i/n, which is that
+        # node only when n is a power of two.
+        assert np.array_equal(lower, vv - _survival_lattice(n, -t)[0][::-1]), (n, t)
         if n in (1, 37, 181):
-            atlas = _triangle_lattice(region_masks, n, t)
+            atlas = _triangle_lattice(region_masks, n, t, _atlas_survival)
             assert np.array_equal(atlas, np.stack(region_masks(uu, vv, t))), (n, t)
 
 
-@pytest.mark.parametrize("n", (1, 2, 179, 180, 181, 400))
+@pytest.mark.parametrize("n", (1, 2, 179, 180, 181, 254, 255, 400))
 def test_triangle_lattice_calls_f_in_blocks_on_each_upper_node_once(n):
     calls = []
 
-    def product_recorder(u, v, t):
+    def index_recorder(u, v, t):
+        # The node's indices (i, j), sorted: symmetric in (u, v).
         calls.append((u, v))
-        return np.stack([u * v, u + v])
+        return np.rint(np.stack([np.minimum(u, v), np.maximum(u, v)]) * n)
 
-    nodes = lattice_nodes(n)
-    out = _triangle_lattice(product_recorder, n, 0.0)
-    want = np.stack([np.multiply.outer(nodes, nodes), np.add.outer(nodes, nodes)])
-    assert np.array_equal(out, want)
+    def survival(values, u, v, su, sv):
+        # The image of the node (i, j), i <= j, is (n - i, n - j), whose sorted
+        # indices are (n - j, n - i).
+        assert np.array_equal(np.rint(np.stack([su, sv]) * n), n - np.rint(np.stack([u, v]) * n))
+        return n - values[::-1]
+
+    k = np.arange(n + 1.0)
+    out = _triangle_lattice(index_recorder, n, 0.0, survival)
+    assert np.array_equal(out, np.stack([np.minimum.outer(k, k), np.maximum.outer(k, k)]))
     assert all(len(u) <= _BLOCK for u, _ in calls)
-    # The order-180 triangle, 181 * 182 / 2 = 16,471 nodes, is the first
-    # that needs two calls.
-    if n <= 180:
-        assert len(calls) == (1 if n < 180 else 2)
+    # The order-255 quarter, 128 * 129 = 16,512 nodes, is the first that
+    # needs two calls.
+    if n <= 255:
+        assert len(calls) == (1 if n < 255 else 2)
     rows = np.rint(np.concatenate([u for u, _ in calls]) * n).astype(int)
     cols = np.rint(np.concatenate([v for _, v in calls]) * n).astype(int)
     counts = np.bincount(rows * (n + 1) + cols, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
-    assert np.array_equal(counts, np.triu(np.ones((n + 1, n + 1), dtype=int)))
+    i, j = np.indices(counts.shape)
+    assert np.array_equal(counts, ((i <= j) & (i + j <= n)).astype(int))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 37, 60, 181, 200, 256, 400))
+def test_envelope_lattice_from_one_quarter(n):
+    # The upper lattice that _triangle_lattice derives by the survival rule:
+    # the reference's bits, and every exact property of the envelope kept.
+    uu, vv = lattice(n)
+    nodes = lattice_nodes(n)
+    low, high = frechet_lower(uu, vv), frechet_upper(uu, vv)
+    for t in SEAM_T:
+        upper = _envelope_lattice("upper", t, n).values
+        want, full = _survival_lattice(n, t)
+        assert np.array_equal(upper, want), (n, t)
+        assert np.array_equal(upper, upper.T), (n, t)
+        assert np.array_equal(upper[full == high], high[full == high]), (n, t)
+        assert np.all(upper[0] == 0.0) and np.array_equal(upper[n], nodes), (n, t)
+        assert np.all((low <= upper) & (upper <= high)), (n, t)
+        assert np.max(np.abs(upper - full)) <= 2.0**-50, (n, t)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 37, 60, 181, 200, 400))
+def test_region_masks_trade_regions_3_and_4_under_the_survival_map(n):
+    # The atlas's survival rule: the masks at (n - i, n - j) are those at
+    # (i, j) with regions 3 and 4 swapped, exactly.
+    uu, vv = lattice(n)
+    for t in SEAM_T + _AUDIT_T:
+        masks = np.stack(region_masks(uu, vv, t))
+        assert np.array_equal(masks[:, ::-1, ::-1], masks[[0, 1, 3, 2, 4]]), (n, t)
 
 
 @pytest.mark.parametrize("n", (1, 37, 181))

@@ -36,23 +36,23 @@ UPPER_RECORDS = "615d87d4f8937273444f24ee4010035270e7c49e15680811dd8dd6a56d158b9
 LOWER_VALUES = "201a7a8f3977ff18beb28e503232c7cfac17767330ad6b538d202c3990576cff"
 # CSV bytes of the order-60 lattice at every seam t.
 GRID_CSV = {
-    "upper": "0a44b51b747f0a41750cc08a39df39d059346887e5cff951f69037c1774a5795",
-    "lower": "d2d6697a802a8a5711edee4964febe0325bfb4265bbbc545c49262d9d57d4eaf",
+    "upper": "a86102292084d428e716addc6b2d3a0ea064691f317fb350d29f893e22d3e33e",
+    "lower": "35e9fc179c4faddd84a7aed1931e4fcbf1e4fc2f136524235bf2e9003456c96b",
 }
 REGIONS_CSV = "716747fe218deb421106d7f38be0e947c95a47ff05069440d9f6dcb47cf81227"
 TO_CSV = "f1da4c0097cf7fcf458d834495a4b7598327cca616f1e75e6b78a506bfe5d913"
 # The `check --t T --grid 400` JSON report without its elapsed_ms line, at
 # each t of the envelope-audit benchmark and at -1, 0 and 1.
 CHECK_REPORTS = {
-    "-1": "52c539b6ceb9cf4b2fb0b706c52ece8c801779f8f759267e24219012c8ecdc1e",
-    "-0.9": "3ddf89dafbf7f6e7028f61de2b25dc7825f1106d2c98624b42d89427a44f7eb8",
-    "-0.5": "e7e0717c36860c9f0d8f4fc1fcc046fc03159688ebda7e2781722bcdb02e8c09",
-    "-0.1": "1965afc1c8af1e38650675b9447c8be3d0e656e3491bf28e77f1dfce703471ff",
-    "0": "6ef649009de67782a9ad9f2d38030ede8aecc3e82e0447c09c64d6f2e25049e4",
-    "0.2": "5fadc460cca74129b32dda3358576b4282482c713ff1f2438e1d2e87ae361568",
-    "0.45": "31cad120807118fda6381bc261a821a9b1af34d02254b75831a6eec1a9533778",
-    "0.7": "3b98fd2859754e87d7e0a1b96410d46832262ca05c03ac5fbf9ca7e64d463f81",
-    "1": "1d218be7dfbe0f904a18f90a85c49e735855b5449a276503c90d2208cf338bec",
+    "-1": "af744e4d16f7cbdbb2c708baa8d78f8327925b3cb065e197878243a48199f004",
+    "-0.9": "286a239868eed265fa5dad0a0b36724e02c323cb39f64a8a36a32337a157fcd6",
+    "-0.5": "c994c23667d385f1c5803204f7a28ebdbb1ae791c5602c53c34081480adb2103",
+    "-0.1": "19fc17dfafffbda647d29277b901237ef820d4b2e28651eb18f6f5f2701afbb6",
+    "0": "d839427866eabc30ab6212b155202d1048036e5d62134a3e15d6fde3c47c4a79",
+    "0.2": "c0bb10337176f917cadce8b8acfd455370157115824fc1e93a2292f57d889852",
+    "0.45": "374deb06196bf01d5910d5840f25322ddc6cad6686b0024f0d18c6c980d51041",
+    "0.7": "cdf24b52c1ad67d63b7fa1a13968133e7de3e67673c9a2bcfd78e9b0da910c04",
+    "1": "db86d82e55124fc974320b685f5ae780c8525938be999e6ab8af823fc365c5e9",
 }
 # The `oracle` JSON report without its elapsed_ms line, keyed "u v t n": the
 # four lp-certify points at orders 8 and 16, and the centre at 4 and 32.

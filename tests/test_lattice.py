@@ -32,8 +32,8 @@ from gini_bounds import (
 )
 from gini_bounds.bounds import _BLOCK
 from gini_bounds.lattice import (
-    _CHECK_TOL, _CSV_FORMAT, _envelope_lattice, _fast_fields, _fixed_width_rows, _row_groups,
-    _triangle_lattice, lattice_nodes, write_node_csv,
+    _CHECK_TOL, _CSV_FORMAT, _atlas_survival, _envelope_lattice, _fast_fields, _fixed_width_rows,
+    _row_groups, _triangle_lattice, lattice_nodes, write_node_csv,
 )
 
 
@@ -548,16 +548,20 @@ def test_csv_reader_reads_float_of_each_field_on_any_doubles(tmp_path, n, fixed,
 
 @pytest.mark.parametrize("side", ["upper", "lower"])
 def test_csv_reader_matches_row_loop_reference_at_every_seam_t(tmp_path, side):
-    # Order 200, as grid-export reads it.  Every such grid is fixed-width;
-    # t = 1's lower grid has 49 values near 1.4e-17, whose exponent puts them
-    # off the division path.
+    # Order 200, as grid-export reads it.  Every such grid is fixed-width.
+    # Values below 1e-11 have exponents off the division path: the upper
+    # seam grids have many near t = -1, the lower ones only 2, at t = 3/4.
+    # So t = 1's lattice is read once more, with 49 such values planted.
     path = tmp_path / "m.csv"
-    for t in SEAM_T:
-        _envelope_lattice(side, t, 200).to_csv(path)
+    planted = _envelope_lattice(side, 1.0, 200).values.copy()
+    planted[1:50, 1] = np.geomspace(1.4e-17, 9e-12, 49)
+    for t in (*SEAM_T, None):
+        lf = LatticeFunction(200, planted) if t is None else _envelope_lattice(side, t, 200)
+        lf.to_csv(path)
         assert _fixed_width_rows(path) is not None, t
         reference = _csv_loop_reader(path)
         assert np.array_equal(bits(LatticeFunction.from_csv(path).values), bits(reference)), t
-    assert side == "upper" or np.count_nonzero((reference > 0) & (reference < 1e-11)) == 49
+    assert np.count_nonzero((reference > 0) & (reference < 1e-11)) == 49
 
 
 def test_csv_reader_reads_a_crlf_copy_alike(tmp_path):
@@ -688,7 +692,7 @@ def test_csv_fallback_reader_skips_the_decode_of_an_ascii_file(tmp_path):
 def test_atlas_csv_matches_csv_module_reference(n):
     # At order 181 the writer's groups of five 182-node rows do not divide
     # the 182 rows; at t = -0.9 every region is non-empty.
-    masks = _triangle_lattice(region_masks, n, -0.9)
+    masks = _triangle_lattice(region_masks, n, -0.9, _atlas_survival)
     out = io.StringIO()
     write_node_csv(out, n, masks)
     assert out.getvalue() == _csv_module_reference(n, masks)
