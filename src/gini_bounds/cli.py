@@ -1,8 +1,10 @@
 """Command-line surface: evaluation, grids, gamma, classification, checks,
 oracle certification, and the region atlas.
 
-This module parses arguments and formats output only; the lattices and
-their audit are built in lattice (`check` prints envelope_audit's fields).
+This module parses arguments and formats output only, and holds no lattice
+mechanics: lattice builds the envelope lattice that `grid` writes, the
+region atlas that `regions` writes, and the audit whose fields `check`
+prints (envelope_audit).
 The parser is built once per process.
 
 Exit codes: 0 all checks passed, 1 check or IO failure, 2 usage or domain
@@ -24,15 +26,12 @@ from dataclasses import asdict
 
 from . import __version__
 from .bounds import (
-    ENVELOPE_TOL, _reflected_upper_bound, classify_lower, classify_upper, lower_bound,
-    region_masks, upper_bound,
+    ENVELOPE_TOL, _reflected_upper_bound, classify_lower, classify_upper, lower_bound, upper_bound,
 )
 from .checkerboard import Checkerboard, gamma_checkerboard_exact
 from .core import PointBoundSpec, frechet_lower, frechet_upper, point_bound_lower, product
 from .errors import DomainError, InternalError
-from .lattice import (
-    _atlas_survival, _envelope_lattice, _triangle_lattice, envelope_audit, write_node_csv,
-)
+from .lattice import _envelope_lattice, _region_atlas, envelope_audit, write_node_csv
 from .oracle import lp_extreme
 from .pointgamma import i1_closed, i2_closed, lower_point_bound_gamma
 from .quadrature import _certify_gamma
@@ -208,7 +207,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    active = _triangle_lattice(region_masks, args.n, args.t, _atlas_survival)
+    active = _region_atlas(args.t, args.n)
     with _open_out(args.out) as fh:
         write_node_csv(fh, args.n, active)
     return 0

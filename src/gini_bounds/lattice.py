@@ -19,12 +19,15 @@ copulas with gamma t are closed under the survival map
 C -> u + v - 1 + C(1 - u, 1 - v) (Nelsen, An Introduction to Copulas, 2nd
 ed., 2006), and both envelopes satisfy K(u, v) = u + v - 1 +
 K(1 - u, 1 - v): _envelope_survival states that rule in floats.  In the
-region atlas, regions 3 and 4 trade places (_atlas_survival).
+region atlas, regions 3 and 4 trade places (_region_atlas).
 _envelope_lattice builds either envelope, the lower one at the exact
 reflected nodes.
 envelope_audit builds both envelopes at one t and audits them against the
 axioms, their classification, the reflection identity and the
-Frechet-Hoeffding sandwich: the `check` command's results.
+Frechet-Hoeffding sandwich: the `check` command's results.  The lower
+lattice's two reflection forms are a kernel value and its survival fill,
+so the reflection check reads the fill's rounding, not the kernel: a
+kernel that stays in [W, M] but breaks the survival identity passes it.
 
 Every lattice pass goes in groups of whole rows (_row_groups, the one
 statement of that rule), so that no temporary but the lattices themselves
@@ -55,7 +58,7 @@ import numpy as np
 
 from .bounds import (
     _BLOCK, ENVELOPE_TOL, BoundClassification, classify_lower, classify_upper, lens_density_floor,
-    upper_bound_values,
+    region_masks, upper_bound_values,
 )
 from .core import (
     Evaluator, _check_order, _check_real, _open_utf8, _real_array, check_t, frechet_lower,
@@ -531,12 +534,6 @@ def _envelope_survival(k, u, v, su, sv):
     return np.maximum(frechet_lower(su, sv), frechet_upper(su, sv) - (frechet_upper(u, v) - k))
 
 
-def _atlas_survival(masks, *nodes):
-    """The region masks at the survival images of nodes with the given
-    masks: regions 3 and 4 trade places, and the others keep theirs."""
-    return masks[[0, 1, 3, 2, 4]]
-
-
 def _envelope_lattice(side: str, t: float, n: int) -> LatticeFunction:
     """One side's envelope on the order-n lattice, from one upper lattice.
 
@@ -548,9 +545,11 @@ def _envelope_lattice(side: str, t: float, n: int) -> LatticeFunction:
     at the exact node (n - i)/n rather than the rounded 1 - i/n that
     lower_bound_values reflects to, so the two agree within 1e-15; the
     subtraction overwrites that lattice in place.  Entry (j, i) is then the
-    other reflection form u_i - K(u_i, (n - j)/n, -t), a different entry of
-    the same -t lattice off the diagonal, which envelope_audit compares
-    with (i, j).
+    other reflection form u_i - K(u_i, (n - j)/n, -t), read at the node
+    (i, n - j), the survival image of (n - i, j).  So of the two forms that
+    envelope_audit compares, one is a kernel value and the other that
+    value's survival fill (_envelope_survival), and they differ by the
+    fill's rounding alone.
     """
     nodes = lattice_nodes(n)
     t = check_t(t)  # before the lower side negates it, so that an error names the t given
@@ -558,6 +557,14 @@ def _envelope_lattice(side: str, t: float, n: int) -> LatticeFunction:
         return LatticeFunction(n, _triangle_lattice(upper_bound_values, n, t, _envelope_survival))
     reflected = _triangle_lattice(upper_bound_values, n, -t, _envelope_survival)[::-1]
     return LatticeFunction(n, np.subtract(nodes, reflected, out=reflected))
+
+
+def _region_atlas(t: float, n: int) -> np.ndarray:
+    """The region atlas: region_masks at t on the order-n lattice, shape
+    (5, n + 1, n + 1), from one quarter (_triangle_lattice).  The masks are
+    symmetric in (u, v), and at a node's survival image regions 3 and 4
+    trade places."""
+    return _triangle_lattice(region_masks, n, t, lambda masks, *nodes: masks[[0, 1, 3, 2, 4]])
 
 
 @dataclass(frozen=True)
@@ -586,13 +593,19 @@ class EnvelopeAudit:
         and t = 1, an ulp change can move min_volume_rect to any cell, and
         this distance with it: at t = -1 and order 400, a change of the
         lattice by rounding alone moved the upper one from (200, 367) to
-        (201, 213).
+        (201, 213).  So the distance means something only where the upper
+        report's min_volume is clearly below 0.
     upper_lens_floor_cell_volume, lower_lens_floor_cell_volume
         D*(t) / n^2 and D*(-t) / n^2, the least volume an order-n cell can
         have in each envelope's lens; None where it has no lens
     reflection_max_err
         largest difference between the two reflection forms of the lower
-        envelope, lower[i, j] - lower[j, i]
+        envelope, lower[i, j] - lower[j, i].  One form is a kernel value
+        and the other its survival fill (_envelope_lattice), so this
+        measures the fill's rounding (at most 2.2e-16 measured, at orders
+        1 to 400).  A kernel that keeps W <= K <= M but breaks
+        K(u, v) = u + v - 1 + K(1 - u, 1 - v) does not show here; one
+        that lifts K above M fails the sandwich check
     sandwich_max_violation
         largest excess in W <= lower <= upper <= M over the nodes
     checks

@@ -26,7 +26,7 @@ from gini_bounds.bounds import _BLOCK
 from gini_bounds.checkerboard import Checkerboard
 from gini_bounds.cli import main
 from gini_bounds.errors import InternalError
-from gini_bounds.lattice import _atlas_survival, _envelope_lattice, _triangle_lattice, lattice_nodes
+from gini_bounds.lattice import _envelope_lattice, _region_atlas, _triangle_lattice, lattice_nodes
 
 
 def run(capsys, *argv):
@@ -455,7 +455,7 @@ def test_grid_upper_triangle_matches_full_square(capsys):
 @pytest.mark.parametrize("n", (1, 2, 37, 60, 64, 180, 181, 256, 400))
 def test_lower_lattice_and_atlas_match_full_square(n):
     uu, vv = lattice(n)
-    for t in SEAM_T:
+    for t in SEAM_T + _AUDIT_T:
         lower = _envelope_lattice("lower", t, n).values
         full = lower_bound_values(uu, vv, t)
         assert np.max(np.abs(lower - full)) <= 1e-15, (n, t)
@@ -464,7 +464,7 @@ def test_lower_lattice_and_atlas_match_full_square(n):
         # node only when n is a power of two.
         assert np.array_equal(lower, vv - _survival_lattice(n, -t)[0][::-1]), (n, t)
         if n in (1, 37, 181):
-            atlas = _triangle_lattice(region_masks, n, t, _atlas_survival)
+            atlas = _region_atlas(t, n)
             assert np.array_equal(atlas, np.stack(region_masks(uu, vv, t))), (n, t)
 
 
@@ -505,7 +505,7 @@ def test_envelope_lattice_from_one_quarter(n):
     uu, vv = lattice(n)
     nodes = lattice_nodes(n)
     low, high = frechet_lower(uu, vv), frechet_upper(uu, vv)
-    for t in SEAM_T:
+    for t in SEAM_T + _AUDIT_T:
         upper = _envelope_lattice("upper", t, n).values
         want, full = _survival_lattice(n, t)
         assert np.array_equal(upper, want), (n, t)

@@ -32,8 +32,8 @@ from gini_bounds import (
 )
 from gini_bounds.bounds import _BLOCK
 from gini_bounds.lattice import (
-    _CHECK_TOL, _CSV_FORMAT, _atlas_survival, _envelope_lattice, _fast_fields, _fixed_width_rows,
-    _row_groups, _triangle_lattice, lattice_nodes, write_node_csv,
+    _CHECK_TOL, _CSV_FORMAT, _envelope_lattice, _fast_fields, _fixed_width_rows, _region_atlas,
+    _row_groups, lattice_nodes, write_node_csv,
 )
 
 
@@ -692,7 +692,7 @@ def test_csv_fallback_reader_skips_the_decode_of_an_ascii_file(tmp_path):
 def test_atlas_csv_matches_csv_module_reference(n):
     # At order 181 the writer's groups of five 182-node rows do not divide
     # the 182 rows; at t = -0.9 every region is non-empty.
-    masks = _triangle_lattice(region_masks, n, -0.9, _atlas_survival)
+    masks = _region_atlas(-0.9, n)
     out = io.StringIO()
     write_node_csv(out, n, masks)
     assert out.getvalue() == _csv_module_reference(n, masks)

@@ -1,6 +1,7 @@
 """README.md against the code it names: files, attributes, the module map
 and its examples, which run as written."""
 
+import ast
 import dataclasses
 import importlib
 import json
@@ -63,6 +64,24 @@ def test_each_dotted_reference_resolves(ref):
 
 def test_layout_has_one_entry_per_module():
     assert sorted(_layout_entries()) == [f"{stem}.py" for stem in MODULES]
+
+
+def test_cli_imports_no_lattice_mechanics():
+    # Layout's cli entry: it holds no lattice mechanics, so it imports neither
+    # the quarter builder, the row grouping, a survival rule, nor the masks
+    # the atlas is built from; lattice builds every lattice that cli writes.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name.rpartition(".")[2]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert imported
+    mechanics = [
+        name for name in imported
+        if name in ("_triangle_lattice", "_row_groups", "region_masks") or name.endswith("_survival")
+    ]
+    assert mechanics == []
 
 
 def _fenced_blocks(section, lang):
