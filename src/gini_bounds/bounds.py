@@ -223,27 +223,37 @@ def _blocks(u, v):
         yield block, np.maximum(bu, bv), np.minimum(bu, bv)
 
 
-def _upper_values(u, v, t):
-    """The vectorized upper envelope on points and t already checked.
+def _envelope_block(x, m, t, live):
+    """The upper envelope at the points with max x and min m (x >= m), on
+    arrays and a t already checked, with live = _live_candidates(t).
 
-    Per block, with x = max(u, v) and m = min(u, v): the largest active
-    candidate among those live at t caps m, and one maximum with W(x, m)
-    clamps the result into [W, M].  An inactive or absent candidate counts
+    The largest active candidate among those live caps m, and one maximum
+    with W(x, m) clamps the result into [W, M].  An inactive candidate counts
     as NaN, which np.fmax and np.fmin pass over, so a point with no active
-    candidate, or a t with no live one, keeps m.
+    candidate keeps m.  With no live candidate the result is a copy of m, as
+    the clamp would leave it, since W(x, m) <= m.  The one kernel of
+    _upper_values and of the envelope lattices (lattice._envelope_lattices).
     """
+    if not live:
+        return m.copy()
+    # One expression, so that no block's roots and masks outlive the block.
+    raw = np.fmin(m, reduce(np.fmax, (
+        np.where(act, th, np.nan) for th, act in zip(*_active_masks(x, m, t, live))
+    )))
+    # raw <= m = M(u, v) and W <= M, so this clamps raw into [W, M]; W(x, m)
+    # is W(u, v) bit for bit, since x + m == u + v exactly.
+    return np.maximum(raw, frechet_lower(x, m))
+
+
+def _upper_values(u, v, t):
+    """The vectorized upper envelope on points and t already checked:
+    _envelope_block on each block, with x = max(u, v) and m = min(u, v)."""
     u, v = np.broadcast_arrays(u, v)
     out = np.empty(u.shape)
     flat_out = out.reshape(-1)
     live = _live_candidates(t)
     for block, x, m in _blocks(u, v):
-        # One expression, so that no block's roots and masks outlive the block.
-        raw = np.fmin(m, reduce(np.fmax, (
-            np.where(act, th, np.nan) for th, act in zip(*_active_masks(x, m, t, live))
-        ), np.nan))
-        # raw <= m = M(u, v) and W <= M, so this clamps raw into [W, M]; W(x, m)
-        # is W(u, v) bit for bit, since x + m == u + v exactly.
-        flat_out[block] = np.maximum(raw, frechet_lower(x, m))
+        flat_out[block] = _envelope_block(x, m, t, live)
     return out[()]
 
 

@@ -10,18 +10,26 @@ monotonicity, the 1-Lipschitz condition in each coordinate, and
 2-increasingness.  Single-cell volumes suffice for the latter: every
 rectangle volume of the bilinear interpolant is a sum of cell volumes.
 
-_triangle_lattice evaluates a function exactly symmetric in (u, v) on one
+_triangle_lattice evaluates a function of max(u, v) and min(u, v) on one
 quarter of the lattice, the nodes with i <= j and i + j <= n, and fills the
 rest from mirror nodes: (j, i) by that symmetry, and (n - i, n - j) by a
-survival rule that its caller passes.  Gini's gamma integrates
+survival rule that its caller passes.  It reads the quarter's nodes as
+index arrays, one row group at a time (_quarter_groups), and from them the
+nodes' max and min, M and W at their images, and where each value goes.
+It fills several lattices in one pass, one per row of f's values: the two
+envelopes of one audit share the quarter's indices and images, and only
+the kernel runs once for each.  The envelope lattices call the kernel's
+block entry bounds._envelope_block on the quarter directly, not
+upper_bound_values, whose point checks and max and min the quarter's
+construction makes redundant.  Gini's gamma integrates
 |u + v - 1| - |u - v|, which the map (u, v) -> (1 - u, 1 - v) keeps, so the
 copulas with gamma t are closed under the survival map
 C -> u + v - 1 + C(1 - u, 1 - v) (Nelsen, An Introduction to Copulas, 2nd
 ed., 2006), and both envelopes satisfy K(u, v) = u + v - 1 +
 K(1 - u, 1 - v): _envelope_survival states that rule in floats.  In the
 region atlas, regions 3 and 4 trade places (_region_atlas).
-_envelope_lattice builds either envelope, the lower one at the exact
-reflected nodes.
+_envelope_lattices builds either envelope or both, the lower one at the
+exact reflected nodes.
 envelope_audit builds both envelopes at one t and audits them against the
 axioms, their classification, the reflection identity and the
 Frechet-Hoeffding sandwich: the `check` command's results.  The lower
@@ -57,8 +65,8 @@ from itertools import accumulate
 import numpy as np
 
 from .bounds import (
-    _BLOCK, ENVELOPE_TOL, BoundClassification, classify_lower, classify_upper, lens_density_floor,
-    region_masks, upper_bound_values,
+    _BLOCK, ENVELOPE_TOL, BoundClassification, _envelope_block, _live_candidates, classify_lower,
+    classify_upper, lens_density_floor, region_masks,
 )
 from .core import (
     Evaluator, _check_order, _check_real, _open_utf8, _real_array, check_t, frechet_lower,
@@ -473,73 +481,89 @@ def check_properties(g: LatticeFunction, tol: float = _CHECK_TOL) -> PropertyRep
     )
 
 
-def _triangle_lattice(f, n: int, t: float, survival) -> np.ndarray:
-    """f(u, v, t) on the order-n lattice, for an f exactly symmetric in (u, v)
-    whose values at the survival images (1 - u, 1 - v) survival gives.
+def _quarter_groups(n: int, block: int):
+    """The quarter of the order-n lattice, the nodes (i, j) with i <= j and
+    i + j <= n, row by row (row r is the nodes (r, r..n - r)): per row group
+    of at most `block` of them (_row_groups), their index arrays i and j."""
+    lengths = [n + 1 - 2 * r for r in range(n // 2 + 1)]
+    for rows in _row_groups(lengths, block):
+        r, size = np.arange(rows.start, rows.stop), lengths[rows]
+        i = np.repeat(r, size)
+        # Along row r, j counts up from r: a node's place in the group, less
+        # the place where its row starts, plus r.
+        starts = np.cumsum(size) - size
+        yield i, np.arange(len(i)) + np.repeat(r - starts, size)
 
-    f is evaluated once on the quarter of the nodes with i <= j and
-    i + j <= n, one group of whole rows of that quarter per call
-    (_row_groups); row r is the nodes (i, j) = (r, r..n - r).
-    survival(values, u, v, su, sv) takes f's values at nodes (u, v) of the
-    quarter and gives f at their images (su, sv), the exact nodes
-    ((n - i)/n, (n - j)/n).  Row r's values are written to row r from the
-    diagonal on, out[..., r, r:n + 1 - r], and to column r from the diagonal
-    down, their mirror (j, i).  Their images go to row n - r from the
-    diagonal back to column r + 1, and to column n - r likewise, but for the
-    image of the last node (r, n - r): it is that node's mirror, written
-    already.  So f gives the nodes with i + j <= n and survival the rest.
-    f may return a leading stack axis, as region_masks does with its five
-    masks; the lattice axes come last.
+
+def _triangle_lattice(f, n: int, survival, out, block: int = _BLOCK) -> None:
+    """Fill the order-n lattices out with f, for an f of the nodes' max and
+    min alone (so exactly symmetric in (u, v)), whose values at the survival
+    images (1 - u, 1 - v) survival gives.
+
+    f(x, m) is evaluated once on each node (i, j) of the quarter i <= j,
+    i + j <= n (_quarter_groups), one row group of at most `block` nodes
+    per call, at x = v_j and m = u_i; it returns one row of values per
+    lattice of out, as region_masks does with its five masks.
+    survival(values, m, sv, w) takes f's values at quarter nodes with min m
+    and gives f at their images ((n - i)/n, (n - j)/n), where M is
+    sv = (n - j)/n and W is w, both read at the exact nodes.  The values go
+    to each node and its mirror (j, i), at the flat indices i * (n + 1) + j
+    and j * (n + 1) + i, and the image values to the same indices of the
+    reversed flat lattice: the image (n - i, n - j) and its mirror.  The
+    image of a row's last node (r, n - r) is that node's mirror, so the
+    images are written first and the quarter over them: f gives the nodes
+    with i + j <= n and survival the rest.
     """
     nodes = lattice_nodes(n)
-    side = n + 1
-
-    def coordinates(x, group):
-        # (x[i], x[j]) at the nodes (i, j) of the quarter's rows in group:
-        # the nodes for x = nodes, and their images for x = nodes[::-1].
-        rows = range(group.start, group.stop)
-        return (np.repeat(x[group], [side - 2 * r for r in rows]),
-                np.concatenate([x[r:side - r] for r in rows]))
-
-    out = None
-    for group in _row_groups([side - 2 * r for r in range(n // 2 + 1)]):
-        u, v = coordinates(nodes, group)
-        quarter = np.asarray(f(u, v, t))
-        # The images' coordinates only now, so that the kernel's working set
-        # does not hold them.
-        image = survival(quarter, u, v, *coordinates(nodes[::-1], group))
-        if out is None:
-            out = np.empty(quarter.shape[:-1] + (side, side), dtype=quarter.dtype)
-        start = 0
-        for r in range(group.start, group.stop):
-            stop, m = start + side - 2 * r, n - r
-            out[..., r, r:m + 1] = out[..., r:m + 1, r] = quarter[..., start:stop]
-            out[..., m, m:r:-1] = out[..., m:r:-1, m] = image[..., start:stop - 1]
-            start = stop
-        del quarter, image  # not held through the next group's kernel call
-    return out
+    layers = [lattice.reshape(-1) for lattice in out]  # views, one flat lattice each
+    for i, j in _quarter_groups(n, block):
+        m = nodes[i]
+        quarter = np.asarray(f(nodes[j], m)).reshape(len(layers), -1)
+        # The images' coordinates only now, so that f's working set does not
+        # hold them.
+        sv = nodes[n - j]
+        image = survival(quarter, m, sv, frechet_lower(nodes[n - i], sv))
+        at, mirror = i * (n + 1) + j, j * (n + 1) + i
+        # One flat lattice at a time: fancy indices under a stack axis take
+        # numpy's slower subspace path.
+        for flat, q, im in zip(layers, quarter, image):
+            flat[::-1][at] = flat[::-1][mirror] = im
+            flat[at] = flat[mirror] = q
+        # Not held through the next group's f call.
+        del i, j, m, quarter, sv, image, at, mirror, q, im
 
 
-def _envelope_survival(k, u, v, su, sv):
-    """An envelope at the survival images (su, sv) = (1 - u, 1 - v) of nodes
-    (u, v) where it is k: K(su, sv) = su + sv - 1 + K(u, v).
+def _envelope_survival(k, m, sv, w):
+    """An envelope at the survival images (su, sv) = (1 - u, 1 - v) of
+    quarter nodes (u, v), u <= v, where it is k: K(su, sv) = su + sv - 1 +
+    K(u, v).
 
-    su + sv - 1 = M(su, sv) - M(u, v), so this is M(su, sv) - (M(u, v) - k),
-    raised to W(su, sv) by one maximum.  k lies in [W, M], so M(u, v) - k is
-    >= 0 and the result never exceeds M; where k is M(u, v), it is M bit for
-    bit, and so on the edges u = 1 and v = 1, whose mirrors are 0.  The form
-    (i + j - n)/n + k missed M by an ulp on 11% of the order-400 nodes at
-    t >= 1/2, and exceeded it on 6%.
+    su + sv - 1 = M(su, sv) - M(u, v), and on the quarter M(u, v) = m and
+    M(su, sv) = sv exactly, so this is sv - (m - k), raised to W(su, sv) = w
+    by one maximum.  k lies in [W, M], so m - k is >= 0 and the result never
+    exceeds M; where k is m, it is M bit for bit, and so on the edges u = 1
+    and v = 1, whose mirrors are 0.  The form (i + j - n)/n + k missed M by
+    an ulp on 11% of the order-400 nodes at t >= 1/2, and exceeded it on 6%.
     """
-    return np.maximum(frechet_lower(su, sv), frechet_upper(su, sv) - (frechet_upper(u, v) - k))
+    return np.maximum(w, sv - (m - k))
 
 
 def _envelope_lattice(side: str, t: float, n: int) -> LatticeFunction:
-    """One side's envelope on the order-n lattice, from one upper lattice.
+    """One side's envelope on the order-n lattice (_envelope_lattices)."""
+    return _envelope_lattices(t, n, (side,))[0]
+
+
+def _envelope_lattices(t: float, n: int, sides) -> tuple:
+    """The envelopes at t of the given sides ("upper" or "lower") on the
+    order-n lattice, from one _triangle_lattice build: the sides share its
+    quarter's nodes, indices and survival images, and only the kernel runs
+    once per side.
 
     The upper envelope K depends on (u, v) only through max and min, so its
-    lattice is exactly symmetric, and _triangle_lattice builds it with the
-    survival rule _envelope_survival, within 2**-50 of upper_bound_values.
+    lattice is exactly symmetric, and _triangle_lattice builds it from the
+    kernel bounds._envelope_block with the survival rule _envelope_survival,
+    within 2**-50 of upper_bound_values: one upper lattice per side, at t
+    for the upper side and at -t for the lower one.
     The lower envelope is the reflection v - K(1 - u, v, -t): entry (i, j) is
     v_j - K((n - i)/n, v_j, -t), read off the upper lattice at -t, row n - i,
     at the exact node (n - i)/n rather than the rounded 1 - i/n that
@@ -553,10 +577,20 @@ def _envelope_lattice(side: str, t: float, n: int) -> LatticeFunction:
     """
     nodes = lattice_nodes(n)
     t = check_t(t)  # before the lower side negates it, so that an error names the t given
-    if side == "upper":
-        return LatticeFunction(n, _triangle_lattice(upper_bound_values, n, t, _envelope_survival))
-    reflected = _triangle_lattice(upper_bound_values, n, -t, _envelope_survival)[::-1]
-    return LatticeFunction(n, np.subtract(nodes, reflected, out=reflected))
+    kernels = [(u, _live_candidates(u)) for u in (t if side == "upper" else -t for side in sides)]
+    # One lattice per side, not one stack: a side's LatticeFunction holds no
+    # other side's values.  The group size is split between the sides, so
+    # that a group's values are at most bounds._BLOCK points, as one
+    # side's are.
+    lattices = [np.empty((n + 1, n + 1)) for _ in sides]
+    _triangle_lattice(
+        lambda x, m: [_envelope_block(x, m, u, live) for u, live in kernels],
+        n, _envelope_survival, lattices, _BLOCK // len(sides),
+    )
+    return tuple(
+        LatticeFunction(n, upper if side == "upper" else np.subtract(nodes, upper[::-1], out=upper[::-1]))
+        for side, upper in zip(sides, lattices)
+    )
 
 
 def _region_atlas(t: float, n: int) -> np.ndarray:
@@ -564,7 +598,11 @@ def _region_atlas(t: float, n: int) -> np.ndarray:
     (5, n + 1, n + 1), from one quarter (_triangle_lattice).  The masks are
     symmetric in (u, v), and at a node's survival image regions 3 and 4
     trade places."""
-    return _triangle_lattice(region_masks, n, t, lambda masks, *nodes: masks[[0, 1, 3, 2, 4]])
+    n = _check_order(n, "lattice order")
+    masks = np.empty((5, n + 1, n + 1), dtype=bool)
+    _triangle_lattice(lambda x, m: region_masks(x, m, t), n,
+                      lambda values, *image: values[[0, 1, 3, 2, 4]], masks)
+    return masks
 
 
 @dataclass(frozen=True)
@@ -647,7 +685,7 @@ def envelope_audit(t: float, n: int) -> EnvelopeAudit:
     lens_up = lens_density_floor(t) if cls_up is quasi else None
     lens_lo = lens_density_floor(-t) if cls_lo is quasi else None
 
-    upper, lower = (_envelope_lattice(side, t, n) for side in ("upper", "lower"))
+    upper, lower = _envelope_lattices(t, n, ("upper", "lower"))
     rep_up, rep_lo = (check_properties(lf) for lf in (upper, lower))
     # The order as the lattice stores it, a builtin int (_check_order).
     up, lo, nodes, n = upper.values, lower.values, upper.nodes, upper.N

@@ -471,28 +471,35 @@ def test_lower_lattice_and_atlas_match_full_square(n):
 @pytest.mark.parametrize("n", (1, 2, 179, 180, 181, 254, 255, 400))
 def test_triangle_lattice_calls_f_in_blocks_on_each_upper_node_once(n):
     calls = []
+    nodes = lattice_nodes(n)
 
-    def index_recorder(u, v, t):
-        # The node's indices (i, j), sorted: symmetric in (u, v).
-        calls.append((u, v))
-        return np.rint(np.stack([np.minimum(u, v), np.maximum(u, v)]) * n)
+    def index_recorder(x, m):
+        # The node's indices (i, j), i <= j, at the exact nodes x = v_j, m = u_i.
+        calls.append((x, m))
+        i, j = np.rint(m * n).astype(int), np.rint(x * n).astype(int)
+        assert np.array_equal(x, nodes[j]) and np.array_equal(m, nodes[i])
+        return np.stack([i, j]).astype(float)
 
-    def survival(values, u, v, su, sv):
+    def survival(values, m, sv, w):
         # The image of the node (i, j), i <= j, is (n - i, n - j), whose sorted
-        # indices are (n - j, n - i).
-        assert np.array_equal(np.rint(np.stack([su, sv]) * n), n - np.rint(np.stack([u, v]) * n))
+        # indices are (n - j, n - i); the rule sees its M and W at the exact
+        # nodes (n - i)/n and (n - j)/n.
+        i, j = values.astype(int)
+        assert np.array_equal(m, nodes[i]) and np.array_equal(sv, nodes[n - j])
+        assert np.array_equal(w, frechet_lower(nodes[n - i], nodes[n - j]))
         return n - values[::-1]
 
     k = np.arange(n + 1.0)
-    out = _triangle_lattice(index_recorder, n, 0.0, survival)
+    out = np.full((2, n + 1, n + 1), np.nan)
+    assert _triangle_lattice(index_recorder, n, survival, out) is None
     assert np.array_equal(out, np.stack([np.minimum.outer(k, k), np.maximum.outer(k, k)]))
-    assert all(len(u) <= _BLOCK for u, _ in calls)
+    assert all(len(x) <= _BLOCK for x, _ in calls)
     # The order-255 quarter, 128 * 129 = 16,512 nodes, is the first that
     # needs two calls.
     if n <= 255:
         assert len(calls) == (1 if n < 255 else 2)
-    rows = np.rint(np.concatenate([u for u, _ in calls]) * n).astype(int)
-    cols = np.rint(np.concatenate([v for _, v in calls]) * n).astype(int)
+    rows = np.rint(np.concatenate([m for _, m in calls]) * n).astype(int)
+    cols = np.rint(np.concatenate([x for x, _ in calls]) * n).astype(int)
     counts = np.bincount(rows * (n + 1) + cols, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
     i, j = np.indices(counts.shape)
     assert np.array_equal(counts, ((i <= j) & (i + j <= n)).astype(int))

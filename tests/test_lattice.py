@@ -32,8 +32,8 @@ from gini_bounds import (
 )
 from gini_bounds.bounds import _BLOCK
 from gini_bounds.lattice import (
-    _CHECK_TOL, _CSV_FORMAT, _envelope_lattice, _fast_fields, _fixed_width_rows, _region_atlas,
-    _row_groups, lattice_nodes, write_node_csv,
+    _CHECK_TOL, _CSV_FORMAT, _envelope_lattice, _envelope_lattices, _fast_fields,
+    _fixed_width_rows, _quarter_groups, _region_atlas, _row_groups, lattice_nodes, write_node_csv,
 )
 
 
@@ -718,6 +718,32 @@ def test_row_groups_partition_the_rows_in_order(lengths):
             assert size + lengths[g.stop] > _BLOCK, (k, g)
 
 
+@pytest.mark.parametrize("n", (1, 2, 3, 37, 255, 400))
+@pytest.mark.parametrize("block", (_BLOCK, _BLOCK // 2, 1))
+def test_quarter_groups_match_brute_force(n, block):
+    # The quarter i <= j, i + j <= n, in row-major order.
+    i, j = np.indices((n + 1, n + 1))
+    quarter = (i <= j) & (i + j <= n)
+    groups = list(_quarter_groups(n, block))
+    assert np.array_equal(np.concatenate([gi for gi, _ in groups]), i[quarter])
+    assert np.array_equal(np.concatenate([gj for _, gj in groups]), j[quarter])
+    # Whole rows, each group as many as fit in block (one row where a row
+    # alone is longer).
+    rows = [n + 1 - 2 * r for r in range(n // 2 + 1)]
+    assert [len(gi) for gi, _ in groups] == [sum(rows[g]) for g in _row_groups(rows, block)]
+    assert all(gi.dtype == gj.dtype == np.intp for gi, gj in groups)
+
+
+@pytest.mark.parametrize("t", (-0.9, 0.2, 1.0))
+@pytest.mark.parametrize("n", (1, 2, 37, 400))
+def test_envelope_lattices_match_one_side_at_a_time(n, t):
+    # The stacked build of both sides gives each side's lattice bit for bit.
+    both = _envelope_lattices(t, n, ("upper", "lower"))
+    for side, lf in zip(("upper", "lower"), both):
+        alone = _envelope_lattices(t, n, (side,))[0].values
+        assert np.array_equal(bits(lf.values), bits(alone)), (side, n, t)
+
+
 @pytest.mark.parametrize(
     "t, n", [(5, 4), (math.nan, 4), (-1.5, 4), (0.1, 0), (0.1, -3), (0.1, True), (0.1, 2.5)]
 )
@@ -744,15 +770,15 @@ def test_envelope_audit_is_a_frozen_report():
 ])
 def test_envelope_audit_identities_at_their_tolerance(monkeypatch, side, node, check, bump, passed):
     # One node planted off by half and twice ENVELOPE_TOL (1e-12).
-    def planted(planted_side, t, n):
-        lf = _envelope_lattice(planted_side, t, n)
-        if planted_side != side:
-            return lf
-        values = lf.values.copy()
+    def planted(t, n, sides):
+        lattices = list(_envelope_lattices(t, n, sides))
+        k = sides.index(side)
+        values = lattices[k].values.copy()
         values[node] += bump
-        return LatticeFunction(n, values)
+        lattices[k] = LatticeFunction(n, values)
+        return tuple(lattices)
 
-    monkeypatch.setattr("gini_bounds.lattice._envelope_lattice", planted)
+    monkeypatch.setattr("gini_bounds.lattice._envelope_lattices", planted)
     checks = envelope_audit(-0.5, 40).checks
     assert checks.pop(check) is passed and all(checks.values())
 
@@ -762,15 +788,15 @@ def test_envelope_audit_identities_at_their_tolerance(monkeypatch, side, node, c
 def test_envelope_audit_fails_on_a_nan_node(monkeypatch, side, t):
     # Node (40, 7) of the order-100 lattice is read by the sandwich and by
     # its side's own audit; in the lower lattice, also by the reflection.
-    def planted(planted_side, t, n):
-        lf = _envelope_lattice(planted_side, t, n)
-        if planted_side != side:
-            return lf
-        values = lf.values.copy()
+    def planted(t, n, sides):
+        lattices = list(_envelope_lattices(t, n, sides))
+        k = sides.index(side)
+        values = lattices[k].values.copy()
         values[40, 7] = np.nan
-        return LatticeFunction(n, values)
+        lattices[k] = LatticeFunction(n, values)
+        return tuple(lattices)
 
-    monkeypatch.setattr("gini_bounds.lattice._envelope_lattice", planted)
+    monkeypatch.setattr("gini_bounds.lattice._envelope_lattices", planted)
     audit = envelope_audit(t, 100)
     assert math.isnan(audit.sandwich_max_violation)
     assert math.isnan(audit.reflection_max_err) is (side == "lower")
