@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,8 +78,11 @@ _ALL_CANDIDATES = (0, 1, 2, 3, 4)
 # envelope's max, which passes over it, and its region mask is all False.
 _PRUNE_MARGIN = 1e-9
 
-# Points per block of the array kernel: each float64 temporary is 128 KiB
-# and stays in L2 cache; 16k was the fastest of 4k to 64k on a 401^2 lattice.
+# Points per block of the array kernel: each float64 array of a block is
+# 128 KiB and stays in L2 cache, whether a temporary of the branch table or a
+# buffer that _active_masks and _envelope_block write in place (a root, its
+# radicand's buffer, the fold of the roots); 16k was the fastest of 4k to 64k
+# on a 401^2 lattice.
 _BLOCK = 16384
 
 # mixed_partial_density's slack on _hyperbolic_excess, the set's closure: at
@@ -137,17 +139,18 @@ def _active_masks(x, m, t, live):
     thetas, active = [], []
     for i in live:
         rad, gap, offset, den = branch_form(i + 1, x, m, t)
-        # The square root of a negative radicand is NaN, by intent.
+        # The root is taken into the radicand's buffer, an array even where
+        # the points are Python floats or 0-d, as out= takes no scalar.  The
+        # square root of a negative radicand is NaN, by intent.
+        sq = np.asarray(rad)
         with np.errstate(invalid="ignore"):
-            sq = np.sqrt(rad)
-        del rad
-        th = np.asarray((offset + sq) / den)
+            np.sqrt(sq, out=sq)
+        th = np.asarray(offset + sq)
+        th /= den
         # One divide per point: where offset >= 0, sq - offset may be 0.
-        np.divide(gap, sq - offset, out=th, where=offset < 0.0)
-        # Freed before the masks, so numpy reuses their still-cached memory:
-        # with them alive, the upper and lower 401^2 lattices at six t took
-        # 83-97 ms, not 81-94 ms (fastest of 15 rounds, 2 vCPUs).
-        del gap, offset, sq
+        np.divide(gap, np.subtract(sq, offset, out=sq), out=th, where=offset < 0.0)
+        # Freed before the masks, whose temporaries can then take their memory.
+        del rad, gap, offset, sq
         thetas.append(th)
         # numpy 1.24 may warn on ordering a NaN root; the answer is False.
         with np.errstate(invalid="ignore"):
@@ -236,13 +239,17 @@ def _envelope_block(x, m, t, live):
     """
     if not live:
         return m.copy()
-    # One expression, so that no block's roots and masks outlive the block.
-    raw = np.fmin(m, reduce(np.fmax, (
-        np.where(act, th, np.nan) for th, act in zip(*_active_masks(x, m, t, live))
-    )))
+    # One buffer, NaN at first, takes each active root by np.fmax in live
+    # order: the bits of reduce(np.fmax) over np.where(act, th, nan), as
+    # np.fmax(nan, th) is th.  No block's roots and masks outlive the fold.
+    raw = np.full_like(m, np.nan)
+    for th, act in zip(*_active_masks(x, m, t, live)):
+        np.fmax(raw, th, out=raw, where=act)
+    del th, act
+    np.fmin(m, raw, out=raw)
     # raw <= m = M(u, v) and W <= M, so this clamps raw into [W, M]; W(x, m)
     # is W(u, v) bit for bit, since x + m == u + v exactly.
-    return np.maximum(raw, frechet_lower(x, m))
+    return np.maximum(raw, frechet_lower(x, m), out=raw)
 
 
 def _upper_values(u, v, t):

@@ -42,7 +42,11 @@ statement of that rule), so that no temporary but the lattices themselves
 is the size of a lattice: at most bounds._BLOCK points a group, and
 _WRITE_NODES nodes in the CSV writer.  The one exception is the
 fixed-width CSV reader (_fixed_width_rows), which reads _READ_ROWS file
-rows, one node each, at a time.
+rows, one node each, at a time.  check_properties and envelope_audit's
+maxima write their groups' differences, volumes, W and M into buffers
+allocated once per call at the shape of the first group, which is the
+largest: each group writes the leading rows through out=, so these passes
+allocate no temporary per group, and no buffer outlives its call.
 
 CSV IO works on the bytes of the fixed-width rows that _CSV_ROW states.
 write_node_csv fills byte blocks of them in both of its layouts, and each
@@ -70,7 +74,6 @@ from .bounds import (
 )
 from .core import (
     Evaluator, _check_order, _check_real, _open_utf8, _real_array, check_t, frechet_lower,
-    frechet_upper,
 )
 from .errors import DomainError
 
@@ -431,7 +434,10 @@ def check_properties(g: LatticeFunction, tol: float = _CHECK_TOL) -> PropertyRep
     The forward differences and cell volumes are taken one group of cell
     rows at a time (_row_groups).  Each group reads its cell rows and the
     lattice row below them, and the next group reads that row again, which
-    moves no extreme.  Every field equals the whole-array reduction's (but
+    moves no extreme.  The groups write both differences and the volumes
+    into three buffers allocated once per call, at the first group's shape,
+    and a volume takes the whole-array expression's two roundings in its
+    order.  Every field equals the whole-array reduction's (but
     for the sign of a zero monotonicity_min_step, which numpy's min picks by
     its reduction order), a NaN propagates as it would there, and
     min_volume_rect is the first minimal cell in row-major order, as numpy's
@@ -448,15 +454,22 @@ def check_properties(g: LatticeFunction, tol: float = _CHECK_TOL) -> PropertyRep
     boundary = float(np.max(np.abs([v[:, 0], v[0], v[:, n] - nodes, v[n] - nodes])))
 
     extremes, minima = [], []
-    for cells in _row_groups([n + 1] * n):
+    groups = _row_groups([n + 1] * n)
+    # The first group is the largest; each group writes into leading rows of these.
+    most = groups[0].stop
+    du_buf, dv_buf, vol_buf = np.empty((most, n + 1)), np.empty((most + 1, n)), np.empty((most, n))
+    for cells in groups:
+        size = cells.stop - cells.start
         rows = v[cells.start:cells.stop + 1]
-        du = rows[1:] - rows[:-1]
-        dv = rows[:, 1:] - rows[:, :-1]
+        du = np.subtract(rows[1:], rows[:-1], out=du_buf[:size])
+        dv = np.subtract(rows[:, 1:], rows[:, :-1], out=dv_buf[:size + 1])
         # du first, as it holds every node of the group, so that a NaN
         # reaches both; the maximum negated, so that one min reduces both.
         extremes.append((min(du.min(), dv.min()), -max(du.max(), dv.max())))
-        # dv[1:] is rows[1:, 1:] - rows[1:, :-1], the first step of each volume.
-        vols = dv[1:] - rows[:-1, 1:] + rows[:-1, :-1]
+        # dv[1:] is rows[1:, 1:] - rows[1:, :-1], the first step of each
+        # volume; the second and third, in that order, follow in place.
+        vols = np.subtract(dv[1:], rows[:-1, 1:], out=vol_buf[:size])
+        vols += rows[:-1, :-1]
         k = int(np.argmin(vols))
         minima.append((vols.item(k), cells.start * n + k))
     mono, neg = np.min(extremes, axis=0).tolist()
@@ -675,7 +688,8 @@ def envelope_audit(t: float, n: int) -> EnvelopeAudit:
     A t outside [-1, 1] or NaN, or an order that is not an integer >= 1, is
     a DomainError.  Beyond the two lattices, nothing the size of a lattice
     is built: the reflection and sandwich maxima are taken in one pass of
-    row groups (_row_groups), with W and M taken per group from the nodes.
+    row groups (_row_groups), with W and M taken per group from the nodes,
+    into three buffers allocated once per call.
     """
     cls_up, cls_lo = classify_upper(t), classify_lower(t)
     # The lens, where an envelope's density is negative, exists exactly where
@@ -689,17 +703,28 @@ def envelope_audit(t: float, n: int) -> EnvelopeAudit:
     rep_up, rep_lo = (check_properties(lf) for lf in (upper, lower))
     # The order as the lattice stores it, a builtin int (_check_order).
     up, lo, nodes, n = upper.values, lower.values, upper.nodes, upper.N
-    # Per group, the largest of: the two reflection forms' difference,
-    # v_j - K((n - i)/n, v_j, -t) at lo[i, j] less u_i - K(u_i, (n - j)/n, -t)
-    # at lo[j, i] (float subtraction is antisymmetric, so this is the largest
-    # abs); and each of W - lower, lower - upper and upper - M.
-    maxima = np.max([
-        [np.max(lo[rows] - lo[:, rows].T),
-         np.max(frechet_lower(nodes[rows, None], nodes) - lo[rows]),
-         np.max(lo[rows] - up[rows]),
-         np.max(up[rows] - frechet_upper(nodes[rows, None], nodes))]
-        for rows in _row_groups([n + 1] * (n + 1))
-    ], axis=0)
+    groups = _row_groups([n + 1] * (n + 1))
+    # The first group is the largest; each group writes into leading rows of these.
+    diff_buf, m_buf, w_buf = (np.empty((groups[0].stop, n + 1)) for _ in range(3))
+    maxima = []
+    for rows in groups:
+        u, size = nodes[rows, None], rows.stop - rows.start
+        diff, m, w = diff_buf[:size], m_buf[:size], w_buf[:size]
+        # The two reflection forms' difference, v_j - K((n - i)/n, v_j, -t) at
+        # lo[i, j] less u_i - K(u_i, (n - j)/n, -t) at lo[j, i] (float
+        # subtraction is antisymmetric, so its maximum is the largest abs).
+        reflection = np.subtract(lo[rows], lo[:, rows].T, out=diff).max()
+        # M, and W by frechet_lower's steps in its order: u + v - 1, raised
+        # to 0, then lowered to M.
+        np.minimum(u, nodes, out=m)
+        np.subtract(np.add(u, nodes, out=w), 1.0, out=w)
+        np.minimum(np.maximum(0.0, w, out=w), m, out=w)
+        # Then each of W - lower, lower - upper and upper - M.
+        maxima.append((reflection,
+                       np.subtract(w, lo[rows], out=w).max(),
+                       np.subtract(lo[rows], up[rows], out=diff).max(),
+                       np.subtract(up[rows], m, out=m).max()))
+    maxima = np.max(maxima, axis=0)
     reflection_err, sandwich_err = float(maxima[0]), float(np.max(maxima[1:]))
 
     distance = None

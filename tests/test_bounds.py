@@ -3,6 +3,7 @@ import decimal
 import math
 import re
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -40,12 +41,14 @@ from gini_bounds import bounds
 from gini_bounds.bounds import (
     _ALL_CANDIDATES,
     _BLOCK,
+    ACTIVATION_EPS,
     REGION_EMPTY_ABOVE,
     _active_masks,
+    _envelope_block,
     _hyperbolic_excess,
     _live_candidates,
 )
-from gini_bounds.pointgamma import branch_form
+from gini_bounds.pointgamma import branch_condition, branch_form
 
 
 # --- candidates ---------------------------------------------------------
@@ -432,6 +435,84 @@ def test_blocked_kernel_matches_whole_array_reference(t):
     _assert_blocked_matches_whole_array(
         rng.random(_BLOCK + 3).tolist(), rng.random(_BLOCK + 3).tolist(), t
     )
+
+
+def _allocating_masks(x, m, t, live):
+    """_active_masks with a new array for every step: the root as
+    (offset + sq) / den, replaced by gap / (sq - offset) where offset < 0."""
+    thetas, active = [], []
+    for i in live:
+        rad, gap, offset, den = branch_form(i + 1, x, m, t)
+        with np.errstate(invalid="ignore"):
+            sq = np.sqrt(rad)
+        th = np.asarray((offset + sq) / den)
+        np.divide(gap, sq - offset, out=th, where=offset < 0.0)
+        thetas.append(th)
+        with np.errstate(invalid="ignore"):
+            active.append((th <= m + ACTIVATION_EPS) & branch_condition(i + 1, x, m, th, ACTIVATION_EPS))
+    return thetas, active
+
+
+def _allocating_block(x, m, t, live):
+    """_envelope_block with a new array for every step: the active roots
+    reduced by np.fmax over np.where(active, root, nan)."""
+    if not live:
+        return m.copy()
+    thetas, active = _allocating_masks(x, m, t, live)
+    raw = np.fmin(m, reduce(np.fmax, [np.where(act, th, np.nan) for th, act in zip(thetas, active)]))
+    return np.maximum(raw, frechet_lower(x, m))
+
+
+def _assert_kernel_bits_equal_allocating(x, m, t, live):
+    got_th, got_act = _active_masks(x, m, t, live)
+    want_th, want_act = _allocating_masks(x, m, t, live)
+    assert len(got_th) == len(got_act) == len(want_th) == len(live)
+    for got, want in zip(got_th, want_th):
+        assert np.array_equal(bits(got), bits(want)), (live, t)
+    for got, want in zip(got_act, want_act):
+        assert np.array_equal(got, want), (live, t)
+
+
+# One t for each live set that _live_candidates gives: all five, 2..5, 3..5,
+# 5 alone and none (just above 1/2 + _PRUNE_MARGIN).
+_LIVE_SET_T = (-0.9, -0.5, -4.0 / 13.0, -0.1, 0.45, 0.5 + 2e-9, 0.7)
+
+
+def test_live_set_t_cover_every_live_set():
+    assert {_live_candidates(t) for t in _LIVE_SET_T} == {
+        (0, 1, 2, 3, 4), (1, 2, 3, 4), (2, 3, 4), (4,), ()
+    }
+
+
+@pytest.mark.parametrize("t", _LIVE_SET_T)
+def test_kernel_is_bit_identical_to_the_allocating_formula(t):
+    # The kernel's buffers, written in place, hold the bits of a new array
+    # per step, signed zeros and NaN roots included: on lattice nodes, the
+    # seam patches and random points with -0.0, 0.0 and 1.0 coordinates.
+    rng = np.random.default_rng(47)
+    uu, vv = lattice(80)
+    u, v = rng.random((2, 3 * _BLOCK + 11))
+    u[::7], v[::11], u[::13], v[::17], v[::19] = -0.0, -0.0, 1.0, 1.0, 0.0
+    patches = [_patch(px, pm, side=41) for px, pm in VANISHING_POINTS]
+    points = [
+        (np.maximum(uu, vv).ravel(), np.minimum(uu, vv).ravel()),
+        (np.concatenate([x for x, _ in patches]), np.concatenate([m for _, m in patches])),
+        (np.maximum(u, v), np.minimum(u, v)),
+    ]
+    live = _live_candidates(t)
+    for x, m in points:
+        for candidates in (live, _ALL_CANDIDATES):
+            _assert_kernel_bits_equal_allocating(x, m, t, candidates)
+        for start in range(0, x.size, _BLOCK):
+            bx, bm = x[start:start + _BLOCK], m[start:start + _BLOCK]
+            got, want = _envelope_block(bx, bm, t, live), _allocating_block(bx, bm, t, live)
+            assert got.shape == want.shape and np.array_equal(bits(got), bits(want)), t
+    # Python floats, numpy scalars and 0-d arrays, whose arithmetic gives
+    # scalars, which out= does not take.
+    for x, m in ((0.75, 0.25), (1.0, -0.0), (np.float64(0.6), np.float64(0.3)),
+                 (np.array(0.8), np.array(0.1)), (np.array(0.5), 0.5)):
+        for candidates in (live, _ALL_CANDIDATES):
+            _assert_kernel_bits_equal_allocating(x, m, t, candidates)
 
 
 # --- exact activation reference -----------------------------------------

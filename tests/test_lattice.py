@@ -144,6 +144,13 @@ _PALETTES = [(0.0, -0.0), (0.0, -0.0, 0.25, 1.0), (-0.5, 0.0, 0.5), (0.1, 0.2, 0
 @example(n=40, seed=1, layout="edge", palette=_PALETTES[0], nans=1)
 @example(n=200, seed=2, layout="edge", palette=_PALETTES[0], nans=0)
 @example(n=300, seed=3, layout="edge", palette=_PALETTES[0], nans=2)
+# The benchmark's order, whose ten groups of 40 cell rows the @given range
+# does not reach: every layout, with NaNs carried through the groups' buffers.
+@example(n=400, seed=4, layout="palette", palette=_PALETTES[1], nans=0)
+@example(n=400, seed=5, layout="blocks", palette=_PALETTES[2], nans=0)
+@example(n=400, seed=6, layout="copula", palette=_PALETTES[0], nans=0)
+@example(n=400, seed=7, layout="uniform", palette=_PALETTES[3], nans=3)
+@example(n=400, seed=8, layout="edge", palette=_PALETTES[0], nans=2)
 def test_strip_audit_matches_whole_array_reference(n, seed, layout, palette, nans):
     rng = np.random.default_rng(seed)
     side = n + 1
@@ -781,6 +788,62 @@ def test_envelope_audit_identities_at_their_tolerance(monkeypatch, side, node, c
     monkeypatch.setattr("gini_bounds.lattice._envelope_lattices", planted)
     checks = envelope_audit(-0.5, 40).checks
     assert checks.pop(check) is passed and all(checks.values())
+
+
+def _whole_array_maxima(up, lo):
+    """The reflection and sandwich maxima of envelope_audit over whole
+    lattices: the largest lo - lo.T, and the largest of W - lower,
+    lower - upper and upper - M."""
+    uu, vv = lattice(len(up) - 1)
+    return (np.max(lo - lo.T),
+            max(np.max(frechet_lower(uu, vv) - lo), np.max(lo - up), np.max(up - frechet_upper(uu, vv))))
+
+
+def _assert_maxima_equal_whole_array(audit, up, lo):
+    reflection, sandwich = _whole_array_maxima(up, lo)
+    assert bits(audit.reflection_max_err) == bits(reflection)
+    assert bits(audit.sandwich_max_violation) == bits(sandwich)
+
+
+@pytest.mark.parametrize("t", (-0.9, -0.5, -0.1, 0.2, 0.45, 0.7))
+@pytest.mark.parametrize("n", (1, 2, 37, 400))
+def test_audit_maxima_match_whole_array_reference(n, t):
+    up, lo = (lf.values for lf in _envelope_lattices(t, n, ("upper", "lower")))
+    _assert_maxima_equal_whole_array(envelope_audit(t, n), up, lo)
+
+
+@pytest.mark.parametrize("side, sign, term", [
+    ("lower", -1.0, 0),  # below W
+    ("lower", 1.0, 1),   # above the upper envelope
+    ("upper", 1.0, 2),   # above M
+])
+def test_audit_sandwich_reads_an_excess_in_the_short_last_group(monkeypatch, side, sign, term):
+    # At order 400 the audit's groups are ten of 40 rows and then row 400
+    # alone, where u = 1 and W = lower = upper = M = v.  One node of that
+    # row is moved off by 3e-12, so that only one sandwich term exceeds.
+    n, t, node = 400, -0.5, (400, 123)
+    lattices = {}
+
+    def planted(t, n, sides):
+        built = list(_envelope_lattices(t, n, sides))
+        k = sides.index(side)
+        values = built[k].values.copy()
+        values[node] += sign * 3e-12
+        built[k] = LatticeFunction(n, values)
+        lattices.update(zip(sides, (lf.values for lf in built)))
+        return tuple(built)
+
+    monkeypatch.setattr("gini_bounds.lattice._envelope_lattices", planted)
+    audit = envelope_audit(t, n)
+    up, lo = lattices["upper"], lattices["lower"]
+    _assert_maxima_equal_whole_array(audit, up, lo)
+    uu, vv = lattice(n)
+    terms = [frechet_lower(uu, vv) - lo, lo - up, up - frechet_upper(uu, vv)]
+    excess = [np.max(d) for d in terms]
+    assert excess[term] == audit.sandwich_max_violation > 2e-12
+    assert all(d <= 1e-15 for k, d in enumerate(excess) if k != term)
+    assert np.unravel_index(np.argmax(terms[term]), up.shape) == node
+    assert not audit.checks["sandwich"]
 
 
 @pytest.mark.parametrize("t", (-0.5, 0.2))
