@@ -14,8 +14,10 @@ permutation, made of one run per pair of blocks (_runs), and its mirror,
 the sorted permutation of the column-reversed class read back through
 j -> n-1-j (proved at _class_gamma), and the hull is taken over those 2k
 points.  The classes, their gammas and their values do not depend on the
-direction, so one memoised table (_class_table) serves the max and the min
-at one point.
+direction, and cmd_oracle asks for both directions at one (n, u, v, t), so
+one memoised solve (_lp_extremes) builds the table once, builds and
+checks the four end permutations in one pass and serves the max and the
+min.
 
 The result is kept as the two permutations and their exact weight alpha;
 nothing n x n is built on the way.  Every datum is rational (float u, v and
@@ -57,7 +59,8 @@ class LpOutcome:
     optimum is that board's C(u, v), computed exactly and rounded once.
     Where optima tie, the board may be another of equal value.
     `argument` builds the dense Checkerboard on first access.  All three
-    are None when the target is infeasible.
+    are None when the target is infeasible.  lp_extreme hands one outcome
+    to every call at its arguments, so its arrays are read-only.
     """
 
     direction: str  # "min" | "max"
@@ -76,6 +79,7 @@ class LpOutcome:
         mass = np.zeros((n, n))
         mass[index, first] = float(self.alpha) / n
         mass[index, second] += float(1 - self.alpha) / n
+        mass.flags.writeable = False
         return Checkerboard(n, mass)
 
 
@@ -248,16 +252,18 @@ def _class_gamma(classes, n: int) -> np.ndarray:
     return run.sum(axis=(1, 2))
 
 
-def _end_permutation(counts, n: int, mirror: bool) -> np.ndarray:
+def _end_permutation(counts, n: int, mirror) -> np.ndarray:
     """A class's sorted permutation, pi(i) = (c - r) + i on each run (_runs),
-    or with mirror its mirror (_class_gamma's lemma): the sorted permutation
-    of the column-reversed counts, read back through j -> n-1-j."""
-    if mirror:
-        counts = counts[:, ::-1]
+    or where mirror holds its mirror (_class_gamma's lemma): the sorted
+    permutation of the column-reversed counts, read back through j -> n-1-j.
+    Over any leading axes of `counts`, which `mirror` broadcasts to."""
+    mirror = np.asarray(mirror)[..., None, None]
+    counts = np.where(mirror, counts[..., ::-1], counts)
     r, c = _runs(counts)
     # Runs in row order: a row block's runs go by column block.
-    sorted_perm = np.repeat((c - r).ravel(), counts.ravel()) + np.arange(n)
-    return n - 1 - sorted_perm if mirror else sorted_perm
+    runs = np.repeat((c - r).ravel(), counts.ravel())
+    sorted_perm = runs.reshape(counts.shape[:-2] + (n,)) + np.arange(n)
+    return np.where(mirror[..., 0], n - 1 - sorted_perm, sorted_perm)
 
 
 def _upper_hull(s: list, value: list) -> list:
@@ -287,24 +293,109 @@ def _class_value(n00, n01, n10, n11, ramp_u, ramp_v):
     return n00 + ramp_v * n01 + ramp_u * (n10 + ramp_v * n11)
 
 
-@functools.lru_cache(maxsize=1)
+# Classes per _class_gamma call.  Its run sums hold about a dozen int64
+# temporaries of nine cells per class, so one call over all 2k ends would
+# hold them for every class at once: a 135 MB peak at n = 65536, against
+# 28 MB in chunks.  At n <= 16 there are at most 170 ends, and one call
+# takes them all.
+_GAMMA_CHUNK = 4096
+
+
 def _class_table(n: int, u: float, v: float):
-    """The part of lp_extreme that does not depend on the direction, read-only.
+    """The part of an LP solve that does not depend on the direction.
 
     The block classes, and the hull points of their mirror and then their
-    sorted permutations: S = 3n^2/2 * gamma (_class_gamma) and C(u, v)
-    (_class_value, over n).  cmd_oracle solves max and min at one (n, u, v), so one entry
-    serves both.
+    sorted permutations: S = 3n^2/2 * gamma and C(u, v) (_class_value, over
+    n).  The S of all 2k ends come from one _class_gamma pass, in chunks of
+    at most _GAMMA_CHUNK classes, over the column-reversed classes stacked
+    on the classes; the mirror half is then negated (_class_gamma's lemma).
     """
     rows, ramp_u = _ramp_blocks(n, u)
     cols, ramp_v = _ramp_blocks(n, v)
     classes = _block_classes(rows, cols)
     value = _class_value(*classes[:, :2, :2].reshape(-1, 4).T, ramp_u, ramp_v) / n
-    s = np.concatenate([-_class_gamma(classes[..., ::-1], n), _class_gamma(classes, n)])
-    value = np.concatenate([value, value])
-    for array in (classes, s, value):
-        array.flags.writeable = False
-    return classes, s, value
+    ends = np.concatenate([classes[..., ::-1], classes])
+    s = np.concatenate([
+        _class_gamma(ends[i:i + _GAMMA_CHUNK], n) for i in range(0, len(ends), _GAMMA_CHUNK)
+    ])
+    mirror = s[:len(classes)]
+    np.negative(mirror, out=mirror)
+    return classes, s, np.concatenate([value, value])
+
+
+def _hull_mix(s, value, tn: int, td: int) -> tuple[int, int, int, int]:
+    """The hull points a and b of (s, value), as indices into s, whose mix
+    with weight alpha = an / ad on a meets the target S = tn / td: the upper
+    concave hull's segment around the target, or one hull point on it."""
+    # Per distinct s, keep the point of greatest value.
+    order = np.lexsort((value, s))
+    s, value = s[order], value[order]
+    last = np.append(s[1:] != s[:-1], True)
+    order, s, value = order[last], s[last].tolist(), value[last].tolist()
+    hull = _upper_hull(s, value)
+    # The hull segment a..b with s[a] < target < s[b]; a = b when a hull
+    # point sits at the target.  The s are integers, so bisecting on the
+    # target's ceiling is exact.
+    hull_s = [s[h] for h in hull]
+    k = bisect.bisect_left(hull_s, -(-tn // td))
+    b = hull[min(k, len(hull) - 1)]
+    a = hull[k - 1] if 0 < k < len(hull) and hull_s[k] * td != tn else b
+    # alpha = an / ad = (s[b] - target) / (s[b] - s[a]), or 1.
+    an, ad = (1, 1) if a == b else (s[b] * td - tn, (s[b] - s[a]) * td)
+    return int(order[a]), int(order[b]), an, ad
+
+
+@functools.lru_cache(maxsize=1)
+def _lp_extremes(n: int, u: float, v: float, t: float) -> tuple[LpOutcome, LpOutcome]:
+    """The max and the min LpOutcome at a validated order, point and target.
+
+    cmd_oracle solves both directions at one (n, u, v, t), so one entry
+    serves its two lp_extreme calls.  The directions share the class table,
+    and their four end permutations are built in one _end_permutation call
+    and summed in one gamma_numerators call; each direction takes its own
+    hull, mix, gamma check and exact optimum.  The outcomes' permutations
+    are read-only, as every caller of the key gets the same arrays.
+    """
+    lo, hi = gamma_feasible_range(n)
+    if not lo <= t <= hi:
+        return LpOutcome("max", None, "infeasible"), LpOutcome("min", None, "infeasible")
+
+    classes, s, value = _class_table(n, u, v)
+    # The target S = 3n^2/2 * t is tn / td exactly, in integers.  A t at an
+    # end of the range that rounds past the exact end (the identity's S) is
+    # read as that end.
+    p, q = t.as_integer_ratio()
+    edge, td = _identity_s(n), 2 * q
+    tn = min(max(3 * n * n * p, -edge * td), edge * td)
+    mixes = [_hull_mix(s, value, tn, td), _hull_mix(s, -value, tn, td)]
+    ends = [point for mix in mixes for point in mix[:2]]
+    k = len(classes)
+    counts = classes[[point % k for point in ends]]
+    perms = _end_permutation(counts, n, [point < k for point in ends])
+    perms.flags.writeable = False
+    g = gamma_numerators(n, np.arange(n), perms).sum(axis=1).tolist()
+    # Each end permutation has its class's block counts, so its exact
+    # n * C(u, v) is the class value; with the dyadic ramps pu / qu and
+    # pv / qv, the class value on these integers is qu * qv times it.
+    (pu, qu), (pv, qv) = (_ramp_blocks(n, z)[1].as_integer_ratio() for z in (u, v))
+    x = [
+        _class_value(n00 * qu * qv, n01 * qu, n10 * qv, n11, pu, pv)
+        for (n00, n01), (n10, n11) in counts[:, :2, :2].tolist()
+    ]
+    outcomes = []
+    for i, (direction, (_, _, an, ad)) in enumerate(zip(("max", "min"), mixes)):
+        pair = slice(2 * i, 2 * i + 2)
+        (g_a, g_b), (x_a, x_b) = g[pair], x[pair]
+        # g_b + alpha (g_a - g_b) - 3n^2 = target, times ad * td.
+        mix = ((g_b - 3 * n * n) * ad + an * (g_a - g_b)) * td
+        if mix != tn * ad:
+            miss = (mix - tn * ad) / (ad * td) * 2 / (3 * n * n)
+            raise InternalError(f"optimal checkerboard misses the gamma target by {miss:.3e}")
+        # One correctly rounded int / int division.
+        optimum = (x_b * ad + an * (x_a - x_b)) / (ad * n * qu * qv)
+        alpha = Fraction(an, ad)
+        outcomes.append(LpOutcome(direction, optimum, "optimal", tuple(perms[pair]), alpha))
+    return tuple(outcomes)
 
 
 def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcome:
@@ -316,58 +407,15 @@ def lp_extreme(n: int, u: float, v: float, t: float, direction: str) -> LpOutcom
     The optimum mixes two permutation boards with an exact weight alpha.
     Their gammas are re-derived on the 2n support cells from
     gamma_numerators, apart from _class_gamma, and the mix must meet the
-    target exactly, or InternalError is raised.
+    target exactly, or InternalError is raised.  Both directions are solved
+    at once and memoised (_lp_extremes), so the second direction at the same
+    (n, u, v, t) is a cache hit, and the outcome returned is shared with
+    every call at that key: its permutations are read-only.
     """
     n = _check_order(n, "oracle order", least=2)
     if direction not in ("min", "max"):
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
     u, v = _check_point(u, v)
     t = check_t(t)
-    lo, hi = gamma_feasible_range(n)
-    if not lo <= t <= hi:
-        return LpOutcome(direction, None, "infeasible")
-
-    classes, s, value = _class_table(n, u, v)
-    if direction == "min":
-        value = -value
-    # Per distinct s, keep the point of greatest value.
-    order = np.lexsort((value, s))
-    s, value = s[order], value[order]
-    last = np.append(s[1:] != s[:-1], True)
-    order, s, value = order[last], s[last].tolist(), value[last].tolist()
-    hull = _upper_hull(s, value)
-    # The target S = 3n^2/2 * t is tn / td exactly, in integers.  A t at an
-    # end of the range that rounds past the exact end (the identity's S) is
-    # read as that end.
-    p, q = t.as_integer_ratio()
-    edge, td = _identity_s(n), 2 * q
-    tn = min(max(3 * n * n * p, -edge * td), edge * td)
-    # The hull segment a..b with s[a] < target < s[b]; a = b when a hull
-    # point sits at the target.  The s are integers, so bisecting on the
-    # target's ceiling is exact.
-    hull_s = [s[h] for h in hull]
-    k = bisect.bisect_left(hull_s, -(-tn // td))
-    b = hull[min(k, len(hull) - 1)]
-    a = hull[k - 1] if 0 < k < len(hull) and hull_s[k] * td != tn else b
-    # alpha = an / ad = (s[b] - target) / (s[b] - s[a]), or 1.
-    an, ad = (1, 1) if a == b else (s[b] * td - tn, (s[b] - s[a]) * td)
-    ends = [int(order[a]), int(order[b])]
-    counts = [classes[point % len(classes)] for point in ends]
-    perms = tuple(_end_permutation(c, n, point < len(classes)) for c, point in zip(counts, ends))
-    g_a, g_b = gamma_numerators(n, np.arange(n), np.stack(perms)).sum(axis=1).tolist()
-    # g_b + alpha (g_a - g_b) - 3n^2 = target, times ad * td.
-    mix = ((g_b - 3 * n * n) * ad + an * (g_a - g_b)) * td
-    if mix != tn * ad:
-        miss = (mix - tn * ad) / (ad * td) * 2 / (3 * n * n)
-        raise InternalError(f"optimal checkerboard misses the gamma target by {miss:.3e}")
-    # Each end permutation has its class's block counts, so its exact
-    # n * C(u, v) is the class value; with the dyadic ramps pu / qu and
-    # pv / qv, the class value on these integers is qu * qv times it.
-    (pu, qu), (pv, qv) = (_ramp_blocks(n, z)[1].as_integer_ratio() for z in (u, v))
-    x_a, x_b = (
-        _class_value(n00 * qu * qv, n01 * qu, n10 * qv, n11, pu, pv)
-        for (n00, n01), (n10, n11) in (c[:2, :2].tolist() for c in counts)
-    )
-    # One correctly rounded int / int division.
-    optimum = (x_b * ad + an * (x_a - x_b)) / (ad * n * qu * qv)
-    return LpOutcome(direction, optimum, "optimal", perms, Fraction(an, ad))
+    outcome_max, outcome_min = _lp_extremes(n, u, v, t)
+    return outcome_max if direction == "max" else outcome_min

@@ -281,44 +281,59 @@ def test_convergence_at_the_centre_at_high_orders():
 
 
 def test_class_table_is_read_only():
-    for array in oracle._class_table(8, 0.3, 0.7):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
+    # The memoised solve hands one outcome to every call at its key, so its
+    # permutations, and the board built from them, are read-only.
+    oracle._lp_extremes.cache_clear()
+    for direction in ("max", "min"):
+        out = lp_extreme(8, 0.3, 0.7, -0.4, direction)
+        kept = [perm.copy() for perm in out.permutations]
+        for array in out.permutations + (out.argument.mass,):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        again = lp_extreme(8, 0.3, 0.7, -0.4, direction)
+        assert again is out
+        assert all(np.array_equal(a, b) for a, b in zip(again.permutations, kept))
 
 
-def test_class_table_serves_one_oracle_command(capsys):
-    # Each lp-certify command solves max and min at one (n, u, v): one miss,
-    # then one hit, and nothing carried over from the command before.
-    table = oracle._class_table
-    table.cache_clear()
+def test_class_table_serves_one_oracle_command(capsys, monkeypatch):
+    # Each lp-certify command solves max and min at one (n, u, v, t): one
+    # miss, then one hit, and nothing carried over from the command before.
+    solve = oracle._lp_extremes
+    solve.cache_clear()
     for u, v, t in CERTIFY_POINTS:
         for n in (8, 16):
-            before = table.cache_info()
+            before = solve.cache_info()
             argv = ["oracle", "--t", repr(t), "--n", str(n), "--u", repr(u), "--v", repr(v)]
             assert main(argv) == 0
-            after = table.cache_info()
+            after = solve.cache_info()
             assert (after.misses - before.misses, after.hits - before.hits) == (1, 1), argv
     capsys.readouterr()
-    # A different (n, u, v) evicts the entry.
-    table.cache_clear()
-    for n in (8, 16, 8):
-        table(n, 0.3, 0.7)
-    assert table.cache_info()[:2] == (0, 3)
-    # An infeasible target returns before the table is touched.
-    table.cache_clear()
-    assert lp_extreme(2, 0.5, 0.5, 0.9, "max").status == "infeasible"
-    assert table.cache_info()[:2] == (0, 0)
+    # A different (n, u, v, t) evicts the entry.
+    solve.cache_clear()
+    for n, t in ((8, 0.1), (16, 0.1), (8, 0.1), (8, 0.2)):
+        lp_extreme(n, 0.3, 0.7, t, "max")
+    assert solve.cache_info()[:2] == (0, 4)
+    # An infeasible target returns before a class table is built.
+    builds = []
+    table = oracle._class_table
+    monkeypatch.setattr(oracle, "_class_table", lambda *args: builds.append(args) or table(*args))
+    solve.cache_clear()
+    for direction in ("max", "min"):
+        assert lp_extreme(2, 0.5, 0.5, 0.9, direction).status == "infeasible"
+    assert builds == []
+    assert lp_extreme(2, 0.5, 0.5, 0.5, "max").status == "optimal"
+    assert builds == [(2, 0.5, 0.5)]
 
 
 def test_large_order_keeps_the_permutation_pair():
     # Nothing n x n is built: at n = 4096 a dense float board alone is 128 MB.
     for direction in ("max", "min"):
-        oracle._class_table.cache_clear()
+        oracle._lp_extremes.cache_clear()
         start = time.perf_counter()
         out = lp_extreme(4096, 0.3, 0.7, -0.4, direction)
         elapsed = time.perf_counter() - start
-        oracle._class_table.cache_clear()
+        oracle._lp_extremes.cache_clear()
         tracemalloc.start()
         try:
             lp_extreme(4096, 0.3, 0.7, -0.4, direction)
@@ -330,14 +345,90 @@ def test_large_order_keeps_the_permutation_pair():
         assert lower_bound_values(0.3, 0.7, -0.4) <= out.optimum <= upper_bound_values(0.3, 0.7, -0.4)
 
 
+def _unchunked_s(classes, n):
+    """The table's S as two whole _class_gamma calls: mirror ends, then sorted ends."""
+    return np.concatenate([_end_gamma(classes, n, True), _end_gamma(classes, n, False)])
+
+
+@pytest.mark.parametrize("n", [4092, 4094, 4096])
+def test_class_gamma_chunk_seam(n):
+    # At u = v = 1/2 an even order has n/2 + 1 classes, so the 2k stacked
+    # ends fall just below, at and just above one chunk.
+    classes, s, _ = oracle._class_table(n, 0.5, 0.5)
+    assert 2 * len(classes) - oracle._GAMMA_CHUNK == n - 4094
+    want = _unchunked_s(classes, n)
+    assert s.dtype == want.dtype and np.array_equal(s, want)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 21, 22, 23, 43, 44, 45])
+def test_class_gamma_chunk_seam_at_every_offset(monkeypatch, chunk):
+    # Small chunks put the seams inside either half and on the boundary
+    # between them: n = 16 at (0.3, 0.7) has 22 classes, 44 ends.
+    monkeypatch.setattr(oracle, "_GAMMA_CHUNK", chunk)
+    classes, s, _ = oracle._class_table(16, 0.3, 0.7)
+    assert len(classes) == 22
+    want = _unchunked_s(classes, 16)
+    assert s.dtype == want.dtype and np.array_equal(s, want)
+
+
+def test_large_order_peak_stays_below_one_unchunked_pass():
+    # One unchunked _class_gamma pass over the 2k ends would hold its
+    # temporaries for every class at once (65 MB here); the chunks bound
+    # them.  The first call solves both directions, so it holds the peak.
+    oracle._lp_extremes.cache_clear()
+    tracemalloc.start()
+    try:
+        outs = [lp_extreme(65536, 0.3, 0.7, -0.4, direction) for direction in ("max", "min")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    oracle._lp_extremes.cache_clear()
+    assert [out.status for out in outs] == ["optimal", "optimal"]
+    assert peak < 40e6, peak
+
+
+def _outcome_bits(out):
+    """Everything an LpOutcome reports, with the optimum's bits."""
+    optimum = None if out.optimum is None else out.optimum.hex()
+    perms = None if out.permutations is None else [p.tobytes() for p in out.permutations]
+    return out.direction, out.status, optimum, out.alpha, perms
+
+
+def _fresh(*args):
+    oracle._lp_extremes.cache_clear()
+    return _outcome_bits(lp_extreme(*args))
+
+
+@pytest.mark.parametrize("first, second", [
+    ((16, 0.0, 0.7, 0.0), (16, -0.0, 0.7, -0.0)),
+    ((16, -0.0, 0.7, -0.0), (16, 0.0, 0.7, 0.0)),
+    ((16, 0.3, 0.0, 0.0), (16, 0.3, -0.0, -0.0)),
+    ((8, 0.5, 0.5, 0.0), (8, 0.5, 0.5, -0.0)),
+    ((16, 0.5, 0.25, 0.5), (np.int64(16), np.float32(0.5), np.float32(0.25), np.float32(0.5))),
+    ((np.int64(16), np.float32(0.5), np.float32(0.25), np.float32(0.5)), (16, 0.5, 0.25, 0.5)),
+    ((16, float(np.float32(0.3)), 0.7, -0.4),
+     (16, np.float32(0.3), np.float64(0.7), np.float64(-0.4))),
+    ((9, 0.3, 0.7, -0.4), (np.int32(9), 0.3, 0.7, -0.4)),
+])
+def test_equal_cache_keys_give_the_fresh_solve(first, second):
+    # lru_cache reads +-0.0, and a numpy scalar and its builtin value, as one
+    # key; the call served from the entry must equal its own fresh solve.
+    for direction in ("max", "min"):
+        want = _fresh(*second, direction)
+        _fresh(*first, direction)
+        before = oracle._lp_extremes.cache_info().hits
+        assert _outcome_bits(lp_extreme(*second, direction)) == want, (first, second, direction)
+        assert oracle._lp_extremes.cache_info().hits == before + 1
+
+
 def test_gamma_check_does_not_rest_on_the_class_algebra(monkeypatch):
     # Off by one in every class's S, the hull picks a mix whose gamma,
     # re-derived on its support, misses the target.
     closed = oracle._class_gamma
     monkeypatch.setattr(oracle, "_class_gamma", lambda *args: closed(*args) + 1)
-    oracle._class_table.cache_clear()
+    oracle._lp_extremes.cache_clear()
     try:
         with pytest.raises(InternalError, match="misses the gamma target"):
             lp_extreme(16, 0.3, 0.7, -0.4, "max")
     finally:
-        oracle._class_table.cache_clear()
+        oracle._lp_extremes.cache_clear()
