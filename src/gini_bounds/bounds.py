@@ -65,12 +65,12 @@ ACTIVATION_EPS = 1e-13
 
 # Region i (the points where candidate i binds) is non-empty exactly for
 # t <= REGION_EMPTY_ABOVE[i - 1]; region_nonempty reads this table, and both
-# array passes, the envelope and region_masks, prune by it.  Acceptance
-# criterion 07 pins these values.
+# block entries, _envelope_block and _region_block, prune by it
+# (_live_candidates).  Acceptance criterion 07 pins these values.
 REGION_EMPTY_ABOVE = (-3.0 / 4.0, -4.0 / 9.0, -4.0 / 13.0, -4.0 / 13.0, 1.0 / 2.0)
 _ALL_CANDIDATES = (0, 1, 2, 3, 4)
 
-# Both array passes, the envelope and region_masks, skip a candidate when t
+# Both block entries, the envelope's and the masks', skip a candidate when t
 # exceeds its emptiness threshold by more than this.  ACTIVATION_EPS lets a
 # region outlive its threshold, but by about 1e-13 in t (tests/test_bounds.py
 # draws points at the vanishing points to show it), so a skipped candidate
@@ -189,54 +189,28 @@ def region_contains(i: int, u: float, v: float, t: float) -> bool:
 def region_nonempty(i: int, t: float) -> bool:
     """Whether region i has a point at t: exactly t <= REGION_EMPTY_ABOVE[i - 1].
 
-    One comparison against the closed-form thresholds; both array passes,
-    the envelope and region_masks, prune by the same table, with the margin
-    _PRUNE_MARGIN of _live_candidates.
+    One comparison against the closed-form thresholds; both block entries,
+    _envelope_block and _region_block, prune by the same table, with the
+    margin _PRUNE_MARGIN of _live_candidates.
     """
     _check_index(i, "region")
     return check_t(t) <= REGION_EMPTY_ABOVE[i - 1]
 
 
-def region_masks(u, v, t) -> tuple:
-    """Membership masks of regions 1..5 at the points (u, v); u, v may be arrays.
-
-    Only the candidates live at t (_live_candidates) are evaluated, as in the
-    envelope; the masks of the pruned ones are all False.
-    """
-    t = check_t(t)
-    u, v = np.broadcast_arrays(*_check_points(u, v))
-    masks = np.zeros((5,) + u.shape, dtype=bool)
-    flat = masks.reshape(5, -1)
-    live = _live_candidates(t)
-    for block, x, m in _blocks(u, v) if live else ():
-        flat[live[0]:, block] = _active_masks(x, m, t, live)[1]
-    return tuple(masks)
-
-
-def _blocks(u, v):
-    """(slice, max, min) of each _BLOCK-sized piece of the flattened points.
-
-    u and v are arrays of one shape.  Every step of the array kernel is
-    elementwise, so blocking changes no bit of its results.
-    """
-    flat_u, flat_v = u.ravel(), v.ravel()
-    for start in range(0, flat_u.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        bu, bv = flat_u[block], flat_v[block]
-        yield block, np.maximum(bu, bv), np.minimum(bu, bv)
-
-
-def _envelope_block(x, m, t, live):
+def _envelope_block(x, m, t):
     """The upper envelope at the points with max x and min m (x >= m), on
-    arrays and a t already checked, with live = _live_candidates(t).
+    arrays and a t already checked.
 
-    The largest active candidate among those live caps m, and one maximum
-    with W(x, m) clamps the result into [W, M].  An inactive candidate counts
-    as NaN, which np.fmax and np.fmin pass over, so a point with no active
-    candidate keeps m.  With no live candidate the result is a copy of m, as
-    the clamp would leave it, since W(x, m) <= m.  The one kernel of
-    _upper_values and of the envelope lattices (lattice._envelope_lattices).
+    The largest active candidate among those live at t (_live_candidates)
+    caps m, and one maximum with W(x, m) clamps the result into [W, M].  An
+    inactive candidate counts as NaN, which np.fmax and np.fmin pass over,
+    so a point with no active candidate keeps m.  With no live candidate
+    the result is a copy of m, as the clamp would leave it, since
+    W(x, m) <= m.  One of the two block entries of _blockwise, with
+    _region_block; the envelope lattices (lattice._envelope_lattices) call
+    it on their quarter directly.
     """
+    live = _live_candidates(t)
     if not live:
         return m.copy()
     # One buffer, NaN at first, takes each active root by np.fmax in live
@@ -252,23 +226,56 @@ def _envelope_block(x, m, t, live):
     return np.maximum(raw, frechet_lower(x, m), out=raw)
 
 
-def _upper_values(u, v, t):
-    """The vectorized upper envelope on points and t already checked:
-    _envelope_block on each block, with x = max(u, v) and m = min(u, v)."""
-    u, v = np.broadcast_arrays(u, v)
-    out = np.empty(u.shape)
-    flat_out = out.reshape(-1)
+def _region_block(x, m, t):
+    """The masks of regions 1..5, shape (5,) + m.shape, at the points with
+    max x and min m (x >= m), on arrays and a t already checked.
+
+    Only the candidates live at t (_live_candidates) are evaluated, as in
+    _envelope_block; the masks of the pruned ones are all False.  The other
+    block entry of _blockwise; the region atlas (lattice._region_atlas)
+    calls it on its quarter directly.
+    """
+    masks = np.zeros((5,) + m.shape, dtype=bool)
     live = _live_candidates(t)
-    for block, x, m in _blocks(u, v):
-        flat_out[block] = _envelope_block(x, m, t, live)
-    return out[()]
+    if live:
+        masks[live[0]:] = _active_masks(x, m, t, live)[1]
+    return masks
+
+
+def _blockwise(entry, u, v, t, lead=(), dtype=float):
+    """entry(x, m, t) on each _BLOCK-sized piece of the flattened points
+    u, v (checked, as t is), with x = max(u, v) and m = min(u, v), gathered
+    into an array of shape lead + the points' broadcast shape.
+
+    entry is a block entry, _envelope_block or _region_block, whose results
+    have the leading axes lead.  Every step of either is elementwise, so
+    blocking changes no bit of its results.
+    """
+    u, v = np.broadcast_arrays(u, v)
+    out = np.empty(lead + u.shape, dtype)
+    flat_out, flat_u, flat_v = out.reshape(lead + (-1,)), u.ravel(), v.ravel()
+    for start in range(0, flat_u.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        bu, bv = flat_u[block], flat_v[block]
+        flat_out[..., block] = entry(np.maximum(bu, bv), np.minimum(bu, bv), t)
+    return out
+
+
+def region_masks(u, v, t) -> tuple:
+    """Membership masks of regions 1..5 at the points (u, v); u, v may be arrays.
+
+    Only the candidates live at t are evaluated (_region_block); the masks
+    of the pruned ones are all False.
+    """
+    t = check_t(t)
+    return tuple(_blockwise(_region_block, *_check_points(u, v), t, (5,), bool))
 
 
 def upper_bound_values(u, v, t):
     """Vectorized upper envelope; u, v may be arrays (a 0-d input gives a
     numpy.float64)."""
     t = check_t(t)
-    return _upper_values(*_check_points(u, v), t)
+    return _blockwise(_envelope_block, *_check_points(u, v), t)[()]
 
 
 def lower_bound_values(u, v, t):
@@ -276,7 +283,7 @@ def lower_bound_values(u, v, t):
     t = check_t(t)
     # Checked before reflecting: 1 - u rounds u = -1e-20 into the square.
     u, v = _check_points(u, v)
-    return v - _upper_values(1.0 - u, v, -t)
+    return v - _blockwise(_envelope_block, 1.0 - u, v, -t)[()]
 
 
 def upper_bound(u: float, v: float, t: float) -> ThetaReport:

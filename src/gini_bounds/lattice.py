@@ -18,9 +18,11 @@ index arrays, one row group at a time (_quarter_groups), and from them the
 nodes' max and min, M and W at their images, and where each value goes.
 It fills several lattices in one pass, one per row of f's values: the two
 envelopes of one audit share the quarter's indices and images, and only
-the kernel runs once for each.  The envelope lattices call the kernel's
-block entry bounds._envelope_block on the quarter directly, not
-upper_bound_values, whose point checks and max and min the quarter's
+the kernel runs once for each.  The envelope lattices and the region
+atlas call bounds' two block entries on the quarter directly, the kernel
+bounds._envelope_block and the masks bounds._region_block, each of which
+prunes the candidates by t itself; not upper_bound_values or
+region_masks, whose point checks and max and min the quarter's
 construction makes redundant.  Gini's gamma integrates
 |u + v - 1| - |u - v|, which the map (u, v) -> (1 - u, 1 - v) keeps, so the
 copulas with gamma t are closed under the survival map
@@ -69,8 +71,8 @@ from itertools import accumulate
 import numpy as np
 
 from .bounds import (
-    _BLOCK, ENVELOPE_TOL, BoundClassification, _envelope_block, _live_candidates, classify_lower,
-    classify_upper, lens_density_floor, region_masks,
+    _BLOCK, ENVELOPE_TOL, BoundClassification, _envelope_block, _region_block, classify_lower,
+    classify_upper, lens_density_floor,
 )
 from .core import (
     Evaluator, _check_order, _check_real, _open_utf8, _real_array, check_t, frechet_lower,
@@ -516,7 +518,7 @@ def _triangle_lattice(f, n: int, survival, out, block: int = _BLOCK) -> None:
     f(x, m) is evaluated once on each node (i, j) of the quarter i <= j,
     i + j <= n (_quarter_groups), one row group of at most `block` nodes
     per call, at x = v_j and m = u_i; it returns one row of values per
-    lattice of out, as region_masks does with its five masks.
+    lattice of out, as bounds._region_block does with its five masks.
     survival(values, m, sv, w) takes f's values at quarter nodes with min m
     and gives f at their images ((n - i)/n, (n - j)/n), where M is
     sv = (n - j)/n and W is w, both read at the exact nodes.  The values go
@@ -590,14 +592,14 @@ def _envelope_lattices(t: float, n: int, sides) -> tuple:
     """
     nodes = lattice_nodes(n)
     t = check_t(t)  # before the lower side negates it, so that an error names the t given
-    kernels = [(u, _live_candidates(u)) for u in (t if side == "upper" else -t for side in sides)]
+    kernel_ts = [t if side == "upper" else -t for side in sides]
     # One lattice per side, not one stack: a side's LatticeFunction holds no
     # other side's values.  The group size is split between the sides, so
     # that a group's values are at most bounds._BLOCK points, as one
     # side's are.
     lattices = [np.empty((n + 1, n + 1)) for _ in sides]
     _triangle_lattice(
-        lambda x, m: [_envelope_block(x, m, u, live) for u, live in kernels],
+        lambda x, m: [_envelope_block(x, m, u) for u in kernel_ts],
         n, _envelope_survival, lattices, _BLOCK // len(sides),
     )
     return tuple(
@@ -608,12 +610,14 @@ def _envelope_lattices(t: float, n: int, sides) -> tuple:
 
 def _region_atlas(t: float, n: int) -> np.ndarray:
     """The region atlas: region_masks at t on the order-n lattice, shape
-    (5, n + 1, n + 1), from one quarter (_triangle_lattice).  The masks are
-    symmetric in (u, v), and at a node's survival image regions 3 and 4
-    trade places."""
+    (5, n + 1, n + 1), from one quarter (_triangle_lattice), whose nodes'
+    max and min go straight to the mask entry bounds._region_block.  The
+    masks are symmetric in (u, v), and at a node's survival image regions 3
+    and 4 trade places."""
     n = _check_order(n, "lattice order")
+    t = check_t(t)
     masks = np.empty((5, n + 1, n + 1), dtype=bool)
-    _triangle_lattice(lambda x, m: region_masks(x, m, t), n,
+    _triangle_lattice(lambda x, m: _region_block(x, m, t), n,
                       lambda values, *image: values[[0, 1, 3, 2, 4]], masks)
     return masks
 
@@ -652,7 +656,8 @@ class EnvelopeAudit:
     reflection_max_err
         largest difference between the two reflection forms of the lower
         envelope, lower[i, j] - lower[j, i].  One form is a kernel value
-        and the other its survival fill (_envelope_lattice), so this
+        and the other its survival fill (_envelope_survival, which
+        _envelope_lattices passes to the builder), so this
         measures the fill's rounding (at most 2.2e-16 measured, at orders
         1 to 400).  A kernel that keeps W <= K <= M but breaks
         K(u, v) = u + v - 1 + K(1 - u, 1 - v) does not show here; one

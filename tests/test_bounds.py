@@ -412,8 +412,9 @@ def _assert_blocked_matches_whole_array(u, v, t):
         assert np.array_equal(got, want), (np.shape(got), t)
 
 
-# t = -4/13 sits on two emptiness thresholds; at t = -0.9 every region is live.
-@pytest.mark.parametrize("t", [-4.0 / 13.0, -0.9])
+# t = -4/13 sits on two emptiness thresholds; at t = -0.9 every region is
+# live, at t = 0.45 only region 5, and at t = 0.7 none.
+@pytest.mark.parametrize("t", [-4.0 / 13.0, -0.9, 0.45, 0.7])
 def test_blocked_kernel_matches_whole_array_reference(t):
     rng = np.random.default_rng(8)
     for size in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
@@ -505,7 +506,7 @@ def test_kernel_is_bit_identical_to_the_allocating_formula(t):
             _assert_kernel_bits_equal_allocating(x, m, t, candidates)
         for start in range(0, x.size, _BLOCK):
             bx, bm = x[start:start + _BLOCK], m[start:start + _BLOCK]
-            got, want = _envelope_block(bx, bm, t, live), _allocating_block(bx, bm, t, live)
+            got, want = _envelope_block(bx, bm, t), _allocating_block(bx, bm, t, live)
             assert got.shape == want.shape and np.array_equal(bits(got), bits(want)), t
     # Python floats, numpy scalars and 0-d arrays, whose arithmetic gives
     # scalars, which out= does not take.

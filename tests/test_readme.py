@@ -84,6 +84,24 @@ def test_cli_imports_no_lattice_mechanics():
     assert mechanics == []
 
 
+def test_lattice_imports_no_pruning_or_mask_internals():
+    # Layout's bounds entry: bounds owns the candidates' pruning and the two
+    # block entries, so lattice reaches the kernel and the masks only through
+    # those entries, and imports neither the pruning rule nor the masks'
+    # own passes.
+    tree = ast.parse((SRC / "lattice.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name.rpartition(".")[2]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert "_envelope_block" in imported and "_region_block" in imported
+    internals = [
+        name for name in imported if name in ("_live_candidates", "_active_masks", "region_masks")
+    ]
+    assert internals == []
+
+
 def _fenced_blocks(section, lang):
     """The body of each ```lang block under README's "## section", in order."""
     body = README.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
