@@ -64,25 +64,27 @@ ENVELOPE_TOL = 1e-12
 ACTIVATION_EPS = 1e-13
 
 # Region i (the points where candidate i binds) is non-empty exactly for
-# t <= REGION_EMPTY_ABOVE[i - 1]; region_nonempty reads this table, and both
-# block entries, _envelope_block and _region_block, prune by it
+# t <= REGION_EMPTY_ABOVE[i - 1]; region_nonempty reads this table, and
+# _active_masks, the one candidate loop of both block entries, prunes by it
 # (_live_candidates).  Acceptance criterion 07 pins these values.
 REGION_EMPTY_ABOVE = (-3.0 / 4.0, -4.0 / 9.0, -4.0 / 13.0, -4.0 / 13.0, 1.0 / 2.0)
 _ALL_CANDIDATES = (0, 1, 2, 3, 4)
 
-# Both block entries, the envelope's and the masks', skip a candidate when t
-# exceeds its emptiness threshold by more than this.  ACTIVATION_EPS lets a
-# region outlive its threshold, but by about 1e-13 in t (tests/test_bounds.py
-# draws points at the vanishing points to show it), so a skipped candidate
-# would have been inactive everywhere: it could only have added NaN to the
-# envelope's max, which passes over it, and its region mask is all False.
+# _active_masks skips a candidate when t exceeds its emptiness threshold by
+# more than this, for both block entries, the envelope's and the masks'.
+# ACTIVATION_EPS lets a region outlive its threshold, but by about 1e-13 in t
+# (tests/test_bounds.py draws points at the vanishing points to show it), so
+# a skipped candidate would have been inactive everywhere: it could only have
+# added NaN to the envelope's max, which passes over it, and its region mask
+# would have been all False, as the block entries leave it.
 _PRUNE_MARGIN = 1e-9
 
 # Points per block of the array kernel: each float64 array of a block is
 # 128 KiB and stays in L2 cache, whether a temporary of the branch table or a
 # buffer that _active_masks and _envelope_block write in place (a root, its
-# radicand's buffer, the fold of the roots); 16k was the fastest of 4k to 64k
-# on a 401^2 lattice.
+# radicand's buffer, the fold of the roots); a live candidate's root and
+# mask are freed when the next one's are yielded.  16k was the fastest of 4k
+# to 64k on a 401^2 lattice.
 _BLOCK = 16384
 
 # mixed_partial_density's slack on _hyperbolic_excess, the set's closure: at
@@ -124,20 +126,20 @@ _REFLECTED_CLASS = {
 }
 
 
-def _active_masks(x, m, t, live):
-    """Values and activity masks of the candidates in ``live``, on arrays.
+def _active_masks(x, m, t):
+    """Each candidate live at t (_live_candidates) in increasing index, as
+    (index, root, activity mask) on arrays, one candidate at a time.
 
-    ``live`` lists candidate indices 0..4 in increasing order, and the
-    results follow it; a value is NaN where its radicand is negative (the
-    root does not exist), and a NaN root fails every activation comparison.
-    A root is (offset + sqrt) / den where offset >= 0, and the equal
+    A root is NaN where its radicand is negative (the root does not exist),
+    and a NaN root fails every activation comparison.  A root is
+    (offset + sqrt) / den where offset >= 0, and the equal
     gap / (sqrt - offset) elsewhere, so that neither form cancels: near
     (1/2, 1/2) at t = -1, where every radicand nearly vanishes, the 401^2
-    lattice of the envelope is within 6.1e-16 of W.
+    lattice of the envelope is within 6.1e-16 of W.  The pruned candidates
+    are inactive everywhere (_PRUNE_MARGIN), so nothing is yielded for them.
     """
     ceiling = m + ACTIVATION_EPS
-    thetas, active = [], []
-    for i in live:
+    for i in _live_candidates(t):
         rad, gap, offset, den = branch_form(i + 1, x, m, t)
         # The root is taken into the radicand's buffer, an array even where
         # the points are Python floats or 0-d, as out= takes no scalar.  The
@@ -149,13 +151,14 @@ def _active_masks(x, m, t, live):
         th /= den
         # One divide per point: where offset >= 0, sq - offset may be 0.
         np.divide(gap, np.subtract(sq, offset, out=sq), out=th, where=offset < 0.0)
-        # Freed before the masks, whose temporaries can then take their memory.
+        # Freed before the mask, whose temporaries can then take their memory.
         del rad, gap, offset, sq
-        thetas.append(th)
         # numpy 1.24 may warn on ordering a NaN root; the answer is False.
+        # The yield stays outside the errstate block, which a suspended
+        # generator would leave entered for its caller.
         with np.errstate(invalid="ignore"):
-            active.append((th <= ceiling) & branch_condition(i + 1, x, m, th, ACTIVATION_EPS))
-    return thetas, active
+            act = (th <= ceiling) & branch_condition(i + 1, x, m, th, ACTIVATION_EPS)
+        yield i, th, act
 
 
 def _live_candidates(t: float) -> tuple[int, ...]:
@@ -189,8 +192,8 @@ def region_contains(i: int, u: float, v: float, t: float) -> bool:
 def region_nonempty(i: int, t: float) -> bool:
     """Whether region i has a point at t: exactly t <= REGION_EMPTY_ABOVE[i - 1].
 
-    One comparison against the closed-form thresholds; both block entries,
-    _envelope_block and _region_block, prune by the same table, with the
+    One comparison against the closed-form thresholds; _active_masks, the
+    candidate loop of both block entries, prunes by the same table, with the
     margin _PRUNE_MARGIN of _live_candidates.
     """
     _check_index(i, "region")
@@ -201,25 +204,21 @@ def _envelope_block(x, m, t):
     """The upper envelope at the points with max x and min m (x >= m), on
     arrays and a t already checked.
 
-    The largest active candidate among those live at t (_live_candidates)
-    caps m, and one maximum with W(x, m) clamps the result into [W, M].  An
+    The largest active candidate among those _active_masks yields caps m,
+    and one maximum with W(x, m) clamps the result into [W, M].  An
     inactive candidate counts as NaN, which np.fmax and np.fmin pass over,
-    so a point with no active candidate keeps m.  With no live candidate
-    the result is a copy of m, as the clamp would leave it, since
-    W(x, m) <= m.  One of the two block entries of _blockwise, with
-    _region_block; the envelope lattices (lattice._envelope_lattices) call
-    it on their quarter directly.
+    so a point with no active candidate keeps m, as every point does at a
+    t with no live candidate.  One of the two block entries of _blockwise,
+    with _region_block; the envelope lattices (lattice._envelope_lattices)
+    call it on their quarter directly.
     """
-    live = _live_candidates(t)
-    if not live:
-        return m.copy()
-    # One buffer, NaN at first, takes each active root by np.fmax in live
+    # One buffer, NaN at first, takes each active root by np.fmax in index
     # order: the bits of reduce(np.fmax) over np.where(act, th, nan), as
-    # np.fmax(nan, th) is th.  No block's roots and masks outlive the fold.
+    # np.fmax(nan, th) is th.  Each root and mask is freed when the next
+    # candidate's are yielded, so the peak does not grow with the live count.
     raw = np.full_like(m, np.nan)
-    for th, act in zip(*_active_masks(x, m, t, live)):
+    for _, th, act in _active_masks(x, m, t):
         np.fmax(raw, th, out=raw, where=act)
-    del th, act
     np.fmin(m, raw, out=raw)
     # raw <= m = M(u, v) and W <= M, so this clamps raw into [W, M]; W(x, m)
     # is W(u, v) bit for bit, since x + m == u + v exactly.
@@ -230,15 +229,14 @@ def _region_block(x, m, t):
     """The masks of regions 1..5, shape (5,) + m.shape, at the points with
     max x and min m (x >= m), on arrays and a t already checked.
 
-    Only the candidates live at t (_live_candidates) are evaluated, as in
-    _envelope_block; the masks of the pruned ones are all False.  The other
-    block entry of _blockwise; the region atlas (lattice._region_atlas)
-    calls it on its quarter directly.
+    Each mask that _active_masks yields is written in place; the masks of
+    the candidates it prunes stay all False.  The other block entry of
+    _blockwise; the region atlas (lattice._region_atlas) calls it on its
+    quarter directly.
     """
     masks = np.zeros((5,) + m.shape, dtype=bool)
-    live = _live_candidates(t)
-    if live:
-        masks[live[0]:] = _active_masks(x, m, t, live)[1]
+    for i, _, act in _active_masks(x, m, t):
+        masks[i] = act
     return masks
 
 
@@ -264,8 +262,8 @@ def _blockwise(entry, u, v, t, lead=(), dtype=float):
 def region_masks(u, v, t) -> tuple:
     """Membership masks of regions 1..5 at the points (u, v); u, v may be arrays.
 
-    Only the candidates live at t are evaluated (_region_block); the masks
-    of the pruned ones are all False.
+    Only the candidates live at t are evaluated (_active_masks, through
+    _region_block); the masks of the pruned ones are all False.
     """
     t = check_t(t)
     return tuple(_blockwise(_region_block, *_check_points(u, v), t, (5,), bool))
@@ -455,7 +453,9 @@ def witness_copula(u: float, v: float, t: float) -> Callable:
     solved exactly.  Where a candidate binds, the pinned copula has gamma t
     and the weight is 0 up to rounding; where none binds, the pin is
     min(u, v), which the blend keeps.  Post-conditions are verified at run
-    time by quadrature.
+    time by quadrature.  The returned evaluator raises DomainError at a
+    point outside the unit square, or NaN, and otherwise computes on the
+    caller's own inputs.
     """
     report = upper_bound(u, v, t)
     # The record's builtin floats: a numpy float32 pin would make the
@@ -481,4 +481,11 @@ def witness_copula(u: float, v: float, t: float) -> Callable:
             f"value={value}, envelope={report.bound}; "
             "this indicates a branch/region bug"
         )
-    return witness
+
+    # The post-conditions above ran on the unchecked closure, on points the
+    # quadrature made; a caller's points are checked.
+    def checked_witness(uu, vv):
+        _check_points(uu, vv)
+        return witness(uu, vv)
+
+    return checked_witness

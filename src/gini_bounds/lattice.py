@@ -20,10 +20,10 @@ It fills several lattices in one pass, one per row of f's values: the two
 envelopes of one audit share the quarter's indices and images, and only
 the kernel runs once for each.  The envelope lattices and the region
 atlas call bounds' two block entries on the quarter directly, the kernel
-bounds._envelope_block and the masks bounds._region_block, each of which
-prunes the candidates by t itself; not upper_bound_values or
-region_masks, whose point checks and max and min the quarter's
-construction makes redundant.  Gini's gamma integrates
+bounds._envelope_block and the masks bounds._region_block, both of which
+read the candidates live at t from bounds' one candidate loop; not
+upper_bound_values or region_masks, whose point checks and max and min
+the quarter's construction makes redundant.  Gini's gamma integrates
 |u + v - 1| - |u - v|, which the map (u, v) -> (1 - u, 1 - v) keeps, so the
 copulas with gamma t are closed under the survival map
 C -> u + v - 1 + C(1 - u, 1 - v) (Nelsen, An Introduction to Copulas, 2nd

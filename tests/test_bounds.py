@@ -2,6 +2,7 @@ import dataclasses
 import decimal
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -47,6 +48,7 @@ from gini_bounds.bounds import (
     _envelope_block,
     _hyperbolic_excess,
     _live_candidates,
+    _region_block,
 )
 from gini_bounds.pointgamma import branch_condition, branch_form
 
@@ -283,19 +285,26 @@ def _patch(px, pm, side=801, half=PATCH):
 def _five_candidate_upper(u, v, t):
     # The envelope reduced over all five candidates, none pruned.
     x, m = np.maximum(u, v), np.minimum(u, v)
-    thetas, active = _active_masks(x, m, t, _ALL_CANDIDATES)
+    thetas, active = _allocating_masks(x, m, t, _ALL_CANDIDATES)
     inner = np.max([np.where(act, th, -np.inf) for th, act in zip(thetas, active)], axis=0)
     raw = np.where(inner > -np.inf, np.minimum(m, inner), m)
     return np.minimum(np.maximum(raw, frechet_lower(u, v)), frechet_upper(u, v))
 
 
+def _kernel_masks(x, m, t):
+    # The kernel's activity masks by candidate index, for those live at t.
+    return {i: act for i, _, act in _active_masks(x, m, t)}
+
+
 def test_activation_tolerance_outlives_each_threshold_by_less_than_1e_12():
     # ACTIVATION_EPS keeps a sliver of each region alive just above its
     # threshold; the pruning margin of 1e-9 must cover that sliver.
+    # Both t lie inside _PRUNE_MARGIN, so candidate i is live and the
+    # kernel's own mask is read.
     for i, (thr, (px, pm)) in enumerate(zip(REGION_EMPTY_ABOVE, VANISHING_POINTS)):
         x, m = _patch(px, pm)
-        assert np.any(_active_masks(x, m, thr + 1e-13, _ALL_CANDIDATES)[1][i]), i + 1
-        assert not np.any(_active_masks(x, m, thr + 1e-12, _ALL_CANDIDATES)[1][i]), i + 1
+        assert np.any(_kernel_masks(x, m, thr + 1e-13)[i]), i + 1
+        assert not np.any(_kernel_masks(x, m, thr + 1e-12)[i]), i + 1
 
 
 def test_region_nonempty_matches_a_point_search():
@@ -345,7 +354,7 @@ def test_pruned_candidates_are_inactive(point, thr, above):
     live = _live_candidates(t)
     assume(len(live) < 5)
     x, m = max(point), min(point)
-    _, active = _active_masks(x, m, t, _ALL_CANDIDATES)
+    _, active = _allocating_masks(x, m, t, _ALL_CANDIDATES)
     for i in range(5):
         if i not in live:
             assert not active[i], (i + 1, x, m, t)
@@ -371,7 +380,7 @@ def test_pruned_kernel_is_bit_identical_at_thresholds(thr):
 def _assert_absent_roots_are_nan(x, m, t, sample):
     """Candidate i's array root is NaN exactly where its radicand is negative,
     is then inactive, and the scalar record's theta[i] is None there too."""
-    thetas, active = _active_masks(x, m, t, _ALL_CANDIDATES)
+    thetas, active = _allocating_masks(x, m, t, _ALL_CANDIDATES)
     reports = [upper_bound(x[k], m[k], t) for k in sample]
     for i in _ALL_CANDIDATES:
         absent = branch_form(i + 1, x, m, t)[0] < 0.0
@@ -405,7 +414,7 @@ def _assert_blocked_matches_whole_array(u, v, t):
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     want_up = _five_candidate_upper(u, v, t)
     want_lo = v - _five_candidate_upper(1.0 - u, v, -t)
-    want_masks = _active_masks(np.maximum(u, v), np.minimum(u, v), t, _ALL_CANDIDATES)[1]
+    want_masks = _allocating_masks(np.maximum(u, v), np.minimum(u, v), t, _ALL_CANDIDATES)[1]
     assert len(got_masks) == len(want_masks) == 5
     for got, want in ((got_up, want_up), (got_lo, want_lo), *zip(got_masks, want_masks)):
         assert type(got) is type(want) and got.dtype == want.dtype, (type(got), t)
@@ -464,14 +473,16 @@ def _allocating_block(x, m, t, live):
     return np.maximum(raw, frechet_lower(x, m))
 
 
-def _assert_kernel_bits_equal_allocating(x, m, t, live):
-    got_th, got_act = _active_masks(x, m, t, live)
+def _assert_kernel_bits_equal_allocating(x, m, t):
+    # The kernel yields exactly the candidates live at t, in index order.
+    got = list(_active_masks(x, m, t))
+    live = _live_candidates(t)
     want_th, want_act = _allocating_masks(x, m, t, live)
-    assert len(got_th) == len(got_act) == len(want_th) == len(live)
-    for got, want in zip(got_th, want_th):
-        assert np.array_equal(bits(got), bits(want)), (live, t)
-    for got, want in zip(got_act, want_act):
-        assert np.array_equal(got, want), (live, t)
+    assert tuple(i for i, _, _ in got) == live, t
+    assert len(want_th) == len(want_act) == len(live)
+    for (i, got_th, got_act), th, act in zip(got, want_th, want_act):
+        assert np.array_equal(bits(got_th), bits(th)), (i, t)
+        assert np.array_equal(got_act, act), (i, t)
 
 
 # One t for each live set that _live_candidates gives: all five, 2..5, 3..5,
@@ -502,8 +513,7 @@ def test_kernel_is_bit_identical_to_the_allocating_formula(t):
     ]
     live = _live_candidates(t)
     for x, m in points:
-        for candidates in (live, _ALL_CANDIDATES):
-            _assert_kernel_bits_equal_allocating(x, m, t, candidates)
+        _assert_kernel_bits_equal_allocating(x, m, t)
         for start in range(0, x.size, _BLOCK):
             bx, bm = x[start:start + _BLOCK], m[start:start + _BLOCK]
             got, want = _envelope_block(bx, bm, t), _allocating_block(bx, bm, t, live)
@@ -512,8 +522,28 @@ def test_kernel_is_bit_identical_to_the_allocating_formula(t):
     # scalars, which out= does not take.
     for x, m in ((0.75, 0.25), (1.0, -0.0), (np.float64(0.6), np.float64(0.3)),
                  (np.array(0.8), np.array(0.1)), (np.array(0.5), 0.5)):
-        for candidates in (live, _ALL_CANDIDATES):
-            _assert_kernel_bits_equal_allocating(x, m, t, candidates)
+        _assert_kernel_bits_equal_allocating(x, m, t)
+
+
+@pytest.mark.parametrize("entry", [_envelope_block, _region_block])
+def test_block_entry_keeps_one_candidates_arrays_alive_at_a_time(entry):
+    # With five live candidates (t = -0.9) a block's peak memory exceeds
+    # that with one (t = 0.45) by less than three block floats: each
+    # candidate's root and mask are freed when the next one's are yielded.
+    rng = np.random.default_rng(11)
+    x, m = np.sort(rng.random((2, _BLOCK)), axis=0)[::-1]
+
+    def peak(t):
+        entry(x, m, t)
+        tracemalloc.start()
+        try:
+            entry(x, m, t)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert _live_candidates(-0.9) == _ALL_CANDIDATES and _live_candidates(0.45) == (4,)
+    assert peak(-0.9) - peak(0.45) < 3 * 8 * _BLOCK
 
 
 # --- exact activation reference -----------------------------------------
@@ -1132,6 +1162,26 @@ def test_witness_value_at_its_tolerance(monkeypatch, delta, attained):
         # The value failed, not the gamma certificate.
         gamma = float(re.search(r"quadrature gamma=(\S+),", str(err.value)).group(1))
         assert abs(gamma) <= 1e-6
+
+
+def test_witness_evaluator_checks_its_points(monkeypatch):
+    w = witness_copula(0.5, 0.5, 0.0)
+    for uu, vv in ((2.0, 0.5), (0.5, -0.1), (math.nan, 0.5), (np.array([0.2, 1.5, 0.7]), 0.5)):
+        with pytest.raises(DomainError, match="outside the unit square"):
+            w(uu, vv)
+    # On valid points it computes on the caller's own inputs: the values and
+    # result types of the same witness with the check made a no-op.
+    rng = np.random.default_rng(13)
+    grid = rng.random((2, 7, 5))
+    points = [(0.3, 0.7), (1.0, 0.0), (np.float32(0.3), np.float32(0.6)),
+              (np.float64(0.8), np.float64(0.25)), (np.array(0.4), np.array(0.9)),
+              (grid[0], grid[1]), (grid[0].astype(np.float32), 0.5)]
+    got = [w(uu, vv) for uu, vv in points]
+    monkeypatch.setattr(bounds, "_check_points", lambda uu, vv: (uu, vv))
+    for (uu, vv), value in zip(points, got):
+        want = w(uu, vv)
+        assert type(value) is type(want) and np.result_type(value) == np.result_type(want)
+        assert np.shape(value) == np.shape(want) and np.array_equal(bits(value), bits(want)), (uu, vv)
 
 
 def test_witness_that_fails_its_certificate_is_an_internal_error(monkeypatch):
