@@ -455,7 +455,9 @@ def witness_copula(u: float, v: float, t: float) -> Callable:
     min(u, v), which the blend keeps.  Post-conditions are verified at run
     time by quadrature.  The returned evaluator raises DomainError at a
     point outside the unit square, or NaN, and otherwise computes on the
-    caller's own inputs.
+    caller's own inputs.  It checks a pair of scalars (0-d arrays included)
+    as the scalar entry points do (_check_point), so a Fraction is a point
+    too, and anything else as the array entry points do (_check_points).
     """
     report = upper_bound(u, v, t)
     # The record's builtin floats: a numpy float32 pin would make the
@@ -483,9 +485,13 @@ def witness_copula(u: float, v: float, t: float) -> Callable:
         )
 
     # The post-conditions above ran on the unchecked closure, on points the
-    # quadrature made; a caller's points are checked.
+    # quadrature made; a caller's points are checked, a scalar pair by the
+    # scalar check, which costs a fraction of the array check.
     def checked_witness(uu, vv):
-        _check_points(uu, vv)
+        if np.ndim(uu) == 0 and np.ndim(vv) == 0:
+            _check_point(uu, vv)
+        else:
+            _check_points(uu, vv)
         return witness(uu, vv)
 
     return checked_witness

@@ -7,7 +7,8 @@ region atlas that `regions` writes, and the audit whose fields `check`
 prints (envelope_audit).
 The parser is built once per process.
 
-Exit codes: 0 all checks passed, 1 check or IO failure, 2 usage or domain
+Exit codes: 0 all checks passed, 1 check, IO or resource failure (an
+allocation that failed is one "resource error:" line), 2 usage or domain
 error.  Reports are JSON on stdout (sorted keys); grids and atlases are
 CSV with 12 significant digits.  Identical invocations are deterministic
 except for the elapsed_ms timing field of reports.
@@ -282,6 +283,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"resource error: {exc}", file=sys.stderr)
         return 1
 
 

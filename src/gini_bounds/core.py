@@ -132,12 +132,13 @@ def _open_utf8(path, prefix: str) -> io.TextIOWrapper:
     """The file at path as a text stream, read whole and decoded as UTF-8.
 
     The one decode rule for the files the package reads as text: the rank
-    CSV, a lattice CSV out of to_csv's fixed-width layout, and the
-    checkerboard JSON.  Bytes that are not all ASCII are decoded once
-    whole, only to validate them, before any of them is parsed, so a bad
-    byte is reported before a wrong header: bytes that are not UTF-8 are a
-    DomainError of prefix plus Python's message, whose position is then the
-    offset in the file.  ASCII bytes are UTF-8 as they are, so they skip
+    CSV, a lattice CSV that the fixed-width byte reader leaves (one out of
+    to_csv's fixed-width layout, or whose node fields are not the writer's
+    own texts), and the checkerboard JSON.  Bytes that are not all ASCII
+    are decoded once whole, only to validate them, before any of them is
+    parsed, so a bad byte is reported before a wrong header: bytes that are
+    not UTF-8 are a DomainError of prefix plus Python's message, whose
+    position is then the offset in the file.  ASCII bytes are UTF-8 as they are, so they skip
     that decode and its copy of the file.  The stream decodes the bytes as
     it is read, so that the file is held as bytes, not as an io.StringIO,
     which CPython holds at 4 bytes a character once it is read by lines.

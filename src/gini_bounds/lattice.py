@@ -41,10 +41,9 @@ kernel that stays in [W, M] but breaks the survival identity passes it.
 
 Every lattice pass goes in groups of whole rows (_row_groups, the one
 statement of that rule), so that no temporary but the lattices themselves
-is the size of a lattice: at most bounds._BLOCK points a group, and
-_WRITE_NODES nodes in the CSV writer.  The one exception is the
-fixed-width CSV reader (_fixed_width_rows), which reads _READ_ROWS file
-rows, one node each, at a time.  check_properties and envelope_audit's
+is the size of a lattice: at most bounds._BLOCK points a group,
+_WRITE_NODES nodes in the CSV writer, and _READ_ROWS nodes (file rows) in
+the fixed-width CSV reader.  check_properties and envelope_audit's
 maxima write their groups' differences, volumes, W and M into buffers
 allocated once per call at the shape of the first group, which is the
 largest: each group writes the leading rows through out=, so these passes
@@ -55,8 +54,11 @@ write_node_csv fills byte blocks of them in both of its layouts, and each
 layout names its columns: a float lattice is the `value` column under
 _CSV_HEADER, and a stack of k flag lattices (the region atlas) the columns
 r1..rk.  Each float field comes from _fast_fields, an exact fast path for
-_CSV_FORMAT, or from `%` for a value that the fast path leaves; the reader
-parses each field with one exact division.
+_CSV_FORMAT, or from `%` for a value that the fast path leaves.  The
+fixed-width reader (_fixed_width_values) checks each row group against the
+writer's own rows for it (_node_blocks, from the one node-text rule
+_node_text), so the node fields must be the writer's bytes, and parses the
+value field alone, each with one exact division.
 """
 
 from __future__ import annotations
@@ -86,13 +88,16 @@ _CSV_HEADER = "u,v,value"
 _CSV_FORMAT = "%.11e"
 # A lattice CSV row in the fixed-width layout: three 17-byte _CSV_FORMAT
 # fields of values >= 0 with two-digit exponents, each followed by its
-# separator, 54 bytes; the template is the row of three zeros.  The reader
-# checks rows against it and the writer fills copies of it.  Each byte lies
-# at most _CSV_SPAN above the template's: a digit above '0', the exponent sign
-# '+' to '-' (the ',' between them is ruled out apart), and the '.', the 'e'
-# and the separators exactly.
+# separator, 54 bytes; the template is the row of three zeros.  The writer
+# fills copies of it with the node texts (_node_text) and the values, and the
+# reader checks rows against the same copies with a zero value field.  Each
+# byte of a row lies at most _CSV_SPAN above that copy's: the node fields and
+# their separators exactly; in the value field, a digit above '0', the
+# exponent sign '+' to '-' (the ',' between them is ruled out apart), and the
+# '.', the 'e' and the line end exactly.
 _CSV_ROW = np.frombuffer((",".join([_CSV_FORMAT % 0.0] * 3) + "\n").encode(), np.uint8).reshape(3, 18)
-_CSV_SPAN = np.select([_CSV_ROW == ord("0"), _CSV_ROW == ord("+")], [9, 2], 0).astype(np.uint8)
+_CSV_SPAN = np.zeros(_CSV_ROW.size, np.uint8)
+_CSV_SPAN[36:] = np.select([_CSV_ROW[2] == ord("0"), _CSV_ROW[2] == ord("+")], [9, 2], 0)
 # 10**k for k = 0..22, the powers of ten that are exact doubles.
 _POW10 = np.array([float(10**k) for k in range(23)])
 # A field's 12 significand digits, and their place values 10**11..10**0.
@@ -106,8 +111,10 @@ _PLACES = _POW10[11::-1]
 _GROUP_TEXT = np.array([b"%03d." % g for g in range(1000)]).view(np.uint32)
 _EXPONENT_TEXT = np.array([b"e%+03d" % (11 - k) for k in range(len(_POW10))]).view(np.uint32)
 _FIELD_BYTES = [0, 3, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17, 18, 19]
-# Rows per group of the fixed-width reader (221 KB of text; the fastest of
-# 512 to 16384 at order 200), and nodes per group of the writer, in either
+# File rows per group of the fixed-width reader, in whole lattice rows: about
+# 217 KB of text and as much of expected rows, the fastest of 512 to 16384 at
+# orders 200 and 400 (2.5 and 10.0 ms a read, against 3.0 and 11.2 at 2048
+# and 3.3 and 11.7 at 8192); and nodes per group of the writer, in either
 # layout (its tracemalloc peak about 210 KB for a float column and 170 KB
 # for the five region flags, at orders 200 and 400).
 _READ_ROWS = 4096
@@ -202,16 +209,21 @@ class LatticeFunction:
     def from_csv(cls, path) -> "LatticeFunction":
         """Read a lattice CSV written by to_csv; malformed input is a DomainError.
 
-        A file in to_csv's fixed-width layout is read as bytes
-        (_fixed_width_rows); any other file, malformed ones included, is
-        parsed by np.loadtxt (_loadtxt_rows).  Both give the nodes and the
-        values, each field's float(), and the checks below run once on them.
+        A file in to_csv's fixed-width layout whose node fields are the
+        writer's own texts is read as bytes (_fixed_width_values), which
+        gives its values alone: its nodes are exact and its values finite.
+        Any other file, malformed ones included, is parsed by np.loadtxt
+        (_loadtxt_rows), and the checks below run once on its nodes and
+        values.  Either way each value is its field's float().
         A wrong header, a short or long row, a value that is not a finite
         number, a byte that is not UTF-8, a row count that is not a square
         of at least 4, or a node more than _NODE_TOL from its row-major position
         is a DomainError.
         """
-        nodes, values = _fixed_width_rows(path) or _loadtxt_rows(path)
+        values = _fixed_width_values(path)
+        if values is not None:
+            return cls(len(values) - 1, values)
+        nodes, values = _loadtxt_rows(path)
         side = math.isqrt(len(values))
         if side * side != len(values) or side < 2:
             raise DomainError(
@@ -238,53 +250,58 @@ class LatticeFunction:
         return cls(n, values)
 
 
-def _fixed_width_rows(path) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (rows, 2) nodes and the (rows,) values of a lattice CSV in
-    to_csv's fixed-width layout, or None if any byte of the file is out of
-    that layout (_CSV_ROW).
+def _fixed_width_values(path) -> np.ndarray | None:
+    """The (side, side) values of a lattice CSV in to_csv's fixed-width
+    layout whose node fields are, byte for byte, the writer's texts of the
+    nodes in row-major order (_node_text), side >= 2; None for any other file.
 
-    The body is read _READ_ROWS rows at a time.  A field is a 12-digit
-    significand M < 2**53, exact in a double, and an exponent E; where
-    0 <= 11 - E <= 22, 10**(11 - E) is exact too, and the one IEEE division
-    M / 10**(11 - E) is the correctly rounded value of the field, the double
-    float() reads (Clinger, "How to Read Floating Point Numbers Accurately",
-    1990).  The fields with any other exponent are cast from their bytes,
-    which parses each as float() does.  The values, which become the
-    lattice, are allocated before every temporary, so that the lattice does
-    not sit above the heap holes they leave (allocated after them, it raised
-    a `grid-export` op's peak RSS by 2.6 MB).
+    The body is read in groups of whole lattice rows, about _READ_ROWS file
+    rows each (_row_groups), and each group less the writer's own rows with
+    a zero value (_node_blocks) is checked against _CSV_SPAN, so that only
+    the value field is parsed.  A field is a 12-digit significand M < 2**53,
+    exact in a double, and an exponent E; where 0 <= 11 - E <= 22,
+    10**(11 - E) is exact too, and the one IEEE division M / 10**(11 - E)
+    is the correctly rounded value of the field, the double float() reads
+    (Clinger, "How to Read Floating Point Numbers Accurately", 1990).  The
+    fields with any other exponent are cast from their bytes, which parses
+    each as float() does.  The values, which become the lattice, are
+    allocated before every temporary, so that the lattice does not sit
+    above the heap holes they leave (allocated after them, it raised a
+    `grid-export` op's peak RSS by 2.6 MB).
     """
     with open(path, "rb") as fh:
         if fh.readline() != f"{_CSV_HEADER}\n".encode():
             return None
         count, rest = divmod(os.fstat(fh.fileno()).st_size - fh.tell(), _CSV_ROW.size)
-        if rest or count <= 0:
+        side = math.isqrt(count)
+        if rest or side * side != count or side < 2:
             return None
-        values, nodes = np.empty(count), np.empty((count, 2))
-        data = np.empty((min(count, _READ_ROWS), 3, 18), np.uint8)
-        parsed = np.empty((len(data), 3))
-        for start in range(0, count, _READ_ROWS):
-            d, group = data[:count - start], parsed[:count - start]
+        values = np.empty((side, side))
+        groups = _row_groups([side] * side, _READ_ROWS)
+        data = np.empty((groups[0].stop, side, _CSV_ROW.size), np.uint8)
+        for rows, expected in _node_blocks(_node_text(side - 1), groups, _CSV_ROW[2]):
+            d = data[:len(expected)]
             if fh.readinto(d) != d.nbytes:
                 return None
-            # Each byte less the template's: a digit's value, 0 or 2 at the
-            # exponent sign ('+' or '-'), and 0 at every other byte.  Unsigned,
-            # a byte below the template's wraps round above its span.
-            np.subtract(d, _CSV_ROW, out=d)
-            if not (np.all(d <= _CSV_SPAN) and np.all(d[:, :, 14] != 1)):
+            # Each byte less the expected one: 0 at every node byte, and in
+            # the value field a digit's value, 0 or 2 at the exponent sign
+            # ('+' or '-'), and 0 at every other byte.  Unsigned, a byte below
+            # the expected one wraps round above its span.
+            np.subtract(d, expected, out=d)
+            field = d[:, :, 36:]
+            if not (np.all(d <= _CSV_SPAN) and np.all(field[:, :, 14] != 1)):
                 return None
-            sign, e1, e0 = np.moveaxis(d[:, :, 14:17].astype(np.intp), -1, 0)
+            sign, e1, e0 = np.moveaxis(field[:, :, 14:17].astype(np.intp), -1, 0)
             k = 11 + (sign - 1) * (10 * e1 + e0)  # 11 - E
             exact = (0 <= k) & (k < len(_POW10))
-            np.divide(np.einsum("rfk,k->rf", d[:, :, _SIGNIFICAND], _PLACES),
-                      _POW10[np.where(exact, k, 0)], out=group)
+            out = values[rows]
+            np.divide(np.einsum("rck,k->rc", field[:, :, _SIGNIFICAND], _PLACES),
+                      _POW10[np.where(exact, k, 0)], out=out)
             if not exact.all():
-                r, f = np.nonzero(~exact)
-                text = d[r, f, :17] + _CSV_ROW[f, :17]
-                group[r, f] = text.view("S17").astype(float).ravel()
-            nodes[start:start + len(group)] = group[:, :2]
-            values[start:start + len(group)] = group[:, 2]
-    return nodes, values
+                r, c = np.nonzero(~exact)
+                text = field[r, c, :17] + _CSV_ROW[2, :17]
+                out[r, c] = text.view("S17").astype(float).ravel()
+    return values
 
 
 def _loadtxt_rows(path) -> tuple[np.ndarray, np.ndarray]:
@@ -308,6 +325,30 @@ def _loadtxt_rows(path) -> tuple[np.ndarray, np.ndarray]:
     return rows[:, :2], np.ascontiguousarray(rows[:, 2])
 
 
+def _node_text(n: int) -> list[str]:
+    """The _CSV_FORMAT texts of the order-n lattice's nodes i/n, 17 bytes
+    each: the u and v fields of every file write_node_csv writes, and so
+    the node bytes that _fixed_width_values takes."""
+    return [_CSV_FORMAT % x for x in lattice_nodes(n).tolist()]
+
+
+def _node_blocks(node_text, groups, tail):
+    """Per row group of `groups` (_row_groups over the lattice of these node
+    texts), the group's row slice and a uint8 block of its fixed-width rows:
+    each row's u text, its v text and then `tail` (the value field or the
+    flags, with its line end), each node text followed by _CSV_ROW's
+    separator.  One block, sized for the first group, is filled for all of
+    them: the v texts and the tail once, each group's u texts in turn."""
+    text = np.frombuffer("".join(node_text).encode("ascii"), np.uint8).reshape(-1, 17)
+    block = np.empty((groups[0].stop, len(text), 36 + tail.size), np.uint8)
+    block[...] = np.concatenate([_CSV_ROW[:2].ravel(), tail])
+    block[:, :, 18:35] = text
+    for rows in groups:
+        out = block[:rows.stop - rows.start]
+        out[:, :, :17] = text[rows, None, :]
+        yield rows, out
+
+
 def write_node_csv(fh, n: int, values) -> None:
     """Write node-indexed CSV for the order-n lattice to the text stream fh.
 
@@ -325,7 +366,8 @@ def write_node_csv(fh, n: int, values) -> None:
     so a row has a fixed width: _CSV_ROW's two node fields, then the value
     field of _CSV_ROW or a '0' per flag, each field followed by its
     separator.  A group of about _WRITE_NODES nodes (_row_groups) is one
-    uint8 array of copies of that row, with each row's u text put in and,
+    uint8 array of copies of that row (_node_blocks, which the reader
+    checks files against), with each row's u text put in and,
     per node, each flag added to its '0' or the value's 17 bytes filled in
     by _fast_fields.  A value that _fast_fields leaves is formatted by `%`
     on its own; if any such text is not 17 bytes (a negative value, a
@@ -335,7 +377,7 @@ def write_node_csv(fh, n: int, values) -> None:
     Nothing the size of the lattice is built, and values of any other
     dtype or shape are rejected before any byte is written.
     """
-    nodes = lattice_nodes(n)
+    node_text = _node_text(n)  # which checks n first
     values = np.asarray(values)
     flags = values.dtype == bool
     # The shape of a float lattice, or of a stack of flag lattices.
@@ -343,21 +385,12 @@ def write_node_csv(fh, n: int, values) -> None:
     if values.shape != layout or not (values.dtype.kind in "iuf" or flags and layout[0]):
         raise DomainError(f"values of dtype {values.dtype} and shape {values.shape} are not an "
                           f"order-{n} float lattice or a stack of order-{n} flag lattices")
-    node_text = [_CSV_FORMAT % x for x in nodes.tolist()]
     names = ",".join(f"r{k + 1}" for k in range(len(values))) if flags else "value"
     fh.write(_CSV_HEADER.replace("value", names) + "\n")
-    text = np.frombuffer("".join(node_text).encode("ascii"), np.uint8).reshape(n + 1, 17)
     tail = _CSV_ROW[2] if not flags else np.frombuffer(
         (",".join("0" * len(values)) + "\n").encode("ascii"), np.uint8)
-    groups = _row_groups([n + 1] * (n + 1), _WRITE_NODES)
-    # The first group's rows of `u,v,<fields>` for every v: the commas, v
-    # texts and line ends stay; each group puts in its u texts and fields.
-    block = np.empty((groups[0].stop, n + 1, 36 + tail.size), np.uint8)
-    block[...] = np.concatenate([_CSV_ROW[:2].ravel(), tail])
-    block[:, :, 18:35] = text
-    for rows in groups:
-        out = block[:rows.stop - rows.start]
-        out[:, :, :17] = text[rows, None, :]
+    # Each group's rows of `u,v,<fields>`, into which it puts its fields.
+    for rows, out in _node_blocks(node_text, _row_groups([n + 1] * (n + 1), _WRITE_NODES), tail):
         if flags:
             for k, flag in enumerate(values):
                 np.add(flag[rows], ord("0"), out=out[:, :, 36 + 2 * k], dtype=np.uint8)

@@ -1184,6 +1184,43 @@ def test_witness_evaluator_checks_its_points(monkeypatch):
         assert np.shape(value) == np.shape(want) and np.array_equal(bits(value), bits(want)), (uu, vv)
 
 
+def test_witness_checks_a_scalar_pair_by_the_scalar_check(monkeypatch):
+    w = witness_copula(0.3, 0.6, -0.2)
+    grid = np.random.default_rng(5).random((2, 4, 3))
+    scalars = [(0.4, 0.5), (1.0, 0.0), (np.float32(0.3), np.float32(0.6)),
+               (np.float64(0.8), np.float64(0.25)), (np.array(0.4), np.array(0.9)),
+               (np.float32(0.7), 0.2)]
+    arrays = [(grid[0], grid[1]), (grid[0].astype(np.float32), 0.5), (np.array([0.2]), 0.3)]
+    got = [w(uu, vv) for uu, vv in scalars + arrays]
+    # Values and result types as with both checks made no-ops.
+    monkeypatch.setattr(bounds, "_check_point", lambda uu, vv: (uu, vv))
+    monkeypatch.setattr(bounds, "_check_points", lambda uu, vv: (uu, vv))
+    for (uu, vv), value in zip(scalars + arrays, got):
+        want = w(uu, vv)
+        assert type(value) is type(want) and np.result_type(value) == np.result_type(want)
+        assert np.shape(value) == np.shape(want) and np.array_equal(bits(value), bits(want)), (uu, vv)
+    monkeypatch.undo()
+    # A scalar pair never reaches the array check; an array does.
+    seen = []
+    monkeypatch.setattr(bounds, "_check_points", lambda uu, vv: seen.append((uu, vv)))
+    for uu, vv in scalars:
+        w(uu, vv)
+    assert seen == []
+    for uu, vv in arrays:
+        w(uu, vv)
+    assert len(seen) == len(arrays)
+    monkeypatch.undo()
+    for uu, vv in ((2.0, 0.5), (0.5, -0.1), (math.nan, 0.5), ("0.5", 0.5), (True, 0.5),
+                   (np.array(2.0), 0.5), (0.5, np.float32(-0.1))):
+        with pytest.raises(DomainError):
+            w(uu, vv)
+    # A Fraction is a point, as for the scalar entry points; an array of
+    # them (dtype object) is not.
+    assert bits(w(Fraction(1, 4), Fraction(3, 4))) == bits(w(0.25, 0.75))
+    with pytest.raises(DomainError, match="dtype object"):
+        w(np.array([Fraction(1, 4)]), 0.5)
+
+
 def test_witness_that_fails_its_certificate_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(bounds, "_certify_gamma", lambda f, t: (float("nan"), False))
     with pytest.raises(InternalError, match="witness post-condition failed at "

@@ -123,6 +123,21 @@ def test_an_internal_error_exits_1(monkeypatch, capsys):
     assert run(capsys, "classify", "--t", "0.1") == (1, "", "internal error: a broken invariant\n")
 
 
+def test_an_allocation_failure_exits_1_with_one_line(monkeypatch, capsys):
+    # numpy's _ArrayMemoryError is a MemoryError whose message names the bytes
+    # asked for; it is raised here without allocating them.
+    message = ("Unable to allocate 6.71 GiB for an array with shape (30001, 30001) "
+               "and data type float64")
+
+    def out_of_memory(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "cmd_check", out_of_memory)
+    code, out, err = run(capsys, "check", "--t", "0.2", "--grid", "30000")
+    assert (code, out) == (1, "")
+    assert err == f"resource error: {message}\n" and "Traceback" not in err
+
+
 @pytest.mark.parametrize("spec, message", [
     (["pi", "x"], "copula 'pi' takes no extra arguments"),
     (["pointbound", "0.5", "0.5"], "usage: --copula pointbound A B THETA"),

@@ -33,7 +33,7 @@ from gini_bounds import (
 from gini_bounds.bounds import _BLOCK
 from gini_bounds.lattice import (
     _CHECK_TOL, _CSV_FORMAT, _envelope_lattice, _envelope_lattices, _fast_fields,
-    _fixed_width_rows, _quarter_groups, _region_atlas, _row_groups, lattice_nodes, write_node_csv,
+    _fixed_width_values, _quarter_groups, _region_atlas, _row_groups, lattice_nodes, write_node_csv,
 )
 
 
@@ -550,7 +550,7 @@ def test_csv_reader_reads_float_of_each_field_on_any_doubles(tmp_path, n, fixed,
     assert np.array_equal(bits(LatticeFunction.from_csv(path).values), bits(_csv_loop_reader(path)))
     # The byte reader takes exactly the files whose rows are all 54 bytes.
     rows = path.read_bytes().splitlines(keepends=True)[1:]
-    assert (_fixed_width_rows(path) is not None) == all(len(row) == 54 for row in rows)
+    assert (_fixed_width_values(path) is not None) == all(len(row) == 54 for row in rows)
 
 
 @pytest.mark.parametrize("side", ["upper", "lower"])
@@ -565,7 +565,7 @@ def test_csv_reader_matches_row_loop_reference_at_every_seam_t(tmp_path, side):
     for t in (*SEAM_T, None):
         lf = LatticeFunction(200, planted) if t is None else _envelope_lattice(side, t, 200)
         lf.to_csv(path)
-        assert _fixed_width_rows(path) is not None, t
+        assert _fixed_width_values(path) is not None, t
         reference = _csv_loop_reader(path)
         assert np.array_equal(bits(LatticeFunction.from_csv(path).values), bits(reference)), t
     assert np.count_nonzero((reference > 0) & (reference < 1e-11)) == 49
@@ -575,7 +575,7 @@ def test_csv_reader_reads_a_crlf_copy_alike(tmp_path):
     path, crlf = tmp_path / "m.csv", tmp_path / "crlf.csv"
     _envelope_lattice("lower", -0.9, 60).to_csv(path)
     crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    assert _fixed_width_rows(crlf) is None
+    assert _fixed_width_values(crlf) is None
     back = LatticeFunction.from_csv(crlf)
     assert back.N == 60
     assert np.array_equal(bits(back.values), bits(LatticeFunction.from_csv(path).values))
@@ -589,7 +589,7 @@ def test_csv_reader_reads_a_body_shorter_than_its_size_alike(tmp_path, monkeypat
     want = LatticeFunction.from_csv(path).values
     grown = SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=os.fstat(fd).st_size + 54))
     monkeypatch.setattr("gini_bounds.lattice.os", grown)
-    assert _fixed_width_rows(path) is None
+    assert _fixed_width_values(path) is None
     assert np.array_equal(bits(LatticeFunction.from_csv(path).values), bits(want))
 
 
@@ -658,6 +658,60 @@ def test_csv_reader_holds_few_lattice_sizes(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 5.5 * (n + 1) ** 2 * 8
+
+
+def test_csv_byte_reader_holds_under_two_lattice_sizes(tmp_path):
+    # The values (one lattice size), the group's bytes and the writer's rows
+    # for them, and the value field's parse; the three-field reader, which
+    # also held the nodes for the node check, peaked at 5.13.
+    n = 400
+    path = tmp_path / "m.csv"
+    _envelope_lattice("upper", -0.9, n).to_csv(path)
+    LatticeFunction.from_csv(path)
+    tracemalloc.start()
+    try:
+        LatticeFunction.from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * (n + 1) ** 2 * 8
+
+
+def _fixed_width_copy(tmp_path, edit):
+    # The order-20 upper grid at t = -0.9 as to_csv writes it, its lattice as
+    # the byte reader reads it, and a copy of the file with its bytes edited.
+    path, copy = tmp_path / "m.csv", tmp_path / "edited.csv"
+    _envelope_lattice("upper", -0.9, 20).to_csv(path)
+    assert _fixed_width_values(path) is not None
+    copy.write_bytes(edit(path.read_bytes()))
+    return LatticeFunction.from_csv(path).values, copy
+
+
+def test_csv_byte_reader_leaves_a_node_off_the_writers_text(tmp_path):
+    # Row 7's v field, 7/20, one unit off in its last digit: within _NODE_TOL,
+    # so np.loadtxt reads the file, and the node check passes it.
+    want, copy = _fixed_width_copy(
+        tmp_path, lambda data: data.replace(b"3.50000000000e-01", b"3.50000000001e-01", 1))
+    assert _fixed_width_values(copy) is None
+    assert np.array_equal(bits(LatticeFunction.from_csv(copy).values), bits(want))
+    assert np.array_equal(bits(want), bits(_csv_loop_reader(copy)))
+
+
+def test_csv_byte_reader_leaves_a_wrong_node_to_the_node_check(tmp_path):
+    _, copy = _fixed_width_copy(
+        tmp_path, lambda data: data.replace(b"3.50000000000e-01", b"3.90000000000e-01", 1))
+    assert _fixed_width_values(copy) is None
+    message = "row 7: node (0.0, 0.39) does not match row-major position (0.0, 0.35)"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        LatticeFunction.from_csv(copy)
+
+
+def test_csv_byte_reader_leaves_a_row_count_that_is_not_a_square(tmp_path):
+    # One whole 54-byte row out, row 100 of the 441 after the 10-byte header.
+    _, copy = _fixed_width_copy(tmp_path, lambda data: data[:10 + 54 * 100] + data[10 + 54 * 101:])
+    assert _fixed_width_values(copy) is None
+    with pytest.raises(DomainError, match=re.escape("lattice CSV has 440 rows; an order-N")):
+        LatticeFunction.from_csv(copy)
 
 
 def test_csv_fallback_reader_holds_the_file_as_bytes(tmp_path):
